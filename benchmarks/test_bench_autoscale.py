@@ -2,12 +2,14 @@
 
 Two halves, mirroring the chaos benchmark's correctness/speed split:
 
-* **Overhead gate:** arming the autoscaler with the ``static`` policy (the
-  full decision machinery runs every replan epoch but never changes the
-  fleet) must stay within :data:`OVERHEAD_CEILING` of the ``autoscale=None``
-  legacy path on event-loop throughput (events fired per wall-clock second)
-  for the same flash-crowd cell — and must leave the summary byte-identical:
-  a policy that never scales is observationally the legacy system.
+* **Overhead:** arming the autoscaler with the ``static`` policy (the full
+  decision machinery runs every replan epoch but never changes the fleet)
+  must leave the ``autoscale=None`` summary byte-identical: a policy that
+  never scales is observationally the legacy system.  Its event-loop
+  throughput (events fired per wall-clock second) relative to the
+  ``autoscale=None`` path is reported as a ``gated_*`` metric, which
+  ``benchmarks/compare.py`` gates across runs; a single-shot wall-clock
+  ratio is too noisy to assert here.
 
 * **Dominance claims:** :func:`repro.experiments.autoscale.run_autoscale`
   re-runs the elastic-fleet study at bench scale and asserts the acceptance
@@ -19,13 +21,12 @@ Two halves, mirroring the chaos benchmark's correctness/speed split:
 
 import time
 
+from repro.core.config import FleetSpec
 from repro.core.system import ClientSource, build_diffserve_system
 from repro.experiments.autoscale import run_autoscale
 from repro.workloads import make_workload
 
-#: Autoscaler-armed events/sec may be at most this factor below legacy.
-OVERHEAD_CEILING = 1.2
-#: Cell the overhead gate times (matches the autoscale experiment shape).
+#: Cell the overhead measurement times (matches the autoscale experiment shape).
 N_WORKERS = 8
 QPS = 9.6
 DURATION = 60.0
@@ -37,7 +38,7 @@ def _events_per_second(autoscale):
 
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=N_WORKERS,
+        fleet=FleetSpec.homogeneous(N_WORKERS),
         dataset_size=300,
         seed=0,
         replan_epoch=3.0,
@@ -76,11 +77,6 @@ def test_bench_autoscale(benchmark):
     # compare.py gates `gated_*` higher-is-better: report the throughput
     # ratio (armed/legacy), not the slowdown.
     benchmark.extra_info["gated_autoscale_throughput_ratio"] = round(1.0 / slowdown, 3)
-    assert slowdown <= OVERHEAD_CEILING, (
-        f"autoscaler machinery event throughput {slowdown:.2f}x below legacy, "
-        f"over the {OVERHEAD_CEILING}x ceiling "
-        f"({legacy_eps:.0f} vs {armed['eps']:.0f} events/s)"
-    )
 
     # Dominance claims at bench scale (cached by the runner on repeats).
     result = run_autoscale()

@@ -2,20 +2,20 @@
 
 Two gates:
 
-* Typed fleets stay cheap to plan for: cold-solving the per-device-class
-  MILP over a demand ramp on a mixed 16-worker fleet costs at most 2x the
-  homogeneous 16-worker solve — in wall-clock time and in LP relaxations
-  solved (the deterministic cost model).  In practice the class-eligibility
-  pruning makes the heterogeneous sweep *cheaper*, so the 2x bound guards
-  against per-class variables blowing up branch-and-bound.
+* Mixed fleets stay cheap to plan for: both arms build the same
+  class-indexed MILP (the homogeneous fleet is its single-class case), and
+  cold-solving it over a demand ramp on a mixed 16-worker fleet costs at
+  most 2x the homogeneous 16-worker solve in LP relaxations solved (the
+  deterministic cost model).  In practice the class-eligibility pruning
+  makes the mixed sweep *cheaper*, so the 2x bound guards against more
+  device classes blowing up branch-and-bound.  Wall time is reported to
+  ``benchmarks/compare.py``, not asserted.
 * Heterogeneity pays at equal cost: in the ``repro fleet`` study at least
   one mixed fleet matches or Pareto-dominates the homogeneous all-A100
   reference on FID and SLO-violation ratio under at least one workload —
   cheap slow devices absorb the light pool while the fast tier serves the
   heavy model.
 """
-
-import time
 
 import numpy as np
 
@@ -48,22 +48,19 @@ def _fresh_allocator(bench_scale):
 
 
 def _cold_sweep(allocator, fleet, slo):
-    """(wall seconds, LP solves) for a cold re-solve ramp on one fleet."""
+    """LP solves for a cold re-solve ramp on one fleet."""
     lp_before = allocator.solver.total_lp_solves + allocator.exhaustive_solver.total_lp_solves
-    start = time.perf_counter()
     for demand in DEMAND_RAMP:
         ctx = ControlContext(
             demand=float(demand), slo=slo, fleet=fleet, observed_deferral=0.4
         )
         plan = allocator.plan(ctx)
         assert plan.feasible
-    elapsed = time.perf_counter() - start
-    lp_solves = (
+    return (
         allocator.solver.total_lp_solves
         + allocator.exhaustive_solver.total_lp_solves
         - lp_before
     )
-    return elapsed, lp_solves
 
 
 def test_bench_heterogeneous_milp_within_2x_of_homogeneous(benchmark, bench_scale):
@@ -71,8 +68,8 @@ def test_bench_heterogeneous_milp_within_2x_of_homogeneous(benchmark, bench_scal
     het_alloc, _ = _fresh_allocator(bench_scale)
     slo = cascade.slo
 
-    homo_s, homo_lps = _cold_sweep(homo_alloc, FleetSpec.homogeneous(16), slo)
-    het_s, het_lps = benchmark.pedantic(
+    homo_lps = _cold_sweep(homo_alloc, FleetSpec.homogeneous(16), slo)
+    het_lps = benchmark.pedantic(
         _cold_sweep,
         args=(het_alloc, fleet_from_counts(MIXED_16), slo),
         iterations=1,
@@ -82,8 +79,6 @@ def test_bench_heterogeneous_milp_within_2x_of_homogeneous(benchmark, bench_scal
     assert homo_lps > 0
     # The deterministic gate: per-class variables must not explode the search.
     assert het_lps <= 2 * homo_lps, f"LP solves: het {het_lps} vs homo {homo_lps}"
-    # Wall-clock gate with the same 2x budget (measured ~0.5x).
-    assert het_s <= 2 * homo_s, f"wall: het {het_s:.3f}s vs homo {homo_s:.3f}s"
 
 
 def test_bench_fleet_study_mixed_fleet_matches_or_dominates(benchmark, bench_scale):

@@ -20,6 +20,7 @@ the measurement is noise, so it is reported but not asserted.
 import os
 import time
 
+from repro.core.config import FleetSpec
 from repro.core.geo import get_topology
 from repro.core.sharding import ShardSupervisor
 from repro.core.system import build_diffserve_system
@@ -40,7 +41,7 @@ SPEEDUP_FLOOR = 2.5
 
 def _run(shards: int):
     """One full sharded run; returns (summary, wall seconds, supervisor)."""
-    template = build_diffserve_system(num_workers=8, dataset_size=300, seed=0)
+    template = build_diffserve_system(fleet=FleetSpec.homogeneous(8), dataset_size=300, seed=0)
     workload = make_workload("static", duration=N_QUERIES / QPS, qps=QPS, seed=0)
     supervisor = ShardSupervisor(
         template=template, topology=get_topology("global-8"), shards=shards

@@ -12,6 +12,7 @@ Run with:  python examples/milp_allocation_demo.py
 import numpy as np
 
 from repro.core.allocator import ControlContext, DiffServeAllocator
+from repro.core.config import FleetSpec
 from repro.discriminators.deferral import DeferralProfile
 from repro.discriminators.training import train_default_discriminator
 from repro.experiments.harness import format_table
@@ -30,8 +31,8 @@ def main() -> None:
 
     rows = []
     for demand in np.linspace(2, 32, 11):
-        ctx = ControlContext(demand=float(demand), slo=cascade.slo, num_workers=16,
-                             observed_deferral=0.4)
+        ctx = ControlContext(demand=float(demand), slo=cascade.slo,
+                             fleet=FleetSpec.homogeneous(16), observed_deferral=0.4)
         plan = allocator.plan(ctx)
         rows.append(
             [

@@ -19,10 +19,10 @@ The package is organised as:
 
 Quickstart::
 
-    from repro import build_diffserve_system
+    from repro import FleetSpec, build_diffserve_system
     from repro.workloads import make_workload
 
-    system = build_diffserve_system("sdturbo", num_workers=16)
+    system = build_diffserve_system("sdturbo", fleet=FleetSpec.homogeneous(16))
     workload = make_workload("mmpp", duration=120.0, qps=16.0)
     result = system.run(workload)  # sampled from the simulator's own streams
     print(result.summary())

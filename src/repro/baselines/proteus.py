@@ -90,7 +90,7 @@ class ProteusPolicy(AllocationPolicy):
         # Proteus re-derives its split from scratch each period; the closed
         # form below is already O(|candidates|), so no warm start is needed.
         slo = ctx.slo
-        S = ctx.num_workers
+        S = ctx.fleet.total_workers
         demand = max(ctx.demand, 1e-3) * self.over_provision
         light = self.cascade.light
         light_batch = self._best_batch(light, slo) or 1
@@ -135,8 +135,7 @@ class ProteusPolicy(AllocationPolicy):
 def build_proteus_system(
     cascade_name: str = "sdturbo",
     *,
-    fleet: Optional[FleetSpec] = None,
-    num_workers: int = 16,
+    fleet: FleetSpec = FleetSpec.homogeneous(16),
     slo: Optional[float] = None,
     dataset: Optional[QueryDataset] = None,
     resources: Optional[ResourceConfig] = None,
@@ -148,17 +147,16 @@ def build_proteus_system(
 ) -> ServingSimulation:
     """Build the Proteus baseline for a named cascade.
 
-    ``fleet`` selects a typed device fleet (``num_workers`` is the deprecated
-    homogeneous shim).  Proteus itself stays device-class-agnostic — it
-    scales model variants against the aggregate worker count, which is
-    exactly the heterogeneity-blindness the fleet study measures against.
+    ``fleet`` selects a typed device fleet.  Proteus itself stays
+    device-class-agnostic — it scales model variants against the aggregate
+    worker count, which is exactly the heterogeneity-blindness the fleet
+    study measures against.
     """
     cascade = get_cascade(cascade_name)
     if dataset is None:
         dataset = load_dataset(cascade.dataset, n=dataset_size, seed=seed)
     config = SystemConfig(
         cascade=cascade,
-        num_workers=num_workers,
         fleet=fleet,
         slo=slo,
         routing=RoutingMode.RANDOM_SPLIT,

@@ -55,8 +55,7 @@ def build_diffserve_static_system(
     cascade_name: str = "sdturbo",
     *,
     anticipated_peak_qps: float,
-    fleet: Optional[FleetSpec] = None,
-    num_workers: int = 16,
+    fleet: FleetSpec = FleetSpec.homogeneous(16),
     slo: Optional[float] = None,
     dataset: Optional[QueryDataset] = None,
     discriminator: Optional[Discriminator] = None,
@@ -81,7 +80,6 @@ def build_diffserve_static_system(
 
     config = SystemConfig(
         cascade=cascade,
-        num_workers=num_workers,
         fleet=fleet,
         slo=slo,
         routing=RoutingMode.CASCADE,

@@ -9,13 +9,13 @@ sizes ``(b1, b2)``, maximising ``t`` subject to:
 * the heavy-pool throughput constraint ``x2 * T2(b2) >= D * f(t)`` (Eq. 3);
 * the device budget ``x1 + x2 <= S`` (Eq. 4).
 
-On a heterogeneous :class:`~repro.core.config.FleetSpec` the worker split is
-typed: each decision variable is indexed by device class (``x1[l4]``,
-``x2[a100]``, ...), throughputs come from the per-(variant, device-class)
-latency profiles, Eq. 4 becomes one capacity constraint per class, and memory
-tiers gate which classes may host which variant.  A homogeneous fleet
-degenerates to the exact legacy two-variable problem, so single-class
-configurations reproduce pre-fleet allocation decisions bit-for-bit.
+The worker split is typed by the :class:`~repro.core.config.FleetSpec`: each
+decision variable is indexed by device class (``x1[l4]``, ``x2[a100]``, ...),
+throughputs come from the per-(variant, device-class) latency profiles,
+Eq. 4 becomes one capacity constraint per class, a ``min-light`` row keeps
+the light pool non-empty, and memory tiers gate which classes may host which
+variant.  The paper's two-variable problem is the single-class case
+(``x1[a100]``, ``x2[a100]`` and one capacity row), built by the same code.
 
 ``f(t)`` — the fraction of queries deferred at threshold ``t`` — is an
 empirical, piecewise-constant function, so the threshold is discretised onto
@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import DeviceClass, FleetSpec, ResourceConfig, warn_num_workers_alias
+from repro.core.config import DeviceClass, FleetSpec, ResourceConfig
 from repro.core.pricing import PriceTrace
 from repro.core.queueing import LittlesLawModel, QueueingModel
 from repro.discriminators.deferral import DeferralProfile
@@ -117,16 +117,14 @@ class AllocationPlan:
 class ControlContext:
     """Runtime statistics the Controller feeds into the allocator.
 
-    ``fleet`` is the typed device fleet the plan must fit; ``num_workers`` is
-    accepted as a deprecated alias for a homogeneous baseline-class fleet and
-    always reads back as ``fleet.total_workers``.  Fleet validation happens
-    in :class:`~repro.core.config.FleetSpec` (the single validation site).
+    ``fleet`` is the typed device fleet the plan must fit.  Fleet validation
+    happens in :class:`~repro.core.config.FleetSpec` (the single validation
+    site).
     """
 
     demand: float
     slo: float
-    fleet: Optional[FleetSpec] = None
-    num_workers: Optional[int] = None
+    fleet: FleetSpec
     light_queue_length: float = 0.0
     heavy_queue_length: float = 0.0
     observed_deferral: Optional[float] = None
@@ -152,14 +150,6 @@ class ControlContext:
             raise ValueError("demand must be non-negative")
         if self.slo <= 0:
             raise ValueError("slo must be positive")
-        if self.fleet is None:
-            if self.num_workers is None:
-                raise ValueError(
-                    "ControlContext requires a fleet (or the deprecated num_workers alias)"
-                )
-            warn_num_workers_alias()
-            self.fleet = FleetSpec.homogeneous(int(self.num_workers))
-        self.num_workers = self.fleet.total_workers
 
 
 class DiffServeAllocator:
@@ -231,13 +221,13 @@ class DiffServeAllocator:
         #: accepted by at least one per-pair solve (False for cold solves or
         #: when every repaired incumbent was rejected as infeasible).
         self.last_warm_start_used = False
-        #: Wall-clock budget per :meth:`plan` call; ``None`` = unlimited.
-        #: The fault injector's solver-timeout fault sets this to ``0.0`` —
-        #: the only value that trips *deterministically* (any elapsed time
-        #: exceeds it), which is what keeps fault runs machine-independent.
-        self.solve_deadline_s: Optional[float] = None
-        #: Whether the most recent :meth:`plan` call hit the deadline (its
-        #: result was a best-effort/infeasible plan, not a real solve).
+        #: Set by the fault injector's solver-timeout fault: while it is on,
+        #: every :meth:`plan` call that has candidate batch pairs times out
+        #: before its first solve.  A flag, not a wall-clock budget, so
+        #: fault runs never depend on machine speed.
+        self.force_solve_timeout = False
+        #: Whether the most recent :meth:`plan` call timed out (its result
+        #: was a best-effort/infeasible plan, not a real solve).
         self.last_solve_timed_out = False
 
     # ----------------------------------------------------------------- grids
@@ -465,13 +455,14 @@ class DiffServeAllocator:
           binary selector per grid level, used to cross-check the fraction
           formulation in tests.
 
-        On a homogeneous fleet the problem keeps the legacy two-variable
-        shape (``x1``/``x2``); a mixed fleet indexes the split by device
-        class (``x1[l4]``, ``x2[a100]``, ...) with one capacity constraint
-        per class and a ``min-light`` row replacing the legacy lower bound.
-        ``light_classes`` / ``heavy_classes`` restrict which classes each
-        stage may use (the plan loop passes the SLO-eligible sets); they
-        default to the memory-fitting classes.
+        The split is indexed by device class (``x1[l4]``, ``x2[a100]``, ...)
+        with one capacity constraint per class and a ``min-light`` row; a
+        single-class fleet yields the paper's problem (``x1[a100]``,
+        ``x2[a100]``, budget ``S``), with the min-light row also presolved
+        into the lower bound of ``x1[a100]``.  ``light_classes`` /
+        ``heavy_classes`` restrict which classes each stage may use (the
+        plan loop passes the SLO-eligible sets); they default to the
+        memory-fitting classes.
         """
         if formulation not in ("fraction", "binary"):
             raise ValueError("formulation must be 'fraction' or 'binary'")
@@ -480,46 +471,24 @@ class DiffServeAllocator:
             light_classes, heavy_classes = self._hostable_classes(fleet, ctx.resources)
         problem = MILPProblem(name=f"diffserve-b{b1}-b{b2}")
 
-        if fleet.is_homogeneous:
-            # Degenerate single-class case: the exact legacy problem shape
-            # (variable names and bounds), so homogeneous fleets reproduce
-            # pre-fleet solver decisions bit-for-bit.
-            device = fleet.classes[0]
-            S = fleet.total_workers
-            problem.add_integer("x1", lower=self.min_light_workers, upper=S)
-            problem.add_integer("x2", lower=0, upper=S)
-            light_vars = {"x1": self._light_throughput(b1, device)}
-            heavy_vars = {"x2": -self._heavy_throughput(b2, device)}
-            capacity_rows = [({"x1": 1.0, "x2": 1.0}, float(S), "device-budget")]
-            min_light_row = None
-        else:
-            light_vars = {}
-            for device in light_classes:
-                problem.add_integer(
-                    f"x1[{device.name}]", lower=0, upper=fleet.count_for(device.name)
-                )
-                light_vars[f"x1[{device.name}]"] = self._light_throughput(b1, device)
-            heavy_vars = {}
-            for device in heavy_classes:
-                problem.add_integer(
-                    f"x2[{device.name}]", lower=0, upper=fleet.count_for(device.name)
-                )
-                heavy_vars[f"x2[{device.name}]"] = -self._heavy_throughput(b2, device)
-            if not light_vars:
-                raise ValueError(
-                    f"no device class may host the light pool at batch {b1} "
-                    f"(fleet {fleet.token()!r})"
-                )
-            capacity_rows = []
-            for device, count in fleet.devices:
-                row = {}
-                if f"x1[{device.name}]" in light_vars:
-                    row[f"x1[{device.name}]"] = 1.0
-                if f"x2[{device.name}]" in heavy_vars:
-                    row[f"x2[{device.name}]"] = 1.0
-                if row:
-                    capacity_rows.append((row, float(count), f"capacity[{device.name}]"))
-            min_light_row = {name: 1.0 for name in light_vars}
+        # Presolve the min-light row into bounds: each class must host
+        # whatever part of ``min_light_workers`` the other classes cannot.
+        light_total = sum(fleet.count_for(d.name) for d in light_classes)
+        light_vars: Dict[str, float] = {}
+        for device in light_classes:
+            count = fleet.count_for(device.name)
+            lower = max(0, min(count, self.min_light_workers - (light_total - count)))
+            problem.add_integer(f"x1[{device.name}]", lower=lower, upper=count)
+            light_vars[f"x1[{device.name}]"] = self._light_throughput(b1, device)
+        heavy_vars: Dict[str, float] = {}
+        for device in heavy_classes:
+            problem.add_integer(f"x2[{device.name}]", lower=0, upper=fleet.count_for(device.name))
+            heavy_vars[f"x2[{device.name}]"] = -self._heavy_throughput(b2, device)
+        if not light_vars:
+            raise ValueError(
+                f"no device class may host the light pool at batch {b1} "
+                f"(fleet {fleet.token()!r})"
+            )
 
         if formulation == "fraction":
             problem.add_continuous("f", lower=0.0, upper=1.0)
@@ -531,24 +500,14 @@ class DiffServeAllocator:
             # cross-check formulation stays reload-oblivious on purpose.
             reload = self._reload_model(ctx)
             if reload is not None:
-                if fleet.is_homogeneous:
-                    cname = fleet.classes[0].name
-                    entries = [
-                        ("x1", "r1", cname, 0, reload["prev_light"]),
-                        ("x2", "r2", cname, 1, reload["prev_heavy"]),
-                    ]
-                else:
-                    entries = [
-                        (f"x1[{d.name}]", f"r1[{d.name}]", d.name, 0, reload["prev_light"])
-                        for d in light_classes
-                    ] + [
-                        (f"x2[{d.name}]", f"r2[{d.name}]", d.name, 1, reload["prev_heavy"])
-                        for d in heavy_classes
-                    ]
-                for x_name, r_name, cname, stage, prev in entries:
-                    cost = reload["costs"][cname][stage]
-                    if cost <= 0 or x_name not in problem.variables:
+                entries = [(d.name, 1, reload["prev_light"]) for d in light_classes] + [
+                    (d.name, 2, reload["prev_heavy"]) for d in heavy_classes
+                ]
+                for cname, stage, prev in entries:
+                    cost = reload["costs"][cname][stage - 1]
+                    if cost <= 0:
                         continue
+                    x_name, r_name = f"x{stage}[{cname}]", f"r{stage}[{cname}]"
                     problem.add_continuous(
                         r_name, lower=0.0, upper=float(fleet.count_for(cname))
                     )
@@ -595,10 +554,17 @@ class DiffServeAllocator:
             problem.add_ge(light_vars, demand, name="light-throughput")
             problem.add_le(heavy_row, 0.0, name="heavy-throughput")
 
-        for row, rhs, name in capacity_rows:
-            problem.add_le(row, rhs, name=name)
-        if min_light_row is not None:
-            problem.add_ge(min_light_row, float(self.min_light_workers), name="min-light")
+        for device, count in fleet.devices:
+            row = {
+                f"x{stage}[{device.name}]": 1.0
+                for stage, pool in ((1, light_vars), (2, heavy_vars))
+                if f"x{stage}[{device.name}]" in pool
+            }
+            if row:
+                problem.add_le(row, float(count), name=f"capacity[{device.name}]")
+        problem.add_ge(
+            {name: 1.0 for name in light_vars}, float(self.min_light_workers), name="min-light"
+        )
         return problem
 
     def _solve_pair(
@@ -631,29 +597,19 @@ class DiffServeAllocator:
         heavy_classes: Sequence[DeviceClass],
     ) -> AllocationPlan:
         threshold, fraction = self._threshold_from_solution(solution)
-        if "x1" in solution.values:
-            # Homogeneous legacy naming: one class hosts both pools.
-            name = light_classes[0].name
-            num_light = solution.get_int("x1")
-            num_heavy = solution.get_int("x2")
-            light_assignment = {name: num_light} if num_light else {}
-            heavy_assignment = {name: num_heavy} if num_heavy else {}
-        else:
-            light_assignment = {}
-            for device in light_classes:
-                count = solution.get_int(f"x1[{device.name}]")
-                if count:
-                    light_assignment[device.name] = count
-            heavy_assignment = {}
-            for device in heavy_classes:
-                count = solution.get_int(f"x2[{device.name}]")
-                if count:
-                    heavy_assignment[device.name] = count
-            num_light = sum(light_assignment.values())
-            num_heavy = sum(heavy_assignment.values())
+        light_assignment = {}
+        for device in light_classes:
+            count = solution.get_int(f"x1[{device.name}]")
+            if count:
+                light_assignment[device.name] = count
+        heavy_assignment = {}
+        for device in heavy_classes:
+            count = solution.get_int(f"x2[{device.name}]")
+            if count:
+                heavy_assignment[device.name] = count
         return AllocationPlan(
-            num_light=num_light,
-            num_heavy=num_heavy,
+            num_light=sum(light_assignment.values()),
+            num_heavy=sum(heavy_assignment.values()),
             light_batch=b1,
             heavy_batch=b2,
             threshold=threshold,
@@ -711,21 +667,7 @@ class DiffServeAllocator:
         the solver then re-validates, so a stale shape can never crash a
         re-solve.
         """
-        fleet = ctx.fleet
-        if fleet.is_homogeneous:
-            device = fleet.classes[0]
-            t1 = self._light_throughput(b1, device)
-            t2 = self._heavy_throughput(b2, device)
-            S = fleet.total_workers
-            min_x1 = int(np.ceil(demand / t1)) if t1 > 0 else S
-            x1 = min(max(previous.num_light, self.min_light_workers, min_x1), S)
-            x2 = max(min(previous.num_heavy, S - x1), 0)
-            f = min(1.0, x2 * t2 / demand) if demand > 0 else 1.0
-            return self._fill_reload_vars(
-                {"x1": float(x1), "x2": float(x2), "f": float(f)}, ctx
-            )
-
-        counts = fleet.as_counts()
+        counts = ctx.fleet.as_counts()
         light_names = [d.name for d in light_classes]
         heavy_names = [d.name for d in heavy_classes]
         prev_light = dict(previous.light_assignment or {})
@@ -813,13 +755,12 @@ class DiffServeAllocator:
             if not x_name.startswith("x"):
                 continue
             stage = 0 if x_name.startswith("x1") else 1
-            cname = x_name[3:-1] if "[" in x_name else ctx.fleet.classes[0].name
+            cname = x_name[3:-1]
             cost = reload["costs"].get(cname, (0.0, 0.0))[stage]
             if cost <= 0:
                 continue
             prev = reload["prev_light"] if stage == 0 else reload["prev_heavy"]
-            r_name = ("r1" if stage == 0 else "r2") + (f"[{cname}]" if "[" in x_name else "")
-            assignment[r_name] = max(0.0, value - float(prev.get(cname, 0)))
+            assignment[f"r{stage + 1}[{cname}]"] = max(0.0, value - float(prev.get(cname, 0)))
         return assignment
 
     def _fraction_upper_bound(
@@ -833,57 +774,65 @@ class DiffServeAllocator:
     ) -> float:
         """Closed-form LP-relaxation bound of the fraction formulation.
 
-        Homogeneous case: with ``x1`` relaxed to ``max(min_light, D/t1)`` and
-        the rest of the budget given to the heavy pool, the deferred fraction
-        can never exceed ``min(1, (S - x1) * t2 / D)``.
+        Every light worker costs the heavy pool its class's heavy capacity
+        (nothing on light-only classes), so ``f`` can never exceed the heavy
+        capacity that survives the cheapest light pool, divided by ``D``.
+        Two relaxations each price that light pool from below:
 
-        Heterogeneous case: a fractional greedy covers the light demand at
-        minimal heavy-capacity cost — light-only classes first (they cost no
-        heavy capacity), then ascending ``t2/t1`` — and whatever heavy
-        capacity survives bounds ``f``.  Integrality and the min-light row
-        are relaxed, so this is a true upper bound on any integer-feasible
-        plan, which is what lets a warm re-solve skip batch pairs that cannot
-        beat the incumbent carried over from the previous epoch.
+        * ``demand_cover`` covers the light demand fractionally — light-only
+          classes first, then ascending ``t2/t1``;
+        * ``min_light_cover`` buys ``min_light_workers`` workers — light-only
+          classes first, then ascending ``t2``.
+
+        Any feasible light pool pays at least the larger of the two, so the
+        bound subtracts their maximum.  On a single class this is the
+        paper's closed form ``min(1, (S - max(min_light, D/t1)) * t2 / D)``.
+        Integrality is relaxed, so this is a true upper bound on any
+        integer-feasible plan, which is what lets a warm re-solve skip batch
+        pairs that cannot beat the incumbent carried over from the previous
+        epoch.
         """
         if demand <= 0:
             return -np.inf
-        if fleet.is_homogeneous:
-            device = fleet.classes[0]
-            t1 = self._light_throughput(b1, device)
-            t2 = self._heavy_throughput(b2, device)
-            S = fleet.total_workers
-            if t1 <= 0:
-                return -np.inf
-            x1_relaxed = max(float(self.min_light_workers), demand / t1)
-            if x1_relaxed > S:
-                return -np.inf
-            return min(1.0, max(0.0, S - x1_relaxed) * t2 / demand)
-
         heavy_names = {d.name for d in heavy_classes}
         heavy_cap = sum(
             fleet.count_for(d.name) * self._heavy_throughput(b2, d) for d in heavy_classes
         )
-        remaining = demand
 
-        def greedy_key(device: DeviceClass) -> Tuple[int, float, str]:
-            t1 = self._light_throughput(b1, device)
+        def heavy_cost(device: DeviceClass) -> float:
             if device.name not in heavy_names:
-                return (0, 0.0, device.name)
-            return (1, self._heavy_throughput(b2, device) / max(t1, 1e-12), device.name)
+                return 0.0
+            return self._heavy_throughput(b2, device)
 
-        for device in sorted(light_classes, key=greedy_key):
-            if remaining <= 1e-12:
-                break
-            t1 = self._light_throughput(b1, device)
-            if t1 <= 0:
-                continue
-            take = min(float(fleet.count_for(device.name)), remaining / t1)
-            remaining -= take * t1
-            if device.name in heavy_names:
-                heavy_cap -= take * self._heavy_throughput(b2, device)
-        if remaining > 1e-9:
+        def cover(key, need: float, unit) -> float:
+            """Heavy capacity spent buying ``need`` units greedily by ``key``."""
+            spent = 0.0
+            for device in sorted(light_classes, key=lambda d: (key(d), d.name)):
+                if need <= 1e-12:
+                    break
+                per_worker = unit(device)
+                if per_worker <= 0:
+                    continue
+                take = min(float(fleet.count_for(device.name)), need / per_worker)
+                need -= take * per_worker
+                spent += take * heavy_cost(device)
+            return spent if need <= 1e-9 else np.inf
+
+        def t1(device: DeviceClass) -> float:
+            return self._light_throughput(b1, device)
+
+        demand_cover = cover(
+            lambda d: (d.name in heavy_names, heavy_cost(d) / max(t1(d), 1e-12)), demand, t1
+        )
+        min_light_cover = cover(
+            lambda d: (d.name in heavy_names, heavy_cost(d)),
+            float(self.min_light_workers),
+            lambda d: 1.0,
+        )
+        spent = max(demand_cover, min_light_cover)
+        if spent == np.inf:
             return -np.inf
-        return min(1.0, max(0.0, heavy_cap) / demand)
+        return min(1.0, max(0.0, heavy_cap - spent) / demand)
 
     def plan(
         self, ctx: ControlContext, *, warm_start: Optional[AllocationPlan] = None
@@ -916,13 +865,10 @@ class DiffServeAllocator:
 
         best: Optional[AllocationPlan] = None
         best_classes: Tuple[List[DeviceClass], List[DeviceClass]] = ([], [])
+        if self.force_solve_timeout and allocations:
+            self.last_solve_timed_out = True
+            allocations = []
         for b1, b2, light_classes, heavy_classes in allocations:
-            if (
-                self.solve_deadline_s is not None
-                and time.perf_counter() - start >= self.solve_deadline_s
-            ):
-                self.last_solve_timed_out = True
-                break
             if best is not None and best.threshold >= max_threshold:
                 break
             warm_assignment = None
@@ -963,16 +909,16 @@ class DiffServeAllocator:
         self,
         plan: AllocationPlan,
         fleet: FleetSpec,
-        light_classes: Sequence[DeviceClass] = (),
-        heavy_classes: Sequence[DeviceClass] = (),
+        light_classes: Sequence[DeviceClass],
+        heavy_classes: Sequence[DeviceClass],
     ) -> AllocationPlan:
         """Idle devices are wasted; give spares to whichever pool is in use.
 
         Spare workers go to the heavy pool when the plan defers any queries
         (extra heavy capacity shrinks queueing delays), otherwise to the
-        light pool.  On a typed fleet the rule is per class and the order is
-        pinned: classes are visited fastest first (ascending ``speed_factor``,
-        ties broken by name), each class's spares join the preferred pool
+        light pool.  The rule is per class and the order is pinned: classes
+        are visited fastest first (ascending ``speed_factor``, ties broken by
+        name), each class's spares join the preferred pool
         only if the class is eligible for it (memory and SLO), falling back
         to the other pool's eligibility, and stay idle when neither fits.
         """
@@ -980,18 +926,8 @@ class DiffServeAllocator:
         if spare_total <= 0:
             return plan
         prefer_heavy = plan.heavy_fraction > 0 and plan.num_heavy > 0
-        if plan.light_assignment is None and plan.heavy_assignment is None:
-            # Class-agnostic plan (baseline policies): legacy totals-only rule.
-            if prefer_heavy:
-                plan.num_heavy += spare_total
-            else:
-                plan.num_light += spare_total
-            return plan
-
-        light_ok = {d.name for d in light_classes} or {d.name for d in fleet.classes
-                                                       if d.can_host(self.light)}
-        heavy_ok = {d.name for d in heavy_classes} or {d.name for d in fleet.classes
-                                                       if d.can_host(self.heavy)}
+        light_ok = {d.name for d in light_classes}
+        heavy_ok = {d.name for d in heavy_classes}
         light = dict(plan.light_assignment or {})
         heavy = dict(plan.heavy_assignment or {})
         for device, count in sorted(

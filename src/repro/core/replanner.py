@@ -116,9 +116,9 @@ class EpochSnapshot:
     #: plans.  Deterministic (class and variant order are canonical), so it
     #: participates in byte-identity checks like ``fleet``.
     residency: str = ""
-    #: True when the epoch's solve hit the allocator's deadline (fault
-    #: injection: solver timeout) and the applied plan is a degraded
-    #: last-known-good fallback rather than a fresh solution.
+    #: True when the epoch's solve timed out (fault injection: solver
+    #: timeout) and the applied plan is a degraded last-known-good fallback
+    #: rather than a fresh solution.
     degraded: bool = False
 
 

@@ -87,7 +87,6 @@ def region_system(
     config = dataclasses.replace(
         template.config,
         fleet=region.fleet,
-        num_workers=region.fleet.total_workers,
         seed=region_seed(template.config.seed, region.name, len(topology)),
     )
     return dataclasses.replace(

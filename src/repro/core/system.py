@@ -550,16 +550,16 @@ class ServingSimulation:
 
 
 #: Integral-search-space cutoff below which re-planning systems hand the
-#: per-pair MILP to the LP-free exhaustive solver (covers clusters of up to
-#: ~7 workers: (S - 1 + 1) * (S + 1) combinations).
+#: per-pair MILP to the LP-free exhaustive solver.  A single-class cluster of
+#: S workers has S * (S + 1) combinations (``x1 >= 1``, ``x2 >= 0``), so 64
+#: covers S <= 7.
 DEFAULT_EXHAUSTIVE_CUTOFF = 64
 
 
 def build_diffserve_system(
     cascade_name: str = "sdturbo",
     *,
-    num_workers: int = 16,
-    fleet: Optional["FleetSpec"] = None,
+    fleet: FleetSpec = FleetSpec.homogeneous(16),
     slo: Optional[float] = None,
     dataset: Optional[QueryDataset] = None,
     discriminator: Optional[Discriminator] = None,
@@ -585,9 +585,8 @@ def build_diffserve_system(
     ``policy_variant`` to select one of the Section 4.5 ablations
     (``"static-threshold"``, ``"aimd"``, ``"no-queueing"``).
 
-    ``fleet`` selects a typed (possibly heterogeneous) device fleet; it wins
-    over the deprecated ``num_workers`` alias, which keeps meaning a
-    homogeneous baseline-class cluster.
+    ``fleet`` selects a typed (possibly heterogeneous) device fleet; the
+    default is the paper's 16-device homogeneous testbed.
 
     ``replan_epoch`` / ``replan_policy`` enable the online re-planning control
     plane: the epoch defaults to ``control_period`` and the policy to
@@ -629,7 +628,6 @@ def build_diffserve_system(
 
     config = SystemConfig(
         cascade=cascade,
-        num_workers=num_workers,
         fleet=fleet,
         slo=slo,
         routing=RoutingMode.CASCADE,

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+from repro.core.config import FleetSpec
 from repro.core.system import build_diffserve_system
 from repro.discriminators.deferral import DeferralProfile
 from repro.experiments.harness import (
@@ -116,7 +117,7 @@ def run_drift_adaptation(
             )
             system = build_diffserve_system(
                 cascade_name,
-                num_workers=scale.num_workers,
+                fleet=FleetSpec.homogeneous(scale.num_workers),
                 dataset=dataset,
                 discriminator=discriminator,
                 deferral_profile=deferral_profile,

@@ -118,6 +118,7 @@ def shard_timing_report(
     directly and reads its :attr:`shard_timing` / :attr:`barrier_seconds`,
     which exist only on the live supervisor object.
     """
+    from repro.core.config import FleetSpec
     from repro.core.geo import get_topology
     from repro.core.sharding import ShardSupervisor
     from repro.core.system import build_diffserve_system
@@ -126,7 +127,7 @@ def shard_timing_report(
     topo = get_topology(topology)
     template = build_diffserve_system(
         cascade_name,
-        num_workers=scale.num_workers,
+        fleet=FleetSpec.homogeneous(scale.num_workers),
         dataset_size=scale.dataset_size,
         seed=scale.seed,
     )

@@ -15,6 +15,7 @@ from repro.baselines import (
     build_diffserve_static_system,
     build_proteus_system,
 )
+from repro.core.config import FleetSpec
 from repro.core.results import SimulationResult
 from repro.core.system import ServingSimulation, build_diffserve_system
 from repro.discriminators.base import Discriminator
@@ -174,8 +175,7 @@ def build_comparison_systems(
         _, dataset, discriminator = shared_components(cascade_name, scale)
     over = {} if over_provision is None else {"over_provision": over_provision}
     cluster = {
-        "num_workers": scale.num_workers,
-        "fleet": fleet,
+        "fleet": fleet or FleetSpec.homogeneous(scale.num_workers),
         "resources": resources,
         "faults": faults,
         "prices": prices,

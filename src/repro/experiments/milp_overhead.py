@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.allocator import ControlContext, DiffServeAllocator
+from repro.core.config import FleetSpec
 from repro.discriminators.deferral import DeferralProfile
 from repro.experiments.harness import BENCH_SCALE, ExperimentScale, format_table
 from repro.milp.branch_and_bound import BranchAndBoundSolver
@@ -87,7 +88,7 @@ def run_milp_overhead(
         ctx = ControlContext(
             demand=float(demand),
             slo=slo,
-            num_workers=num_workers,
+            fleet=FleetSpec.homogeneous(num_workers),
             observed_deferral=0.4,
         )
         plan = allocator.plan(ctx)

@@ -4,7 +4,7 @@
 constructed by :meth:`ServingSimulation.prepare` when a
 :class:`~repro.faults.plan.FaultPlan` is attached.  At ``start()`` it turns
 the plan into ordinary scheduled events (crashes, slowdowns, bandwidth
-windows, solver-deadline windows); stochastic faults (the crash storm) sample
+windows, solver-timeout windows); stochastic faults (the crash storm) sample
 times and targets from the sim's named ``faults`` random stream, so the whole
 scenario is a pure function of (seed, plan).
 
@@ -27,7 +27,7 @@ standing in for the latency-outlier detection a real control plane would run.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.core.config import FleetSpec
 from repro.faults.plan import (
@@ -139,9 +139,9 @@ class FaultInjector(Actor):
                 name="fault-bandwidth-end",
             )
         elif isinstance(fault, SolverTimeout):
-            self.sim.schedule_at(fault.at, self._solver_deadline_on, name="fault-solver")
+            self.sim.schedule_at(fault.at, self._solver_timeout_on, name="fault-solver")
             self.sim.schedule_at(
-                fault.at + fault.duration, self._solver_deadline_off, name="fault-solver-end"
+                fault.at + fault.duration, self._solver_timeout_off, name="fault-solver-end"
             )
         elif isinstance(fault, CrashStorm):
             rng = self.sim.rng.stream("faults")
@@ -222,15 +222,15 @@ class FaultInjector(Actor):
                 worker.reload_latency = nominal
         self.log.append((self.now, f"{worker.name} bandwidth restored"))
 
-    def _solver_deadline_on(self) -> None:
+    def _solver_timeout_on(self) -> None:
         if self.allocator is not None:
-            self.allocator.solve_deadline_s = 0.0
-            self.log.append((self.now, "solver deadline zeroed"))
+            self.allocator.force_solve_timeout = True
+            self.log.append((self.now, "solver timeout forced"))
 
-    def _solver_deadline_off(self) -> None:
+    def _solver_timeout_off(self) -> None:
         if self.allocator is not None:
-            self.allocator.solve_deadline_s = None
-            self.log.append((self.now, "solver deadline lifted"))
+            self.allocator.force_solve_timeout = False
+            self.log.append((self.now, "solver timeout cleared"))
 
     # ---------------------------------------------------------------- recovery
     def _strand(self, item: "WorkItem") -> None:

@@ -159,10 +159,10 @@ class RegionPartition:
 
 @dataclass(frozen=True)
 class SolverTimeout:
-    """MILP solves started on [at, at+duration) hit a zero-second deadline and
-    return infeasible — exercising the PlanStore last-known-good fallback.
-    A deterministic stand-in for wall-clock deadlines (which would make
-    results machine-dependent)."""
+    """MILP solves started on [at, at+duration) time out before their first
+    solve and return infeasible — exercising the PlanStore last-known-good
+    fallback.  A deterministic stand-in for wall-clock deadlines (which would
+    make results machine-dependent)."""
 
     kind: ClassVar[str] = "solver-timeout"
     at: float

@@ -2,8 +2,8 @@
 
 The controller records every *feasible* plan it applies; when a repair
 re-solve comes back infeasible (fleet shrank past what the solver can fit,
-or a :class:`~repro.faults.plan.SolverTimeout` fault zeroed the solve
-deadline), :meth:`PlanStore.recall` clamps the most recent good plan to the
+or a :class:`~repro.faults.plan.SolverTimeout` fault forced the solve to
+time out), :meth:`PlanStore.recall` clamps the most recent good plan to the
 surviving fleet — dropping vanished device classes, capping per-class counts
 — instead of letting the control plane crash or fall back to an all-light
 panic plan.  Recalled plans are marked ``feasible=False`` so they are never

@@ -3,7 +3,7 @@ repository and configuration."""
 
 import pytest
 
-from repro.core.config import RoutingMode, SystemConfig
+from repro.core.config import FleetSpec, RoutingMode, SystemConfig
 from repro.core.demand import DemandEstimator
 from repro.core.query import Query, QueryRecord, QueryStage
 from repro.core.queueing import LittlesLawModel, TwoXExecutionModel
@@ -143,7 +143,7 @@ def test_system_config_defaults_and_validation():
     assert config.slo == cascade.slo
     assert config.routing == RoutingMode.CASCADE
     with pytest.raises(ValueError):
-        SystemConfig(cascade=cascade, num_workers=0)
+        SystemConfig(cascade=cascade, fleet=FleetSpec.homogeneous(0))
     with pytest.raises(ValueError):
         SystemConfig(cascade=cascade, over_provision=0.9)
     with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocator import AllocationPlan
-from repro.core.config import fleet_from_counts
+from repro.core.config import FleetSpec, fleet_from_counts
 from repro.core.sharding import run_sharded
 from repro.core.system import ClientSource, build_diffserve_system
 from repro.faults.plan import (
@@ -51,7 +51,7 @@ _SETTINGS = dict(max_examples=5, deadline=None, suppress_health_check=[HealthChe
 
 def small_system(faults=None, **overrides):
     defaults = dict(
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset_size=100,
         seed=3,
         replan_epoch=3.0,
@@ -204,7 +204,7 @@ GOLDEN_REPLAN = {
 def test_faults_none_matches_pr7_golden():
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset_size=120,
         seed=0,
         replan_epoch=3.0,
@@ -319,8 +319,9 @@ def test_unmitigated_crash_degrades_gracefully():
 
 def test_recovery_beats_norecovery_under_storm():
     """The chaos experiment's headline, at unit-test scale."""
-    on = small_system(faults=get_fault_plan("storm"), num_workers=6).run(small_workload())
-    off = small_system(faults=get_fault_plan("storm-norecovery"), num_workers=6).run(
+    fleet = FleetSpec.homogeneous(6)
+    on = small_system(faults=get_fault_plan("storm"), fleet=fleet).run(small_workload())
+    off = small_system(faults=get_fault_plan("storm-norecovery"), fleet=fleet).run(
         small_workload()
     )
     assert on.summary()["slo_violation_ratio"] <= off.summary()["slo_violation_ratio"] + 1e-9

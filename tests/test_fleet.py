@@ -1,8 +1,9 @@
 """Tests for typed device fleets: config, profiles, MILP, control plane.
 
 The homogeneous regression pins here were recorded from the pre-fleet
-allocator (one ``LatencyProfile`` per variant, ``x1``/``x2`` MILP): the
-default single-class fleet must keep reproducing those decisions exactly.
+allocator (one ``LatencyProfile`` per variant, a two-variable MILP): the
+class-indexed MILP on the default single-class fleet must keep reproducing
+those decisions exactly.
 """
 
 import pytest
@@ -62,12 +63,6 @@ def test_fleet_validation_is_centralised_with_one_line_errors():
         FleetSpec(devices=((get_device_class("a100"), 1), (get_device_class("a100"), 2)))
     with pytest.raises(KeyError, match="unknown device class 'b200'"):
         fleet_from_counts({"b200": 4})
-    # SystemConfig and ControlContext both route through the same validation.
-    cascade = get_cascade("sdturbo")
-    with pytest.raises(ValueError, match="fleet class 'a100': count must be >= 1"):
-        SystemConfig(cascade=cascade, num_workers=0)
-    with pytest.raises(ValueError, match="fleet class 'a100': count must be >= 1"):
-        ControlContext(demand=1.0, slo=5.0, num_workers=0)
 
 
 def test_fleet_canonical_order_totals_and_cost():
@@ -81,23 +76,10 @@ def test_fleet_canonical_order_totals_and_cost():
     assert FleetSpec.homogeneous(16).is_homogeneous
 
 
-def test_system_config_num_workers_is_a_deprecated_alias():
-    cascade = get_cascade("sdturbo")
-    config = SystemConfig(cascade=cascade, num_workers=5)
-    assert config.fleet == FleetSpec.homogeneous(5)
-    assert config.num_workers == 5
-    # An explicit fleet wins and the alias reads back as its total.
-    config = SystemConfig(cascade=cascade, num_workers=99, fleet=mixed_fleet(a100=2, l4=3))
-    assert config.num_workers == 5
-
-
 def test_control_context_accepts_fleet_or_alias():
-    ctx = ControlContext(demand=1.0, slo=5.0, num_workers=4)
-    assert ctx.fleet == FleetSpec.homogeneous(4)
-    assert ctx.num_workers == 4
     ctx = ControlContext(demand=1.0, slo=5.0, fleet=mixed_fleet(a100=2, l4=3))
-    assert ctx.num_workers == 5
-    with pytest.raises(ValueError, match="requires a fleet"):
+    assert ctx.fleet.total_workers == 5
+    with pytest.raises(TypeError, match="fleet"):
         ControlContext(demand=1.0, slo=5.0)
 
 
@@ -163,7 +145,9 @@ PRE_FLEET_PLANS = [
 def test_default_fleet_reproduces_pre_fleet_allocator_decisions(allocator):
     for demand, nl, nh, lb, hb, threshold, fraction, feasible in PRE_FLEET_PLANS:
         plan = allocator.plan(
-            ControlContext(demand=demand, slo=5.0, num_workers=16, observed_deferral=0.4)
+            ControlContext(
+                demand=demand, slo=5.0, fleet=FleetSpec.homogeneous(16), observed_deferral=0.4
+            )
         )
         assert plan.feasible == feasible
         assert (plan.num_light, plan.num_heavy) == (nl, nh)
@@ -173,22 +157,6 @@ def test_default_fleet_reproduces_pre_fleet_allocator_decisions(allocator):
         # The typed assignment mirrors the totals on the single class.
         assert plan.light_assignment == {"a100": nl}
         assert plan.heavy_assignment == {"a100": nh}
-
-
-def test_explicit_homogeneous_fleet_equals_num_workers_alias(allocator):
-    via_alias = allocator.plan(
-        ControlContext(demand=16.0, slo=5.0, num_workers=16, observed_deferral=0.4)
-    )
-    via_fleet = allocator.plan(
-        ControlContext(
-            demand=16.0, slo=5.0, fleet=FleetSpec.homogeneous(16), observed_deferral=0.4
-        )
-    )
-    assert (via_alias.num_light, via_alias.num_heavy) == (
-        via_fleet.num_light,
-        via_fleet.num_heavy,
-    )
-    assert via_alias.threshold == pytest.approx(via_fleet.threshold)
 
 
 # ------------------------------------------------------------ mixed-fleet MILP
@@ -305,21 +273,6 @@ def test_spare_workers_ineligible_class_stays_idle(allocator):
     assert out.light_assignment == {"a100": 1}
     assert out.heavy_assignment == {"a100": 1}
     assert out.total_workers == 2
-
-
-def test_spare_workers_legacy_totals_rule_for_class_agnostic_plans(allocator):
-    plan = AllocationPlan(
-        num_light=2, num_heavy=2, light_batch=1, heavy_batch=1, threshold=0.5,
-        heavy_fraction=0.4,
-    )
-    out = allocator._assign_spare_workers(plan, FleetSpec.homogeneous(8))
-    assert (out.num_light, out.num_heavy) == (2, 6)  # spares to the deferring pool
-    plan = AllocationPlan(
-        num_light=2, num_heavy=0, light_batch=1, heavy_batch=1, threshold=0.0,
-        heavy_fraction=0.0,
-    )
-    out = allocator._assign_spare_workers(plan, FleetSpec.homogeneous(8))
-    assert (out.num_light, out.num_heavy) == (8, 0)
 
 
 # ------------------------------------------------- warm starts across reshapes

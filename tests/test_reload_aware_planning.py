@@ -10,16 +10,22 @@ surfaces that move residency from plans onto workers.
 import pytest
 
 from repro.core.allocator import AllocationPlan, ControlContext
-from repro.core.config import ResourceConfig, fleet_from_counts
+from repro.core.config import FleetSpec, ResourceConfig, fleet_from_counts
 from repro.experiments.contention import ContentionArm, ContentionResult
 
 
-def _ctx(allocator, *, fleet=None, num_workers=4, resources=None, current_plan=None, demand=2.0):
+def _ctx(
+    allocator,
+    *,
+    fleet=FleetSpec.homogeneous(4),
+    resources=None,
+    current_plan=None,
+    demand=2.0,
+):
     return ControlContext(
         demand=demand,
         slo=5.0,
         fleet=fleet,
-        num_workers=None if fleet is not None else num_workers,
         current_plan=current_plan,
         resources=resources,
     )
@@ -72,15 +78,15 @@ def test_build_problem_adds_reload_variables_only_when_contended(allocator):
     contended = allocator.build_problem(
         _ctx(allocator, resources=_contended(), current_plan=prev), 1, 1, 2.0
     )
-    assert "r1" in contended.variables and "r2" in contended.variables
+    assert "r1[a100]" in contended.variables and "r2[a100]" in contended.variables
 
     cofit = allocator.build_problem(
         _ctx(allocator, resources=ResourceConfig.default(), current_plan=prev), 1, 1, 2.0
     )
-    assert "r1" not in cofit.variables and "r2" not in cofit.variables
+    assert "r1[a100]" not in cofit.variables and "r2[a100]" not in cofit.variables
 
     legacy = allocator.build_problem(_ctx(allocator), 1, 1, 2.0)
-    assert "r1" not in legacy.variables
+    assert "r1[a100]" not in legacy.variables
 
 
 def test_reload_penalty_steers_plans_toward_fewer_flips(allocator):
@@ -100,13 +106,15 @@ def test_reload_penalty_steers_plans_toward_fewer_flips(allocator):
 def test_fill_reload_vars_completes_warm_incumbent(allocator):
     prev = AllocationPlan(num_light=3, num_heavy=1, threshold=0.5, heavy_fraction=0.2, light_batch=1, heavy_batch=1)
     ctx = _ctx(allocator, resources=_contended(), current_plan=prev)
-    assignment = allocator._fill_reload_vars({"x1": 2.0, "x2": 2.0, "f": 0.2}, ctx)
+    assignment = allocator._fill_reload_vars(
+        {"x1[a100]": 2.0, "x2[a100]": 2.0, "f": 0.2}, ctx
+    )
     # x2 grew 1 -> 2: one heavy reload; x1 shrank: no light reload.
-    assert assignment["r2"] == pytest.approx(1.0)
-    assert "r1" not in assignment or assignment["r1"] == pytest.approx(0.0)
+    assert assignment["r2[a100]"] == pytest.approx(1.0)
+    assert "r1[a100]" not in assignment or assignment["r1[a100]"] == pytest.approx(0.0)
     # Without a reload model the assignment passes through untouched.
-    plain = allocator._fill_reload_vars({"x1": 2.0}, _ctx(allocator))
-    assert plain == {"x1": 2.0}
+    plain = allocator._fill_reload_vars({"x1[a100]": 2.0}, _ctx(allocator))
+    assert plain == {"x1[a100]": 2.0}
 
 
 # --------------------------------------------------------------- residency
@@ -156,7 +164,7 @@ def test_controller_applies_residency_to_workers(cascade1):
 
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset_size=60,
         seed=0,
         resources=ResourceConfig.default(),

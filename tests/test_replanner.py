@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.allocator import ControlContext, DiffServeAllocator
+from repro.core.config import FleetSpec
 from repro.core.replanner import REPLAN_POLICIES, ReplanConfig
 from repro.core.system import build_diffserve_system
 from repro.simulator.rng import RandomStreams
@@ -36,7 +37,7 @@ def test_build_diffserve_system_replan_wiring(
 ):
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
         discriminator=trained_discriminator,
         deferral_profile=deferral_profile,
@@ -50,7 +51,7 @@ def test_build_diffserve_system_replan_wiring(
     # Either flag alone enables the control plane with sensible defaults.
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
         discriminator=trained_discriminator,
         deferral_profile=deferral_profile,
@@ -61,7 +62,7 @@ def test_build_diffserve_system_replan_wiring(
 
     plain = build_diffserve_system(
         "sdturbo",
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
         discriminator=trained_discriminator,
         deferral_profile=deferral_profile,
@@ -72,7 +73,7 @@ def test_build_diffserve_system_replan_wiring(
 
 # ------------------------------------------------------------ warm starts
 def _ctx(demand, slo, workers=16):
-    return ControlContext(demand=float(demand), slo=slo, num_workers=workers)
+    return ControlContext(demand=float(demand), slo=slo, fleet=FleetSpec.homogeneous(workers))
 
 
 def test_warm_started_resolves_match_cold_thresholds(
@@ -174,7 +175,7 @@ def _run_system(
     del deferral_profile  # profiled fresh (deterministically) per system
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
         discriminator=trained_discriminator,
         seed=seed,
@@ -251,7 +252,7 @@ def test_observation_window_covers_replan_epochs_longer_than_control_period(
     # balancer's arrival history (that would bias the demand estimate low).
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
         discriminator=trained_discriminator,
         deferral_profile=deferral_profile,

@@ -3,21 +3,16 @@
 The multi-resource refactor must not move a single number for configs that
 do not attach a :class:`ResourceConfig` — the golden summaries below were
 captured on the pre-refactor tree and every release must reproduce them
-exactly (no tolerances).  Also covers the ``num_workers=`` deprecation alias
-(warns exactly once per process), the ``resources`` grid dimension of the
-cached runner (schema v7), and ``parse_resources`` error surfaces.
+exactly (no tolerances).  Also covers the ``resources`` grid dimension of the
+cached runner (schema v7) and ``parse_resources`` error surfaces.
 """
-
-import warnings
 
 import pytest
 
-import repro.core.config as core_config
 from repro.cli import parse_grid, parse_resources
-from repro.core.config import ResourceConfig, fleet_from_counts
+from repro.core.config import FleetSpec, ResourceConfig, fleet_from_counts
 from repro.core.system import build_diffserve_system
 from repro.experiments.harness import ExperimentScale
-from repro.models.zoo import get_cascade
 from repro.runner.spec import CACHE_SCHEMA_VERSION, ExperimentGrid, ExperimentSpec
 from repro.workloads import make_workload
 
@@ -55,7 +50,7 @@ GOLDEN_FLEET = {
 def test_legacy_replan_summary_is_bit_for_bit():
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=4,
+        fleet=FleetSpec.homogeneous(4),
         dataset_size=120,
         seed=0,
         replan_epoch=3.0,
@@ -83,7 +78,7 @@ def test_resources_enabled_run_differs_but_completes():
     exists) without breaking the pipeline."""
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=2,
+        fleet=FleetSpec.homogeneous(2),
         dataset_size=60,
         seed=0,
         resources=ResourceConfig.default(),
@@ -92,26 +87,6 @@ def test_resources_enabled_run_differs_but_completes():
     summary = system.run(workload).summary()
     assert summary["completed"] > 0
     assert summary["total_queries"] >= summary["completed"]
-
-
-# ------------------------------------------------------- deprecation warning
-def test_num_workers_alias_warns_exactly_once():
-    core_config._NUM_WORKERS_ALIAS_WARNED = False
-    try:
-        cascade = get_cascade("sdturbo")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            core_config.SystemConfig(cascade=cascade, num_workers=2)
-            first = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-            assert len(first) == 1
-            assert "num_workers=" in str(first[0].message)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            core_config.SystemConfig(cascade=cascade, num_workers=3)
-            again = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-            assert again == []
-    finally:
-        core_config._NUM_WORKERS_ALIAS_WARNED = True
 
 
 # --------------------------------------------------------- runner dimension

@@ -9,7 +9,7 @@ summaries.  The determinism tests here are the gate; they carry an
 import numpy as np
 import pytest
 
-from repro.core.config import fleet_from_counts
+from repro.core.config import FleetSpec, fleet_from_counts
 from repro.core.geo import (
     GEO_TOPOLOGIES,
     GeoRouter,
@@ -35,7 +35,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 def small_system(**overrides):
-    defaults = dict(num_workers=4, dataset_size=100, seed=3)
+    defaults = dict(fleet=FleetSpec.homogeneous(4), dataset_size=100, seed=3)
     defaults.update(overrides)
     return build_diffserve_system(**defaults)
 

@@ -9,6 +9,7 @@ from repro.baselines import (
     build_proteus_system,
 )
 from repro.baselines.registry import BASELINE_TABLE, baseline_table_rows, render_baseline_table
+from repro.core.config import FleetSpec
 from repro.core.query import QueryStage
 from repro.core.system import build_diffserve_system
 from repro.traces.azure import azure_functions_like_rate
@@ -27,7 +28,7 @@ def diffserve_result(coco_dataset_module, trained_discriminator_module, short_tr
     _, trace = short_trace
     system = build_diffserve_system(
         "sdturbo",
-        num_workers=16,
+        fleet=FleetSpec.homogeneous(16),
         dataset=coco_dataset_module,
         discriminator=trained_discriminator_module,
         seed=0,
@@ -95,7 +96,7 @@ def test_simulation_is_reproducible(coco_dataset_module, trained_discriminator_m
     def run_once():
         system = build_diffserve_system(
             "sdturbo",
-            num_workers=8,
+            fleet=FleetSpec.homogeneous(8),
             dataset=coco_dataset_module,
             discriminator=trained_discriminator_module,
             seed=5,
