@@ -4,7 +4,8 @@ Runs the same two-cell grid twice against one cache directory: the *cold* pass
 builds datasets, trains the discriminator and simulates every cell; the *warm*
 pass must be served entirely from the artifact cache without firing a single
 simulation event.  Tracking both in ``BENCH_*.json`` makes the caching win a
-first-class, regression-checked number.
+first-class number; the warm/cold wall-clock ratio is reported as extra info,
+not asserted, because one timing sample on a shared host is not a verdict.
 """
 
 import time
@@ -53,8 +54,7 @@ def test_bench_runner_warm(benchmark, bench_scale, tmp_path):
     start = time.perf_counter()
     report = benchmark.pedantic(warm, iterations=1, rounds=1)
     warm_seconds = time.perf_counter() - start
+    benchmark.extra_info["warm_over_cold"] = warm_seconds / cold_seconds
     assert report.ok
-    # Every cell is a cache hit, and serving hits beats re-simulating by a
-    # wide margin (the paper-scale grids this enables are minutes per cell).
+    # Every cell is a cache hit: nothing is re-simulated.
     assert report.cached_count == len(grid)
-    assert warm_seconds < cold_seconds / 5

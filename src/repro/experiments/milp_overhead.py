@@ -25,10 +25,13 @@ from repro.runner.artifacts import cached_dataset, cached_default_discriminator
 
 @dataclass
 class MILPOverheadResult:
-    """Solver runtimes and plan agreement across demand levels."""
+    """Solver runtimes, LP counts and plan agreement across demand levels."""
 
     demands: List[float] = field(default_factory=list)
     plan_times_s: List[float] = field(default_factory=list)
+    #: LP relaxations each allocation solve cost (deterministic, unlike
+    #: ``plan_times_s``).
+    lp_solves: List[int] = field(default_factory=list)
     thresholds: List[float] = field(default_factory=list)
     agreement_with_exhaustive: List[bool] = field(default_factory=list)
 
@@ -91,9 +94,11 @@ def run_milp_overhead(
             fleet=FleetSpec.homogeneous(num_workers),
             observed_deferral=0.4,
         )
+        lp_before = allocator.solver.total_lp_solves
         plan = allocator.plan(ctx)
         result.demands.append(float(demand))
         result.plan_times_s.append(plan.solver_time_s)
+        result.lp_solves.append(allocator.solver.total_lp_solves - lp_before)
         result.thresholds.append(plan.threshold)
 
         if check_exhaustive and plan.feasible:

@@ -2,9 +2,11 @@
 
 The paper solves its resource-allocation problem with Gurobi.  Gurobi is not
 available offline, so this package provides a from-scratch MILP solver built
-on :func:`scipy.optimize.linprog` LP relaxations with best-first
-branch-and-bound, plus an exhaustive enumerator used for cross-checking on
-small problems.  Both solvers accept the same declarative problem description.
+on HiGHS LP relaxations with best-first branch-and-bound, plus an exhaustive
+enumerator used for cross-checking on small problems.  Both solvers accept the
+same declarative problem description, and every LP either of them solves goes
+through :mod:`repro.milp.highs`, which calls the HiGHS bindings shipped with
+scipy directly rather than through :func:`scipy.optimize.linprog`.
 """
 
 from repro.milp.problem import Constraint, MILPProblem, Sense, Variable, VarType

@@ -1,4 +1,4 @@
-"""Best-first branch-and-bound MILP solver over scipy LP relaxations."""
+"""Best-first branch-and-bound MILP solver over HiGHS LP relaxations."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
+from repro.milp.highs import LinearProgram
 from repro.milp.problem import MILPProblem
 from repro.milp.solution import MILPSolution, SolveStatus
 
@@ -35,6 +35,9 @@ class BranchAndBoundSolver:
     The search is best-first on the LP relaxation bound; branching picks the
     integral variable whose relaxed value is most fractional.  The small
     allocation problems produced by DiffServe solve in a handful of nodes.
+    The problem is lowered to a :class:`~repro.milp.highs.LinearProgram` once
+    per solve; each node changes only the column bounds and is solved by
+    HiGHS from a cleared solver.
 
     A caller that re-solves a slowly drifting problem (the online re-planner)
     can pass ``warm_start`` — an assignment from the previous solve.  If it is
@@ -62,26 +65,14 @@ class BranchAndBoundSolver:
         self.total_lp_solves = 0
 
     # -------------------------------------------------------------- LP solve
+    @staticmethod
     def _solve_relaxation(
-        self, problem: MILPProblem, bounds: Bounds
+        problem: MILPProblem, lp: LinearProgram, bounds: Bounds
     ) -> Tuple[Optional[Dict[str, float]], Optional[float], str]:
-        mats = problem.to_matrices(extra_bounds=bounds)
-        result = linprog(
-            c=mats["c"],
-            A_ub=mats["A_ub"],
-            b_ub=mats["b_ub"],
-            A_eq=mats["A_eq"],
-            b_eq=mats["b_eq"],
-            bounds=mats["bounds"],
-            method="highs",
-        )
-        if result.status == 2:  # infeasible
-            return None, None, "infeasible"
-        if result.status == 3:  # unbounded
-            return None, None, "unbounded"
-        if not result.success:
-            return None, None, "error"
-        values = {name: float(v) for name, v in zip(mats["order"], result.x)}
+        result = lp.solve(problem.column_bounds(bounds))
+        if result.status != "optimal":
+            return None, None, result.status
+        values = {name: float(v) for name, v in zip(problem.variable_order(), result.x)}
         objective = -float(result.fun)  # we minimised the negated objective
         return values, objective, "optimal"
 
@@ -92,11 +83,10 @@ class BranchAndBoundSolver:
             if not var.is_integral:
                 continue
             value = values[name]
+            # Distance from the nearest integer measures "fractionality".
             frac = abs(value - round(value))
-            # Distance from the nearest half-integer measures "fractionality".
-            distance_to_half = abs(frac - 0.0)
-            if distance_to_half > best_frac:
-                best_frac = distance_to_half
+            if frac > best_frac:
+                best_frac = frac
                 best_name = name
         return best_name
 
@@ -133,7 +123,9 @@ class BranchAndBoundSolver:
 
         incumbent, incumbent_obj, warm_used = self._seed_incumbent(problem, warm_start)
 
-        values, bound, status = self._solve_relaxation(problem, root_bounds)
+        mats = problem.to_matrices()
+        lp = LinearProgram(mats["c"], mats["A_ub"], mats["b_ub"], mats["A_eq"], mats["b_eq"])
+        values, bound, status = self._solve_relaxation(problem, lp, root_bounds)
         lp_solves += 1
         self.total_lp_solves += 1
         if status == "infeasible":
@@ -176,7 +168,7 @@ class BranchAndBoundSolver:
             if node.relaxation is not None:
                 values, bound = node.relaxation
             else:
-                values, bound, status = self._solve_relaxation(problem, node.bounds)
+                values, bound, status = self._solve_relaxation(problem, lp, node.bounds)
                 lp_solves += 1
                 self.total_lp_solves += 1
                 if status != "optimal" or values is None or bound is None:
@@ -217,7 +209,7 @@ class BranchAndBoundSolver:
             SolveStatus.OPTIMAL if not heap or nodes < self.max_nodes else SolveStatus.NODE_LIMIT
         )
         return MILPSolution(
-            status=SolveStatus.OPTIMAL if status_out == SolveStatus.OPTIMAL else status_out,
+            status=status_out,
             objective=incumbent_obj,
             values=incumbent,
             nodes_explored=nodes,

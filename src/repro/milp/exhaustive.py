@@ -19,8 +19,8 @@ import time
 from typing import Dict, List, Mapping, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
+from repro.milp.highs import LinearProgram
 from repro.milp.problem import MILPProblem, Sense
 from repro.milp.solution import MILPSolution, SolveStatus
 
@@ -216,16 +216,14 @@ class ExhaustiveSolver:
             (problem.variables[n].lower, problem.variables[n].upper) for n in cont_names
         ]
         self.total_lp_solves += 1
-        result = linprog(
-            c=c,
-            A_ub=np.vstack(A_ub) if A_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.vstack(A_eq) if A_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=bounds,
-            method="highs",
-        )
-        if not result.success:
+        result = LinearProgram(
+            c,
+            np.vstack(A_ub) if A_ub else None,
+            np.array(b_ub) if b_ub else None,
+            np.vstack(A_eq) if A_eq else None,
+            np.array(b_eq) if b_eq else None,
+        ).solve(bounds)
+        if result.status != "optimal":
             return None
         full = dict(fixed)
         full.update({name: float(v) for name, v in zip(cont_names, result.x)})

@@ -1,0 +1,144 @@
+"""The LP entry point of :mod:`repro.milp`: relaxations handed straight to HiGHS.
+
+Every LP the solvers need goes through :class:`LinearProgram`, which talks to
+the HiGHS bindings that :func:`scipy.optimize.linprog` itself calls
+(``scipy.optimize._highspy._core``).  ``linprog`` spends most of a small
+solve outside HiGHS: it re-cleans the inputs, re-validates every option
+(building a fresh options manager per option) and packages a full result on
+each call.  Branch-and-bound re-solves one LP hundreds of times with only the
+column bounds changing, so that wrapper cost dominated the allocator's solve
+time.
+
+The direct path keeps ``linprog(method="highs")``'s answers exactly:
+
+* the handle's options are the ones ``linprog`` sets (presolve on, dual
+  simplex, no debug checks, no output);
+* the matrix is the same CSC stack of the ``<=`` rows over the ``==`` rows,
+  with ``-inf`` row lower bounds on the ``<=`` rows and infinities replaced
+  by ``kHighsInf``;
+* every solve starts from a cleared solver, so no basis carries over and
+  HiGHS returns the same vertex ``linprog`` would;
+* HiGHS model statuses map to outcomes as ``linprog`` maps them.
+
+The handle is process-local and created on first use.  It never lives on a
+solver object, because solvers are pickled into shard and pool processes.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
+from scipy.sparse import csc_array
+
+try:
+    from scipy.optimize._highspy import _core as _h
+    from scipy.optimize._highspy._core import simplex_constants as _simplex
+except ImportError as exc:  # pragma: no cover - depends on the installed scipy
+    raise ImportError(
+        "repro.milp needs scipy>=1.15 (for scipy.optimize._highspy._core)"
+    ) from exc
+
+_INF = _h.kHighsInf
+
+#: HiGHS model statuses with their ``linprog`` outcome; anything else
+#: (``kUnboundedOrInfeasible`` included) is an error.
+_OUTCOMES = {
+    _h.HighsModelStatus.kOptimal: "optimal",
+    _h.HighsModelStatus.kInfeasible: "infeasible",
+    _h.HighsModelStatus.kModelError: "infeasible",
+    _h.HighsModelStatus.kUnbounded: "unbounded",
+}
+
+_handle: Optional["_h._Highs"] = None
+
+
+def _highs() -> "_h._Highs":
+    """The process-local HiGHS handle, configured as ``linprog`` configures it."""
+    global _handle
+    if _handle is None:
+        options = _h.HighsOptions()
+        options.presolve = "on"
+        options.simplex_strategy = _simplex.SimplexStrategy.kSimplexStrategyDual
+        options.highs_debug_level = _h.HighsDebugLevel.kHighsDebugLevelNone
+        options.output_flag = False
+        options.log_to_console = False
+        highs = _h._Highs()
+        if highs.passOptions(options) == _h.HighsStatus.kError:
+            raise RuntimeError("HiGHS rejected the linprog option set")
+        _handle = highs
+    return _handle
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """``values`` (a fresh float array) with +-inf replaced by +-``kHighsInf``."""
+    infs = np.isinf(values)
+    values[infs] = np.sign(values[infs]) * _INF
+    return values
+
+
+class LPResult(NamedTuple):
+    """Outcome of one LP: ``status`` is ``optimal``, ``infeasible``,
+    ``unbounded`` or ``error``; ``x`` and ``fun`` (the minimised objective)
+    are set only when optimal."""
+
+    status: str
+    x: Optional[np.ndarray] = None
+    fun: Optional[float] = None
+
+
+class LinearProgram:
+    """``min c @ x`` s.t. ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``, lowered
+    once to HiGHS's column-wise form.
+
+    Only the column bounds are given per :meth:`solve`, so a branch-and-bound
+    search lowers its problem once and re-solves it node by node.
+    """
+
+    def __init__(
+        self,
+        c: np.ndarray,
+        A_ub: Optional[np.ndarray],
+        b_ub: Optional[np.ndarray],
+        A_eq: Optional[np.ndarray],
+        b_eq: Optional[np.ndarray],
+    ) -> None:
+        n = len(c)
+        A_ub = np.empty((0, n)) if A_ub is None else A_ub
+        A_eq = np.empty((0, n)) if A_eq is None else A_eq
+        b_ub = np.empty(0) if b_ub is None else np.asarray(b_ub, dtype=float)
+        b_eq = np.empty(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+        A = csc_array(np.vstack((A_ub, A_eq)))
+        lp = _h.HighsLp()
+        lp.num_col_ = n
+        lp.num_row_ = A.shape[0]
+        lp.a_matrix_.num_col_ = n
+        lp.a_matrix_.num_row_ = A.shape[0]
+        lp.a_matrix_.format_ = _h.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = A.indptr
+        lp.a_matrix_.index_ = A.indices
+        lp.a_matrix_.value_ = A.data
+        lp.col_cost_ = np.asarray(c, dtype=float)
+        lp.row_lower_ = _finite(np.concatenate((np.full(len(b_ub), -np.inf), b_eq)))
+        lp.row_upper_ = _finite(np.concatenate((b_ub, b_eq)))
+        self._lp = lp
+
+    def solve(self, bounds: Sequence[Tuple[float, Optional[float]]]) -> LPResult:
+        """Solve under per-column ``(lower, upper)`` bounds (``None`` upper is
+        +infinity), from a cleared solver."""
+        lower = np.array([lo for lo, _ in bounds], dtype=float)
+        upper = np.array([np.inf if hi is None else hi for _, hi in bounds], dtype=float)
+        self._lp.col_lower_ = _finite(lower)
+        self._lp.col_upper_ = _finite(upper)
+        highs = _highs()
+        highs.clearSolver()
+        if highs.passModel(self._lp) == _h.HighsStatus.kError:
+            return LPResult("infeasible")  # linprog reports kModelError
+        ran = highs.run() != _h.HighsStatus.kError
+        status = _OUTCOMES.get(highs.getModelStatus(), "error")
+        if status != "optimal":
+            return LPResult(status)
+        if not ran:
+            return LPResult("error")
+        x = np.array(highs.getSolution().col_value)
+        return LPResult("optimal", x, highs.getInfo().objective_function_value)

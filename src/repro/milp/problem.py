@@ -2,7 +2,8 @@
 
 A :class:`MILPProblem` holds variables (continuous or integer, bounded),
 linear constraints, and a linear objective, and can lower itself to the
-matrix form consumed by :func:`scipy.optimize.linprog`.
+``A_ub``/``A_eq`` matrix form that :class:`repro.milp.highs.LinearProgram`
+hands to HiGHS.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ class MILPProblem:
         self,
         extra_bounds: Optional[Mapping[str, Tuple[float, Optional[float]]]] = None,
     ) -> Dict[str, object]:
-        """Lower to linprog-style matrices.
+        """Lower to ``A_ub``/``A_eq`` matrix form.
 
         Parameters
         ----------
@@ -198,25 +199,31 @@ class MILPProblem:
                 A_eq_rows.append(row)
                 b_eq.append(con.rhs)
 
-        bounds: List[Tuple[float, Optional[float]]] = []
-        for name in order:
-            var = self.variables[name]
-            lo, hi = var.lower, var.upper
-            if extra_bounds and name in extra_bounds:
-                xlo, xhi = extra_bounds[name]
-                lo = max(lo, xlo)
-                hi = xhi if hi is None else (hi if xhi is None else min(hi, xhi))
-            bounds.append((lo, hi))
-
         return {
             "c": c,
             "A_ub": np.vstack(A_ub_rows) if A_ub_rows else None,
             "b_ub": np.array(b_ub) if b_ub else None,
             "A_eq": np.vstack(A_eq_rows) if A_eq_rows else None,
             "b_eq": np.array(b_eq) if b_eq else None,
-            "bounds": bounds,
+            "bounds": self.column_bounds(extra_bounds),
             "order": order,
         }
+
+    def column_bounds(
+        self,
+        extra_bounds: Optional[Mapping[str, Tuple[float, Optional[float]]]] = None,
+    ) -> List[Tuple[float, Optional[float]]]:
+        """Per-variable ``(lower, upper)`` in :meth:`variable_order`, tightened
+        by ``extra_bounds`` (``None`` upper is +infinity)."""
+        bounds: List[Tuple[float, Optional[float]]] = []
+        for name, var in self.variables.items():
+            lo, hi = var.lower, var.upper
+            if extra_bounds and name in extra_bounds:
+                xlo, xhi = extra_bounds[name]
+                lo = max(lo, xlo)
+                hi = xhi if hi is None else (hi if xhi is None else min(hi, xhi))
+            bounds.append((lo, hi))
+        return bounds
 
     # ------------------------------------------------------------ evaluation
     def validated_assignment(
