@@ -7,12 +7,7 @@ relaxations per plan; the wall-clock solve times are reported as extra info
 only, so a busy host cannot fail the check.
 """
 
-from repro.experiments.milp_overhead import run_milp_overhead
-
-#: LP relaxations one allocation solve may cost.  Today's plans take 1-19;
-#: at well under a millisecond per relaxation this keeps a solve within the
-#: paper's tens of milliseconds.
-MAX_LPS_PER_PLAN = 40
+from repro.experiments.milp_overhead import MAX_LPS_PER_PLAN, run_milp_overhead
 
 
 def test_bench_milp_overhead(benchmark, bench_scale):

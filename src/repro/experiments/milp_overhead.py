@@ -22,6 +22,11 @@ from repro.milp.exhaustive import ExhaustiveSolver
 from repro.models.zoo import get_cascade
 from repro.runner.artifacts import cached_dataset, cached_default_discriminator
 
+#: LP relaxations one allocation solve may cost.  Today's plans take 1-19;
+#: at well under a millisecond per relaxation this keeps a solve within the
+#: paper's tens of milliseconds.
+MAX_LPS_PER_PLAN = 40
+
 
 @dataclass
 class MILPOverheadResult:

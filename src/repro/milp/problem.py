@@ -157,21 +157,16 @@ class MILPProblem:
         """Deterministic variable ordering used in matrix form."""
         return list(self.variables)
 
-    def to_matrices(
-        self,
-        extra_bounds: Optional[Mapping[str, Tuple[float, Optional[float]]]] = None,
-    ) -> Dict[str, object]:
+    def to_matrices(self) -> Dict[str, object]:
         """Lower to ``A_ub``/``A_eq`` matrix form.
 
-        Parameters
-        ----------
-        extra_bounds:
-            Bound overrides (used by branch-and-bound to tighten variables).
+        Column bounds are not part of the lowering: they come from
+        :meth:`column_bounds`, which branch-and-bound re-evaluates per node.
 
         Returns
         -------
         dict with keys ``c`` (minimisation objective), ``A_ub``, ``b_ub``,
-        ``A_eq``, ``b_eq``, ``bounds`` and ``order``.
+        ``A_eq``, ``b_eq`` and ``order``.
         """
         order = self.variable_order()
         index = {name: i for i, name in enumerate(order)}
@@ -205,7 +200,6 @@ class MILPProblem:
             "b_ub": np.array(b_ub) if b_ub else None,
             "A_eq": np.vstack(A_eq_rows) if A_eq_rows else None,
             "b_eq": np.array(b_eq) if b_eq else None,
-            "bounds": self.column_bounds(extra_bounds),
             "order": order,
         }
 

@@ -138,8 +138,9 @@ def test_binary_formulation_to_matrices_roundtrip():
     p = knapsack_problem()
     mats = p.to_matrices()
     assert mats["A_ub"].shape == (1, 3)
-    assert len(mats["bounds"]) == 3
-    assert all(b == (0.0, 1.0) for b in mats["bounds"])
+    bounds = p.column_bounds()
+    assert len(bounds) == 3
+    assert all(b == (0.0, 1.0) for b in bounds)
     # Objective is negated for minimisation.
     assert mats["c"][mats["order"].index("a")] == pytest.approx(-10.0)
 

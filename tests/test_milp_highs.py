@@ -27,23 +27,25 @@ _SETTINGS = dict(max_examples=200, deadline=None, suppress_health_check=list(Hea
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def _oracle(mats):
+def _oracle(problem, extra_bounds=None):
+    mats = problem.to_matrices()
     result = linprog(
         c=mats["c"],
         A_ub=mats["A_ub"],
         b_ub=mats["b_ub"],
         A_eq=mats["A_eq"],
         b_eq=mats["b_eq"],
-        bounds=mats["bounds"],
+        bounds=problem.column_bounds(extra_bounds),
         method="highs",
     )
     return _STATUS.get(result.status, "error"), result.x, result.fun
 
 
-def _assert_same(mats):
-    status, x, fun = _oracle(mats)
+def _assert_same(problem):
+    status, x, fun = _oracle(problem)
+    mats = problem.to_matrices()
     lp = LinearProgram(mats["c"], mats["A_ub"], mats["b_ub"], mats["A_eq"], mats["b_eq"])
-    result = lp.solve(mats["bounds"])
+    result = lp.solve(problem.column_bounds())
     assert result.status == status
     if status == "optimal":
         assert result.x.tobytes() == x.tobytes()
@@ -84,7 +86,7 @@ def lps(draw):
 @given(problem=lps())
 @settings(**_SETTINGS)
 def test_random_lps_match_linprog_bitwise(problem):
-    _assert_same(problem.to_matrices())
+    _assert_same(problem)
 
 
 def test_infeasible_and_unbounded_match_linprog():
@@ -93,20 +95,20 @@ def test_infeasible_and_unbounded_match_linprog():
     infeasible.add_ge({"x": 1.0}, 5.0)
     infeasible.add_le({"x": 1.0}, 3.0)
     infeasible.set_objective({"x": 1.0})
-    assert _assert_same(infeasible.to_matrices()) != "optimal"
+    assert _assert_same(infeasible) != "optimal"
 
     unbounded = MILPProblem("unbounded")
     unbounded.add_continuous("x", -np.inf, None)
     unbounded.add_continuous("y", 0.0, None)
     unbounded.add_le({"y": 1.0}, 4.0)
     unbounded.set_objective({"x": 1.0, "y": 1.0})
-    assert _assert_same(unbounded.to_matrices()) != "optimal"
+    assert _assert_same(unbounded) != "optimal"
 
     # Without constraints HiGHS still sees the bounds: an empty row set.
     boxed = MILPProblem("boxed")
     boxed.add_continuous("x", -2.0, 3.0)
     boxed.set_objective({"x": -1.0})
-    assert _assert_same(boxed.to_matrices()) == "optimal"
+    assert _assert_same(boxed) == "optimal"
 
 
 # ------------------------------------------- branch-and-bound node replays
@@ -137,7 +139,7 @@ def test_branch_and_bound_relaxations_match_linprog(
 
     def checked(problem, lp, bounds):
         values, objective, status = solve_relaxation(problem, lp, bounds)
-        oracle_status, x, fun = _oracle(problem.to_matrices(extra_bounds=bounds))
+        oracle_status, x, fun = _oracle(problem, bounds)
         assert status == oracle_status
         if status == "optimal":
             assert values == dict(zip(problem.variable_order(), map(float, x)))

@@ -232,7 +232,7 @@ def test_milp_lowering_preserves_bounds_and_integrality(seed):
     mats = problem.to_matrices()
     order = mats["order"]
     assert order == list(problem.variables)
-    for name, (lo, hi) in zip(order, mats["bounds"]):
+    for name, (lo, hi) in zip(order, problem.column_bounds()):
         var = problem.variables[name]
         assert lo == var.lower
         assert hi == var.upper
@@ -285,9 +285,9 @@ def test_milp_lowering_extra_bounds_only_tighten(seed, lo, width):
     rng = np.random.default_rng(seed)
     problem = _random_problem(rng)
     name = next(iter(problem.variables))
-    mats = problem.to_matrices(extra_bounds={name: (lo, lo + width)})
-    i = mats["order"].index(name)
-    tight_lo, tight_hi = mats["bounds"][i]
+    bounds = problem.column_bounds({name: (lo, lo + width)})
+    i = problem.variable_order().index(name)
+    tight_lo, tight_hi = bounds[i]
     var = problem.variables[name]
     assert tight_lo >= var.lower
     assert tight_lo >= lo
