@@ -34,7 +34,7 @@ DURATION = 60.0
 
 def _events_per_second(autoscale):
     """Events fired per wall second for one flash-crowd run."""
-    from repro.core.autoscaler import get_scale_policy
+    from repro.runner.dimensions import DIMENSIONS
 
     system = build_diffserve_system(
         "sdturbo",
@@ -43,7 +43,7 @@ def _events_per_second(autoscale):
         seed=0,
         replan_epoch=3.0,
         replan_policy="adaptive",
-        autoscale=get_scale_policy(autoscale) if autoscale else None,
+        autoscale=DIMENSIONS["autoscale"].lookup(autoscale) if autoscale else None,
     )
     workload = make_workload("flash-crowd", qps=QPS, duration=DURATION, seed=0)
     runtime = system.prepare()

@@ -24,7 +24,7 @@ import time
 from repro.core.config import FleetSpec
 from repro.core.system import ClientSource, build_diffserve_system
 from repro.experiments.chaos import run_chaos
-from repro.faults.plan import get_fault_plan
+from repro.runner.dimensions import DIMENSIONS
 from repro.workloads import make_workload
 
 #: Cell the overhead measurement times (matches the chaos experiment shape).
@@ -60,7 +60,7 @@ def test_bench_chaos(benchmark):
     armed = {}
 
     def armed_run():
-        armed["eps"], armed["summary"] = _events_per_second(get_fault_plan("quiet"))
+        armed["eps"], armed["summary"] = _events_per_second(DIMENSIONS["faults"].lookup("quiet"))
         return armed["summary"]
 
     benchmark(armed_run)

@@ -21,9 +21,9 @@ import os
 import time
 
 from repro.core.config import FleetSpec
-from repro.core.geo import get_topology
 from repro.core.sharding import ShardSupervisor
 from repro.core.system import build_diffserve_system
+from repro.runner.dimensions import DIMENSIONS
 from repro.runner.executor import canonical_summaries_json
 from repro.workloads import make_workload
 
@@ -44,7 +44,7 @@ def _run(shards: int):
     template = build_diffserve_system(fleet=FleetSpec.homogeneous(8), dataset_size=300, seed=0)
     workload = make_workload("static", duration=N_QUERIES / QPS, qps=QPS, seed=0)
     supervisor = ShardSupervisor(
-        template=template, topology=get_topology("global-8"), shards=shards
+        template=template, topology=DIMENSIONS["geo"].lookup("global-8"), shards=shards
     )
     start = time.perf_counter()
     result = supervisor.run(workload)

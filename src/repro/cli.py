@@ -42,6 +42,7 @@ from repro.experiments import (
     reuse_study,
 )
 from repro.experiments.harness import ExperimentScale
+from repro.runner.dimensions import DIMENSIONS, decode_json_object
 
 #: Experiment name -> (description, runner main function).
 EXPERIMENTS: Dict[str, tuple] = {
@@ -139,64 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
             "and the fleet becomes a cached grid dimension replacing --workers"
         ),
     )
-    runner.add_argument(
-        "--geo",
-        default=None,
-        help=(
-            "geo topology, either a catalog name (single, us-eu, global-4, "
-            "global-8) or a JSON object mapping region names to "
-            "'{\"fleet\": {class: count}, \"rtt_ms\": number, \"weight\": number}'; "
-            "cells run every region through the shard supervisor and become a "
-            "cached grid dimension"
-        ),
-    )
-    runner.add_argument(
-        "--resources",
-        default=None,
-        help=(
-            "attach the multi-resource worker model: 'default' (built-in "
-            "footprint catalog, reload-aware), 'oblivious' (same catalog, "
-            "reload-oblivious planning), or a JSON object mapping variant "
-            "names to checkpoint GB with optional 'reload_aware' (bool) and "
-            "'egress_gb_per_image' (number) keys; becomes a cached grid "
-            "dimension (omit to keep the legacy execution model)"
-        ),
-    )
-    runner.add_argument(
-        "--faults",
-        default=None,
-        help=(
-            "inject a deterministic fault scenario: a catalog name (quiet, "
-            "crash, crash-norecovery, storm, storm-norecovery, revocation, "
-            "solver-timeout, chaos) or a JSON object with a 'faults' list of "
-            "{kind, ...} entries (kinds: crash, revocation, straggler, "
-            "bandwidth, partition, solver-timeout, crash-storm) and an "
-            "optional 'recovery' key (true/false or a config object); becomes "
-            "a cached grid dimension (omit to keep runs fault-free)"
-        ),
-    )
-    runner.add_argument(
-        "--autoscale",
-        default=None,
-        help=(
-            "attach an epoch-synchronous autoscaling policy to the DiffServe "
-            "system: a catalog name (static, reactive, cost-aware) or a JSON "
-            "object with ScalePolicy fields ('{\"kind\": \"cost-aware\", "
-            "\"max_factor\": 1.5, \"step\": 2}'); requires --replan-epoch and "
-            "becomes a cached grid dimension (omit to keep fleets fixed)"
-        ),
-    )
-    runner.add_argument(
-        "--prices",
-        default=None,
-        help=(
-            "price the fleet on a deterministic spot-market trace: a catalog "
-            "name (flat, spot-calm, spot-diurnal, spot-storm) or a JSON object "
-            "with PriceTrace fields ('{\"spot_classes\": [\"l4\", \"t4\"], "
-            "\"volatility\": 0.5}'); meters the time-integrated fleet_cost "
-            "summary key and becomes a cached grid dimension"
-        ),
-    )
+    for dim in DIMENSIONS.values():
+        runner.add_argument(dim.flag, default=None, help=dim.help)
     runner.add_argument(
         "--shards",
         default="1",
@@ -289,12 +234,7 @@ def parse_workload_params(text: Optional[str]) -> Dict[str, float]:
     """
     stripped = (text or "").strip()
     if stripped.startswith(("{", "[")):
-        try:
-            decoded = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON for --workload-params: {exc}") from exc
-        if not isinstance(decoded, dict):
-            raise ValueError("--workload-params JSON must be an object of key: number pairs")
+        decoded = decode_json_object(stripped, "--workload-params")
         params: Dict[str, float] = {}
         for key, value in decoded.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -333,13 +273,7 @@ def parse_fleet(text: Optional[str]) -> Optional[Dict[str, int]]:
         return None
     counts: Dict[str, int] = {}
     if stripped.startswith(("{", "[")):
-        try:
-            decoded = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON for --fleet: {exc}") from exc
-        if not isinstance(decoded, dict):
-            raise ValueError("--fleet JSON must be an object of class: count pairs")
-        items = decoded.items()
+        items = decode_json_object(stripped, "--fleet").items()
     else:
         items = []
         for part in stripped.split(","):
@@ -372,61 +306,6 @@ def parse_fleet(text: Optional[str]) -> Optional[Dict[str, int]]:
     return counts
 
 
-def parse_resources(text: Optional[str]):
-    """Parse a ``--resources`` string into a
-    :class:`~repro.core.config.ResourceConfig`.
-
-    Accepts ``default`` (the built-in footprint catalog, reload-aware), or a
-    JSON object mapping variant names to checkpoint sizes in GB, with two
-    optional control keys: ``"reload_aware"`` (bool, default true) and
-    ``"egress_gb_per_image"`` (number, applied to every listed variant).
-    Unlisted variants keep their catalog footprints.  Every failure mode
-    raises :class:`ValueError` with a one-line message naming the bad key
-    (mirroring ``--fleet``).
-    """
-    stripped = (text or "").strip()
-    if not stripped:
-        return None
-    from repro.core.config import ResourceConfig
-
-    if not stripped.startswith(("{", "[")):
-        if stripped == "default":
-            return ResourceConfig.default()
-        if stripped == "oblivious":
-            return ResourceConfig.default(reload_aware=False)
-        raise ValueError(
-            f"--resources must be 'default', 'oblivious' or a JSON object, got {text!r}"
-        )
-    try:
-        decoded = json.loads(stripped)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON for --resources: {exc}") from exc
-    if not isinstance(decoded, dict):
-        raise ValueError("--resources JSON must be an object of variant: GB pairs")
-    reload_aware = decoded.pop("reload_aware", True)
-    if not isinstance(reload_aware, bool):
-        raise ValueError(f"resources key 'reload_aware' must be a boolean, got {reload_aware!r}")
-    egress = decoded.pop("egress_gb_per_image", None)
-    if egress is not None and (isinstance(egress, bool) or not isinstance(egress, (int, float))):
-        raise ValueError(f"resources key 'egress_gb_per_image' must be a number, got {egress!r}")
-    weights: Dict[str, float] = {}
-    for key, value in decoded.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-            raise ValueError(
-                f"resources variant {key!r}: weights must be a positive number (GB), "
-                f"got {value!r}"
-            )
-        weights[str(key)] = float(value)
-    try:
-        return ResourceConfig.from_weights(
-            weights,
-            reload_aware=reload_aware,
-            egress_gb_per_image=None if egress is None else float(egress),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ValueError(str(exc).strip("'\"")) from exc
-
-
 def parse_shards(text: Optional[str]) -> int:
     """Parse a ``--shards`` value: a positive integer or ``auto``.
 
@@ -456,12 +335,8 @@ def parse_grid(
     replan_epoch: Optional[float] = None,
     replan_policy: Optional[str] = None,
     fleet: Optional[str] = None,
-    geo: Optional[str] = None,
     shards: int = 1,
-    resources: Optional[str] = None,
-    faults: Optional[str] = None,
-    autoscale: Optional[str] = None,
-    prices: Optional[str] = None,
+    **dims: Optional[str],
 ):
     """Build an :class:`~repro.runner.spec.ExperimentGrid` from a ``--grid`` spec.
 
@@ -481,18 +356,14 @@ def parse_grid(
     ``fleet`` (the ``--fleet`` flag) runs every cell on a typed device fleet
     instead of the homogeneous ``--workers`` cluster — a real (cached) grid
     dimension, validated eagerly against the device catalog.
-    ``geo`` (the ``--geo`` flag) serves every cell over a multi-region
-    topology through the shard supervisor, and ``shards`` packs the regions
-    into that many worker processes — sharding never changes summaries, only
-    wall-clock.  ``resources`` (the ``--resources`` flag) attaches the
-    multi-resource worker model to every cell as a cached grid dimension.
-    ``faults`` (the ``--faults`` flag) injects the same deterministic fault
-    scenario into every cell as a cached grid dimension, validated eagerly
-    against the fault catalog / JSON schema.  ``autoscale``/``prices`` (the
-    ``--autoscale``/``--prices`` flags) attach the scale policy / spot price
-    trace to every cell as cached grid dimensions, with the same eager
-    one-line validation (``--autoscale`` additionally requires
-    ``--replan-epoch``: scale decisions are evaluated at replan epochs).
+    ``dims`` are the name-or-JSON grid dimensions (the ``--geo``,
+    ``--resources``, ``--faults``, ``--autoscale`` and ``--prices`` flags;
+    see :data:`~repro.runner.dimensions.DIMENSIONS`), each attached to every
+    cell as a cached grid dimension and validated eagerly with the same
+    one-line errors.  ``shards`` packs a geo cell's regions into that many
+    worker processes — sharding never changes summaries, only wall-clock.
+    ``--autoscale`` additionally requires ``--replan-epoch``: scale
+    decisions are evaluated at replan epochs.
     """
     from repro.runner.spec import DEFAULT_SYSTEMS, ExperimentGrid, TraceSpec
 
@@ -560,34 +431,15 @@ def parse_grid(
     if replan:
         params_list = [{**params, **replan} for params in params_list]
     scales = [replace(scale, seed=s) for s in seeds]
-    if geo is not None:
-        from repro.core.geo import parse_geo
-
-        # Eager validation: a bad topology name / malformed JSON fails the
-        # parse with a one-line error, not a traceback inside a grid cell.
-        parse_geo(geo)
-    if resources is not None:
-        # Same eager-validation rule: bad variant names / malformed JSON fail
-        # the parse, not a grid cell.
-        parse_resources(resources)
-    if faults is not None:
-        # Eager validation: an unknown plan name / malformed JSON / bad fault
-        # param fails the parse with a one-line error naming the bad key.
-        from repro.faults.plan import parse_faults
-
-        parse_faults(faults)
-    if autoscale is not None:
-        # Eager validation, plus the structural requirement: the autoscaler
-        # is evaluated by the re-planner's epoch loop, so it needs one.
-        from repro.core.autoscaler import parse_autoscale
-
-        parse_autoscale(autoscale)
-        if replan_epoch is None:
-            raise ValueError("--autoscale requires --replan-epoch (scale decisions are evaluated at replan epochs)")
-    if prices is not None:
-        from repro.core.pricing import parse_prices
-
-        parse_prices(prices)
+    for name, dim in DIMENSIONS.items():
+        # Eager validation: a bad catalog name / malformed JSON / bad key
+        # fails the parse with a one-line error, not inside a grid cell.
+        dim.parse(dims.get(name))
+    if dims.get("autoscale") is not None and replan_epoch is None:
+        # The autoscaler is evaluated by the re-planner's epoch loop.
+        raise ValueError(
+            "--autoscale requires --replan-epoch (scale decisions are evaluated at replan epochs)"
+        )
     return ExperimentGrid.product(
         cascades=cascades,
         scales=scales,
@@ -595,12 +447,9 @@ def parse_grid(
         traces=traces,
         params_list=params_list,
         fleets=(parse_fleet(fleet),),
-        geos=(geo,),
+        geos=(dims.pop("geo", None),),
         shards=shards,
-        resources=resources,
-        faults=faults,
-        autoscale=autoscale,
-        prices=prices,
+        **dims,
     )
 
 
@@ -685,12 +534,8 @@ def run_grid_command(args: argparse.Namespace) -> int:
             replan_epoch=args.replan_epoch,
             replan_policy=args.replan_policy,
             fleet=args.fleet,
-            geo=args.geo,
             shards=parse_shards(args.shards),
-            resources=args.resources,
-            faults=args.faults,
-            autoscale=args.autoscale,
-            prices=args.prices,
+            **{name: getattr(args, name) for name in DIMENSIONS},
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,8 +36,7 @@ revocation notice can never be re-activated by a same-epoch scale-out.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import FleetSpec, fleet_from_counts
@@ -49,8 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ScalePolicy",
     "SCALE_POLICIES",
-    "get_scale_policy",
-    "parse_autoscale",
     "Autoscaler",
 ]
 
@@ -175,49 +172,6 @@ SCALE_POLICIES: Dict[str, ScalePolicy] = {
         kind="cost-aware", max_factor=1.5, step=2, risk_aversion=1.0, price_ceiling=0.9
     ),
 }
-
-
-def get_scale_policy(name: str) -> ScalePolicy:
-    """Look up a scale policy by catalog name (one-line error on miss)."""
-    try:
-        return SCALE_POLICIES[name]
-    except KeyError:
-        known = ", ".join(sorted(SCALE_POLICIES))
-        raise KeyError(f"unknown autoscale policy {name!r}; known policies: {known}") from None
-
-
-def parse_autoscale(text: Optional[str]) -> Optional[ScalePolicy]:
-    """Parse an ``--autoscale`` value: catalog name or JSON object.
-
-    JSON shape: ``{"kind": "cost-aware", "max_factor": 1.5, "step": 2, ...}``
-    (any :class:`ScalePolicy` field).  Returns ``None`` for blank input;
-    raises a one-line :class:`ValueError` naming the offending key otherwise.
-    """
-    if text is None or not text.strip():
-        return None
-    text = text.strip()
-    if not text.startswith("{"):
-        try:
-            return get_scale_policy(text)
-        except KeyError as exc:
-            raise ValueError(str(exc).strip("'\"")) from None
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON for --autoscale: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"--autoscale JSON must be an object, got {payload!r}")
-    allowed = {f.name for f in fields(ScalePolicy)}
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ValueError(
-            f"--autoscale: unknown key(s) {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(allowed))}"
-        )
-    try:
-        return ScalePolicy(**payload)
-    except TypeError as exc:
-        raise ValueError(f"--autoscale: {exc}") from None
 
 
 # --------------------------------------------------------------------------

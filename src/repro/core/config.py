@@ -16,8 +16,8 @@ CLI's ``--workload-params`` error style.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.models.profiles import ModelFootprint
 from repro.models.zoo import MODEL_FOOTPRINTS, CascadeSpec
@@ -238,6 +238,25 @@ def fleet_from_counts(counts: Mapping[str, int], *, drop_zero: bool = False) -> 
     )
 
 
+def dataclass_from_json(cls, payload: Mapping[str, Any], where: str):
+    """Build dataclass ``cls`` from a decoded JSON object, rejecting unknown keys.
+
+    Every failure — an unknown key, a missing field, a value the dataclass's
+    own validation rejects — is a one-line :class:`ValueError` prefixed with
+    ``where`` (the flag or JSON path being parsed).
+    """
+    allowed = {f.name for f in fields(cls)}
+    unknown = sorted(set(payload) - allowed)
+    if unknown:
+        raise ValueError(
+            f"{where}: unknown key(s) {', '.join(unknown)}; allowed: {', '.join(sorted(allowed))}"
+        )
+    try:
+        return cls(**payload)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 # --------------------------------------------------------------------------
 # Resource model (memory residency + transfer bandwidth + egress)
 # --------------------------------------------------------------------------
@@ -319,6 +338,44 @@ class ResourceConfig:
             }
         return cls(footprints=tuple(sorted(merged.items())), reload_aware=reload_aware)
 
+    @classmethod
+    def from_json(cls, payload: Mapping[str, Any]) -> "ResourceConfig":
+        """The ``--resources`` JSON form.
+
+        Maps catalog variant names to checkpoint sizes in GB, with two
+        optional control keys: ``"reload_aware"`` (bool, default true) and
+        ``"egress_gb_per_image"`` (number, applied to every variant).
+        Unlisted variants keep their catalog footprints; an unknown variant
+        name or a bad value fails with a one-line error naming the key.
+        """
+        weights = dict(payload)
+        reload_aware = weights.pop("reload_aware", True)
+        if not isinstance(reload_aware, bool):
+            raise ValueError(
+                f"resources key 'reload_aware' must be a boolean, got {reload_aware!r}"
+            )
+        egress = weights.pop("egress_gb_per_image", None)
+        if egress is not None and (
+            isinstance(egress, bool) or not isinstance(egress, (int, float))
+        ):
+            raise ValueError(
+                f"resources key 'egress_gb_per_image' must be a number, got {egress!r}"
+            )
+        for key, value in weights.items():
+            if key not in MODEL_FOOTPRINTS:
+                known = ", ".join(sorted(MODEL_FOOTPRINTS))
+                raise ValueError(f"resources: unknown variant {key!r}; known variants: {known}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+                raise ValueError(
+                    f"resources variant {key!r}: weights must be a positive number (GB), "
+                    f"got {value!r}"
+                )
+        return cls.from_weights(
+            {key: float(value) for key, value in weights.items()},
+            reload_aware=reload_aware,
+            egress_gb_per_image=None if egress is None else float(egress),
+        )
+
     # ---------------------------------------------------------------- lookups
     def footprint_for(self, name: str) -> ModelFootprint:
         """Footprint of a variant (one-line error on miss)."""
@@ -372,6 +429,14 @@ class ResourceConfig:
 
     def __str__(self) -> str:
         return self.token()
+
+
+#: Named resource models accepted by ``--resources`` (JSON is the escape
+#: hatch): the full footprint catalog, planned reload-aware or -oblivious.
+RESOURCE_MODELS: Dict[str, ResourceConfig] = {
+    "default": ResourceConfig.default(),
+    "oblivious": ResourceConfig.default(reload_aware=False),
+}
 
 
 # --------------------------------------------------------------------------

@@ -18,9 +18,8 @@ sharded-equals-serial byte-identical gate rests on.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -129,9 +128,49 @@ class GeoTopology:
     def __str__(self) -> str:
         return self.token()
 
+    @classmethod
+    def from_json(cls, payload: Mapping[str, object]) -> "GeoTopology":
+        """The ``--geo`` JSON form: region names mapped to region specs.
+
+        Each spec is ``{"fleet": {class: count}, "rtt_ms": number,
+        "weight": number}`` (``rtt_ms``/``weight`` optional)::
+
+            {"us-east": {"fleet": {"a100": 8}, "rtt_ms": 15},
+             "eu-west": {"fleet": {"l4": 16}, "rtt_ms": 25, "weight": 0.8}}
+
+        Every failure is a one-line :class:`ValueError` naming the offending
+        region or key.
+        """
+        if not payload:
+            raise ValueError("--geo JSON must be a non-empty object of region: spec pairs")
+        regions: List[RegionSpec] = []
+        for name, spec in payload.items():
+            if not isinstance(spec, dict):
+                raise ValueError(f"geo region {name!r}: spec must be an object, got {spec!r}")
+            unknown = sorted(set(spec) - {"fleet", "rtt_ms", "weight"})
+            if unknown:
+                raise ValueError(f"geo region {name!r}: unknown keys {unknown}")
+            counts = spec.get("fleet")
+            if not isinstance(counts, dict) or not counts:
+                raise ValueError(f"geo region {name!r}: 'fleet' must be a non-empty object")
+            rtt_ms = spec.get("rtt_ms", 0.0)
+            weight = spec.get("weight", 1.0)
+            for key, value in (("rtt_ms", rtt_ms), ("weight", weight)):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"geo region {name!r}: {key} must be a number, got {value!r}")
+            try:
+                fleet = fleet_from_counts({str(k): v for k, v in counts.items()})
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"geo region {name!r}: {str(exc).strip(chr(39))}") from exc
+            regions.append(
+                RegionSpec(name=str(name), fleet=fleet, rtt_s=float(rtt_ms) / 1000.0,
+                           weight=float(weight))
+            )
+        return cls(regions=tuple(regions))
+
 
 # --------------------------------------------------------------------------
-# Topology catalog + parsing
+# Topology catalog
 # --------------------------------------------------------------------------
 
 
@@ -176,67 +215,6 @@ GEO_TOPOLOGIES: Dict[str, GeoTopology] = {
         ]
     ),
 }
-
-
-def get_topology(name: str) -> GeoTopology:
-    """Look up a catalog topology by name (one-line error on miss)."""
-    try:
-        return GEO_TOPOLOGIES[name]
-    except KeyError:
-        known = ", ".join(sorted(GEO_TOPOLOGIES))
-        raise KeyError(f"unknown geo topology {name!r}; known topologies: {known}") from None
-
-
-def parse_geo(text: Optional[str]) -> Optional[GeoTopology]:
-    """Parse a ``--geo`` value: a catalog name or a JSON object.
-
-    The JSON form maps region names to ``{"fleet": {class: count}, "rtt_ms":
-    number, "weight": number}`` (``rtt_ms``/``weight`` optional)::
-
-        {"us-east": {"fleet": {"a100": 8}, "rtt_ms": 15},
-         "eu-west": {"fleet": {"l4": 16}, "rtt_ms": 25, "weight": 0.8}}
-
-    Every failure mode raises :class:`ValueError` with a one-line message
-    naming the offending region or key (mirroring ``--fleet``).
-    """
-    stripped = (text or "").strip()
-    if not stripped:
-        return None
-    if not stripped.startswith("{"):
-        try:
-            return get_topology(stripped)
-        except KeyError as exc:
-            raise ValueError(str(exc).strip("'\"")) from exc
-    try:
-        decoded = json.loads(stripped)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON for --geo: {exc}") from exc
-    if not isinstance(decoded, dict) or not decoded:
-        raise ValueError("--geo JSON must be a non-empty object of region: spec pairs")
-    regions: List[RegionSpec] = []
-    for name, spec in decoded.items():
-        if not isinstance(spec, dict):
-            raise ValueError(f"geo region {name!r}: spec must be an object, got {spec!r}")
-        unknown = sorted(set(spec) - {"fleet", "rtt_ms", "weight"})
-        if unknown:
-            raise ValueError(f"geo region {name!r}: unknown keys {unknown}")
-        counts = spec.get("fleet")
-        if not isinstance(counts, dict) or not counts:
-            raise ValueError(f"geo region {name!r}: 'fleet' must be a non-empty object")
-        rtt_ms = spec.get("rtt_ms", 0.0)
-        weight = spec.get("weight", 1.0)
-        for key, value in (("rtt_ms", rtt_ms), ("weight", weight)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"geo region {name!r}: {key} must be a number, got {value!r}")
-        try:
-            fleet = fleet_from_counts({str(k): v for k, v in counts.items()})
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"geo region {name!r}: {str(exc).strip(chr(39))}") from exc
-        regions.append(
-            RegionSpec(name=str(name), fleet=fleet, rtt_s=float(rtt_ms) / 1000.0,
-                       weight=float(weight))
-        )
-    return GeoTopology(regions=tuple(regions))
 
 
 # --------------------------------------------------------------------------

@@ -14,26 +14,24 @@ charged at every fleet transition (and, when a trace is attached, re-sampled
 at replan epochs), so runs report the cost of the fleet they *actually held*
 over time instead of the construction-time ``FleetSpec.total_cost``.
 
-``parse_prices`` mirrors ``parse_faults``: catalog name or a JSON object,
-every rejection a one-line :class:`ValueError` naming the bad key.
+``--prices`` takes a catalog name or the JSON form
+(:meth:`PriceTrace.from_json`); the runner's grid-dimension registry
+(:mod:`repro.runner.dimensions`) parses both.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
-from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.config import DEVICE_CLASSES, FleetSpec
+from repro.core.config import DEVICE_CLASSES, FleetSpec, dataclass_from_json
 
 __all__ = [
     "PriceSurge",
     "PriceTrace",
     "PRICE_TRACES",
-    "get_price_trace",
-    "parse_prices",
     "CostLedger",
 ]
 
@@ -169,6 +167,35 @@ class PriceTrace:
     def __str__(self) -> str:
         return self.token()
 
+    @classmethod
+    def from_json(cls, payload: Mapping[str, Any]) -> "PriceTrace":
+        """The ``--prices`` JSON form: any :class:`PriceTrace` field.
+
+        Shape: ``{"on_demand": 1.0, "spot_classes": ["l4", "t4"],
+        "spot_discount": 0.3, "volatility": 0.5, "period": 240,
+        "surges": [{"at": 20, "duration": 10, "factor": 4}], "seed": 0}``.
+        """
+        spec = dict(payload)
+        spot = spec.get("spot_classes")
+        if spot is not None:
+            if not isinstance(spot, list) or not all(isinstance(s, str) for s in spot):
+                raise ValueError(
+                    f"--prices: 'spot_classes' must be a list of strings, got {spot!r}"
+                )
+            spec["spot_classes"] = tuple(spot)
+        surges = spec.get("surges")
+        if surges is not None:
+            if not isinstance(surges, list):
+                raise ValueError(f"--prices: 'surges' must be a list, got {surges!r}")
+            spec["surges"] = tuple(_surge_from_json(i, entry) for i, entry in enumerate(surges))
+        return dataclass_from_json(cls, spec, "--prices")
+
+
+def _surge_from_json(index: int, entry: object) -> PriceSurge:
+    if not isinstance(entry, dict):
+        raise ValueError(f"prices.surges[{index}] must be an object, got {entry!r}")
+    return dataclass_from_json(PriceSurge, entry, f"prices.surges[{index}]")
+
 
 #: The classes the spot catalog traces price on the market: the cheap bulk
 #: tier (everything below the A100 on-demand anchor).
@@ -194,77 +221,6 @@ PRICE_TRACES: Dict[str, PriceTrace] = {
         ),
     ),
 }
-
-
-def get_price_trace(name: str) -> PriceTrace:
-    """Look up a price trace by catalog name (one-line error on miss)."""
-    try:
-        return PRICE_TRACES[name]
-    except KeyError:
-        known = ", ".join(sorted(PRICE_TRACES))
-        raise KeyError(f"unknown price trace {name!r}; known traces: {known}") from None
-
-
-def _parse_surge(index: int, entry: object) -> PriceSurge:
-    if not isinstance(entry, dict):
-        raise ValueError(f"prices.surges[{index}] must be an object, got {entry!r}")
-    allowed = {f.name for f in fields(PriceSurge)}
-    unknown = sorted(set(entry) - allowed)
-    if unknown:
-        raise ValueError(
-            f"prices.surges[{index}]: unknown key(s) {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(allowed))}"
-        )
-    try:
-        return PriceSurge(**entry)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"prices.surges[{index}]: {exc}") from None
-
-
-def parse_prices(text: Optional[str]) -> Optional[PriceTrace]:
-    """Parse a ``--prices`` value: catalog name or JSON object.
-
-    JSON shape: ``{"on_demand": 1.0, "spot_classes": ["l4", "t4"],
-    "spot_discount": 0.3, "volatility": 0.5, "period": 240,
-    "surges": [{"at": 20, "duration": 10, "factor": 4}], "seed": 0}``.
-    Returns ``None`` for blank input; raises a one-line :class:`ValueError`
-    naming the offending key otherwise.
-    """
-    if text is None or not text.strip():
-        return None
-    text = text.strip()
-    if not text.startswith("{"):
-        try:
-            return get_price_trace(text)
-        except KeyError as exc:
-            raise ValueError(str(exc).strip("'\"")) from None
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON for --prices: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"--prices JSON must be an object, got {payload!r}")
-    allowed = {f.name for f in fields(PriceTrace)}
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ValueError(
-            f"--prices: unknown key(s) {', '.join(unknown)}; allowed: {', '.join(sorted(allowed))}"
-        )
-    spec = dict(payload)
-    spot = spec.get("spot_classes")
-    if spot is not None:
-        if not isinstance(spot, list) or not all(isinstance(s, str) for s in spot):
-            raise ValueError(f"--prices: 'spot_classes' must be a list of strings, got {spot!r}")
-        spec["spot_classes"] = tuple(spot)
-    surges = spec.get("surges")
-    if surges is not None:
-        if not isinstance(surges, list):
-            raise ValueError(f"--prices: 'surges' must be a list, got {surges!r}")
-        spec["surges"] = tuple(_parse_surge(i, entry) for i, entry in enumerate(surges))
-    try:
-        return PriceTrace(**spec)
-    except TypeError as exc:
-        raise ValueError(f"--prices: {exc}") from None
 
 
 # --------------------------------------------------------------------------

@@ -65,11 +65,11 @@ def run_geo_scale(
     the runner's workload resolution), so every topology is stressed
     comparably rather than the large fleets coasting.
     """
-    from repro.core.geo import get_topology
+    from repro.runner.dimensions import DIMENSIONS
     from repro.runner.executor import run_grid
     from repro.runner.spec import ExperimentGrid, ExperimentSpec, TraceSpec
 
-    resolved = [(name, get_topology(name)) for name in topologies]
+    resolved = [(name, DIMENSIONS["geo"].lookup(name)) for name in topologies]
     specs = [
         ExperimentSpec(
             cascade=cascade_name,
@@ -119,12 +119,12 @@ def shard_timing_report(
     which exist only on the live supervisor object.
     """
     from repro.core.config import FleetSpec
-    from repro.core.geo import get_topology
     from repro.core.sharding import ShardSupervisor
     from repro.core.system import build_diffserve_system
+    from repro.runner.dimensions import DIMENSIONS
     from repro.workloads import cascade_qps_range, make_workload
 
-    topo = get_topology(topology)
+    topo = DIMENSIONS["geo"].lookup(topology)
     template = build_diffserve_system(
         cascade_name,
         fleet=FleetSpec.homogeneous(scale.num_workers),

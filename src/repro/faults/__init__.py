@@ -3,7 +3,7 @@
 Split pure-description from runtime machinery:
 
 * :mod:`repro.faults.plan` — fault/recovery dataclasses, the named-plan
-  catalog, and ``parse_faults`` (the ``--faults`` surface).
+  catalog, and the ``--faults`` JSON form (:meth:`FaultPlan.from_json`).
 * :mod:`repro.faults.plan_store` — last-known-good plan fallback.
 * :mod:`repro.faults.injector` — the simulation actor that fires the faults
   and runs the heartbeat/requeue/repair loop.
@@ -21,8 +21,6 @@ from repro.faults.plan import (
     SpotRevocation,
     StragglerSlowdown,
     WorkerCrash,
-    get_fault_plan,
-    parse_faults,
 )
 from repro.faults.plan_store import PlanStore
 
@@ -39,6 +37,4 @@ __all__ = [
     "SpotRevocation",
     "StragglerSlowdown",
     "WorkerCrash",
-    "get_fault_plan",
-    "parse_faults",
 ]

@@ -8,16 +8,17 @@ plan into scheduled events at run time, sampling any stochastic fault (the
 crash storm) from the simulation's named ``RandomStreams`` so that the same
 seed + the same plan always produces byte-identical results.
 
-``parse_faults`` mirrors ``parse_geo``/``parse_resources``: catalog name or a
-JSON object, every rejection a one-line :class:`ValueError` naming the bad
-key.
+``--faults`` takes a catalog name or the JSON form
+(:meth:`FaultPlan.from_json`); the runner's grid-dimension registry
+(:mod:`repro.runner.dimensions`) parses both.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
-from typing import ClassVar, Dict, Optional, Tuple, Type, Union
+from dataclasses import dataclass, field
+from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type, Union
+
+from repro.core.config import dataclass_from_json
 
 __all__ = [
     "WorkerCrash",
@@ -30,8 +31,6 @@ __all__ = [
     "RecoveryConfig",
     "FaultPlan",
     "FAULT_PLANS",
-    "get_fault_plan",
-    "parse_faults",
 ]
 
 
@@ -289,6 +288,50 @@ class FaultPlan:
         body = ";".join(f.token() for f in self.faults) or "quiet"
         return f"recovery[{recovery}]|{body}"
 
+    @classmethod
+    def from_json(cls, payload: Mapping[str, Any]) -> "FaultPlan":
+        """The ``--faults`` JSON form.
+
+        Shape: ``{"faults": [{"kind": "crash", "worker": 0, "at": 10}, ...],
+        "recovery": true | false | {"retry_budget": 2, ...}}`` (``recovery``
+        defaults to on).  Every failure is a one-line :class:`ValueError`
+        naming the offending key.
+        """
+        unknown = sorted(set(payload) - {"faults", "recovery"})
+        if unknown:
+            raise ValueError(
+                f"--faults: unknown top-level key(s) {', '.join(unknown)}; "
+                "allowed: faults, recovery"
+            )
+        raw_faults = payload.get("faults", [])
+        if not isinstance(raw_faults, list):
+            raise ValueError(f"--faults: 'faults' must be a list, got {raw_faults!r}")
+        return cls(
+            faults=tuple(_fault_from_json(i, entry) for i, entry in enumerate(raw_faults)),
+            recovery=_recovery_from_json(payload.get("recovery", True)),
+        )
+
+
+def _fault_from_json(index: int, entry: object) -> Fault:
+    if not isinstance(entry, dict):
+        raise ValueError(f"faults[{index}] must be an object, got {entry!r}")
+    spec = dict(entry)
+    kind = spec.pop("kind", None)
+    if kind not in _FAULT_KINDS:
+        known = ", ".join(sorted(_FAULT_KINDS))
+        raise ValueError(f"faults[{index}].kind {kind!r} is unknown; known kinds: {known}")
+    return dataclass_from_json(_FAULT_KINDS[kind], spec, f"faults[{index}] ({kind})")
+
+
+def _recovery_from_json(value: object) -> Optional[RecoveryConfig]:
+    if value is None or value is False:
+        return None
+    if value is True:
+        return RecoveryConfig()
+    if not isinstance(value, dict):
+        raise ValueError(f"recovery must be true/false/null or an object, got {value!r}")
+    return dataclass_from_json(RecoveryConfig, value, "recovery")
+
 
 def _storm_faults() -> Tuple[Fault, ...]:
     """Crash + straggler storm shared by the recovery-on/off catalog pair."""
@@ -322,85 +365,3 @@ FAULT_PLANS: Dict[str, FaultPlan] = {
         )
     ),
 }
-
-
-def get_fault_plan(name: str) -> FaultPlan:
-    try:
-        return FAULT_PLANS[name]
-    except KeyError:
-        known = ", ".join(sorted(FAULT_PLANS))
-        raise KeyError(f"unknown fault plan {name!r}; known plans: {known}") from None
-
-
-# -------------------------------------------------------------------- parsing
-def _parse_fault_entry(index: int, entry: object) -> Fault:
-    if not isinstance(entry, dict):
-        raise ValueError(f"faults[{index}] must be an object, got {entry!r}")
-    spec = dict(entry)
-    kind = spec.pop("kind", None)
-    if kind not in _FAULT_KINDS:
-        known = ", ".join(sorted(_FAULT_KINDS))
-        raise ValueError(f"faults[{index}].kind {kind!r} is unknown; known kinds: {known}")
-    cls = _FAULT_KINDS[kind]
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(spec) - allowed)
-    if unknown:
-        raise ValueError(
-            f"faults[{index}] ({kind}): unknown key(s) {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(allowed))}"
-        )
-    try:
-        return cls(**spec)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"faults[{index}] ({kind}): {exc}") from None
-
-
-def _parse_recovery(value: object) -> Optional[RecoveryConfig]:
-    if value is None or value is False:
-        return None
-    if value is True:
-        return RecoveryConfig()
-    if not isinstance(value, dict):
-        raise ValueError(f"recovery must be true/false/null or an object, got {value!r}")
-    allowed = {f.name for f in fields(RecoveryConfig)}
-    unknown = sorted(set(value) - allowed)
-    if unknown:
-        raise ValueError(
-            f"recovery: unknown key(s) {', '.join(unknown)}; allowed: {', '.join(sorted(allowed))}"
-        )
-    return RecoveryConfig(**value)
-
-
-def parse_faults(text: Optional[str]) -> Optional[FaultPlan]:
-    """Parse a ``--faults`` value: catalog name or JSON object.
-
-    JSON shape: ``{"faults": [{"kind": "crash", "worker": 0, "at": 10}, ...],
-    "recovery": true | false | {"retry_budget": 2, ...}}`` (``recovery``
-    defaults to on).  Returns ``None`` for blank input; raises a one-line
-    :class:`ValueError` naming the offending key otherwise.
-    """
-    if text is None or not text.strip():
-        return None
-    text = text.strip()
-    if not text.startswith("{"):
-        try:
-            return get_fault_plan(text)
-        except KeyError as exc:
-            raise ValueError(str(exc).strip("'\"")) from None
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON for --faults: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"--faults JSON must be an object, got {payload!r}")
-    unknown = sorted(set(payload) - {"faults", "recovery"})
-    if unknown:
-        raise ValueError(
-            f"--faults: unknown top-level key(s) {', '.join(unknown)}; allowed: faults, recovery"
-        )
-    raw_faults = payload.get("faults", [])
-    if not isinstance(raw_faults, list):
-        raise ValueError(f"--faults: 'faults' must be a list, got {raw_faults!r}")
-    faults = tuple(_parse_fault_entry(i, entry) for i, entry in enumerate(raw_faults))
-    recovery = _parse_recovery(payload.get("recovery", True))
-    return FaultPlan(faults=faults, recovery=recovery)

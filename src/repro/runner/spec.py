@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.experiments.harness import ExperimentScale
+from repro.runner.dimensions import DIMENSIONS
 
 #: Bump when the meaning of cached artifacts changes (training pipeline,
 #: simulator semantics, summary schema, ...) to invalidate every old entry.
@@ -200,41 +201,22 @@ class ExperimentSpec:
         against the built-in catalog (``None`` keeps the homogeneous
         ``scale.num_workers`` cluster).  A real grid dimension: it enters the
         canonical token, so cells with different fleets hash differently.
-    geo:
-        Geo topology the cell is served over: a catalog name from
-        :data:`repro.core.geo.GEO_TOPOLOGIES` or the ``--geo`` JSON form
-        (``None`` keeps the single-cluster path).  Hashes by the *resolved*
-        topology token, so a catalog name and its equivalent JSON share a
-        cache entry.
+    geo, resources, faults, autoscale, prices:
+        The name-or-JSON grid dimensions (see
+        :data:`repro.runner.dimensions.DIMENSIONS`): each is a catalog name
+        or the JSON form of its ``--<name>`` flag, validated eagerly, and
+        ``None`` keeps the feature off.  Each hashes by its *resolved*
+        object's token, so a catalog name and an equivalent JSON spelling
+        share a cache entry.  ``geo`` serves the cell over a multi-region
+        topology; ``resources`` attaches the multi-resource worker model;
+        ``faults`` injects a deterministic fault scenario; ``autoscale``
+        attaches an epoch-synchronous scale policy; ``prices`` meters the
+        fleet on a spot-market price trace.
     shards:
         Worker processes the cell's regions are packed into.  Enters the
         token deliberately even though sharding never changes results — the
         ``--shards 4`` vs ``--shards 1`` byte-identity gate must compare two
         genuinely computed cells, not one cell and its own cache hit.
-    resources:
-        Multi-resource worker model: ``"default"`` for the built-in footprint
-        catalog or the ``--resources`` JSON form (``None`` keeps the legacy
-        compute-only execution model).  Hashes by the *resolved*
-        :meth:`~repro.core.config.ResourceConfig.token`, so equivalent
-        spellings share a cache entry.
-    faults:
-        Deterministic fault scenario: a catalog name from
-        :data:`repro.faults.plan.FAULT_PLANS` or the ``--faults`` JSON form
-        (``None`` keeps runs fault-free and bit-for-bit legacy).  Hashes by
-        the *resolved* :meth:`~repro.faults.plan.FaultPlan.token`, so a
-        catalog name and its equivalent JSON share a cache entry.
-    autoscale:
-        Epoch-synchronous scale policy: a catalog name from
-        :data:`repro.core.autoscaler.SCALE_POLICIES` or the ``--autoscale``
-        JSON form (``None`` keeps the fleet fixed and bit-for-bit legacy).
-        Hashes by the *resolved*
-        :meth:`~repro.core.autoscaler.ScalePolicy.token`.
-    prices:
-        Spot-market price trace: a catalog name from
-        :data:`repro.core.pricing.PRICE_TRACES` or the ``--prices`` JSON
-        form (``None`` meters the static catalog rate).  Hashes by the
-        *resolved* :meth:`~repro.core.pricing.PriceTrace.token`, so
-        equivalent JSON spellings share a cache entry.
     """
 
     cascade: str
@@ -276,23 +258,11 @@ class ExperimentSpec:
             raise ValueError(f"shards must be an integer, got {self.shards!r}")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.geo is not None:
-            # Same eager-resolution rule as fleets: a bad topology name or
+        for name in DIMENSIONS:
+            # Same eager-resolution rule as fleets: a bad catalog name or
             # malformed JSON fails at spec construction.
-            if self.resolve_geo() is None:
-                raise ValueError("geo must be a topology name/JSON, not blank")
-        if self.resources is not None:
-            if self.resolve_resources() is None:
-                raise ValueError("resources must be 'default' or JSON, not blank")
-        if self.faults is not None:
-            if self.resolve_faults() is None:
-                raise ValueError("faults must be a catalog name or JSON, not blank")
-        if self.autoscale is not None:
-            if self.resolve_autoscale() is None:
-                raise ValueError("autoscale must be a policy name or JSON, not blank")
-        if self.prices is not None:
-            if self.resolve_prices() is None:
-                raise ValueError("prices must be a trace name or JSON, not blank")
+            if getattr(self, name) is not None and self.resolve(name) is None:
+                raise ValueError(f"{name} must be a catalog name or JSON, not blank")
 
     # ------------------------------------------------------------- builders
     def with_params(self, **params: ParamValue) -> "ExperimentSpec":
@@ -318,72 +288,29 @@ class ExperimentSpec:
 
         return fleet_from_counts(dict(self.fleet))
 
-    def resolve_geo(self):
-        """The spec's geo topology as a :class:`~repro.core.geo.GeoTopology`.
+    def resolve(self, name: str):
+        """The resolved object of name-or-JSON dimension ``name``.
 
-        ``None`` when the cell runs the single-cluster path.  Parsing and
-        validation live in :func:`~repro.core.geo.parse_geo`.
+        ``None`` when the field is unset; parsing and validation live in the
+        dimension's :meth:`~repro.runner.dimensions.Dimension.parse`.
         """
-        if self.geo is None:
-            return None
-        from repro.core.geo import parse_geo
+        text = getattr(self, name)
+        return None if text is None else DIMENSIONS[name].parse(text)
 
-        return parse_geo(self.geo)
+    def resolve_geo(self):
+        return self.resolve("geo")
 
     def resolve_resources(self):
-        """The spec's resource model as a
-        :class:`~repro.core.config.ResourceConfig`.
-
-        ``None`` when the cell runs the legacy compute-only execution model.
-        Parsing and validation live in :func:`~repro.cli.parse_resources`
-        (``"default"`` or the ``--resources`` JSON form).
-        """
-        if self.resources is None:
-            return None
-        from repro.cli import parse_resources
-
-        return parse_resources(self.resources)
+        return self.resolve("resources")
 
     def resolve_faults(self):
-        """The spec's fault scenario as a :class:`~repro.faults.plan.FaultPlan`.
-
-        ``None`` when the cell runs fault-free.  Parsing and validation live
-        in :func:`~repro.faults.plan.parse_faults` (a catalog name or the
-        ``--faults`` JSON form).
-        """
-        if self.faults is None:
-            return None
-        from repro.faults.plan import parse_faults
-
-        return parse_faults(self.faults)
+        return self.resolve("faults")
 
     def resolve_autoscale(self):
-        """The spec's scale policy as a
-        :class:`~repro.core.autoscaler.ScalePolicy`.
-
-        ``None`` when the cell runs with a fixed fleet.  Parsing and
-        validation live in :func:`~repro.core.autoscaler.parse_autoscale`
-        (a catalog name or the ``--autoscale`` JSON form).
-        """
-        if self.autoscale is None:
-            return None
-        from repro.core.autoscaler import parse_autoscale
-
-        return parse_autoscale(self.autoscale)
+        return self.resolve("autoscale")
 
     def resolve_prices(self):
-        """The spec's price trace as a
-        :class:`~repro.core.pricing.PriceTrace`.
-
-        ``None`` when the cell meters the static catalog rate.  Parsing and
-        validation live in :func:`~repro.core.pricing.parse_prices` (a
-        catalog name or the ``--prices`` JSON form).
-        """
-        if self.prices is None:
-            return None
-        from repro.core.pricing import parse_prices
-
-        return parse_prices(self.prices)
+        return self.resolve("prices")
 
     # ------------------------------------------------------------- identity
     def token(self) -> str:
@@ -403,23 +330,16 @@ class ExperimentSpec:
             "params(" + ",".join(f"{k}={_canon_token(v)}" for k, v in self.params) + ")",
             f"fleet({fleet_token})",
         ]
-        if self.geo is not None or self.shards != 1:
-            # Appended conditionally so pre-geo specs keep their v-schema
-            # token shape (the schema bump invalidates old entries anyway;
-            # this just keeps tokens minimal for the common case).
-            geo = self.resolve_geo()
-            parts.append(f"geo({'' if geo is None else geo.token()})")
-            parts.append(f"shards={self.shards}")
-        if self.resources is not None:
-            # Hash by the *resolved* canonical token so "default" and its
-            # equivalent JSON spelling share a cache entry.
-            parts.append(f"resources({self.resolve_resources().token()})")
-        if self.faults is not None:
-            parts.append(f"faults({self.resolve_faults().token()})")
-        if self.autoscale is not None:
-            parts.append(f"autoscale({self.resolve_autoscale().token()})")
-        if self.prices is not None:
-            parts.append(f"prices({self.resolve_prices().token()})")
+        for name in DIMENSIONS:
+            value = self.resolve(name)
+            if name == "geo":
+                # Appended whenever the cell is geo-served or sharded, so
+                # single-cluster specs keep their minimal token shape.
+                if value is not None or self.shards != 1:
+                    parts.append(f"geo({'' if value is None else value.token()})")
+                    parts.append(f"shards={self.shards}")
+            elif value is not None:
+                parts.append(f"{name}({value.token()})")
         return "|".join(parts)
 
     @property
@@ -443,29 +363,13 @@ class ExperimentSpec:
             bits.append(desc)
         if self.fleet is not None:
             bits.append("+".join(f"{k}x{v}" for k, v in self.fleet))
-        if self.geo is not None:
-            geo = self.geo if not self.geo.strip().startswith("{") else "geo-json"
-            bits.append(geo)
+        bits.extend(
+            dim.label(getattr(self, name))
+            for name, dim in DIMENSIONS.items()
+            if getattr(self, name) is not None
+        )
         if self.shards != 1:
             bits.append(f"shards{self.shards}")
-        if self.resources is not None:
-            bits.append(
-                "resources" if self.resources.strip().startswith("{") else self.resources
-            )
-        if self.faults is not None:
-            bits.append(
-                "faults-json" if self.faults.strip().startswith("{") else f"faults-{self.faults}"
-            )
-        if self.autoscale is not None:
-            bits.append(
-                "autoscale-json"
-                if self.autoscale.strip().startswith("{")
-                else f"autoscale-{self.autoscale}"
-            )
-        if self.prices is not None:
-            bits.append(
-                "prices-json" if self.prices.strip().startswith("{") else f"prices-{self.prices}"
-            )
         bits.extend(f"{k}={v}" for k, v in self.params)
         return "/".join(bits)
 
@@ -508,10 +412,7 @@ class ExperimentGrid:
         fleets: Sequence[Optional[Dict[str, int]]] = (None,),
         geos: Sequence[Optional[str]] = (None,),
         shards: int = 1,
-        resources: Optional[str] = None,
-        faults: Optional[str] = None,
-        autoscale: Optional[str] = None,
-        prices: Optional[str] = None,
+        **dims: Optional[str],
     ) -> "ExperimentGrid":
         """Cross product of cascades x scales (or seeds) x traces x params x fleets x geos.
 
@@ -521,13 +422,9 @@ class ExperimentGrid:
         ``geos`` entry a topology name / JSON (``None`` keeps the
         single-cluster path).  ``shards`` applies to every cell — it is an
         execution knob, not a studied dimension, so it does not fan out.
-        ``resources`` attaches the multi-resource worker model to every cell
-        (``"default"`` or the ``--resources`` JSON form; ``None`` keeps the
-        legacy execution model).  ``faults`` injects the same deterministic
-        fault scenario into every cell (a catalog name or the ``--faults``
-        JSON form; ``None`` keeps cells fault-free).  ``autoscale`` /
-        ``prices`` attach the same scale policy / price trace to every cell
-        (catalog names or JSON; ``None`` keeps fleets fixed at catalog rates).
+        Every other name-or-JSON dimension (``resources``, ``faults``,
+        ``autoscale``, ``prices``; see :data:`~repro.runner.dimensions.DIMENSIONS`)
+        is passed by keyword and attaches the same value to every cell.
         """
         if scales is None:
             base = base_scale if base_scale is not None else ExperimentScale()
@@ -545,10 +442,7 @@ class ExperimentGrid:
                 fleet=None if fleet is None else tuple(sorted(fleet.items())),
                 geo=geo,
                 shards=shards,
-                resources=resources,
-                faults=faults,
-                autoscale=autoscale,
-                prices=prices,
+                **dims,
             )
             for cascade in cascades
             for scale in scales

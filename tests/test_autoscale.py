@@ -23,8 +23,6 @@ from repro.core.autoscaler import (
     SCALE_POLICIES,
     Autoscaler,
     ScalePolicy,
-    get_scale_policy,
-    parse_autoscale,
 )
 from repro.core.config import DEVICE_CLASSES, fleet_from_counts
 from repro.core.pricing import (
@@ -32,17 +30,19 @@ from repro.core.pricing import (
     CostLedger,
     PriceSurge,
     PriceTrace,
-    get_price_trace,
-    parse_prices,
 )
 from repro.core.sharding import run_sharded
 from repro.core.system import build_diffserve_system
 from repro.experiments.harness import ExperimentScale
-from repro.faults.plan import get_fault_plan
+from repro.runner.dimensions import DIMENSIONS
 from repro.runner.spec import ExperimentSpec
 from repro.workloads import make_workload
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+AUTOSCALE = DIMENSIONS["autoscale"]
+PRICES = DIMENSIONS["prices"]
+FAULTS = DIMENSIONS["faults"]
 
 # Hypothesis settings: keep runtimes modest, silence fixture-scope warnings.
 _SETTINGS = dict(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -57,8 +57,8 @@ def elastic_system(**overrides):
         seed=3,
         replan_epoch=3.0,
         replan_policy="adaptive",
-        autoscale=get_scale_policy("cost-aware"),
-        prices=get_price_trace("spot-diurnal"),
+        autoscale=AUTOSCALE.lookup("cost-aware"),
+        prices=PRICES.lookup("spot-diurnal"),
     )
     defaults.update(overrides)
     return build_diffserve_system(**defaults)
@@ -73,20 +73,20 @@ def small_workload(**overrides):
 # ------------------------------------------------------------ policy parsing
 def test_scale_policy_catalog_and_tokens():
     for name, policy in SCALE_POLICIES.items():
-        assert get_scale_policy(name) is policy
+        assert AUTOSCALE.lookup(name) is policy
         assert policy.token().startswith(policy.kind)
     # cost-aware knobs only appear on cost-aware tokens.
     assert "risk=" in SCALE_POLICIES["cost-aware"].token()
     assert "risk=" not in SCALE_POLICIES["reactive"].token()
     with pytest.raises(KeyError, match="known policies"):
-        get_scale_policy("bogus")
+        AUTOSCALE.lookup("bogus")
 
 
 def test_parse_autoscale_accepts_named_and_json_forms():
-    assert parse_autoscale(None) is None
-    assert parse_autoscale("  ") is None
-    assert parse_autoscale("reactive") == SCALE_POLICIES["reactive"]
-    custom = parse_autoscale('{"kind": "cost-aware", "max_factor": 2.0, "step": 3}')
+    assert AUTOSCALE.parse(None) is None
+    assert AUTOSCALE.parse("  ") is None
+    assert AUTOSCALE.parse("reactive") == SCALE_POLICIES["reactive"]
+    custom = AUTOSCALE.parse('{"kind": "cost-aware", "max_factor": 2.0, "step": 3}')
     assert custom.kind == "cost-aware"
     assert custom.max_factor == 2.0
     assert custom.step == 3
@@ -102,29 +102,30 @@ def test_parse_autoscale_accepts_named_and_json_forms():
         '{"kind": "reactive", "step": 0}',
         '{"kind": "reactive", "surprise": 1}',
         '{"kind": "cost-aware", "price_ceiling": -1}',
+        '{"kind": "reactive", "kind": "cost-aware"}',
     ],
 )
 def test_parse_autoscale_rejects_bad_specs(text):
     with pytest.raises(ValueError):
-        parse_autoscale(text)
+        AUTOSCALE.parse(text)
 
 
 # ------------------------------------------------------------- price parsing
 def test_price_trace_catalog_and_tokens():
     for name, trace in PRICE_TRACES.items():
-        assert get_price_trace(name) is trace
+        assert PRICES.lookup(name) is trace
     assert PRICE_TRACES["flat"].token() == "od=1"
     storm = PRICE_TRACES["spot-storm"].token()
     assert "spot[a10g+l4+t4]" in storm and "surges[" in storm
     with pytest.raises(KeyError, match="known traces"):
-        get_price_trace("bogus")
+        PRICES.lookup("bogus")
 
 
 def test_parse_prices_accepts_named_and_json_forms():
-    assert parse_prices(None) is None
-    assert parse_prices("") is None
-    assert parse_prices("spot-calm") == PRICE_TRACES["spot-calm"]
-    custom = parse_prices(
+    assert PRICES.parse(None) is None
+    assert PRICES.parse("") is None
+    assert PRICES.parse("spot-calm") == PRICE_TRACES["spot-calm"]
+    custom = PRICES.parse(
         '{"spot_classes": ["t4", "l4"], "volatility": 0.2,'
         ' "surges": [{"at": 5, "duration": 10, "factor": 2}]}'
     )
@@ -144,15 +145,16 @@ def test_parse_prices_accepts_named_and_json_forms():
         '{"surges": [{"at": -1, "duration": 5}]}',
         '{"surges": [{"at": 1, "duration": 5, "factor": 0.5}]}',
         '{"mystery": 1}',
+        '{"surges": [{"at": 1, "duration": 5, "at": 2}]}',
     ],
 )
 def test_parse_prices_rejects_bad_specs(text):
     with pytest.raises(ValueError):
-        parse_prices(text)
+        PRICES.parse(text)
 
 
 def test_spot_prices_are_deterministic_discounted_and_surge_scaled():
-    trace = get_price_trace("spot-storm")
+    trace = PRICES.lookup("spot-storm")
     od = DEVICE_CLASSES["l4"].cost_per_hour
     assert trace.on_demand_price("l4") == od
     assert trace.price("a100", 123.0) == DEVICE_CLASSES["a100"].cost_per_hour
@@ -174,36 +176,6 @@ def test_spot_prices_are_deterministic_discounted_and_surge_scaled():
 
 
 # --------------------------------------------- token / cache-key equivalence
-@given(
-    volatility=st.floats(min_value=0.0, max_value=0.9, allow_nan=False),
-    period=st.floats(min_value=1.0, max_value=1e4, allow_nan=False),
-    seed=st.integers(min_value=0, max_value=2**16),
-    spot=st.lists(st.sampled_from(sorted(DEVICE_CLASSES)), unique=True, max_size=4),
-)
-@settings(**_SETTINGS)
-def test_price_trace_json_spellings_share_one_cache_entry(volatility, period, seed, spot):
-    """Equivalent ``--prices`` JSON spellings hash to one runner cache token."""
-    import json
-
-    payload = {
-        "volatility": volatility,
-        "period": period,
-        "seed": seed,
-        "spot_classes": spot,
-    }
-    scrambled = {
-        "spot_classes": list(reversed(spot)),
-        "seed": seed,
-        "period": period,
-        "volatility": volatility,
-    }
-    scale = ExperimentScale()
-    a = ExperimentSpec(cascade="sdturbo", scale=scale, prices=json.dumps(payload))
-    b = ExperimentSpec(cascade="sdturbo", scale=scale, prices=json.dumps(scrambled))
-    assert parse_prices(json.dumps(payload)).token() == parse_prices(json.dumps(scrambled)).token()
-    assert a.token() == b.token()
-
-
 def test_spec_token_includes_autoscale_and_prices():
     scale = ExperimentScale()
     bare = ExperimentSpec(cascade="sdturbo", scale=scale)
@@ -260,7 +232,7 @@ def test_cost_ledger_conservation(times, counts):
 
 
 def test_cost_ledger_observe_resamples_spot_prices():
-    trace = get_price_trace("spot-diurnal")
+    trace = PRICES.lookup("spot-diurnal")
     fleet = fleet_from_counts({"l4": 2})
     ledger = CostLedger(trace)
     ledger.transition(fleet, 0.0)
@@ -350,7 +322,7 @@ def test_fenced_worker_cannot_be_reactivated_by_scale_out():
 
 
 def test_static_policy_never_scales():
-    system = elastic_system(autoscale=get_scale_policy("static"))
+    system = elastic_system(autoscale=AUTOSCALE.lookup("static"))
     runtime = system.prepare()
     scaler = runtime.replanner.autoscaler
     assert scaler.evaluate(now=3.0, arrival_rate=1e9, violation_ratio=1.0) is None
@@ -364,7 +336,7 @@ def test_autoscale_requires_replan_control_plane():
             fleet=fleet_from_counts({"a100": 2}),
             dataset_size=100,
             seed=0,
-            autoscale=get_scale_policy("reactive"),
+            autoscale=AUTOSCALE.lookup("reactive"),
         ).prepare()
 
 
@@ -384,8 +356,8 @@ def test_revocation_run_costs_less_than_quiet_twin():
         )
         return system.run(small_workload()).summary()
 
-    quiet = run(get_fault_plan("quiet"))
-    revoked = run(get_fault_plan("revocation"))
+    quiet = run(FAULTS.lookup("quiet"))
+    revoked = run(FAULTS.lookup("revocation"))
     assert revoked["fleet_cost"] < quiet["fleet_cost"], (
         "a revocation-shrunk fleet must charge less than its quiet twin"
     )

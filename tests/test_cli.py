@@ -178,6 +178,8 @@ def test_workload_params_matching_no_selected_workload_are_rejected():
 def test_parse_workload_params_rejects_duplicate_keys():
     with pytest.raises(ValueError, match="duplicate workload param"):
         cli.parse_workload_params("burst_factor=2,burst_factor=9")
+    with pytest.raises(ValueError, match="--workload-params JSON: duplicate key 'burst_factor'"):
+        cli.parse_workload_params('{"burst_factor": 2, "burst_factor": 9}')
 
 
 def test_parse_workload_params_accepts_json_object():
@@ -238,6 +240,8 @@ def test_parse_fleet_rejects_bad_input_with_one_line_errors():
         cli.parse_fleet("b200=4")
     with pytest.raises(ValueError, match="malformed JSON for --fleet"):
         cli.parse_fleet('{"a100": }')
+    with pytest.raises(ValueError, match="--fleet JSON: duplicate key 'a100'"):
+        cli.parse_fleet('{"a100": 8, "a100": 4}')
     with pytest.raises(ValueError, match="count must be >= 1"):
         cli.parse_fleet("a100=0")
 

@@ -30,19 +30,19 @@ from repro.faults.plan import (
     FaultPlan,
     RecoveryConfig,
     RegionPartition,
-    SolverTimeout,
     SpotRevocation,
     StragglerSlowdown,
     WorkerCrash,
-    get_fault_plan,
-    parse_faults,
 )
 from repro.faults.plan_store import PlanStore
+from repro.runner.dimensions import DIMENSIONS
 from repro.runner.executor import canonical_summaries_json
 from repro.simulator.rng import RandomStreams
 from repro.workloads import make_workload
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+FAULTS = DIMENSIONS["faults"]
 
 # Hypothesis settings: keep runtimes modest (each example is a full
 # simulation), silence fixture-scope warnings.
@@ -79,42 +79,42 @@ def run_prepared(system, workload, *, duration=None):
 # ------------------------------------------------------------------- parsing
 def test_catalog_names_parse():
     for name in FAULT_PLANS:
-        plan = parse_faults(name)
+        plan = FAULTS.parse(name)
         assert isinstance(plan, FaultPlan)
-        assert plan is get_fault_plan(name)
+        assert plan is FAULTS.lookup(name)
 
 
 def test_blank_parses_to_none():
-    assert parse_faults(None) is None
-    assert parse_faults("") is None
-    assert parse_faults("   ") is None
+    assert FAULTS.parse(None) is None
+    assert FAULTS.parse("") is None
+    assert FAULTS.parse("   ") is None
 
 
 def test_unknown_catalog_name_is_one_line_error():
     with pytest.raises(ValueError, match="unknown fault plan 'nope'"):
-        parse_faults("nope")
+        FAULTS.parse("nope")
 
 
 def test_malformed_json_is_one_line_error():
     with pytest.raises(ValueError, match="malformed JSON for --faults"):
-        parse_faults('{"faults": [')
+        FAULTS.parse('{"faults": [')
 
 
 def test_unknown_fault_kind_names_the_kind():
     with pytest.raises(ValueError, match="meteor"):
-        parse_faults('{"faults": [{"kind": "meteor", "at": 1.0}]}')
+        FAULTS.parse('{"faults": [{"kind": "meteor", "at": 1.0}]}')
 
 
 def test_unknown_fault_key_names_the_key():
     with pytest.raises(ValueError, match="worker_idx"):
-        parse_faults('{"faults": [{"kind": "crash", "worker_idx": 0, "at": 1.0}]}')
+        FAULTS.parse('{"faults": [{"kind": "crash", "worker_idx": 0, "at": 1.0}]}')
 
 
 def test_out_of_range_param_names_the_key():
     with pytest.raises(ValueError, match="at"):
-        parse_faults('{"faults": [{"kind": "crash", "worker": 0, "at": -5}]}')
+        FAULTS.parse('{"faults": [{"kind": "crash", "worker": 0, "at": -5}]}')
     with pytest.raises(ValueError, match="factor"):
-        parse_faults(
+        FAULTS.parse(
             '{"faults": [{"kind": "straggler", "worker": 0, "at": 1, '
             '"duration": 5, "factor": 0.5}]}'
         )
@@ -122,18 +122,21 @@ def test_out_of_range_param_names_the_key():
 
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ValueError, match="banana"):
-        parse_faults('{"faults": [], "banana": 1}')
+        FAULTS.parse('{"faults": [], "banana": 1}')
 
 
 def test_recovery_spellings():
-    on = parse_faults('{"faults": [], "recovery": true}')
+    on = FAULTS.parse('{"faults": [], "recovery": true}')
     assert on.recovery == RecoveryConfig()
-    off = parse_faults('{"faults": [], "recovery": false}')
+    off = FAULTS.parse('{"faults": [], "recovery": false}')
     assert off.recovery is None
-    tuned = parse_faults('{"faults": [], "recovery": {"retry_budget": 5}}')
+    tuned = FAULTS.parse('{"faults": [], "recovery": {"retry_budget": 5}}')
     assert tuned.recovery.retry_budget == 5
     with pytest.raises(ValueError, match="retry_allowance"):
-        parse_faults('{"faults": [], "recovery": {"retry_allowance": 5}}')
+        FAULTS.parse('{"faults": [], "recovery": {"retry_allowance": 5}}')
+    # A repeated key must not silently keep the last spelling.
+    with pytest.raises(ValueError, match="duplicate key 'recovery'"):
+        FAULTS.parse('{"faults": [], "recovery": false, "recovery": true}')
 
 
 def test_fault_param_validation():
@@ -159,8 +162,8 @@ def test_tokens_are_canonical():
 
 
 def test_json_spelling_shares_catalog_token():
-    json_plan = parse_faults('{"faults": [{"kind": "crash", "worker": 1, "at": 8.0}]}')
-    assert json_plan.token() == get_fault_plan("crash").token()
+    json_plan = FAULTS.parse('{"faults": [{"kind": "crash", "worker": 1, "at": 8.0}]}')
+    assert json_plan.token() == FAULTS.lookup("crash").token()
 
 
 def test_spec_token_includes_resolved_faults():
@@ -171,7 +174,7 @@ def test_spec_token_includes_resolved_faults():
     bare = ExperimentSpec(cascade="sdturbo", scale=scale)
     assert "faults(" not in bare.token()
     spec = ExperimentSpec(cascade="sdturbo", scale=scale, faults="crash")
-    assert f"faults({get_fault_plan('crash').token()})" in spec.token()
+    assert f"faults({FAULTS.lookup('crash').token()})" in spec.token()
     json_spec = ExperimentSpec(
         cascade="sdturbo",
         scale=scale,
@@ -218,7 +221,7 @@ def test_faults_none_matches_pr7_golden():
 def test_quiet_plan_matches_faults_none_summary():
     """Arming recovery with zero faults must not perturb a healthy run."""
     baseline = small_system().run(small_workload()).summary()
-    quiet = small_system(faults=get_fault_plan("quiet")).run(small_workload()).summary()
+    quiet = small_system(faults=FAULTS.lookup("quiet")).run(small_workload()).summary()
     assert canonical_summaries_json({"s": quiet}) == canonical_summaries_json({"s": baseline})
 
 
@@ -232,8 +235,8 @@ def test_fault_runs_deterministic_serial_vs_sharded(plan_name):
     drawn from the sim's named ``faults`` stream — a pure function of the
     seed, so sharding cannot perturb it.
     """
-    serial = small_system(faults=get_fault_plan(plan_name)).run(small_workload())
-    sharded = run_sharded(small_system(faults=get_fault_plan(plan_name)), small_workload())
+    serial = small_system(faults=FAULTS.lookup(plan_name)).run(small_workload())
+    sharded = run_sharded(small_system(faults=FAULTS.lookup(plan_name)), small_workload())
     assert canonical_summaries_json({"s": sharded.summary()}) == canonical_summaries_json(
         {"s": serial.summary()}
     )
@@ -248,7 +251,7 @@ def test_fault_runs_deterministic_across_repeats(seed, plan_name):
     """Hypothesis: any (seed, plan) pair reproduces byte-identically."""
 
     def once():
-        system = small_system(faults=get_fault_plan(plan_name), seed=seed, dataset_size=60)
+        system = small_system(faults=FAULTS.lookup(plan_name), seed=seed, dataset_size=60)
         return system.run(make_workload("static", duration=20.0, qps=5.0, seed=seed)).summary()
 
     assert canonical_summaries_json({"s": once()}) == canonical_summaries_json({"s": once()})
@@ -262,7 +265,7 @@ def test_retries_conserve_query_count():
     # Generous horizon so retried queries resolve before the run ends.
     horizon = trace.duration + 30.0
     runtime, source, result = run_prepared(
-        small_system(faults=get_fault_plan("storm")), trace, duration=horizon
+        small_system(faults=FAULTS.lookup("storm")), trace, duration=horizon
     )
     summary = result.summary()
     assert runtime.load_balancer.requeues > 0, "storm should exercise the retry path"
@@ -277,7 +280,7 @@ def test_retries_conserve_query_count():
 
 def test_backoff_delays_monotone_per_query():
     runtime, _, _ = run_prepared(
-        small_system(faults=get_fault_plan("storm")), small_workload()
+        small_system(faults=FAULTS.lookup("storm")), small_workload()
     )
     log = runtime.load_balancer.retry_log
     assert log, "storm should schedule retries"
@@ -310,7 +313,7 @@ def test_retry_budget_bounds_requeues(budget):
 # -------------------------------------------------- graceful degradation
 def test_unmitigated_crash_degrades_gracefully():
     """A mid-epoch crash with recovery off costs queries, never the run."""
-    result = small_system(faults=get_fault_plan("crash-norecovery")).run(small_workload())
+    result = small_system(faults=FAULTS.lookup("crash-norecovery")).run(small_workload())
     summary = result.summary()
     assert summary["completed"] > 0
     assert summary["dropped"] > 0  # the orphaned in-flight work is accounted
@@ -320,8 +323,8 @@ def test_unmitigated_crash_degrades_gracefully():
 def test_recovery_beats_norecovery_under_storm():
     """The chaos experiment's headline, at unit-test scale."""
     fleet = FleetSpec.homogeneous(6)
-    on = small_system(faults=get_fault_plan("storm"), fleet=fleet).run(small_workload())
-    off = small_system(faults=get_fault_plan("storm-norecovery"), fleet=fleet).run(
+    on = small_system(faults=FAULTS.lookup("storm"), fleet=fleet).run(small_workload())
+    off = small_system(faults=FAULTS.lookup("storm-norecovery"), fleet=fleet).run(
         small_workload()
     )
     assert on.summary()["slo_violation_ratio"] <= off.summary()["slo_violation_ratio"] + 1e-9
@@ -329,7 +332,7 @@ def test_recovery_beats_norecovery_under_storm():
 
 
 def test_revocation_notice_drains_before_kill():
-    system = small_system(faults=get_fault_plan("revocation"))
+    system = small_system(faults=FAULTS.lookup("revocation"))
     workload = small_workload()
     runtime, _, result = run_prepared(system, workload)
     injector = next(a for a in runtime.sim.actors if a.name == "fault-injector")
@@ -339,7 +342,7 @@ def test_revocation_notice_drains_before_kill():
 
 def test_solver_timeout_degrades_to_last_known_good():
     runtime, _, result = run_prepared(
-        small_system(faults=get_fault_plan("solver-timeout")), small_workload()
+        small_system(faults=FAULTS.lookup("solver-timeout")), small_workload()
     )
     # The plan store recalled at least one last-known-good plan...
     assert runtime.controller.plan_store is not None
@@ -413,7 +416,7 @@ def test_plan_store_recall_does_not_mutate_recorded_plan():
 def test_partition_fault_validated():
     with pytest.raises(ValueError):
         RegionPartition(region="", at=1.0, duration=5.0)
-    plan = parse_faults(
+    plan = FAULTS.parse(
         '{"faults": [{"kind": "partition", "region": "eu", "at": 1.0, "duration": 5.0}]}'
     )
     assert isinstance(plan.faults[0], RegionPartition)
@@ -486,7 +489,7 @@ def test_chunk_size_and_profiler_are_summary_neutral_faulted():
     workload = make_workload("static", duration=20.0, qps=5.0, seed=3)
 
     def run(**fields):
-        system = dataclasses.replace(small_system(faults=get_fault_plan("storm")), **fields)
+        system = dataclasses.replace(small_system(faults=FAULTS.lookup("storm")), **fields)
         return canonical_summaries_json({"s": system.run(workload).summary()})
 
     reference = run()

@@ -4,15 +4,16 @@ The multi-resource refactor must not move a single number for configs that
 do not attach a :class:`ResourceConfig` — the golden summaries below were
 captured on the pre-refactor tree and every release must reproduce them
 exactly (no tolerances).  Also covers the ``resources`` grid dimension of the
-cached runner (schema v7) and ``parse_resources`` error surfaces.
+cached runner (schema v7) and the ``--resources`` parse error surfaces.
 """
 
 import pytest
 
-from repro.cli import parse_grid, parse_resources
+from repro.cli import parse_grid
 from repro.core.config import FleetSpec, ResourceConfig, fleet_from_counts
 from repro.core.system import build_diffserve_system
 from repro.experiments.harness import ExperimentScale
+from repro.runner.dimensions import DIMENSIONS
 from repro.runner.spec import CACHE_SCHEMA_VERSION, ExperimentGrid, ExperimentSpec
 from repro.workloads import make_workload
 
@@ -133,12 +134,12 @@ def test_grid_product_threads_resources():
 
 # ------------------------------------------------------------- CLI parsing
 def test_parse_resources_accepts_named_and_json_forms():
-    assert parse_resources("default") == ResourceConfig.default()
-    assert parse_resources("oblivious") == ResourceConfig.default(reload_aware=False)
-    custom = parse_resources('{"sd-turbo": 30, "sd-v1.5": 60, "reload_aware": false}')
+    assert DIMENSIONS["resources"].parse("default") == ResourceConfig.default()
+    assert DIMENSIONS["resources"].parse("oblivious") == ResourceConfig.default(reload_aware=False)
+    custom = DIMENSIONS["resources"].parse('{"sd-turbo": 30, "sd-v1.5": 60, "reload_aware": false}')
     assert not custom.reload_aware
     assert custom.footprint_for("sd-turbo").weights_gb == 30.0
-    with_egress = parse_resources('{"sd-turbo": 5, "egress_gb_per_image": 0.01}')
+    with_egress = DIMENSIONS["resources"].parse('{"sd-turbo": 5, "egress_gb_per_image": 0.01}')
     assert with_egress.footprint_for("sd-turbo").egress_gb_per_image == 0.01
 
 
@@ -151,8 +152,16 @@ def test_parse_resources_accepts_named_and_json_forms():
         '{"sd-turbo": -3}',
         '{"reload_aware": "yes"}',
         '{"egress_gb_per_image": "big"}',
+        '{"sd-turbbo": 30}',
+        '{"sd-turbo": 30, "sd-turbo": 5}',
     ],
 )
 def test_parse_resources_rejects_bad_specs(text):
     with pytest.raises(ValueError):
-        parse_resources(text)
+        DIMENSIONS["resources"].parse(text)
+
+
+def test_parse_resources_names_an_unknown_variant():
+    # A typo must not add an unused footprint and leave the real one alone.
+    with pytest.raises(ValueError, match="unknown variant 'sd-turbbo'; known variants: .*sd-turbo"):
+        DIMENSIONS["resources"].parse('{"sd-turbbo": 30}')

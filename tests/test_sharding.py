@@ -15,8 +15,6 @@ from repro.core.geo import (
     GeoRouter,
     GeoTopology,
     RegionSpec,
-    get_topology,
-    parse_geo,
     sample_origins,
 )
 from repro.core.results import ColumnStore
@@ -28,10 +26,13 @@ from repro.core.sharding import (
     run_sharded,
 )
 from repro.core.system import build_diffserve_system
+from repro.runner.dimensions import DIMENSIONS
 from repro.runner.executor import canonical_summaries_json
 from repro.workloads import make_workload
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+GEO = DIMENSIONS["geo"]
 
 
 def small_system(**overrides):
@@ -223,19 +224,19 @@ def test_topology_token_is_order_independent():
 
 def test_catalog_topologies_are_well_formed():
     for name in ("single", "us-eu", "global-4", "global-8"):
-        topology = get_topology(name)
+        topology = GEO.lookup(name)
         assert topology.total_workers > 0
         assert topology.total_capacity_units > 0
     assert len(GEO_TOPOLOGIES["global-8"]) == 8
     with pytest.raises(KeyError):
-        get_topology("atlantis")
+        GEO.lookup("atlantis")
 
 
 def test_parse_geo_catalog_json_and_errors():
-    assert parse_geo(None) is None
-    assert parse_geo("  ") is None
-    assert parse_geo("us-eu") is get_topology("us-eu")
-    parsed = parse_geo(
+    assert GEO.parse(None) is None
+    assert GEO.parse("  ") is None
+    assert GEO.parse("us-eu") is GEO.lookup("us-eu")
+    parsed = GEO.parse(
         '{"us": {"fleet": {"a100": 4}, "rtt_ms": 15}, "eu": {"fleet": {"l4": 8}, "weight": 0.5}}'
     )
     assert parsed.names == ("eu", "us")
@@ -250,9 +251,10 @@ def test_parse_geo_catalog_json_and_errors():
         '{"us": {"fleet": {"a100": 4}, "color": "red"}}',
         '{"us": {"fleet": {"a100": 4}, "rtt_ms": true}}',
         '{"us": {"fleet": {"warp-drive": 4}}}',
+        '{"us": {"fleet": {"a100": 4}}, "us": {"fleet": {"l4": 8}}}',
     ):
         with pytest.raises(ValueError):
-            parse_geo(bad)
+            GEO.parse(bad)
 
 
 def test_sample_origins_deterministic_and_weighted():
