@@ -11,7 +11,7 @@ Two halves, mirroring the chaos benchmark's correctness/speed split:
   ``benchmarks/compare.py`` gates across runs; a single-shot wall-clock
   ratio is too noisy to assert here.
 
-* **Dominance claims:** :func:`repro.experiments.autoscale.run_autoscale`
+* **Dominance claims:** :func:`repro.experiments.studies.run_study`
   re-runs the elastic-fleet study at bench scale and asserts the acceptance
   criterion: under the diurnal workload on the diurnal spot market, the
   cost-aware policy strictly dominates the fixed equal-peak-cost fleet on
@@ -23,7 +23,7 @@ import time
 
 from repro.core.config import FleetSpec
 from repro.core.system import ClientSource, build_diffserve_system
-from repro.experiments.autoscale import run_autoscale
+from repro.experiments.studies import STUDIES, run_study
 from repro.workloads import make_workload
 
 #: Cell the overhead measurement times (matches the autoscale experiment shape).
@@ -79,19 +79,20 @@ def test_bench_autoscale(benchmark):
     benchmark.extra_info["gated_autoscale_throughput_ratio"] = round(1.0 / slowdown, 3)
 
     # Dominance claims at bench scale (cached by the runner on repeats).
-    result = run_autoscale()
-    fixed = result.arm("diurnal", "fixed")
-    aware = result.arm("diurnal", "cost-aware")
-    benchmark.extra_info["fixed_cost_a100h"] = round(fixed.cost, 5)
-    benchmark.extra_info["cost_aware_cost_a100h"] = round(aware.cost, 5)
-    benchmark.extra_info["fixed_slo_violation"] = round(fixed.violation, 4)
-    benchmark.extra_info["cost_aware_slo_violation"] = round(aware.violation, 4)
+    result = run_study(STUDIES["autoscale"])
+    fixed = result.summary("diurnal", "fixed")
+    aware = result.summary("diurnal", "cost-aware")
+    benchmark.extra_info["fixed_cost_a100h"] = round(fixed["fleet_cost"], 5)
+    benchmark.extra_info["cost_aware_cost_a100h"] = round(aware["fleet_cost"], 5)
+    benchmark.extra_info["fixed_slo_violation"] = round(fixed["slo_violation_ratio"], 4)
+    benchmark.extra_info["cost_aware_slo_violation"] = round(aware["slo_violation_ratio"], 4)
     # Higher is better for the gate: fractional saving vs. the fixed fleet.
     benchmark.extra_info["gated_cost_aware_saving"] = round(
-        result.savings("diurnal", "cost-aware"), 3
+        result.saving("diurnal", "cost-aware"), 3
     )
-    assert result.cost_aware_dominates("diurnal"), (
+    assert result.holds("cost-aware", "diurnal"), (
         "cost-aware autoscaling fails to dominate the fixed fleet: "
-        f"cost-aware (cost={aware.cost:.5f}, viol={aware.violation:.4f}) vs "
-        f"fixed (cost={fixed.cost:.5f}, viol={fixed.violation:.4f})"
+        f"cost-aware (cost={aware['fleet_cost']:.5f}, "
+        f"viol={aware['slo_violation_ratio']:.4f}) vs "
+        f"fixed (cost={fixed['fleet_cost']:.5f}, viol={fixed['slo_violation_ratio']:.4f})"
     )

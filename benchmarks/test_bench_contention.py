@@ -11,7 +11,7 @@ Two halves, mirroring the shard benchmark's correctness/speed split:
   run fires *more* events (transfer completions, egress deliveries), so
   events/sec is the fair unit.
 
-* **Planning claims:** :func:`repro.experiments.contention.run_contention`
+* **Planning claims:** :func:`repro.experiments.studies.run_study`
   re-runs the contention experiment at bench scale and asserts both paper
   claims: reload-aware plans Pareto-dominate reload-oblivious plans on the
   SLO plane under flash-crowd replanning when checkpoints cannot co-reside,
@@ -22,7 +22,7 @@ import time
 
 from repro.core.config import FleetSpec, ResourceConfig
 from repro.core.system import ClientSource, build_diffserve_system
-from repro.experiments.contention import run_contention
+from repro.experiments.studies import STUDIES, run_study
 from repro.workloads import make_workload
 
 #: Cell the overhead measurement times (matches the contention experiment shape).
@@ -73,16 +73,18 @@ def test_bench_contention(benchmark):
     benchmark.extra_info["gated_stage_machine_throughput_ratio"] = round(1.0 / slowdown, 3)
 
     # Planning claims at bench scale (cached by the runner on repeats).
-    result = run_contention()
-    contended = result.arm("contended", "aware")
-    oblivious = result.arm("contended", "oblivious")
-    benchmark.extra_info["aware_slo_violation"] = round(contended.violation, 4)
-    benchmark.extra_info["oblivious_slo_violation"] = round(oblivious.violation, 4)
-    assert result.reload_aware_dominates(), (
+    result = run_study(STUDIES["contention"])
+    contended = result.summary("contended", "aware")
+    oblivious = result.summary("contended", "oblivious")
+    benchmark.extra_info["aware_slo_violation"] = round(contended["slo_violation_ratio"], 4)
+    benchmark.extra_info["oblivious_slo_violation"] = round(oblivious["slo_violation_ratio"], 4)
+    assert result.holds("reload-aware"), (
         "reload-aware plan fails to dominate: "
-        f"aware (viol={contended.violation:.4f}, p99={contended.p99:.3f}) vs "
-        f"oblivious (viol={oblivious.violation:.4f}, p99={oblivious.p99:.3f})"
+        f"aware (viol={contended['slo_violation_ratio']:.4f}, "
+        f"p99={contended['p99_latency']:.3f}) vs "
+        f"oblivious (viol={oblivious['slo_violation_ratio']:.4f}, "
+        f"p99={oblivious['p99_latency']:.3f})"
     )
-    assert result.coplacement_neutralizes(), (
+    assert result.holds("co-placement"), (
         "co-placement pinning no longer neutralizes reloads in the co-fit scenario"
     )

@@ -23,7 +23,7 @@ from repro.core.allocator import ControlContext, DiffServeAllocator
 from repro.core.config import FleetSpec, fleet_from_counts
 from repro.discriminators.deferral import DeferralProfile
 from repro.experiments.harness import shared_components
-from repro.experiments.heterogeneity import run_heterogeneity
+from repro.experiments.studies import FLEET_COST_TOLERANCE, STUDIES, run_study
 
 #: A ramp wide enough that the optimal plan keeps shifting while staying
 #: feasible on both fleets.
@@ -83,22 +83,21 @@ def test_bench_heterogeneous_milp_within_2x_of_homogeneous(benchmark, bench_scal
 
 def test_bench_fleet_study_mixed_fleet_matches_or_dominates(benchmark, bench_scale):
     result = benchmark.pedantic(
-        run_heterogeneity, kwargs={"scale": bench_scale}, iterations=1, rounds=1
+        run_study, args=(STUDIES["fleet"],), kwargs={"scale": bench_scale}, iterations=1, rounds=1
     )
     # Equal-cost sanity: every arm's fleet cost is within tolerance of the
-    # reference (enforced by resolve_fleets; re-checked on the results).
-    for arms in result.arms.values():
-        ref_cost = arms[result.reference].cost
-        for arm in arms.values():
-            assert abs(arm.cost - ref_cost) / ref_cost <= 0.07
+    # reference (enforced by check_equal_cost; re-checked on the results).
+    for (kind, _), summary in result.summaries.items():
+        ref_cost = result.summary(kind, result.reference(kind))["fleet_cost"]
+        assert abs(summary["fleet_cost"] - ref_cost) / ref_cost <= FLEET_COST_TOLERANCE
     # The headline: some mixed fleet matches or Pareto-dominates the
     # homogeneous reference on at least one workload.
-    dominated = {kind: result.dominating_mixed_fleets(kind) for kind in result.arms}
+    dominated = {kind: result.winners(kind) for kind in result.groups()}
     assert any(winners for winners in dominated.values()), dominated
     # And a mixed fleet sits on every workload's (violation, FID) front
     # alongside (or instead of) the reference on the bursty workload.
     assert any(
-        name != result.reference
-        for kind in result.arms
-        for name in result.pareto_front(kind)
+        name != result.reference(kind)
+        for kind in result.groups()
+        for name in result.front(kind)
     )

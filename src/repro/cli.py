@@ -21,12 +21,10 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments import (
-    autoscale,
-    chaos,
-    contention,
     drift_adaptation,
     fig1_motivation,
     fig1_pareto,
@@ -36,10 +34,9 @@ from repro.experiments import (
     fig7_discriminator,
     fig8_allocation_ablation,
     fig9_slo_sensitivity,
-    geo_scale,
-    heterogeneity,
     milp_overhead,
     reuse_study,
+    studies,
 )
 from repro.experiments.harness import ExperimentScale
 from repro.runner.dimensions import DIMENSIONS, decode_json_object
@@ -57,26 +54,10 @@ EXPERIMENTS: Dict[str, tuple] = {
     "milp": ("Section 4.5 MILP solver overhead", milp_overhead.main),
     "reuse": ("Section 5 reuse study", reuse_study.main),
     "drift": ("Drift adaptation: static vs. online re-planned plans", drift_adaptation.main),
-    "fleet": (
-        "Heterogeneous fleets: homogeneous vs. mixed at equal aggregate cost",
-        heterogeneity.main,
-    ),
-    "geo": (
-        "Geo-scale serving: multi-region topologies through the shard supervisor",
-        geo_scale.main,
-    ),
-    "contention": (
-        "Reload/inference contention: reload-aware vs. reload-oblivious plans",
-        contention.main,
-    ),
-    "chaos": (
-        "Fault injection: self-healing recovery vs. unmitigated faults",
-        chaos.main,
-    ),
-    "autoscale": (
-        "Elastic fleets: fixed vs. reactive vs. cost-aware autoscaling on spot markets",
-        autoscale.main,
-    ),
+    **{
+        name: (study.description, partial(studies.main, name))
+        for name, study in studies.STUDIES.items()
+    },
 }
 
 

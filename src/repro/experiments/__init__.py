@@ -1,9 +1,12 @@
-"""Experiment runners: one module per paper figure/table.
+"""Experiment runners: the paper's figures/tables and the declarative studies.
 
-Every module exposes a ``run_*`` function returning a structured result
-object and a ``main()`` that prints the corresponding table.  The benchmark
-harness under ``benchmarks/`` calls the ``run_*`` functions with reduced
-problem sizes; the examples call them at full scale.
+Each figure/table module exposes a ``run_*`` function returning a structured
+result object and a ``main()`` that prints the corresponding table.  The
+fleet, geo, contention, chaos and autoscale studies are records of
+:data:`repro.experiments.studies.STUDIES`, served by one ``run_study`` and
+printed by one ``main(name)``.  The benchmark harness under ``benchmarks/``
+calls these runners with reduced problem sizes; the examples call them at
+full scale.
 """
 
 from repro.experiments.harness import (

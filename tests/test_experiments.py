@@ -116,3 +116,51 @@ def test_reuse_study_matches_paper_direction():
     assert abs(result.fid_change("sdturbo")) < 0.3
     # SDXS latents are not: FID increases noticeably (paper: 18.55 -> 19.75).
     assert result.fid_change("sdxs") > 0.3
+
+
+def _fake_grid(monkeypatch, summaries, status="ok"):
+    """Serve ``run_grid`` from canned per-cell summaries, in grid order."""
+    from repro.runner import executor
+
+    def run_grid(grid, **kwargs):
+        cells = [
+            executor.CellResult(spec=spec, status=status, summaries={"diffserve": summary})
+            for spec, summary in zip(grid, summaries)
+        ]
+        return executor.GridReport(cells=cells)
+
+    monkeypatch.setattr(executor, "run_grid", run_grid)
+
+
+def test_study_with_failed_cells_raises_one_error(monkeypatch):
+    from repro.experiments.studies import STUDIES, run_study
+
+    _fake_grid(monkeypatch, [{}] * 3, status="error")
+    with pytest.raises(RuntimeError, match=r"^chaos study cells failed: .*: error; .*: error"):
+        run_study(STUDIES["chaos"])
+
+
+def test_fleet_study_verdicts_name_winners_and_front(monkeypatch, capsys):
+    from repro.experiments import studies
+
+    def arm(violation, fid):
+        return {
+            "slo_violation_ratio": violation,
+            "fid": fid,
+            "p99_latency": 4.0,
+            "fleet_cost": 1.0,
+        }
+
+    # mmpp: h100+l4 ties the reference on violation and wins on FID; diurnal:
+    # every mixed fleet trades one objective for the other.
+    _fake_grid(
+        monkeypatch,
+        [arm(0.02, 20.0), arm(0.02, 19.0), arm(0.03, 21.0)]
+        + [arm(0.02, 20.0), arm(0.03, 19.0), arm(0.01, 21.0)],
+    )
+    output = studies.main("fleet")
+    capsys.readouterr()
+    assert output.splitlines()[-2:] == [
+        "mmpp: mixed fleet(s) h100+l4 match or Pareto-dominate a100x16 at equal aggregate cost",
+        "diurnal: no mixed fleet dominates a100x16; front = a100+l4, a100x16, h100+l4",
+    ]

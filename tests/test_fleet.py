@@ -412,21 +412,25 @@ def test_mixed_fleet_simulation_end_to_end(coco_dataset, trained_discriminator, 
 # --------------------------------------------------------------- fleet study
 def test_heterogeneity_study_is_deterministic_and_serial_equals_pool(tmp_path, monkeypatch):
     import json
+    from dataclasses import replace
 
     from repro.experiments.harness import ExperimentScale
-    from repro.experiments.heterogeneity import run_heterogeneity
+    from repro.experiments.studies import STUDIES, Arm, run_study
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     scale = ExperimentScale(dataset_size=60, trace_duration=12.0, num_workers=2, seed=0)
-    fleets = (("a100x2", {"a100": 2}), ("mix", {"a100": 1, "l4": 3}))
+    study = replace(
+        STUDIES["fleet"],
+        arms=(
+            Arm(("mmpp", "a100x2"), {"workload": "mmpp", "fleet": (("a100", 2),)}),
+            Arm(("mmpp", "mix"), {"workload": "mmpp", "fleet": (("a100", 1), ("l4", 3))}),
+        ),
+    )
 
     def snapshot(jobs, use_cache):
-        result = run_heterogeneity(
-            scale=scale, fleets=fleets, workloads=("mmpp",), qps=4.0,
-            jobs=jobs, use_cache=use_cache,
-        )
+        result = run_study(study, scale=scale, jobs=jobs, use_cache=use_cache)
         return json.dumps(
-            {k: {n: a.summary for n, a in arms.items()} for k, arms in result.arms.items()},
+            {"/".join(row): summary for row, summary in result.summaries.items()},
             sort_keys=True,
         )
 
@@ -439,9 +443,27 @@ def test_heterogeneity_study_is_deterministic_and_serial_equals_pool(tmp_path, m
 
 
 def test_heterogeneity_rejects_unequal_cost_fleets():
-    from repro.experiments.heterogeneity import resolve_fleets
+    from dataclasses import replace
 
+    from repro.experiments.studies import (
+        FLEET_COST_TOLERANCE,
+        STUDIES,
+        Arm,
+        check_equal_cost,
+        run_study,
+    )
+
+    def arms(*fleets):
+        return tuple(
+            Arm(("mmpp", name), {"workload": "mmpp", "fleet": tuple(counts.items())})
+            for name, counts in fleets
+        )
+
+    unequal = arms(("ref", {"a100": 16}), ("cheap", {"l4": 4}))
+    # Rejected before any cell runs.
     with pytest.raises(ValueError, match="equal-cost comparison"):
-        resolve_fleets((("ref", {"a100": 16}), ("cheap", {"l4": 4})))
-    resolved = resolve_fleets((("ref", {"a100": 16}), ("mix", {"h100": 7, "l4": 11})))
-    assert [name for name, _ in resolved] == ["ref", "mix"]
+        run_study(replace(STUDIES["fleet"], arms=unequal))
+    with pytest.raises(ValueError, match="fleet 'cheap'.*equal-cost comparison"):
+        check_equal_cost(unequal, FLEET_COST_TOLERANCE)
+    equal = arms(("ref", {"a100": 16}), ("mix", {"h100": 7, "l4": 11}))
+    check_equal_cost(equal, FLEET_COST_TOLERANCE)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.allocator import AllocationPlan, ControlContext
 from repro.core.config import FleetSpec, ResourceConfig, fleet_from_counts
-from repro.experiments.contention import ContentionArm, ContentionResult
+from repro.experiments.studies import STUDIES, StudyResult
 
 
 def _ctx(
@@ -191,29 +191,23 @@ def test_replanner_snapshots_record_residency_token():
 
 
 # ------------------------------------------------------- contention verdicts
-def _arm(scenario, name, violation, p99):
-    return ContentionArm(
-        scenario=scenario,
-        name=name,
-        resources=None,
-        summary={"slo_violation_ratio": violation, "p99_latency": p99},
-    )
+def _arm(violation, p99):
+    return {"slo_violation_ratio": violation, "p99_latency": p99}
 
 
 def test_contention_domination_and_neutrality_logic():
-    result = ContentionResult(qps=10.0)
-    result.arms = {
-        "cofit": {
-            "aware": _arm("cofit", "aware", 0.05, 4.0),
-            "oblivious": _arm("cofit", "oblivious", 0.05, 4.0),
+    result = StudyResult(
+        study=STUDIES["contention"],
+        qps=10.0,
+        summaries={
+            ("cofit", "aware"): _arm(0.05, 4.0),
+            ("cofit", "oblivious"): _arm(0.05, 4.0),
+            ("contended", "aware"): _arm(0.02, 3.9),
+            ("contended", "oblivious"): _arm(0.06, 4.8),
         },
-        "contended": {
-            "aware": _arm("contended", "aware", 0.02, 3.9),
-            "oblivious": _arm("contended", "oblivious", 0.06, 4.8),
-        },
-    }
-    assert result.reload_aware_dominates()
-    assert result.coplacement_neutralizes()
+    )
+    assert result.holds("reload-aware")
+    assert result.holds("co-placement")
     # Losing either objective breaks domination.
-    result.arms["contended"]["aware"].summary["p99_latency"] = 5.0
-    assert not result.reload_aware_dominates()
+    result.summary("contended", "aware")["p99_latency"] = 5.0
+    assert not result.holds("reload-aware")

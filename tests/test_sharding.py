@@ -380,8 +380,9 @@ def test_shard_event_counts_are_deterministic_across_shard_counts():
 
 
 def test_shard_timing_report_renders_region_rows():
-    from repro.experiments.geo_scale import shard_timing_report
     from repro.experiments.harness import ExperimentScale
+    from repro.experiments.studies import shard_timing_report
+    from repro.runner.dimensions import DIMENSIONS
 
     report = shard_timing_report(
         scale=ExperimentScale(dataset_size=60, trace_duration=20.0, num_workers=4),
@@ -389,8 +390,10 @@ def test_shard_timing_report_renders_region_rows():
     )
     assert "Shard event-loop timing" in report
     assert "barrier wait" in report
-    for region in ("us", "eu"):
-        assert f"\n{region}" in report or report.count(region)
+    regions = [region.name for region in DIMENSIONS["geo"].lookup("us-eu").regions]
+    assert sorted(regions) == ["eu-west", "us-east"]
+    for region in regions:
+        assert f"\n{region} " in report
 
 
 # ------------------------------------------------------------- dead shards
