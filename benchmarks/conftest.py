@@ -15,7 +15,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.experiments.harness import ExperimentScale  # noqa: E402
+from repro.experiments.harness import BENCH_SCALE, ExperimentScale  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -26,4 +26,4 @@ def bench_scale() -> ExperimentScale:
     (with ``--benchmark-disable``); the runner's artifact cache makes repeat
     runs cheap because the shared dataset/discriminator are content-addressed.
     """
-    return ExperimentScale(dataset_size=300, trace_duration=180.0, num_workers=16, seed=0)
+    return BENCH_SCALE

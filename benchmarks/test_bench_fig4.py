@@ -6,32 +6,35 @@ violations but the worst FID; Clipper-Heavy has good FID but by far the most
 violations at high load.
 """
 
-from repro.experiments.fig4_static import run_fig4
+from dataclasses import replace
+
+from repro.experiments.studies import STUDIES, load_arms, run_study
 
 
 def test_bench_fig4(benchmark, bench_scale):
+    study = replace(STUDIES["fig4"], arms=load_arms(factors=(1.05, 1.5)))
     result = benchmark.pedantic(
-        run_fig4,
-        kwargs={"scale": bench_scale, "factors": (1.05, 1.5)},
-        iterations=1,
-        rounds=1,
+        run_study, args=(study,), kwargs={"scale": bench_scale}, iterations=1, rounds=1
     )
 
-    for load in result.load_levels:
-        points = result.points[load]
+    for load in result.groups():
         # DiffServe contributes a non-dominated point at every load level.
-        assert result.diffserve_is_pareto_optimal(load)
+        assert result.holds("pareto", load)
 
-        clipper_light = points["clipper-light"][0]
-        clipper_heavy = points["clipper-heavy"][0]
-        best_diffserve_fid = min(p.y for p in points["diffserve"])
-        best_diffserve_viol = min(p.x for p in points["diffserve"])
+        clipper_light = result.summary(load, "clipper-light")
+        diffserve = [
+            summary
+            for row, summary in result.summaries.items()
+            if row[0] == load and result.system(row) == "diffserve"
+        ]
+        best_diffserve_fid = min(s["fid"] for s in diffserve)
+        best_diffserve_viol = min(s["slo_violation_ratio"] for s in diffserve)
 
         # Clipper-Light: lowest violations, worst quality.
-        assert clipper_light.x <= 0.05
-        assert clipper_light.y > best_diffserve_fid
+        assert clipper_light["slo_violation_ratio"] <= 0.05
+        assert clipper_light["fid"] > best_diffserve_fid
         # DiffServe keeps violations low everywhere.
         assert best_diffserve_viol <= 0.15
 
     # Clipper-Heavy collapses under high load (paper: 45-75% violations).
-    assert result.points["high"]["clipper-heavy"][0].x > 0.3
+    assert result.summary("high", "clipper-heavy")["slo_violation_ratio"] > 0.3

@@ -8,15 +8,15 @@ and the "no queueing model" variant loses significant quality because the
 2x-execution heuristic rules the heavyweight model out of the latency budget.
 """
 
-from repro.experiments.fig8_allocation_ablation import run_fig8
+from repro.experiments.studies import STUDIES, run_study
 
 
 def test_bench_fig8(benchmark, bench_scale):
     result = benchmark.pedantic(
-        run_fig8, args=("sdturbo", bench_scale), iterations=1, rounds=1
+        run_study, args=(STUDIES["fig8"], "sdturbo", bench_scale), iterations=1, rounds=1
     )
-    fid = {name: result.fid(name) for name in result.results}
-    viol = {name: result.violation(name) for name in result.results}
+    fid = {name: s["fid"] for (name,), s in result.summaries.items()}
+    viol = {name: s["slo_violation_ratio"] for (name,), s in result.summaries.items()}
 
     # Full DiffServe keeps violations low with the best quality of the set.
     assert viol["diffserve"] < 0.05

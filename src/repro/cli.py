@@ -8,8 +8,9 @@ Usage::
     python -m repro.cli run --grid "cascades=sdturbo;seeds=0,1" --jobs 4
     python -m repro.cli run --workload mmpp,flash-crowd --workload-params "burst_factor=6"
 
-Each experiment prints the same table its ``repro.experiments`` module's
-``main()`` renders; ``all`` runs the full suite in order.  ``run`` executes an
+Each experiment prints the table its ``repro.experiments`` module's
+``main()`` (or, for a ``STUDIES`` record, ``studies.main(name)``) renders;
+``all`` runs the full suite in order.  ``run`` executes an
 arbitrary experiment grid through the parallel runner with artifact caching
 (see :mod:`repro.runner`): repeated invocations are served from the cache
 without firing a single simulation event.
@@ -28,29 +29,21 @@ from repro.experiments import (
     drift_adaptation,
     fig1_motivation,
     fig1_pareto,
-    fig4_static,
     fig5_real_trace,
-    fig6_cascades,
     fig7_discriminator,
-    fig8_allocation_ablation,
-    fig9_slo_sensitivity,
     milp_overhead,
     reuse_study,
     studies,
 )
-from repro.experiments.harness import ExperimentScale
+from repro.experiments.harness import BENCH_SCALE, ExperimentScale
 from repro.runner.dimensions import DIMENSIONS, decode_json_object
 
 #: Experiment name -> (description, runner main function).
 EXPERIMENTS: Dict[str, tuple] = {
     "fig1": ("Figure 1a/1b motivation study", fig1_motivation.main),
     "fig1c": ("Figure 1c FID/throughput Pareto frontier", fig1_pareto.main),
-    "fig4": ("Figure 4 static-trace comparison", fig4_static.main),
     "fig5": ("Figure 5 Azure-like trace comparison (Cascade 1)", fig5_real_trace.main),
-    "fig6": ("Figure 6 Cascades 2 & 3 comparison", fig6_cascades.main),
     "fig7": ("Figure 7 discriminator ablation", fig7_discriminator.main),
-    "fig8": ("Figure 8 resource-allocation ablation", fig8_allocation_ablation.main),
-    "fig9": ("Figure 9 SLO sensitivity", fig9_slo_sensitivity.main),
     "milp": ("Section 4.5 MILP solver overhead", milp_overhead.main),
     "reuse": ("Section 5 reuse study", reuse_study.main),
     "drift": ("Drift adaptation: static vs. online re-planned plans", drift_adaptation.main),
@@ -183,9 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 def scale_from_args(args: argparse.Namespace) -> ExperimentScale:
     """Build the experiment scale requested on the command line."""
     if args.fast:
-        return ExperimentScale(
-            dataset_size=300, trace_duration=180.0, num_workers=args.workers, seed=args.seed
-        )
+        return replace(BENCH_SCALE, num_workers=args.workers, seed=args.seed)
     return ExperimentScale(
         dataset_size=args.dataset_size,
         trace_duration=args.duration,

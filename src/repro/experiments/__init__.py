@@ -1,17 +1,17 @@
 """Experiment runners: the paper's figures/tables and the declarative studies.
 
-Each figure/table module exposes a ``run_*`` function returning a structured
-result object and a ``main()`` that prints the corresponding table.  The
-fleet, geo, contention, chaos and autoscale studies are records of
+The sweep figures (``fig4``, ``fig6``, ``fig8``, ``fig9``) and the fleet, geo,
+contention, chaos and autoscale studies are records of
 :data:`repro.experiments.studies.STUDIES`, served by one ``run_study`` and
-printed by one ``main(name)``.  The benchmark harness under ``benchmarks/``
-calls these runners with reduced problem sizes; the examples call them at
-full scale.
+printed by one ``main(name)``.  Every other figure/table module exposes a
+``run_*`` function returning a structured result object and a ``main()``
+that prints the corresponding table.  The benchmark harness under
+``benchmarks/`` calls these runners with reduced problem sizes; the examples
+call them at full scale.
 """
 
 from repro.experiments.harness import (
     ExperimentScale,
-    SystemComparison,
     build_comparison_systems,
     format_table,
     run_comparison,
@@ -19,7 +19,6 @@ from repro.experiments.harness import (
 
 __all__ = [
     "ExperimentScale",
-    "SystemComparison",
     "build_comparison_systems",
     "run_comparison",
     "format_table",

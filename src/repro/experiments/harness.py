@@ -65,18 +65,6 @@ class SystemComparison:
     trace_curve: RateCurve
     results: Dict[str, SimulationResult] = field(default_factory=dict)
 
-    def summaries(self) -> Dict[str, Dict[str, float]]:
-        """Headline metric dict per system."""
-        return {name: result.summary() for name, result in self.results.items()}
-
-    def fid(self, name: str) -> float:
-        """FID of one system."""
-        return self.results[name].fid()
-
-    def violation(self, name: str) -> float:
-        """SLO violation ratio of one system."""
-        return self.results[name].slo_violation_ratio
-
 
 def shared_components(cascade_name: str, scale: ExperimentScale, *, cache=None) -> tuple:
     """(cascade, dataset, discriminator) shared by all systems in a comparison.

@@ -1,9 +1,9 @@
-"""Declarative studies: one cascade served under several arms, compared on a plane.
+"""Declarative studies: one grid of arms, compared on a plane.
 
-DiffServe's claims come from running one cascade under several arms and
-comparing the results on a pair of minimised metrics.  Each study is one
-:class:`Study` record in :data:`STUDIES`: the shared spec fields, the rule
-that sizes the nominal rate, the arm list (a table row key plus the
+DiffServe's claims, and the paper's sweep figures, come from serving one
+grid of cells and comparing the results on a pair of minimised metrics.  Each
+study is one :class:`Study` record in :data:`STUDIES`: the shared spec fields,
+the rule that sizes the nominal rate, the arm list (a table row key plus the
 :class:`~repro.runner.spec.ExperimentSpec` fields the arm overrides), the
 table columns and the named claims.  :func:`run_study` serves every arm as
 one cell of a single :func:`~repro.runner.executor.run_grid` call, so every
@@ -42,8 +42,24 @@ seed, never of an arm's override), so differences come from the arm alone.
     claim is that cost-aware scaling strictly dominates the fixed
     equal-peak-cost fleet on (time-integrated cost, SLO violation).
 
+``fig4``
+    Figure 4: every system on constant-rate traces at three load levels,
+    with Proteus and DiffServe swept over their over-provisioning factor.
+    The claim, per load level, is that some DiffServe point is not dominated
+    by any baseline point on (SLO violation, FID).  Swap the study's
+    ``workload`` to repeat the comparison under production-shaped load.
+``fig6``
+    Figure 6: the five systems on the Azure-like trace for Cascades 2
+    (SDXS -> SDv1.5) and 3 (SDXL-Lightning -> SDXL), one cell per cascade.
+``fig8``
+    Figure 8: DiffServe's allocation against three crippled variants — a
+    pinned threshold, AIMD batching, and no queueing model.
+``fig9``
+    Figure 9: DiffServe across SLO settings on the Azure-like trace.
+
 ``drift`` is not a study here: it reads per-epoch re-planning history that
-cached summaries do not carry, so it drives its systems directly.
+cached summaries do not carry, so it drives its systems directly.  Nor is
+``fig5``: it plots live per-window time series that summaries do not carry.
 """
 
 from __future__ import annotations
@@ -54,7 +70,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import fleet_from_counts
 from repro.experiments.harness import BENCH_SCALE, ExperimentScale, format_table
-from repro.metrics.pareto import ParetoPoint, pareto_frontier
+from repro.metrics.pareto import ParetoPoint, is_pareto_dominated, pareto_frontier
 from repro.runner import executor
 from repro.runner.spec import ExperimentGrid, ExperimentSpec, TraceSpec
 
@@ -80,9 +96,10 @@ class Arm:
     """One cell of a study: its table row key and the spec fields it sets.
 
     ``fields`` are :class:`~repro.runner.spec.ExperimentSpec` fields, plus
-    ``workload`` for the trace kind; they override the study's shared
-    ``spec``.  The last row key names the arm within its group (the first
-    row key, e.g. the workload).
+    ``workload`` for the trace kind and ``qps`` for a nominal rate on the
+    paper's 16-worker testbed (scaled to the cluster); they override the
+    study's shared ``spec``.  The last row key names the arm within its
+    group (the first row key, e.g. the workload).
     """
 
     row: Row
@@ -112,7 +129,8 @@ class Study:
     """One study: the arms it serves and how its table and verdicts read.
 
     ``spec`` holds the shared spec fields (``workload`` names the trace
-    kind).  ``workers`` overrides the scale's cluster size.  With
+    kind; without one, cells replay the default Azure-like trace).
+    ``workers`` overrides the scale's cluster size.  With
     ``qps_fraction`` set, the nominal rate is that fraction of the top of the
     cascade's default range for the first arm's cluster; otherwise the
     runner's workload resolution picks it.  ``plane`` is the metric pair the
@@ -137,9 +155,10 @@ class Study:
 
 @dataclass
 class StudyResult:
-    """Every arm's summary, keyed by row tuple in arm order.
+    """Every row's summary and cell spec, keyed by row tuple in arm order.
 
-    Each study cell serves one system, so a row has one summary.
+    An arm whose cell serves one system is one row; an arm whose cell serves
+    several contributes one row per system, its own row plus the system name.
     """
 
     study: Study
@@ -150,6 +169,11 @@ class StudyResult:
     def summary(self, *row: str) -> Dict[str, float]:
         """The summary of one row."""
         return self.summaries[row]
+
+    def system(self, row: Row) -> str:
+        """The system that produced ``row``."""
+        systems = self.specs[row].systems
+        return systems[0] if len(systems) == 1 else row[-1]
 
     def holds(self, claim: str, group: Optional[str] = None) -> bool:
         """Whether the study's named claim holds (for ``group``, if per group)."""
@@ -229,37 +253,40 @@ def run_study(
     jobs: int = 1,
     use_cache: bool = True,
 ) -> StudyResult:
-    """Serve every arm of ``study`` through one cached parallel grid run."""
-    from repro.workloads import cascade_qps_range
+    """Serve every arm of ``study`` through one cached parallel grid run.
+
+    ``cascade_name`` is the cascade of every arm that does not set its own.
+    """
+    from repro.workloads import cascade_qps_range, scale_to_cluster
 
     if study.cost_tolerance is not None:
         check_equal_cost(study.arms, study.cost_tolerance)
     if study.workers is not None:
         scale = replace(scale, num_workers=study.workers)
-    cells = [{**study.spec, **arm.fields} for arm in study.arms]
+    cells = [{"cascade": cascade_name, **study.spec, **arm.fields} for arm in study.arms]
     qps = None
     if study.qps_fraction is not None:
         fleet = cells[0].get("fleet")
         workers = fleet_from_counts(dict(fleet)).total_workers if fleet else scale.num_workers
-        qps = study.qps_fraction * cascade_qps_range(cascade_name, workers)[1]
-    specs = [
-        ExperimentSpec(
-            cascade=cascade_name,
-            scale=scale,
-            trace=TraceSpec(kind=cell.pop("workload"), qps=qps),
-            **cell,
+        qps = study.qps_fraction * cascade_qps_range(cells[0]["cascade"], workers)[1]
+    specs = []
+    for cell in cells:
+        rate = cell.pop("qps", None)
+        trace = TraceSpec(
+            kind=cell.pop("workload", TraceSpec.kind),
+            qps=qps if rate is None else scale_to_cluster(rate, scale.num_workers),
         )
-        for cell in cells
-    ]
+        specs.append(ExperimentSpec(scale=scale, trace=trace, **cell))
     report = executor.run_grid(ExperimentGrid.of(specs), jobs=jobs, use_cache=use_cache)
     if report.failed:
         details = "; ".join(f"{cell.spec.label}: {cell.status}" for cell in report.failed)
         raise RuntimeError(f"{study.name} study cells failed: {details}")
     result = StudyResult(study=study, qps=qps, summaries={})
     for arm, spec, cell in zip(study.arms, specs, report.cells):
-        (summary,) = cell.summaries.values()
-        result.summaries[arm.row] = dict(summary)
-        result.specs[arm.row] = spec
+        for system in spec.systems:
+            row = arm.row if len(spec.systems) == 1 else (*arm.row, system)
+            result.summaries[row] = dict(cell.summaries[system])
+            result.specs[row] = spec
     return result
 
 
@@ -375,6 +402,11 @@ def _count(name: str) -> Callable[[StudyResult, Row], object]:
     return lambda result, row: int(result.summaries[row][name])
 
 
+def _over_provision(result: StudyResult, row: Row) -> str:
+    factor = result.specs[row].params_dict().get("over_provision")
+    return "-" if factor is None else f"{factor:g}"
+
+
 def _devices(counts: Mapping[str, int]) -> str:
     return "+".join(f"{cls}x{count}" for cls, count in counts.items())
 
@@ -439,6 +471,53 @@ POLICIES: Tuple[Tuple[str, Optional[str]], ...] = (
     ("reactive", "reactive"),
     ("cost-aware", "cost-aware"),
 )
+
+
+#: Figure 4's (load level, QPS) pairs for Cascade 1 on the 16-worker testbed.
+LOAD_LEVELS: Tuple[Tuple[str, float], ...] = (("low", 8.0), ("medium", 16.0), ("high", 26.0))
+
+#: Over-provisioning factors Figure 4 sweeps for the dynamic systems.
+OVER_PROVISION: Tuple[float, ...] = (1.0, 1.2, 1.5, 2.0)
+
+#: SLO values (seconds) Figure 9 sweeps for Cascade 1.
+SLOS: Tuple[float, ...] = (2.0, 3.0, 4.0, 5.0, 7.0, 10.0)
+
+
+def load_arms(factors: Sequence[float] = OVER_PROVISION) -> Tuple[Arm, ...]:
+    """Figure 4's arms: per load level, both Clipper baselines in one cell,
+    then Proteus and DiffServe at each over-provisioning factor."""
+    arms = []
+    for load, qps in LOAD_LEVELS:
+        arms.append(Arm((load,), {"qps": qps, "systems": ("clipper-light", "clipper-heavy")}))
+        arms.extend(
+            Arm(
+                (load, f"{system} x{factor:g}"),
+                {
+                    "qps": qps,
+                    "systems": (system,),
+                    "params": (("over_provision", float(factor)),),
+                },
+            )
+            for factor in factors
+            for system in ("proteus", "diffserve")
+        )
+    return tuple(arms)
+
+
+def slo_arms(slos: Sequence[float] = SLOS) -> Tuple[Arm, ...]:
+    """Figure 9's arms: one DiffServe cell per SLO."""
+    return tuple(Arm((f"{slo:.1f}",), {"params": (("slo", float(slo)),)}) for slo in slos)
+
+
+def _diffserve_pareto_optimal(result: StudyResult, group: Optional[str]) -> bool:
+    # At least one DiffServe point is not dominated by any baseline point.
+    x, y = result.study.plane
+    ours, others = [], []
+    for row, summary in result.summaries.items():
+        if row[0] == group:
+            point = ParetoPoint(summary[x], summary[y])
+            (ours if result.system(row) == "diffserve" else others).append(point)
+    return any(not is_pareto_dominated(point, others) for point in ours)
 
 
 def _reload_aware_dominates(result: StudyResult, group: Optional[str]) -> bool:
@@ -528,7 +607,7 @@ STUDIES: Dict[str, Study] = {
                 ("topology", _key(0)),
                 ("regions", lambda r, row: len(r.specs[row].resolve("geo"))),
                 ("workers", lambda r, row: r.specs[row].resolve("geo").total_workers),
-                ("system", lambda r, row: r.specs[row].systems[0]),
+                ("system", StudyResult.system),
                 ("queries", _count("total_queries")),
                 _FID,
                 _VIOLATION,
@@ -668,6 +747,75 @@ STUDIES: Dict[str, Study] = {
                     per_group=True,
                 ),
             },
+        ),
+        Study(
+            name="fig4",
+            description="Figure 4 static-trace comparison",
+            title="Figure 4 — static-trace comparison (Cascade 1) per load level",
+            spec={"workload": "static"},
+            arms=load_arms(),
+            plane=("slo_violation_ratio", "fid"),
+            columns=(
+                ("load", _key(0)),
+                ("QPS", lambda r, row: f"{r.specs[row].trace.qps:g}"),
+                ("system", StudyResult.system),
+                ("over-provision", _over_provision),
+                ("SLO violation", _metric("slo_violation_ratio")),
+                _FID,
+            ),
+            claims={
+                "pareto": Claim(
+                    _diffserve_pareto_optimal,
+                    yes="{group} load: DiffServe is Pareto-optimal on (SLO violation, FID)",
+                    no="{group} load: DiffServe is NOT Pareto-optimal; front = {front}",
+                    per_group=True,
+                ),
+            },
+        ),
+        Study(
+            name="fig6",
+            description="Figure 6 Cascades 2 & 3 comparison",
+            title="Figure 6 — Cascades 2 and 3 on the Azure-like trace",
+            arms=tuple(Arm((cascade,), {"cascade": cascade}) for cascade in ("sdxs", "sdxlltn")),
+            columns=(
+                ("cascade", _key(0)),
+                ("system", StudyResult.system),
+                ("avg FID", _metric("fid")),
+                ("avg SLO violation", _metric("slo_violation_ratio")),
+            ),
+        ),
+        Study(
+            name="fig8",
+            description="Figure 8 resource-allocation ablation",
+            title="Figure 8 — resource-allocation ablation (Cascade 1, Azure-like trace)",
+            spec={"systems": ("diffserve",)},
+            arms=(
+                Arm(("diffserve",), {"params": (("policy_variant", "full"),)}),
+                Arm(
+                    ("static-threshold",),
+                    {"params": (("policy_variant", "static-threshold"), ("static_threshold", 0.5))},
+                ),
+                Arm(("aimd",), {"params": (("policy_variant", "aimd"),)}),
+                Arm(("no-queuing-model",), {"params": (("policy_variant", "no-queueing"),)}),
+            ),
+            columns=(
+                ("allocation", _key(0)),
+                _FID,
+                ("SLO violation", _metric("slo_violation_ratio")),
+                ("deferral", _metric("deferral_rate")),
+            ),
+        ),
+        Study(
+            name="fig9",
+            description="Figure 9 SLO sensitivity",
+            title="Figure 9 — SLO sensitivity (Cascade 1)",
+            spec={"systems": ("diffserve",)},
+            arms=slo_arms(),
+            columns=(
+                ("SLO (s)", _key(0)),
+                ("avg FID", _metric("fid")),
+                ("avg SLO violation", _metric("slo_violation_ratio")),
+            ),
         ),
     )
 }

@@ -13,6 +13,7 @@ from repro.workloads.catalog import (
     WORKLOAD_PARAMS,
     cascade_qps_range,
     make_workload,
+    scale_to_cluster,
     validate_workload,
 )
 from repro.workloads.processes import (
@@ -38,4 +39,5 @@ __all__ = [
     "make_workload",
     "validate_workload",
     "cascade_qps_range",
+    "scale_to_cluster",
 ]

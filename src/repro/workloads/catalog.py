@@ -189,8 +189,12 @@ def validate_workload(
         raise ValueError(f"invalid params for workload {kind!r}: {exc}") from exc
 
 
+def scale_to_cluster(qps: float, num_workers: int) -> float:
+    """A rate given for the paper's 16-worker testbed, scaled to the cluster size."""
+    return qps * (num_workers / 16.0)
+
+
 def cascade_qps_range(cascade: str, num_workers: int) -> Tuple[float, float]:
     """The cascade's default QPS range scaled to the cluster size."""
     lo, hi = DEFAULT_QPS_RANGE.get(cascade, (4.0, 32.0))
-    factor = num_workers / 16.0
-    return lo * factor, hi * factor
+    return scale_to_cluster(lo, num_workers), scale_to_cluster(hi, num_workers)

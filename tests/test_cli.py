@@ -1,5 +1,7 @@
 """Tests for the experiment CLI."""
 
+import hashlib
+
 import pytest
 
 from repro import cli
@@ -20,6 +22,42 @@ def test_list_command(capsys):
     out = capsys.readouterr().out
     for name in cli.EXPERIMENTS:
         assert name in out
+
+
+#: ``repro list`` output, pinned byte-for-byte: experiment names and
+#: descriptions are user-facing and stay stable however experiments are built.
+LIST_OUTPUT = """\
+Available experiments:
+  autoscale Elastic fleets: fixed vs. reactive vs. cost-aware autoscaling on spot markets
+  chaos    Fault injection: self-healing recovery vs. unmitigated faults
+  contention Reload/inference contention: reload-aware vs. reload-oblivious plans
+  drift    Drift adaptation: static vs. online re-planned plans
+  fig1     Figure 1a/1b motivation study
+  fig1c    Figure 1c FID/throughput Pareto frontier
+  fig4     Figure 4 static-trace comparison
+  fig5     Figure 5 Azure-like trace comparison (Cascade 1)
+  fig6     Figure 6 Cascades 2 & 3 comparison
+  fig7     Figure 7 discriminator ablation
+  fig8     Figure 8 resource-allocation ablation
+  fig9     Figure 9 SLO sensitivity
+  fleet    Heterogeneous fleets: homogeneous vs. mixed at equal aggregate cost
+  geo      Geo-scale serving: multi-region topologies through the shard supervisor
+  milp     Section 4.5 MILP solver overhead
+  reuse    Section 5 reuse study"""
+
+#: sha256 of ``repro --help`` rendered 80 columns wide.
+HELP_SHA256 = "5ae5418fbbea1ffed3dfe3d7baf5841ad73be564a791bac9e9226606f6fb7146"
+
+
+def test_list_output_is_pinned(capsys):
+    assert cli.list_experiments() == LIST_OUTPUT
+    assert capsys.readouterr().out == LIST_OUTPUT + "\n"
+
+
+def test_help_output_is_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    text = cli.build_parser().format_help()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == HELP_SHA256, text
 
 
 def test_parser_rejects_unknown_experiment():
