@@ -286,6 +286,17 @@ class SystemRuntime:
         )
 
 
+class _GeneratorTurn(Actor):
+    """Ends a system's turn on its image generator when the run finishes."""
+
+    def __init__(self, sim: Simulator, generator: ImageGenerator) -> None:
+        super().__init__(sim, name="generator-turn")
+        self.generator = generator
+
+    def finish(self) -> None:
+        self.generator.end_turn()
+
+
 @dataclass
 class ServingSimulation:
     """A configured serving system ready to run a trace.
@@ -340,6 +351,14 @@ class ServingSimulation:
         Arrivals materialized per chunk by the :class:`ArrivalFeeder`
         (default :data:`DEFAULT_ARRIVAL_CHUNK`).  Purely a memory/latency
         knob — summaries are byte-identical for every chunk size.
+    generator:
+        Optional :class:`~repro.models.generation.ImageGenerator` shared
+        with the other systems of a comparison cell, so each query outcome
+        is drawn once per cell.  It is used only when its seed is this
+        system's seed (a region system re-seeded by the shard supervisor
+        builds its own); each :meth:`prepare` takes one turn on it.
+        ``None`` builds a private generator.  Either way summaries are
+        byte-identical: a shared outcome equals a fresh draw.
     """
 
     config: SystemConfig
@@ -354,6 +373,7 @@ class ServingSimulation:
     prices: Optional[PriceTrace] = None
     profile: bool = False
     arrival_chunk: int = DEFAULT_ARRIVAL_CHUNK
+    generator: Optional[ImageGenerator] = None
     #: Snapshot of the last profiled :meth:`run` (``None`` until one
     #: completes with ``profile=True``).  Live-object telemetry only — it
     #: never enters :class:`SimulationResult` summaries or the cache.
@@ -373,7 +393,11 @@ class ServingSimulation:
                 "evaluated at replan epochs"
             )
         sim = Simulator(seed=self.config.seed, profile=self.profile)
-        generator = ImageGenerator(seed=self.config.seed)
+        generator = self.generator
+        if generator is None or generator.seed != self.config.seed:
+            generator = ImageGenerator(seed=self.config.seed)
+        generator.take_turn()
+        _GeneratorTurn(sim, generator)
         collector = ResultCollector(self.dataset)
 
         load_balancer = LoadBalancer(

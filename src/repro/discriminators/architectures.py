@@ -153,17 +153,39 @@ class TrainedDiscriminator(Discriminator):
 
     # ------------------------------------------------------------- features
     def observe(self, image: GeneratedImage) -> np.ndarray:
-        """Backbone feature extraction: image features + capacity noise."""
+        """Backbone feature extraction: image features + capacity noise.
+
+        The noise is keyed by ``(seed, architecture, query, variant)``, so an
+        observation is a pure function of the image and this backbone.  An
+        image shared through an outcome table memoizes its observation under
+        ``(seed, architecture)``; later systems of the cell read it back
+        without drawing noise again.
+        """
         noise_std = self.architecture.observation_noise
         if noise_std == 0:
             return image.features
+        memo = image.observations
+        if memo is not None:
+            key = (self.seed, self.architecture)
+            row = memo.get(key)
+            if row is None:
+                row = memo[key] = self._draw_observation(image, noise_std)
+                row.flags.writeable = False
+            return row
+        return self._draw_observation(image, noise_std)
+
+    def _draw_observation(self, image: GeneratedImage, noise_std: float) -> np.ndarray:
         rng = np.random.default_rng(
             stable_hash(self.seed, self.architecture.name, image.query_id, image.variant_name)
         )
         return image.features + rng.normal(0.0, noise_std, size=image.features.shape)
 
     def observe_batch(self, images: Sequence[GeneratedImage]) -> np.ndarray:
-        """Backbone features for a batch of images."""
+        """Backbone features for a batch of images.
+
+        Each row depends on its own image only, bit for bit, whatever the
+        batch around it: that is what lets an image memoize its observation.
+        """
         return np.stack([self.observe(img) for img in images])
 
     # ----------------------------------------------------------- confidence
@@ -175,6 +197,15 @@ class TrainedDiscriminator(Discriminator):
         return float(self._to_confidence(logits)[0])
 
     def confidence_batch(self, images: Sequence[GeneratedImage]) -> np.ndarray:
+        """Calibrated confidences for a batch, from one classifier call.
+
+        Confidences are not memoized like observations: the classifier's
+        logits are not bitwise batch-invariant.  The BLAS kernel behind the
+        MLP head's matrix products is picked by row count, so one image's
+        logit can differ in the last bits (~1e-15) between batches of
+        different sizes.  A memoized confidence from another system's batch
+        would therefore not be a bit-equal replay.
+        """
         if len(images) == 0:
             return np.zeros(0)
         logits = np.asarray(

@@ -29,7 +29,13 @@ class Discriminator(abc.ABC):
         """Confidence that ``image`` meets the quality bar (in [0, 1])."""
 
     def confidence_batch(self, images: Sequence[GeneratedImage]) -> np.ndarray:
-        """Vectorised confidence for a batch of images."""
+        """Vectorised confidence for a batch of images.
+
+        Computed afresh for every batch, never memoized per image: a
+        vectorised scorer's per-row result may depend on the batch's row
+        count (BLAS picks kernels by shape), so only a per-batch call
+        reproduces a run bit for bit.
+        """
         return np.array([self.confidence(img) for img in images], dtype=float)
 
     def accepts(self, image: GeneratedImage, threshold: float) -> bool:

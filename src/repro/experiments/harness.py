@@ -20,6 +20,7 @@ from repro.core.results import SimulationResult
 from repro.core.system import ServingSimulation, build_diffserve_system
 from repro.discriminators.base import Discriminator
 from repro.models.dataset import QueryDataset
+from repro.models.generation import ImageGenerator
 from repro.models.zoo import get_cascade
 from repro.traces.base import RateCurve
 
@@ -158,6 +159,10 @@ def build_comparison_systems(
     epoch-synchronous autoscaler to the DiffServe system only — baselines
     have no re-planning loop to evaluate it on, so they keep their fixed
     fleet (and remain the fixed-provisioning comparison arms).
+
+    Every system shares one :class:`~repro.models.generation.ImageGenerator`
+    opened for as many turns as there are systems, so a query outcome is
+    drawn once per cell; the table lives and dies with the returned systems.
     """
     if dataset is None or discriminator is None:
         _, dataset, discriminator = shared_components(cascade_name, scale)
@@ -225,6 +230,10 @@ def build_comparison_systems(
             )
         else:
             raise KeyError(f"unknown system {name!r}")
+    generator = ImageGenerator(seed=scale.seed)
+    generator.share(len(built))
+    for system in built.values():
+        system.generator = generator
     return built
 
 

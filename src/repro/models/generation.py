@@ -16,8 +16,8 @@ The feature model is constructed so that:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +60,14 @@ class GeneratedImage:
         discriminators.
     seed:
         Generation seed (used by the reuse study for latent reuse).
+    observations:
+        Discriminator observations of this image, keyed by ``(discriminator
+        seed, architecture)``.  ``None`` (observe afresh every time) unless
+        the image sits in an :class:`ImageGenerator`'s outcome table, where
+        later systems of the same cell read it back.
+
+    The feature vector is made read-only: one image may be shared by the
+    query records of several systems, so none of them may edit it in place.
     """
 
     query_id: int
@@ -67,12 +75,16 @@ class GeneratedImage:
     quality: float
     features: np.ndarray
     seed: int = 0
+    observations: Optional[Dict[tuple, np.ndarray]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.quality <= 1.0:
             raise ValueError("quality must lie in [0, 1]")
         if self.features.ndim != 1:
             raise ValueError("features must be a 1-D vector")
+        self.features.flags.writeable = False
 
 
 class ImageGenerator:
@@ -82,6 +94,17 @@ class ImageGenerator:
     same query processed twice by the same variant yields the same image.
     This mirrors fixed-seed diffusion sampling and keeps simulations
     reproducible regardless of the order in which workers execute queries.
+
+    Because an outcome is a pure function of ``(seed, query_id, variant,
+    difficulty)``, the systems of one comparison cell can share a generator
+    and draw each outcome once.  :meth:`share` opens an outcome table for a
+    number of *readers*; each system takes one turn (:meth:`take_turn`, from
+    ``ServingSimulation.prepare``) and a drawn image is stored only while a
+    later turn can still read it.  The last reader, and a generator nobody
+    shares, therefore retains nothing, and :meth:`end_turn` drops what is
+    left once the last reader is done.  A hit is bit-equal to a fresh draw,
+    so the turn count only decides what memory is held, never a result.  A
+    pickled generator carries no entries and takes no turns.
     """
 
     def __init__(self, seed: int = 0, feature_dim: int = FEATURE_DIM) -> None:
@@ -92,6 +115,38 @@ class ImageGenerator:
         # Fixed directions of the generative "domain gap" and of artifacts.
         self._domain_offset = _BASE_OFFSET_NORM * _unit_vector(feature_dim, 0)
         self._artifact_direction = _unit_vector(feature_dim, 0)
+        self._outcomes: Dict[Tuple[int, str, float], Tuple[ModelVariant, GeneratedImage]] = {}
+        self._readers = 0
+        #: Telemetry only (never in summaries or cache keys): images drawn
+        #: from an rng, and images served from the outcome table.
+        self.draws = 0
+        self.hits = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.update(_outcomes={}, _readers=0, draws=0, hits=0)
+        return state
+
+    # -------------------------------------------------------- outcome table
+    def share(self, readers: int) -> None:
+        """Open an empty outcome table for ``readers`` turns."""
+        self._outcomes.clear()
+        self._readers = readers
+
+    def take_turn(self) -> None:
+        """One reader starts drawing; outcomes are now kept for the readers after it."""
+        if self._readers > 0:
+            self._readers -= 1
+
+    def end_turn(self) -> None:
+        """A reader is done; once no later reader remains, drop every outcome."""
+        if self._readers == 0:
+            self._outcomes.clear()
+
+    @property
+    def entries(self) -> int:
+        """Outcomes currently held for later readers."""
+        return len(self._outcomes)
 
     # ------------------------------------------------------------------ rng
     def _rng_for(self, query_id: int, variant: ModelVariant) -> np.random.Generator:
@@ -109,7 +164,7 @@ class ImageGenerator:
         noise = 0.0
         if rng is not None and qm.quality_noise > 0:
             noise = float(rng.normal(0.0, qm.quality_noise))
-        return float(np.clip(mean + noise, 0.0, 1.0))
+        return float(min(max(mean + noise, 0.0), 1.0))
 
     def generate(
         self,
@@ -135,23 +190,39 @@ class ImageGenerator:
             degrades quality by ``reuse_penalty``.
         reuse_penalty:
             Quality penalty applied when reusing an incompatible latent.
+
+        A plain draw is served from the outcome table when an earlier reader
+        stored it; a reuse draw is never stored.
         """
+        reuse = reuse_from is not None and reuse_penalty > 0
+        key = (int(query_id), variant.name, difficulty)
+        if not reuse:
+            stored = self._outcomes.get(key)
+            if stored is not None and stored[0] is variant:
+                self.hits += 1
+                return stored[1]
+        self.draws += 1
         rng = self._rng_for(query_id, variant)
         quality = self.sample_quality(difficulty, variant, rng)
-        if reuse_from is not None and reuse_penalty > 0:
-            quality = float(np.clip(quality - reuse_penalty, 0.0, 1.0))
+        if reuse:
+            quality = float(min(max(quality - reuse_penalty, 0.0), 1.0))
 
         qm = variant.quality
         core = rng.normal(0.0, np.sqrt(qm.diversity), size=self.feature_dim)
         artifact_shift = (1.0 - quality) * qm.artifact_scale * _ARTIFACT_GAIN
         features = core + self._domain_offset + artifact_shift * self._artifact_direction
-        return GeneratedImage(
+        keep = self._readers > 0 and not reuse
+        image = GeneratedImage(
             query_id=int(query_id),
             variant_name=variant.name,
             quality=quality,
             features=features,
             seed=self.seed,
+            observations={} if keep else None,
         )
+        if keep:
+            self._outcomes[key] = (variant, image)
+        return image
 
     def generate_batch(
         self,
