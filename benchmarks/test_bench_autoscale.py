@@ -22,7 +22,8 @@ Two halves, mirroring the chaos benchmark's correctness/speed split:
 import time
 
 from repro.core.config import FleetSpec
-from repro.core.system import ClientSource, build_diffserve_system
+from repro.baselines.registry import build_system
+from repro.core.system import ClientSource
 from repro.experiments.studies import STUDIES, run_study
 from repro.workloads import make_workload
 
@@ -36,7 +37,7 @@ def _events_per_second(autoscale):
     """Events fired per wall second for one flash-crowd run."""
     from repro.runner.dimensions import DIMENSIONS
 
-    system = build_diffserve_system(
+    system = build_system(
         "sdturbo",
         fleet=FleetSpec.homogeneous(N_WORKERS),
         dataset_size=300,

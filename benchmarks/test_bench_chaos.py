@@ -22,7 +22,8 @@ Two halves, mirroring the contention benchmark's correctness/speed split:
 import time
 
 from repro.core.config import FleetSpec
-from repro.core.system import ClientSource, build_diffserve_system
+from repro.baselines.registry import build_system
+from repro.core.system import ClientSource
 from repro.experiments.studies import STUDIES, run_study
 from repro.runner.dimensions import DIMENSIONS
 from repro.workloads import make_workload
@@ -35,7 +36,7 @@ DURATION = 60.0
 
 def _events_per_second(faults):
     """Events fired per wall second for one flash-crowd run."""
-    system = build_diffserve_system(
+    system = build_system(
         "sdturbo",
         fleet=FleetSpec.homogeneous(N_WORKERS),
         dataset_size=300,

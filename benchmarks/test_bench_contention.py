@@ -21,7 +21,8 @@ Two halves, mirroring the shard benchmark's correctness/speed split:
 import time
 
 from repro.core.config import FleetSpec, ResourceConfig
-from repro.core.system import ClientSource, build_diffserve_system
+from repro.baselines.registry import build_system
+from repro.core.system import ClientSource
 from repro.experiments.studies import STUDIES, run_study
 from repro.workloads import make_workload
 
@@ -33,7 +34,7 @@ DURATION = 60.0
 
 def _events_per_second(resources):
     """Events fired per wall second for one flash-crowd run."""
-    system = build_diffserve_system(
+    system = build_system(
         "sdturbo",
         fleet=FleetSpec.homogeneous(N_WORKERS),
         dataset_size=300,

@@ -22,7 +22,7 @@ import time
 
 from repro.core.config import FleetSpec
 from repro.core.sharding import ShardSupervisor
-from repro.core.system import build_diffserve_system
+from repro.baselines.registry import build_system
 from repro.runner.dimensions import DIMENSIONS
 from repro.runner.executor import canonical_summaries_json
 from repro.workloads import make_workload
@@ -41,7 +41,7 @@ SPEEDUP_FLOOR = 2.5
 
 def _run(shards: int):
     """One full sharded run; returns (summary, wall seconds, supervisor)."""
-    template = build_diffserve_system(fleet=FleetSpec.homogeneous(8), dataset_size=300, seed=0)
+    template = build_system(fleet=FleetSpec.homogeneous(8), dataset_size=300, seed=0)
     workload = make_workload("static", duration=N_QUERIES / QPS, qps=QPS, seed=0)
     supervisor = ShardSupervisor(
         template=template, topology=DIMENSIONS["geo"].lookup("global-8"), shards=shards

@@ -10,16 +10,18 @@ Run with:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import FleetSpec, build_diffserve_system
+from repro import FleetSpec, build_system
 from repro.traces import azure_functions_like_rate
 from repro.traces.base import ArrivalTrace
 
 
 def main() -> None:
     # 1. Build the system: dataset, discriminator and MILP allocator are all
-    #    constructed behind this single call.
-    system = build_diffserve_system(
-        "sdturbo", fleet=FleetSpec.homogeneous(16), dataset_size=1000
+    #    constructed behind this single call.  Any other compared system
+    #    ("clipper-light", "clipper-heavy", "proteus", "diffserve-static";
+    #    see repro.SYSTEMS) is built the same way.
+    system = build_system(
+        "sdturbo", "diffserve", fleet=FleetSpec.homogeneous(16), dataset_size=1000
     )
 
     # 2. Generate a workload: a diurnal trace rescaled to 4-32 queries/second,

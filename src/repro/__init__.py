@@ -11,7 +11,8 @@ The package is organised as:
 * :mod:`repro.milp` — from-scratch MILP solver (branch-and-bound + exhaustive).
 * :mod:`repro.core` — the DiffServe serving system (workers, load balancer,
   controller, MILP resource allocator).
-* :mod:`repro.baselines` — Clipper, Proteus and DiffServe-Static.
+* :mod:`repro.baselines` — the five compared systems (Table 1) as records
+  behind one :func:`~repro.baselines.registry.build_system`.
 * :mod:`repro.traces` — rate curves and concrete arrival traces.
 * :mod:`repro.workloads` — the arrival-process scenario engine (Poisson,
   MMPP, diurnal, flash crowd, trace replay) behind one ``ArrivalProcess`` API.
@@ -19,24 +20,26 @@ The package is organised as:
 
 Quickstart::
 
-    from repro import FleetSpec, build_diffserve_system
+    from repro import FleetSpec, build_system
     from repro.workloads import make_workload
 
-    system = build_diffserve_system("sdturbo", fleet=FleetSpec.homogeneous(16))
+    system = build_system("sdturbo", "diffserve", fleet=FleetSpec.homogeneous(16))
     workload = make_workload("mmpp", duration=120.0, qps=16.0)
     result = system.run(workload)  # sampled from the simulator's own streams
     print(result.summary())
 """
 
 from repro.core.config import DEVICE_CLASSES, DeviceClass, FleetSpec, fleet_from_counts
-from repro.core.system import ServingSimulation, build_diffserve_system
+from repro.baselines.registry import SYSTEMS, build_system
+from repro.core.system import ServingSimulation
 from repro.models.zoo import CASCADES, MODEL_ZOO, get_cascade, get_variant
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ServingSimulation",
-    "build_diffserve_system",
+    "build_system",
+    "SYSTEMS",
     "DeviceClass",
     "FleetSpec",
     "DEVICE_CLASSES",

@@ -14,12 +14,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.allocator import AllocationPlan, ControlContext
-from repro.core.config import FleetSpec, ResourceConfig, RoutingMode, SystemConfig
 from repro.core.policies import AllocationPolicy
-from repro.core.system import ServingSimulation
-from repro.models.dataset import QueryDataset, load_dataset
 from repro.models.variants import ModelVariant
-from repro.models.zoo import get_cascade
 
 
 def _largest_safe_batch(
@@ -64,42 +60,3 @@ class ClipperPolicy(AllocationPolicy):
             feasible=True,
             light_variant_name=self.variant.name,
         )
-
-
-def build_clipper_system(
-    cascade_name: str = "sdturbo",
-    which: str = "light",
-    *,
-    fleet: FleetSpec = FleetSpec.homogeneous(16),
-    slo: Optional[float] = None,
-    dataset: Optional[QueryDataset] = None,
-    resources: Optional[ResourceConfig] = None,
-    faults=None,
-    prices=None,
-    seed: int = 0,
-    dataset_size: int = 1000,
-) -> ServingSimulation:
-    """Build Clipper-Light (``which="light"``) or Clipper-Heavy (``which="heavy"``)."""
-    if which not in ("light", "heavy"):
-        raise ValueError("which must be 'light' or 'heavy'")
-    cascade = get_cascade(cascade_name)
-    if dataset is None:
-        dataset = load_dataset(cascade.dataset, n=dataset_size, seed=seed)
-    variant = cascade.light if which == "light" else cascade.heavy
-    config = SystemConfig(
-        cascade=cascade,
-        fleet=fleet,
-        slo=slo,
-        routing=RoutingMode.SINGLE,
-        resources=resources,
-        seed=seed,
-    )
-    return ServingSimulation(
-        config=config,
-        dataset=dataset,
-        policy=ClipperPolicy(variant),
-        discriminator=None,
-        name=f"clipper-{which}",
-        faults=faults,
-        prices=prices,
-    )

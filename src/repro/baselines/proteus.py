@@ -21,12 +21,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.allocator import AllocationPlan, ControlContext
-from repro.core.config import FleetSpec, ResourceConfig, RoutingMode, SystemConfig
 from repro.core.policies import AllocationPolicy
-from repro.core.system import ServingSimulation
-from repro.models.dataset import QueryDataset, load_dataset
 from repro.models.variants import ModelVariant
-from repro.models.zoo import MODEL_ZOO, CascadeSpec, get_cascade
+from repro.models.zoo import MODEL_ZOO, CascadeSpec
 
 
 def default_variant_family(cascade: CascadeSpec) -> List[ModelVariant]:
@@ -46,7 +43,12 @@ def default_variant_family(cascade: CascadeSpec) -> List[ModelVariant]:
 
 
 class ProteusPolicy(AllocationPolicy):
-    """Query-agnostic accuracy scaling over a family of model variants."""
+    """Query-agnostic accuracy scaling over a family of model variants.
+
+    Proteus stays device-class-agnostic on a typed fleet: it scales model
+    variants against the aggregate worker count, which is exactly the
+    heterogeneity-blindness the fleet study measures against.
+    """
 
     dynamic = True
 
@@ -130,46 +132,3 @@ class ProteusPolicy(AllocationPolicy):
             light_variant=light,
             heavy_variant=best,
         )
-
-
-def build_proteus_system(
-    cascade_name: str = "sdturbo",
-    *,
-    fleet: FleetSpec = FleetSpec.homogeneous(16),
-    slo: Optional[float] = None,
-    dataset: Optional[QueryDataset] = None,
-    resources: Optional[ResourceConfig] = None,
-    faults=None,
-    prices=None,
-    over_provision: float = 1.1,
-    seed: int = 0,
-    dataset_size: int = 1000,
-) -> ServingSimulation:
-    """Build the Proteus baseline for a named cascade.
-
-    ``fleet`` selects a typed device fleet.  Proteus itself stays
-    device-class-agnostic — it scales model variants against the aggregate
-    worker count, which is exactly the heterogeneity-blindness the fleet
-    study measures against.
-    """
-    cascade = get_cascade(cascade_name)
-    if dataset is None:
-        dataset = load_dataset(cascade.dataset, n=dataset_size, seed=seed)
-    config = SystemConfig(
-        cascade=cascade,
-        fleet=fleet,
-        slo=slo,
-        routing=RoutingMode.RANDOM_SPLIT,
-        resources=resources,
-        seed=seed,
-    )
-    policy = ProteusPolicy(cascade, over_provision=over_provision)
-    return ServingSimulation(
-        config=config,
-        dataset=dataset,
-        policy=policy,
-        discriminator=None,
-        name="proteus",
-        faults=faults,
-        prices=prices,
-    )

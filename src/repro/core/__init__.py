@@ -9,8 +9,8 @@ This package implements the paper's primary contribution:
   demand estimator, queueing-delay models, and the MILP-based
   :class:`~repro.core.allocator.DiffServeAllocator` (Section 3.3);
 * the end-to-end simulation entry point
-  :class:`~repro.core.system.ServingSimulation` and the system presets in
-  :mod:`repro.core.system`.
+  :class:`~repro.core.system.ServingSimulation` (the compared systems are
+  built by :func:`repro.baselines.registry.build_system`).
 """
 
 from repro.core.allocator import AllocationPlan, ControlContext, DiffServeAllocator
@@ -30,7 +30,7 @@ from repro.core.query import Query, QueryRecord, QueryStage
 from repro.core.queueing import QueueingModel, LittlesLawModel, TwoXExecutionModel
 from repro.core.repository import ModelRepository
 from repro.core.results import SimulationResult
-from repro.core.system import ServingSimulation, build_diffserve_system
+from repro.core.system import ServingSimulation
 from repro.core.worker import Worker
 
 __all__ = [
@@ -57,5 +57,4 @@ __all__ = [
     "ModelRepository",
     "SimulationResult",
     "ServingSimulation",
-    "build_diffserve_system",
 ]

@@ -458,9 +458,6 @@ class SystemConfig:
         Routing mode of the Load Balancer.
     control_period:
         Controller re-allocation period (seconds).
-    over_provision:
-        Over-provisioning factor ``lambda`` applied to the estimated demand
-        (1.05 by default per Section 3.3).
     drop_late_queries:
         Whether workers preemptively drop queries predicted to miss their
         deadline.
@@ -483,7 +480,6 @@ class SystemConfig:
     slo: Optional[float] = None
     routing: RoutingMode = RoutingMode.CASCADE
     control_period: float = 5.0
-    over_provision: float = 1.05
     drop_late_queries: bool = True
     worker_reload_latency: float = 0.5
     monitoring_window: float = 20.0
@@ -503,8 +499,6 @@ class SystemConfig:
             raise ValueError("slo must be positive")
         if self.control_period <= 0:
             raise ValueError("control_period must be positive")
-        if self.over_provision < 1.0:
-            raise ValueError("over_provision must be >= 1.0")
         if self.worker_reload_latency < 0:
             raise ValueError("worker_reload_latency must be non-negative")
         if self.monitoring_window <= 0:

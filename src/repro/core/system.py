@@ -16,15 +16,13 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 from repro.core.autoscaler import Autoscaler, ScalePolicy
 from repro.core.config import (
     DEFAULT_DEVICE_CLASS,
-    FleetSpec,
-    ResourceConfig,
     RoutingMode,
     SystemConfig,
 )
 from repro.core.controller import Controller
 from repro.core.pricing import PriceTrace
 from repro.core.load_balancer import LoadBalancer
-from repro.core.policies import AllocationPolicy, make_diffserve_policy
+from repro.core.policies import AllocationPolicy
 from repro.core.query import Query, QueryBatch
 from repro.core.replanner import ReplanConfig, ReplanController
 from repro.core.repository import ModelRepository
@@ -33,8 +31,6 @@ from repro.core.results import ResultCollector, SimulationResult
 from repro.core.worker import Worker
 from repro.discriminators.base import Discriminator
 from repro.faults.plan import FaultPlan
-from repro.discriminators.deferral import DeferralProfile
-from repro.discriminators.training import train_default_discriminator
 from repro.models.dataset import QueryDataset
 from repro.models.generation import ImageGenerator
 from repro.models.zoo import MODEL_ZOO
@@ -571,120 +567,3 @@ class ServingSimulation:
         if self.profile:
             self.last_profile = runtime.sim.profile_snapshot()
         return runtime.result(horizon)
-
-
-#: Integral-search-space cutoff below which re-planning systems hand the
-#: per-pair MILP to the LP-free exhaustive solver.  A single-class cluster of
-#: S workers has S * (S + 1) combinations (``x1 >= 1``, ``x2 >= 0``), so 64
-#: covers S <= 7.
-DEFAULT_EXHAUSTIVE_CUTOFF = 64
-
-
-def build_diffserve_system(
-    cascade_name: str = "sdturbo",
-    *,
-    fleet: FleetSpec = FleetSpec.homogeneous(16),
-    slo: Optional[float] = None,
-    dataset: Optional[QueryDataset] = None,
-    discriminator: Optional[Discriminator] = None,
-    deferral_profile: Optional[DeferralProfile] = None,
-    over_provision: float = 1.05,
-    control_period: float = 5.0,
-    seed: int = 0,
-    dataset_size: int = 1000,
-    policy_variant: str = "full",
-    static_threshold: float = 0.5,
-    replan_epoch: Optional[float] = None,
-    replan_policy: Optional[str] = None,
-    resources: Optional[ResourceConfig] = None,
-    faults: Optional[FaultPlan] = None,
-    autoscale: Optional[ScalePolicy] = None,
-    prices: Optional[PriceTrace] = None,
-) -> ServingSimulation:
-    """Build a ready-to-run DiffServe system for a named cascade.
-
-    This is the main public entry point: it loads the cascade's dataset,
-    trains the discriminator (EfficientNet with ground-truth images), profiles
-    the deferral function, and assembles the full system.  Pass
-    ``policy_variant`` to select one of the Section 4.5 ablations
-    (``"static-threshold"``, ``"aimd"``, ``"no-queueing"``).
-
-    ``fleet`` selects a typed (possibly heterogeneous) device fleet; the
-    default is the paper's 16-device homogeneous testbed.
-
-    ``replan_epoch`` / ``replan_policy`` enable the online re-planning control
-    plane: the epoch defaults to ``control_period`` and the policy to
-    ``"periodic"`` when only one of the two is given (see
-    :class:`~repro.core.replanner.ReplanConfig`).  Re-planning systems also
-    enable the allocator's exhaustive fallback for small clusters.
-
-    ``resources`` attaches the multi-resource worker model
-    (:class:`~repro.core.config.ResourceConfig`): residency-gated reloads over
-    shared transfer bandwidth, result egress, and (when ``reload_aware``)
-    reload-penalised, co-placement-pinning MILP plans.  ``None`` keeps the
-    legacy model bit-for-bit.
-
-    ``faults`` attaches a deterministic fault plan
-    (:class:`~repro.faults.plan.FaultPlan`): seed-driven crash / revocation /
-    straggler / bandwidth / partition / solver-timeout processes plus the
-    optional self-healing recovery loop.  ``None`` keeps runs bit-for-bit
-    identical to fault-free builds.
-
-    ``autoscale`` attaches a :class:`~repro.core.autoscaler.ScalePolicy`
-    evaluated at replan epochs (requires re-planning); ``prices`` attaches a
-    :class:`~repro.core.pricing.PriceTrace` metering time-integrated cost and
-    pricing spot classes.  Both default to ``None`` (bit-for-bit legacy).
-    """
-    from repro.models.dataset import load_dataset
-    from repro.models.zoo import get_cascade
-
-    cascade = get_cascade(cascade_name)
-    if dataset is None:
-        dataset = load_dataset(cascade.dataset, n=dataset_size, seed=seed)
-    if discriminator is None:
-        discriminator = train_default_discriminator(
-            dataset, cascade.light, cascade.heavy, seed=seed
-        )
-    if deferral_profile is None:
-        deferral_profile = DeferralProfile.profile(
-            discriminator, dataset, cascade.light, seed=seed
-        )
-
-    config = SystemConfig(
-        cascade=cascade,
-        fleet=fleet,
-        slo=slo,
-        routing=RoutingMode.CASCADE,
-        control_period=control_period,
-        over_provision=over_provision,
-        seed=seed,
-        resources=resources,
-    )
-    replan = None
-    if replan_epoch is not None or replan_policy is not None:
-        replan = ReplanConfig(
-            epoch=control_period if replan_epoch is None else float(replan_epoch),
-            policy=replan_policy or "periodic",
-        )
-    policy = make_diffserve_policy(
-        cascade.light,
-        cascade.heavy,
-        deferral_profile,
-        discriminator_latency=discriminator.latency_s,
-        over_provision=over_provision,
-        variant=policy_variant,
-        static_threshold=static_threshold,
-        exhaustive_cutoff=DEFAULT_EXHAUSTIVE_CUTOFF if replan is not None else 0,
-    )
-    name = "diffserve" if policy_variant == "full" else f"diffserve-{policy_variant}"
-    return ServingSimulation(
-        config=config,
-        dataset=dataset,
-        policy=policy,
-        discriminator=discriminator,
-        replan=replan,
-        name=name,
-        faults=faults,
-        autoscale=autoscale,
-        prices=prices,
-    )

@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+from repro.baselines.registry import build_system
 from repro.core.config import FleetSpec
-from repro.core.system import build_diffserve_system
-from repro.discriminators.deferral import DeferralProfile
 from repro.experiments.harness import (
     BENCH_SCALE,
     ExperimentScale,
@@ -98,7 +97,7 @@ def run_drift_adaptation(
     reasonable static guess) and replays the identical arrival trace; only
     the re-plan policy differs.
     """
-    cascade, dataset, discriminator = shared_components(cascade_name, scale)
+    _, dataset, discriminator = shared_components(cascade_name, scale)
     result = DriftAdaptationResult()
     for kind in workloads:
         process = make_workload(
@@ -110,17 +109,14 @@ def run_drift_adaptation(
         trace = process.sample(RandomStreams(scale.seed))
         result.arms[kind] = {}
         for policy in policies:
-            # Profiled per arm: the deferral profile is updated online during
-            # a run, and arms must not leak control state into each other.
-            deferral_profile = DeferralProfile.profile(
-                discriminator, dataset, cascade.light, seed=scale.seed
-            )
-            system = build_diffserve_system(
+            # Each build profiles its own deferral function: the profile is
+            # updated online during a run, and arms must not leak control
+            # state into each other.
+            system = build_system(
                 cascade_name,
                 fleet=FleetSpec.homogeneous(scale.num_workers),
                 dataset=dataset,
                 discriminator=discriminator,
-                deferral_profile=deferral_profile,
                 seed=scale.seed,
                 replan_epoch=epoch,
                 replan_policy=policy,

@@ -10,14 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from repro.baselines import (
-    build_clipper_system,
-    build_diffserve_static_system,
-    build_proteus_system,
-)
+from repro.baselines.registry import SYSTEMS, build_system
 from repro.core.config import FleetSpec
 from repro.core.results import SimulationResult
-from repro.core.system import ServingSimulation, build_diffserve_system
+from repro.core.system import ServingSimulation
 from repro.discriminators.base import Discriminator
 from repro.models.dataset import QueryDataset
 from repro.models.generation import ImageGenerator
@@ -117,13 +113,7 @@ def build_comparison_systems(
     anticipated_peak_qps: float,
     dataset: Optional[QueryDataset] = None,
     discriminator: Optional[Discriminator] = None,
-    systems: Sequence[str] = (
-        "clipper-light",
-        "clipper-heavy",
-        "proteus",
-        "diffserve-static",
-        "diffserve",
-    ),
+    systems: Sequence[str] = tuple(SYSTEMS),
     slo: Optional[float] = None,
     over_provision: Optional[float] = None,
     policy_variant: str = "full",
@@ -136,29 +126,20 @@ def build_comparison_systems(
     autoscale=None,
     prices=None,
 ) -> Dict[str, ServingSimulation]:
-    """Instantiate the requested systems with shared dataset/discriminator.
+    """Build the requested systems with shared dataset/discriminator.
 
-    ``slo``/``over_provision`` override the per-system defaults (``None``
-    keeps each builder's own default); ``policy_variant``/``static_threshold``
-    select the Section 4.5 DiffServe allocation ablations;
-    ``replan_epoch``/``replan_policy`` attach the online re-planning control
-    plane to the DiffServe system (see
-    :class:`~repro.core.replanner.ReplanConfig`).  ``fleet`` (a
-    :class:`~repro.core.config.FleetSpec`) replaces the homogeneous
-    ``scale.num_workers`` cluster for every system in the cell, so all
-    systems compete on identical hardware.  ``resources`` (a
-    :class:`~repro.core.config.ResourceConfig`) attaches the multi-resource
-    worker model — memory residency, transfer bandwidth, result egress — to
-    every system; ``None`` keeps the legacy compute-only execution model.
-    ``faults`` (a :class:`~repro.faults.plan.FaultPlan`) injects the same
-    deterministic fault scenario into every system; ``None`` keeps runs
-    fault-free and bit-for-bit legacy.  ``prices`` (a
-    :class:`~repro.core.pricing.PriceTrace`) meters every system's cost
-    ledger at spot-market rates; ``autoscale`` (a
-    :class:`~repro.core.autoscaler.ScalePolicy`) attaches the
-    epoch-synchronous autoscaler to the DiffServe system only — baselines
-    have no re-planning loop to evaluate it on, so they keep their fixed
-    fleet (and remain the fixed-provisioning comparison arms).
+    Each system is :func:`~repro.baselines.registry.build_system` of one
+    :data:`~repro.baselines.registry.SYSTEMS` name, and every option means
+    what it means there: ``slo``/``over_provision`` override the per-system
+    defaults (``None`` keeps each record's own), while ``policy_variant``,
+    ``static_threshold``, ``replan_epoch``, ``replan_policy`` and
+    ``autoscale`` reach the DiffServe system only — baselines have no
+    re-planning loop, so they keep their fixed fleet (and remain the
+    fixed-provisioning comparison arms).  ``fleet`` replaces the homogeneous
+    ``scale.num_workers`` cluster, and ``resources``, ``faults`` and
+    ``prices`` apply to every system, so all systems compete on identical
+    hardware under the same scenario.  Each cascade system profiles its own
+    deferral function, because the controller updates it in place.
 
     Every system shares one :class:`~repro.models.generation.ImageGenerator`
     opened for as many turns as there are systems, so a query outcome is
@@ -166,70 +147,24 @@ def build_comparison_systems(
     """
     if dataset is None or discriminator is None:
         _, dataset, discriminator = shared_components(cascade_name, scale)
-    over = {} if over_provision is None else {"over_provision": over_provision}
-    cluster = {
+    options = {
         "fleet": fleet or FleetSpec.homogeneous(scale.num_workers),
+        "slo": slo,
+        "dataset": dataset,
+        "discriminator": discriminator,
+        "over_provision": over_provision,
+        "seed": scale.seed,
+        "anticipated_peak_qps": anticipated_peak_qps,
+        "policy_variant": policy_variant,
+        "static_threshold": static_threshold,
+        "replan_epoch": replan_epoch,
+        "replan_policy": replan_policy,
         "resources": resources,
         "faults": faults,
+        "autoscale": autoscale,
         "prices": prices,
     }
-    built: Dict[str, ServingSimulation] = {}
-    for name in systems:
-        if name == "clipper-light":
-            built[name] = build_clipper_system(
-                cascade_name,
-                "light",
-                slo=slo,
-                dataset=dataset,
-                seed=scale.seed,
-                **cluster,
-            )
-        elif name == "clipper-heavy":
-            built[name] = build_clipper_system(
-                cascade_name,
-                "heavy",
-                slo=slo,
-                dataset=dataset,
-                seed=scale.seed,
-                **cluster,
-            )
-        elif name == "proteus":
-            built[name] = build_proteus_system(
-                cascade_name,
-                slo=slo,
-                dataset=dataset,
-                seed=scale.seed,
-                **cluster,
-                **over,
-            )
-        elif name == "diffserve-static":
-            built[name] = build_diffserve_static_system(
-                cascade_name,
-                anticipated_peak_qps=anticipated_peak_qps,
-                slo=slo,
-                dataset=dataset,
-                discriminator=discriminator,
-                seed=scale.seed,
-                **cluster,
-                **over,
-            )
-        elif name == "diffserve":
-            built[name] = build_diffserve_system(
-                cascade_name,
-                slo=slo,
-                dataset=dataset,
-                discriminator=discriminator,
-                seed=scale.seed,
-                policy_variant=policy_variant,
-                static_threshold=static_threshold,
-                replan_epoch=replan_epoch,
-                replan_policy=replan_policy,
-                autoscale=autoscale,
-                **cluster,
-                **over,
-            )
-        else:
-            raise KeyError(f"unknown system {name!r}")
+    built = {name: build_system(cascade_name, name, **options) for name in systems}
     generator = ImageGenerator(seed=scale.seed)
     generator.share(len(built))
     for system in built.values():
@@ -241,13 +176,7 @@ def run_comparison(
     cascade_name: str,
     scale: ExperimentScale = BENCH_SCALE,
     *,
-    systems: Sequence[str] = (
-        "clipper-light",
-        "clipper-heavy",
-        "proteus",
-        "diffserve-static",
-        "diffserve",
-    ),
+    systems: Sequence[str] = tuple(SYSTEMS),
     peak_provision_factor: float = 0.8,
     trace=None,
 ) -> SystemComparison:

@@ -335,12 +335,12 @@ def shard_timing_report(
     """
     from repro.core.config import FleetSpec
     from repro.core.sharding import ShardSupervisor
-    from repro.core.system import build_diffserve_system
+    from repro.baselines.registry import build_system
     from repro.runner.dimensions import DIMENSIONS
     from repro.workloads import cascade_qps_range, make_workload
 
     topo = DIMENSIONS["geo"].lookup(topology)
-    template = build_diffserve_system(
+    template = build_system(
         cascade_name,
         fleet=FleetSpec.homogeneous(scale.num_workers),
         dataset_size=scale.dataset_size,

@@ -15,6 +15,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
+from repro.baselines.registry import SYSTEMS, get_system
 from repro.experiments.harness import ExperimentScale
 from repro.runner.dimensions import DIMENSIONS
 
@@ -47,13 +48,7 @@ from repro.runner.dimensions import DIMENSIONS
 CACHE_SCHEMA_VERSION = 9
 
 #: The standard five-system comparison run by most figures.
-DEFAULT_SYSTEMS: Tuple[str, ...] = (
-    "clipper-light",
-    "clipper-heavy",
-    "proteus",
-    "diffserve-static",
-    "diffserve",
-)
+DEFAULT_SYSTEMS: Tuple[str, ...] = tuple(SYSTEMS)
 
 #: Parameter keys a spec may override (forwarded to the system builders).
 ALLOWED_PARAMS = (
@@ -237,6 +232,10 @@ class ExperimentSpec:
         if not self.systems:
             raise ValueError("a spec must compare at least one system")
         object.__setattr__(self, "systems", tuple(self.systems))
+        for name in self.systems:
+            # Same eager rule as fleets and dimensions: an unknown name fails
+            # at spec construction with one line, not inside a grid cell.
+            get_system(name)
         seen = set()
         for key, value in self.params:
             if key not in ALLOWED_PARAMS:

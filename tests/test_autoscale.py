@@ -32,7 +32,7 @@ from repro.core.pricing import (
     PriceTrace,
 )
 from repro.core.sharding import run_sharded
-from repro.core.system import build_diffserve_system
+from repro.baselines.registry import build_system
 from repro.experiments.harness import ExperimentScale
 from repro.runner.dimensions import DIMENSIONS
 from repro.runner.spec import ExperimentSpec
@@ -61,7 +61,7 @@ def elastic_system(**overrides):
         prices=PRICES.lookup("spot-diurnal"),
     )
     defaults.update(overrides)
-    return build_diffserve_system(**defaults)
+    return build_system(**defaults)
 
 
 def small_workload(**overrides):
@@ -331,7 +331,7 @@ def test_static_policy_never_scales():
 
 def test_autoscale_requires_replan_control_plane():
     with pytest.raises(ValueError, match="replan"):
-        build_diffserve_system(
+        build_system(
             "sdturbo",
             fleet=fleet_from_counts({"a100": 2}),
             dataset_size=100,
@@ -345,7 +345,7 @@ def test_revocation_run_costs_less_than_quiet_twin():
     """Losing a worker to a spot revocation must show up as money saved."""
 
     def run(faults):
-        system = build_diffserve_system(
+        system = build_system(
             "sdturbo",
             fleet=fleet_from_counts({"a100": 4}),
             dataset_size=100,

@@ -145,8 +145,6 @@ def test_system_config_defaults_and_validation():
     with pytest.raises(ValueError):
         SystemConfig(cascade=cascade, fleet=FleetSpec.homogeneous(0))
     with pytest.raises(ValueError):
-        SystemConfig(cascade=cascade, over_provision=0.9)
-    with pytest.raises(ValueError):
         SystemConfig(cascade=cascade, control_period=0.0)
     with pytest.raises(ValueError):
         SystemConfig(cascade=cascade, slo=-1.0)

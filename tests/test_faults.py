@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from repro.core.allocator import AllocationPlan
 from repro.core.config import FleetSpec, fleet_from_counts
 from repro.core.sharding import run_sharded
-from repro.core.system import ClientSource, build_diffserve_system
+from repro.baselines.registry import build_system
+from repro.core.system import ClientSource
 from repro.faults.plan import (
     FAULT_PLANS,
     CrashStorm,
@@ -58,7 +59,7 @@ def small_system(faults=None, **overrides):
         replan_policy="adaptive",
     )
     defaults.update(overrides)
-    return build_diffserve_system(faults=faults, **defaults)
+    return build_system(faults=faults, **defaults)
 
 
 def small_workload(seed=3):
@@ -205,7 +206,7 @@ GOLDEN_REPLAN = {
 
 
 def test_faults_none_matches_pr7_golden():
-    system = build_diffserve_system(
+    system = build_system(
         "sdturbo",
         fleet=FleetSpec.homogeneous(4),
         dataset_size=120,

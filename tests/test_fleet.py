@@ -392,9 +392,9 @@ def test_controller_maps_typed_assignments_onto_device_groups(coco_dataset, casc
 
 
 def test_mixed_fleet_simulation_end_to_end(coco_dataset, trained_discriminator, cascade1):
-    from repro.core.system import build_diffserve_system
+    from repro.baselines.registry import build_system
 
-    system = build_diffserve_system(
+    system = build_system(
         "sdturbo",
         fleet=mixed_fleet(a100=2, l4=4),
         dataset=coco_dataset,

@@ -160,9 +160,9 @@ def test_solved_plans_carry_residency(allocator):
 
 # ------------------------------------------------------------ control plane
 def test_controller_applies_residency_to_workers(cascade1):
-    from repro.core.system import build_diffserve_system
+    from repro.baselines.registry import build_system
 
-    system = build_diffserve_system(
+    system = build_system(
         "sdturbo",
         fleet=FleetSpec.homogeneous(4),
         dataset_size=60,

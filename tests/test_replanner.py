@@ -3,7 +3,7 @@
 Covers the :class:`~repro.core.replanner.ReplanController` loop (static /
 periodic / adaptive policies), the allocator's warm-started solve path
 (incumbent seeding, relaxation-bound pruning, exhaustive fallback), and the
-wiring through :func:`~repro.core.system.build_diffserve_system`.
+wiring through :func:`~repro.baselines.registry.build_system`.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 from repro.core.allocator import ControlContext, DiffServeAllocator
 from repro.core.config import FleetSpec
 from repro.core.replanner import REPLAN_POLICIES, ReplanConfig
-from repro.core.system import build_diffserve_system
+from repro.baselines.registry import build_system
 from repro.simulator.rng import RandomStreams
 from repro.workloads import make_workload
 
@@ -35,7 +35,7 @@ def test_replan_config_validation():
 def test_build_diffserve_system_replan_wiring(
     coco_dataset, trained_discriminator, deferral_profile
 ):
-    system = build_diffserve_system(
+    system = build_system(
         "sdturbo",
         fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
@@ -49,7 +49,7 @@ def test_build_diffserve_system_replan_wiring(
     assert system.policy.allocator.exhaustive_cutoff > 0
 
     # Either flag alone enables the control plane with sensible defaults.
-    system = build_diffserve_system(
+    system = build_system(
         "sdturbo",
         fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
@@ -60,7 +60,7 @@ def test_build_diffserve_system_replan_wiring(
     )
     assert system.replan == ReplanConfig(epoch=4.0, policy="periodic")
 
-    plain = build_diffserve_system(
+    plain = build_system(
         "sdturbo",
         fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
@@ -173,7 +173,7 @@ def _run_system(
     # its own copy of the fixture's state (isolation between runs is exactly
     # what the determinism test below checks).
     del deferral_profile  # profiled fresh (deterministically) per system
-    system = build_diffserve_system(
+    system = build_system(
         "sdturbo",
         fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
@@ -250,7 +250,7 @@ def test_observation_window_covers_replan_epochs_longer_than_control_period(
 ):
     # An epoch longer than the controller's period must not truncate the
     # balancer's arrival history (that would bias the demand estimate low).
-    system = build_diffserve_system(
+    system = build_system(
         "sdturbo",
         fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,

@@ -11,7 +11,7 @@ import pytest
 
 from repro.cli import parse_grid
 from repro.core.config import FleetSpec, ResourceConfig, fleet_from_counts
-from repro.core.system import build_diffserve_system
+from repro.baselines.registry import build_system
 from repro.experiments.harness import ExperimentScale
 from repro.runner.dimensions import DIMENSIONS
 from repro.runner.spec import CACHE_SCHEMA_VERSION, ExperimentGrid, ExperimentSpec
@@ -49,7 +49,7 @@ GOLDEN_FLEET = {
 
 
 def test_legacy_replan_summary_is_bit_for_bit():
-    system = build_diffserve_system(
+    system = build_system(
         "sdturbo",
         fleet=FleetSpec.homogeneous(4),
         dataset_size=120,
@@ -63,7 +63,7 @@ def test_legacy_replan_summary_is_bit_for_bit():
 
 
 def test_legacy_fleet_summary_is_bit_for_bit():
-    system = build_diffserve_system(
+    system = build_system(
         "sdturbo",
         fleet=fleet_from_counts({"a100": 2, "l4": 3}),
         dataset_size=120,
@@ -77,7 +77,7 @@ def test_legacy_fleet_summary_is_bit_for_bit():
 def test_resources_enabled_run_differs_but_completes():
     """Sanity check the non-legacy side: resources change behaviour (egress
     exists) without breaking the pipeline."""
-    system = build_diffserve_system(
+    system = build_system(
         "sdturbo",
         fleet=FleetSpec.homogeneous(2),
         dataset_size=60,

@@ -169,13 +169,14 @@ def test_cache_key_misses_on_changed_seed_or_scale(tmp_path):
 
 def test_failing_cell_is_isolated_serial_and_parallel(tmp_path):
     good = tiny_spec()
-    bad_system = tiny_spec(systems=("no-such-system",))
-    grid = ExperimentGrid.of([bad_system, good])
+    # An unknown cascade passes spec construction and fails inside the cell.
+    bad_cascade = tiny_spec(cascade="not-a-cascade")
+    grid = ExperimentGrid.of([bad_cascade, good])
     for jobs in (1, 2):
         report = run_grid(grid, jobs=jobs, cache=ArtifactCache(root=tmp_path / f"j{jobs}"))
         assert not report.ok
         assert report.cells[0].status == "error"
-        assert "no-such-system" in report.cells[0].error
+        assert "not-a-cascade" in report.cells[0].error
         assert report.cells[1].ok
 
 

@@ -25,7 +25,7 @@ from repro.core.sharding import (
     region_seed,
     run_sharded,
 )
-from repro.core.system import build_diffserve_system
+from repro.baselines.registry import build_system
 from repro.runner.dimensions import DIMENSIONS
 from repro.runner.executor import canonical_summaries_json
 from repro.workloads import make_workload
@@ -38,7 +38,7 @@ GEO = DIMENSIONS["geo"]
 def small_system(**overrides):
     defaults = dict(fleet=FleetSpec.homogeneous(4), dataset_size=100, seed=3)
     defaults.update(overrides)
-    return build_diffserve_system(**defaults)
+    return build_system(**defaults)
 
 
 def small_workload():

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    build_clipper_system,
-    build_diffserve_static_system,
-    build_proteus_system,
+from repro.baselines.registry import (
+    SYSTEMS,
+    baseline_table_rows,
+    build_system,
+    render_baseline_table,
 )
-from repro.baselines.registry import BASELINE_TABLE, baseline_table_rows, render_baseline_table
 from repro.core.config import FleetSpec
 from repro.core.query import QueryStage
-from repro.core.system import build_diffserve_system
 from repro.traces.azure import azure_functions_like_rate
 from repro.traces.base import ArrivalTrace
 from repro.traces.synthetic import static_rate
@@ -26,7 +25,7 @@ def short_trace():
 @pytest.fixture(scope="module")
 def diffserve_result(coco_dataset_module, trained_discriminator_module, short_trace):
     _, trace = short_trace
-    system = build_diffserve_system(
+    system = build_system(
         "sdturbo",
         fleet=FleetSpec.homogeneous(16),
         dataset=coco_dataset_module,
@@ -94,7 +93,7 @@ def test_simulation_is_reproducible(coco_dataset_module, trained_discriminator_m
     trace = ArrivalTrace.from_rate_curve(curve, np.random.default_rng(3))
 
     def run_once():
-        system = build_diffserve_system(
+        system = build_system(
             "sdturbo",
             fleet=FleetSpec.homogeneous(8),
             dataset=coco_dataset_module,
@@ -112,7 +111,7 @@ def test_simulation_is_reproducible(coco_dataset_module, trained_discriminator_m
 # -------------------------------------------------------------------- baselines
 def test_clipper_light_never_defers(coco_dataset_module, short_trace):
     _, trace = short_trace
-    system = build_clipper_system("sdturbo", "light", dataset=coco_dataset_module)
+    system = build_system("sdturbo", "clipper-light", dataset=coco_dataset_module)
     result = system.run(trace)
     assert result.deferral_rate == 0.0
     assert result.slo_violation_ratio < 0.02
@@ -121,7 +120,7 @@ def test_clipper_light_never_defers(coco_dataset_module, short_trace):
 
 def test_clipper_heavy_overloads_at_peak(coco_dataset_module, short_trace):
     _, trace = short_trace
-    system = build_clipper_system("sdturbo", "heavy", dataset=coco_dataset_module)
+    system = build_system("sdturbo", "clipper-heavy", dataset=coco_dataset_module)
     result = system.run(trace)
     assert all(r.model_used == "sd-v1.5" for r in result.completed_records)
     assert result.slo_violation_ratio > 0.2
@@ -129,16 +128,16 @@ def test_clipper_heavy_overloads_at_peak(coco_dataset_module, short_trace):
 
 def test_clipper_quality_ordering(coco_dataset_module, short_trace):
     _, trace = short_trace
-    light = build_clipper_system("sdturbo", "light", dataset=coco_dataset_module).run(trace)
-    heavy = build_clipper_system("sdturbo", "heavy", dataset=coco_dataset_module).run(trace)
+    light = build_system("sdturbo", "clipper-light", dataset=coco_dataset_module).run(trace)
+    heavy = build_system("sdturbo", "clipper-heavy", dataset=coco_dataset_module).run(trace)
     assert heavy.fid() < light.fid()
     with pytest.raises(ValueError):
-        build_clipper_system("sdturbo", "medium")
+        build_system("sdturbo", "clipper-medium")
 
 
 def test_proteus_uses_multiple_variants_query_agnostically(coco_dataset_module, short_trace):
     _, trace = short_trace
-    system = build_proteus_system("sdturbo", dataset=coco_dataset_module)
+    system = build_system("sdturbo", "proteus", dataset=coco_dataset_module)
     result = system.run(trace)
     used = {r.model_used for r in result.completed_records}
     assert len(used) >= 2  # light + a more accurate variant
@@ -149,8 +148,9 @@ def test_diffserve_static_is_query_aware_but_not_adaptive(
     coco_dataset_module, trained_discriminator_module, short_trace
 ):
     curve, trace = short_trace
-    system = build_diffserve_static_system(
+    system = build_system(
         "sdturbo",
+        "diffserve-static",
         anticipated_peak_qps=0.8 * curve.peak,
         dataset=coco_dataset_module,
         discriminator=trained_discriminator_module,
@@ -165,14 +165,14 @@ def test_diffserve_beats_baselines_on_quality(
     coco_dataset_module, trained_discriminator_module, short_trace, diffserve_result
 ):
     _, trace = short_trace
-    light = build_clipper_system("sdturbo", "light", dataset=coco_dataset_module).run(trace)
-    proteus = build_proteus_system("sdturbo", dataset=coco_dataset_module).run(trace)
+    light = build_system("sdturbo", "clipper-light", dataset=coco_dataset_module).run(trace)
+    proteus = build_system("sdturbo", "proteus", dataset=coco_dataset_module).run(trace)
     assert diffserve_result.fid() < light.fid()
     assert diffserve_result.fid() < proteus.fid() + 0.3
 
 
 def test_baseline_registry_matches_table1():
-    assert set(BASELINE_TABLE) == {
+    assert set(SYSTEMS) == {
         "clipper-light",
         "clipper-heavy",
         "proteus",
