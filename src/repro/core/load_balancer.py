@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 
 from repro.core.config import RoutingMode
@@ -216,30 +216,43 @@ class LoadBalancer(Actor):
         self.stats.arrivals += 1
         self._arrival_times.append(self.now)
         self._prune_arrivals()
-        if self.routing == RoutingMode.CASCADE:
-            pool, stage = (
-                (self.light_pool, "light") if self.light_pool else (self.heavy_pool, "heavy")
-            )
-        elif self.routing == RoutingMode.SINGLE:
-            # Whatever pool is non-empty serves everything.
-            pool, stage = (
-                (self.light_pool, "light") if self.light_pool else (self.heavy_pool, "heavy")
-            )
-        elif self.routing == RoutingMode.RANDOM_SPLIT:
-            go_heavy = self.heavy_pool and self._rng.random() < self.heavy_fraction
-            pool, stage = (self.heavy_pool, "heavy") if go_heavy else (self.light_pool, "light")
-            if not pool:
-                pool, stage = (
-                    (self.heavy_pool, "heavy") if self.heavy_pool else (self.light_pool, "light")
-                )
-        else:  # pragma: no cover - exhaustive enum
-            raise ValueError(f"unknown routing mode {self.routing}")
-
+        go_heavy = (
+            self.routing == RoutingMode.RANDOM_SPLIT
+            and bool(self.heavy_pool)
+            and self._rng.random() < self.heavy_fraction
+        )
+        pool, stage = self.first_pool(go_heavy)
         if not pool:
             self._drop(query)
             return
         worker = self._least_loaded(pool)
         worker.enqueue(self._make_item(query, stage))
+
+    def first_pool(self, go_heavy: bool = False) -> Tuple[List[Worker], str]:
+        """The pool and stage a new arrival goes to first.
+
+        Cascade and single-model routing send everything to the light pool
+        when it has workers and to the heavy pool otherwise; random-split
+        routing does the same unless its draw (``go_heavy``) picked the
+        heavy pool.  An empty pool means the arrival is dropped.
+        """
+        if go_heavy or not self.light_pool:
+            return self.heavy_pool, "heavy"
+        return self.light_pool, "light"
+
+    def seed_streams(self, query_ids: Sequence[int], difficulties: Sequence[float]) -> None:
+        """Precompute the per-query streams the first stage will draw for these arrivals.
+
+        Seeds the image streams of the variant :meth:`first_pool` serves and,
+        when that stage is scored, the discriminator's observation streams.
+        A query routed elsewhere by the time it runs simply draws afresh.
+        """
+        pool, _ = self.first_pool()
+        if pool:
+            worker = pool[0]
+            worker.generator.seed_streams(
+                query_ids, difficulties, worker.variant, worker.discriminator
+            )
 
     def _least_loaded(self, pool: List[Worker]) -> Worker:
         if pool is self.light_pool:

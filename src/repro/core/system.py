@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 
 from repro.core.autoscaler import Autoscaler, ScalePolicy
@@ -67,6 +67,11 @@ class ArrivalFeeder:
     Delivery order is untouched — the event queue's total ``(time, priority,
     seq)`` order makes chunk-fed runs byte-identical to per-query feeding
     (pinned by property and golden tests).
+
+    ``seed_streams`` (the load balancer's
+    :meth:`~repro.core.load_balancer.LoadBalancer.seed_streams`) receives
+    each chunk's ids and difficulties as it fires, so the per-query random
+    streams the chunk will draw are seeded in one vectorised call.
     """
 
     def __init__(
@@ -77,6 +82,7 @@ class ArrivalFeeder:
         slo: float,
         *,
         chunk_size: int = DEFAULT_ARRIVAL_CHUNK,
+        seed_streams: Optional[Callable[[List[int], List[float]], None]] = None,
     ) -> None:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -85,6 +91,7 @@ class ArrivalFeeder:
         self.submit = submit
         self.slo = slo
         self.chunk_size = int(chunk_size)
+        self.seed_streams = seed_streams
         #: Arrivals materialized and scheduled so far (benchmarks subtract
         #: delivered submissions from this to measure peak live objects).
         self.scheduled_arrivals = 0
@@ -122,10 +129,12 @@ class ArrivalFeeder:
         difficulty = dataset.difficulty
         chunk_ids = ids[lo:hi]
         chunk_times = times[lo:hi]
-        if hasattr(chunk_ids, "tolist"):
-            chunk_ids = chunk_ids.tolist()
+        chunk_ids = chunk_ids.tolist() if hasattr(chunk_ids, "tolist") else list(chunk_ids)
         if hasattr(chunk_times, "tolist"):
             chunk_times = chunk_times.tolist()
+        chunk_difficulties = [difficulty(qid) for qid in chunk_ids]
+        if self.seed_streams is not None:
+            self.seed_streams(chunk_ids, chunk_difficulties)
         if slos is None:
             slo = self.slo
             args_seq = [
@@ -134,11 +143,11 @@ class ArrivalFeeder:
                         query_id=qid,
                         arrival_time=t,
                         prompt=prompt(qid),
-                        difficulty=difficulty(qid),
+                        difficulty=d,
                         slo=slo,
                     ),
                 )
-                for qid, t in zip(chunk_ids, chunk_times)
+                for qid, t, d in zip(chunk_ids, chunk_times, chunk_difficulties)
             ]
         else:
             chunk_slos = slos[lo:hi]
@@ -150,11 +159,11 @@ class ArrivalFeeder:
                         query_id=qid,
                         arrival_time=t,
                         prompt=prompt(qid),
-                        difficulty=difficulty(qid),
+                        difficulty=d,
                         slo=s,
                     ),
                 )
-                for qid, t, s in zip(chunk_ids, chunk_times, chunk_slos)
+                for qid, t, d, s in zip(chunk_ids, chunk_times, chunk_difficulties, chunk_slos)
             ]
         self.sim.schedule_many_at(chunk_times, self.submit, args_seq, name="arrival")
         self.scheduled_arrivals += len(args_seq)
@@ -193,7 +202,12 @@ class ClientSource(Actor):
         self.load_balancer = load_balancer
         self.slo = slo
         self.feeder = ArrivalFeeder(
-            sim, dataset, load_balancer.submit, slo, chunk_size=chunk_size
+            sim,
+            dataset,
+            load_balancer.submit,
+            slo,
+            chunk_size=chunk_size,
+            seed_streams=load_balancer.seed_streams,
         )
 
     def start(self) -> None:
@@ -268,9 +282,15 @@ class SystemRuntime:
         self.sim.finish()
 
     def result(self, duration: float) -> SimulationResult:
-        """Package everything measured so far as a :class:`SimulationResult`."""
+        """Package everything measured so far as a :class:`SimulationResult`.
+
+        The collector's records move into the result and the collector is
+        left empty, so they live exactly as long as the result does rather
+        than as long as the runtime's reference cycles.
+        """
+        records, self.collector.records = self.collector.records, []
         return SimulationResult(
-            records=self.collector.records,
+            records=records,
             dataset=self.dataset,
             slo=self.config.slo,
             duration=duration,
@@ -283,14 +303,19 @@ class SystemRuntime:
 
 
 class _GeneratorTurn(Actor):
-    """Ends a system's turn on its image generator when the run finishes."""
+    """Ends a system's turn on its image generator and discriminator when the run finishes."""
 
-    def __init__(self, sim: Simulator, generator: ImageGenerator) -> None:
+    def __init__(
+        self, sim: Simulator, generator: ImageGenerator, discriminator: Optional[Discriminator]
+    ) -> None:
         super().__init__(sim, name="generator-turn")
         self.generator = generator
+        self.discriminator = discriminator
 
     def finish(self) -> None:
         self.generator.end_turn()
+        if self.discriminator is not None:
+            self.discriminator.end_turn()
 
 
 @dataclass
@@ -393,7 +418,7 @@ class ServingSimulation:
         if generator is None or generator.seed != self.config.seed:
             generator = ImageGenerator(seed=self.config.seed)
         generator.take_turn()
-        _GeneratorTurn(sim, generator)
+        _GeneratorTurn(sim, generator, self.discriminator)
         collector = ResultCollector(self.dataset)
 
         load_balancer = LoadBalancer(
@@ -536,6 +561,7 @@ class ServingSimulation:
                 load_balancer.submit,
                 self.config.slo,
                 chunk_size=self.arrival_chunk,
+                seed_streams=load_balancer.seed_streams,
             ),
         )
 

@@ -23,7 +23,7 @@ import numpy as np
 from repro.discriminators.base import Discriminator
 from repro.discriminators.classifiers import LogisticClassifier, MLPClassifier
 from repro.models.generation import GeneratedImage
-from repro.simulator.rng import stable_hash
+from repro.simulator.rng import SeedTable, stable_hash
 
 Classifier = Union[LogisticClassifier, MLPClassifier]
 
@@ -123,6 +123,24 @@ class TrainedDiscriminator(Discriminator):
         # outputs spreads the confidence over (0, 1) like the paper's
         # softmax confidence scores while preserving the ordering.
         self._calibration: Optional[tuple] = None
+        self._reset_seeding()
+
+    def _reset_seeding(self) -> None:
+        self.seed_table = SeedTable()
+        #: Telemetry only (never in summaries or cache keys): observations
+        #: whose noise stream came from the seed table or was built afresh.
+        self.seeded_draws = 0
+        self.fallback_draws = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in ("seed_table", "seeded_draws", "fallback_draws"):
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset_seeding()
 
     # ------------------------------------------------------------ calibration
     def calibrate(self, images: Sequence[GeneratedImage]) -> None:
@@ -175,10 +193,37 @@ class TrainedDiscriminator(Discriminator):
         return self._draw_observation(image, noise_std)
 
     def _draw_observation(self, image: GeneratedImage, noise_std: float) -> np.ndarray:
-        rng = np.random.default_rng(
-            stable_hash(self.seed, self.architecture.name, image.query_id, image.variant_name)
-        )
+        rng = self.seed_table.take(image.variant_name, image.query_id)
+        if rng is not None:
+            self.seeded_draws += 1
+        else:
+            self.fallback_draws += 1
+            rng = np.random.default_rng(
+                stable_hash(self.seed, self.architecture.name, image.query_id, image.variant_name)
+            )
         return image.features + rng.normal(0.0, noise_std, size=image.features.shape)
+
+    def seed_observations(
+        self, variant_name: str, query_ids: Sequence[int], held: Sequence[GeneratedImage] = ()
+    ) -> None:
+        """Precompute the observation-noise streams of these images (see the base class).
+
+        A held image that already carries this backbone's observation is
+        skipped: scoring reads the memo and draws nothing.
+        """
+        if self.architecture.observation_noise == 0:
+            return
+        memo_key = (self.seed, self.architecture)
+        ids = [int(qid) for qid in query_ids]
+        ids += [img.query_id for img in held if memo_key not in img.observations]
+        arch = self.architecture.name
+        self.seed_table.fill(
+            variant_name, ids, [stable_hash(self.seed, arch, qid, variant_name) for qid in ids]
+        )
+
+    def end_turn(self) -> None:
+        """Drop the seeded observation streams (a system's run is over)."""
+        self.seed_table.clear()
 
     def observe_batch(self, images: Sequence[GeneratedImage]) -> np.ndarray:
         """Backbone features for a batch of images.

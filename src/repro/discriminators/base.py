@@ -38,6 +38,19 @@ class Discriminator(abc.ABC):
         """
         return np.array([self.confidence(img) for img in images], dtype=float)
 
+    def seed_observations(
+        self, variant_name: str, query_ids: Sequence[int], held: Sequence[GeneratedImage] = ()
+    ) -> None:
+        """Precompute the per-image random streams scoring these images will use.
+
+        Called once per chunk of arrivals for the ``variant_name`` images of
+        ``query_ids`` plus the ``held`` images an outcome table already
+        holds.  A discriminator that draws no per-image randomness ignores it.
+        """
+
+    def end_turn(self) -> None:
+        """A system's run is over: drop what :meth:`seed_observations` prepared."""
+
     def accepts(self, image: GeneratedImage, threshold: float) -> bool:
         """Whether the cascade should return ``image`` rather than defer."""
         if not 0.0 <= threshold <= 1.0:

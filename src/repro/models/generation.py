@@ -22,7 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.models.variants import ModelVariant
-from repro.simulator.rng import stable_hash
+from repro.simulator.rng import SeedTable, stable_hash
 
 #: Dimensionality of the synthetic image feature space.
 FEATURE_DIM = 16
@@ -105,6 +105,12 @@ class ImageGenerator:
     left once the last reader is done.  A hit is bit-equal to a fresh draw,
     so the turn count only decides what memory is held, never a result.  A
     pickled generator carries no entries and takes no turns.
+
+    A draw's stream is ``default_rng(stable_hash(seed, query_id, variant))``.
+    :meth:`seed_streams` precomputes those streams for a chunk of arrivals
+    into a :class:`~repro.simulator.rng.SeedTable`; a draw takes its stream
+    from the table when it is there and builds it afresh otherwise, with
+    the same bits either way.
     """
 
     def __init__(self, seed: int = 0, feature_dim: int = FEATURE_DIM) -> None:
@@ -117,14 +123,18 @@ class ImageGenerator:
         self._artifact_direction = _unit_vector(feature_dim, 0)
         self._outcomes: Dict[Tuple[int, str, float], Tuple[ModelVariant, GeneratedImage]] = {}
         self._readers = 0
+        self.seed_table = SeedTable()
         #: Telemetry only (never in summaries or cache keys): images drawn
-        #: from an rng, and images served from the outcome table.
+        #: from an rng, images served from the outcome table, and how many
+        #: draws took their stream from the seed table or built it afresh.
         self.draws = 0
         self.hits = 0
+        self.seeded_draws = 0
+        self.fallback_draws = 0
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state.update(_outcomes={}, _readers=0, draws=0, hits=0)
+        state.update(_outcomes={}, _readers=0, draws=0, hits=0, seeded_draws=0, fallback_draws=0)
         return state
 
     # -------------------------------------------------------- outcome table
@@ -139,7 +149,8 @@ class ImageGenerator:
             self._readers -= 1
 
     def end_turn(self) -> None:
-        """A reader is done; once no later reader remains, drop every outcome."""
+        """A reader is done: drop its seeded streams, and every outcome once no reader is left."""
+        self.seed_table.clear()
         if self._readers == 0:
             self._outcomes.clear()
 
@@ -150,7 +161,41 @@ class ImageGenerator:
 
     # ------------------------------------------------------------------ rng
     def _rng_for(self, query_id: int, variant: ModelVariant) -> np.random.Generator:
+        rng = self.seed_table.take(variant.name, query_id)
+        if rng is not None:
+            self.seeded_draws += 1
+            return rng
+        self.fallback_draws += 1
         return np.random.default_rng(stable_hash(self.seed, int(query_id), variant.name))
+
+    def seed_streams(
+        self,
+        query_ids: Sequence[int],
+        difficulties: Sequence[float],
+        variant: ModelVariant,
+        discriminator=None,
+    ) -> None:
+        """Precompute the streams ``variant``'s draws for these arrivals will use.
+
+        Queries whose outcome the outcome table already holds are skipped:
+        they will not be drawn.  When ``discriminator`` scores this stage it
+        seeds its observation streams for the same images (held images
+        included, unless they already carry its observation).
+        """
+        name = variant.name
+        fresh, held = list(query_ids), []
+        outcomes = self._outcomes
+        if outcomes:
+            fresh = []
+            for qid, difficulty in zip(query_ids, difficulties):
+                stored = outcomes.get((qid, name, difficulty))
+                if stored is not None and stored[0] is variant:
+                    held.append(stored[1])
+                else:
+                    fresh.append(qid)
+        self.seed_table.fill(name, fresh, [stable_hash(self.seed, int(qid), name) for qid in fresh])
+        if discriminator is not None:
+            discriminator.seed_observations(name, fresh, held)
 
     # ------------------------------------------------------------- sampling
     def sample_quality(

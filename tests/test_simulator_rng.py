@@ -1,8 +1,13 @@
-"""Tests for the named random streams."""
+"""Tests for the named random streams and the bulk per-query seeding."""
+
+import pickle
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.simulator.rng import RandomStreams
+from repro.simulator.rng import RandomStreams, SeedTable, pcg64_states, seed_sequence_states
 
 
 def test_same_seed_same_stream_is_reproducible():
@@ -58,3 +63,67 @@ def test_stream_name_independent_of_pythonhashseed():
     a = RandomStreams(seed=11).stream("load-balancer").random(3)
     b = RandomStreams(seed=11).stream("load-balancer").random(3)
     assert np.allclose(a, b)
+
+
+# --------------------------------------------------------- bulk seeding oracle
+EDGE_KEYS = [0, 1, 2**32 - 1]
+keys_32 = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(keys_32, min_size=1, max_size=40))
+def test_vectorised_states_equal_seed_sequence(keys):
+    keys = keys + EDGE_KEYS
+    states = seed_sequence_states(keys)
+    expected = np.stack([np.random.SeedSequence(k).generate_state(4, np.uint64) for k in keys])
+    assert states.dtype == np.uint64
+    assert np.array_equal(states, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(keys_32, min_size=1, max_size=40, unique=True))
+def test_reseeded_streams_equal_default_rng_bitwise(keys):
+    keys = list(dict.fromkeys(keys + EDGE_KEYS))
+    table = SeedTable()
+    table.fill("v", range(len(keys)), keys)
+    for i, key in enumerate(keys):
+        rng = table.take("v", i)
+        reference = np.random.default_rng(key)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        scalar, vector = rng.normal(0.0, 0.3), rng.normal(0.0, 1.7, size=16)
+        assert scalar == reference.normal(0.0, 0.3)
+        assert np.array_equal(vector, reference.normal(0.0, 1.7, size=16))
+    assert len(table) == 0
+
+
+def test_pcg64_states_are_the_seeded_generator_state():
+    for key, (s_hi, s_lo, i_hi, i_lo) in zip(EDGE_KEYS, pcg64_states(EDGE_KEYS).tolist()):
+        state = np.random.PCG64(key).state["state"]
+        assert state == {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
+
+
+def test_keys_outside_32_bits_are_rejected():
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        seed_sequence_states([2**32])
+
+
+def test_take_removes_and_misses_return_none():
+    table = SeedTable()
+    table.fill("light", [10, 11], [5, 6])
+    assert table.take("heavy", 10) is None  # another tag: not held
+    assert table.take("light", 12) is None  # another id: not held
+    assert table.take("light", 10) is not None
+    assert table.take("light", 10) is None  # taken once
+    assert len(table) == 1
+    table.fill("light", [12], [7])  # a fill replaces the chunk
+    assert table.take("light", 11) is None and len(table) == 1
+    table.clear()
+    assert len(table) == 0 and table.take("light", 12) is None
+
+
+def test_pickled_table_is_empty():
+    table = SeedTable()
+    table.fill("light", [1, 2, 3], [1, 2, 3])
+    clone = pickle.loads(pickle.dumps(table))
+    assert len(clone) == 0 and clone.tag is None
+    assert len(pickle.dumps(table)) < 100

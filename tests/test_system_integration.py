@@ -1,5 +1,8 @@
 """Integration tests: full serving simulations of DiffServe and the baselines."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,35 @@ def test_simulation_is_reproducible(coco_dataset_module, trained_discriminator_m
     assert a.fid() == pytest.approx(b.fid())
     assert a.slo_violation_ratio == pytest.approx(b.slo_violation_ratio)
     assert a.deferral_rate == pytest.approx(b.deferral_rate)
+
+
+def test_dropping_a_result_frees_its_records(coco_dataset_module, trained_discriminator_module):
+    """The result owns the records: none outlive it, even with the cyclic GC off.
+
+    The finished runtime (simulator, actors, collector) is a web of
+    reference cycles only the cyclic collector frees; records handed over to
+    the result must not wait for it.
+    """
+    trace = ArrivalTrace.from_rate_curve(static_rate(10.0, 30.0), np.random.default_rng(1))
+    system = build_system(
+        "sdturbo",
+        "diffserve-static",
+        fleet=FleetSpec.homogeneous(4),
+        dataset=coco_dataset_module,
+        discriminator=trained_discriminator_module,
+        anticipated_peak_qps=10.0,
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = system.run(trace)
+        refs = [weakref.ref(record) for record in result.records]
+        assert len(refs) == len(trace.arrival_times) > 0
+        del result
+        assert sum(ref() is not None for ref in refs) == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -------------------------------------------------------------------- baselines
