@@ -9,6 +9,8 @@ branch-and-bound solver is in the same ballpark).
 Run with:  python examples/milp_allocation_demo.py
 """
 
+from time import perf_counter
+
 import numpy as np
 
 from repro.core.allocator import ControlContext, DiffServeAllocator
@@ -30,10 +32,13 @@ def main() -> None:
     )
 
     rows = []
+    solve_times = []
     for demand in np.linspace(2, 32, 11):
         ctx = ControlContext(demand=float(demand), slo=cascade.slo,
                              fleet=FleetSpec.homogeneous(16), observed_deferral=0.4)
+        start = perf_counter()
         plan = allocator.plan(ctx)
+        solve_times.append(perf_counter() - start)
         rows.append(
             [
                 f"{demand:.0f}",
@@ -43,7 +48,7 @@ def main() -> None:
                 plan.heavy_batch,
                 plan.threshold,
                 plan.heavy_fraction,
-                f"{plan.solver_time_s * 1e3:.1f} ms",
+                f"{solve_times[-1] * 1e3:.1f} ms",
             ]
         )
     print(format_table(
@@ -53,7 +58,7 @@ def main() -> None:
         ],
         rows,
     ))
-    print(f"\nMean allocation solve time: {allocator.mean_solve_time_s * 1e3:.1f} ms")
+    print(f"\nMean allocation solve time: {np.mean(solve_times) * 1e3:.1f} ms")
 
 
 if __name__ == "__main__":

@@ -425,6 +425,51 @@ def parse_grid(
     )
 
 
+#: Columns of the per-system result table ``repro run`` prints.
+RESULT_HEADERS = ["cell", "system", "status", "FID", "SLO viol", "p99 (s)"]
+
+
+def result_rows(cells) -> List[list]:
+    """One table row per (cell, system), plus one dash row per failed cell."""
+    rows: List[list] = []
+    for cell in cells:
+        for system, summary in sorted(cell.summaries.items()):
+            rows.append(
+                [
+                    cell.spec.label,
+                    system,
+                    cell.status,
+                    summary["fid"],
+                    summary["slo_violation_ratio"],
+                    summary["p99_latency"],
+                ]
+            )
+        if not cell.ok:
+            rows.append([cell.spec.label, "-", cell.status, "-", "-", "-"])
+    return rows
+
+
+def write_results_json(path: str, cells) -> None:
+    """Write one canonical JSON line per cell (``--json``)."""
+    from repro.runner.executor import canonical_summaries_json
+
+    lines = [
+        json.dumps(
+            {
+                "label": cell.spec.label,
+                "spec": cell.spec.content_hash,
+                "status": "ok" if cell.ok else cell.status,
+                "summaries": json.loads(canonical_summaries_json(cell.summaries)),
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        for cell in cells
+    ]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def run_profiled_grid(args: argparse.Namespace, grid) -> int:
     """Execute ``run --profile``: every cell inline with the profiler armed.
 
@@ -437,13 +482,12 @@ def run_profiled_grid(args: argparse.Namespace, grid) -> int:
     """
     from repro.experiments.harness import format_table
     from repro.runner.cache import default_cache
-    from repro.runner.executor import canonical_summaries_json, run_cell_results
+    from repro.runner.executor import CellResult, run_cell_results
     from repro.simulator.profiling import format_profile_table
 
     cache = None if args.no_cache else default_cache()
-    rows: List[list] = []
+    cells: List[CellResult] = []
     tables: List[str] = []
-    payload_lines: List[str] = []
     for spec in grid:
         profiles: Dict[str, Dict[str, tuple]] = {}
         _, results = run_cell_results(spec, cache=cache, profile_sink=profiles)
@@ -451,42 +495,18 @@ def run_profiled_grid(args: argparse.Namespace, grid) -> int:
             name: {k: float(v) for k, v in result.summary().items()}
             for name, result in results.items()
         }
-        for system, summary in sorted(summaries.items()):
-            rows.append(
-                [
-                    spec.label,
-                    system,
-                    "ok",
-                    summary["fid"],
-                    summary["slo_violation_ratio"],
-                    summary["p99_latency"],
-                ]
-            )
+        cells.append(CellResult(spec=spec, status="ok", summaries=summaries))
         for system in sorted(profiles):
             tables.append(
                 format_profile_table(profiles[system], title=f"{spec.label} / {system}")
             )
-        if args.json_path:
-            payload_lines.append(
-                json.dumps(
-                    {
-                        "label": spec.label,
-                        "spec": spec.content_hash,
-                        "status": "ok",
-                        "summaries": json.loads(canonical_summaries_json(summaries)),
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-    print(format_table(["cell", "system", "status", "FID", "SLO viol", "p99 (s)"], rows))
+    print(format_table(RESULT_HEADERS, result_rows(cells)))
     print(f"cells={len(grid)} profiled inline (summary cache bypassed)")
     for table in tables:
         print()
         print(table)
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(payload_lines) + "\n")
+        write_results_json(args.json_path, cells)
     return 0
 
 
@@ -494,7 +514,7 @@ def run_grid_command(args: argparse.Namespace) -> int:
     """Execute the ``run`` subcommand: a grid through the parallel runner."""
     from repro.experiments.harness import format_table
     from repro.runner.cache import default_cache
-    from repro.runner.executor import canonical_summaries_json, run_grid
+    from repro.runner.executor import run_grid
 
     scale = scale_from_args(args)
     try:
@@ -523,22 +543,7 @@ def run_grid_command(args: argparse.Namespace) -> int:
         cell_timeout=args.cell_timeout,
     )
 
-    rows = []
-    for cell in report.cells:
-        for system, summary in sorted(cell.summaries.items()):
-            rows.append(
-                [
-                    cell.spec.label,
-                    system,
-                    cell.status,
-                    summary["fid"],
-                    summary["slo_violation_ratio"],
-                    summary["p99_latency"],
-                ]
-            )
-        if not cell.ok:
-            rows.append([cell.spec.label, "-", cell.status, "-", "-", "-"])
-    print(format_table(["cell", "system", "status", "FID", "SLO viol", "p99 (s)"], rows))
+    print(format_table(RESULT_HEADERS, result_rows(report.cells)))
 
     cache = default_cache()
     print(
@@ -550,21 +555,7 @@ def run_grid_command(args: argparse.Namespace) -> int:
         print(f"--- {cell.spec.label} ({cell.status}) ---\n{cell.error}", file=sys.stderr)
 
     if args.json_path:
-        payload_lines = [
-            json.dumps(
-                {
-                    "label": cell.spec.label,
-                    "spec": cell.spec.content_hash,
-                    "status": "ok" if cell.ok else cell.status,
-                    "summaries": json.loads(canonical_summaries_json(cell.summaries)),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            for cell in report.cells
-        ]
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(payload_lines) + "\n")
+        write_results_json(args.json_path, report.cells)
 
     return 0 if report.ok else 1
 

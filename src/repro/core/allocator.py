@@ -26,7 +26,6 @@ a grid and selected with binary variables inside a MILP solved per candidate
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -68,7 +67,6 @@ class AllocationPlan:
     heavy_fraction: float = 0.0
     feasible: bool = True
     objective: Optional[float] = None
-    solver_time_s: float = 0.0
     light_variant_name: Optional[str] = None
     heavy_variant_name: Optional[str] = None
     #: Optional concrete variant objects, used by policies that place models
@@ -210,8 +208,6 @@ class DiffServeAllocator:
             raise ValueError("price_penalty must be non-negative")
         self.price_penalty = price_penalty
         self.threshold_grid = self._build_threshold_grid(threshold_levels)
-        self.last_solve_time_s: float = 0.0
-        self.solve_times: List[float] = []
         # Warm-start telemetry (read by the re-planner and the benchmarks).
         self.warm_solves = 0
         self.cold_solves = 0
@@ -616,7 +612,6 @@ class DiffServeAllocator:
             heavy_fraction=fraction,
             feasible=True,
             objective=solution.objective,
-            solver_time_s=solution.solve_time_s,
             light_assignment=light_assignment,
             heavy_assignment=heavy_assignment,
         )
@@ -847,7 +842,6 @@ class DiffServeAllocator:
         common case instead of one per candidate pair, and ties resolve
         towards the previous plan (fewer worker reconfigurations).
         """
-        start = time.perf_counter()
         demand = max(ctx.demand, 1e-3) * self.over_provision
         max_threshold = max(t for t, _ in self.threshold_grid)
         allocations = self._candidate_allocations(ctx, demand)
@@ -895,13 +889,9 @@ class DiffServeAllocator:
             if best is None or self._plan_key(plan) > self._plan_key(best):
                 best = plan
                 best_classes = (light_classes, heavy_classes)
-        elapsed = time.perf_counter() - start
-        self.last_solve_time_s = elapsed
-        self.solve_times.append(elapsed)
         if best is None:
-            return self._best_effort_plan(ctx, elapsed)
+            return self._best_effort_plan(ctx)
         best = self._assign_spare_workers(best, ctx.fleet, *best_classes)
-        best.solver_time_s = elapsed
         best.residency = self._plan_residency(ctx)
         return best
 
@@ -971,7 +961,7 @@ class DiffServeAllocator:
                 return threshold, fraction
         return 0.0, 0.0
 
-    def _best_effort_plan(self, ctx: ControlContext, elapsed: float) -> AllocationPlan:
+    def _best_effort_plan(self, ctx: ControlContext) -> AllocationPlan:
         """Overload fallback: serve everything with the light model, largest
         batch that fits the SLO on every hosting class, and accept every image
         (threshold 0).  Classes whose memory cannot hold the light model stay
@@ -994,13 +984,6 @@ class DiffServeAllocator:
             heavy_fraction=0.0,
             feasible=False,
             objective=None,
-            solver_time_s=elapsed,
             light_assignment=assignment,
             heavy_assignment={},
         )
-
-    # ------------------------------------------------------------ statistics
-    @property
-    def mean_solve_time_s(self) -> float:
-        """Average wall-clock time of allocation solves so far."""
-        return float(np.mean(self.solve_times)) if self.solve_times else 0.0

@@ -52,7 +52,6 @@ class Controller(Actor):
         self.demand_estimator = DemandEstimator(alpha=0.5, initial=initial_demand)
         self.current_plan: Optional[AllocationPlan] = None
         self.history: List[ControlSnapshot] = []
-        self.solve_times: List[float] = []
         #: The fleet plans are currently solved against.  Starts as the
         #: configured fleet; :meth:`set_fleet` shrinks it online (device-class
         #: failures / capacity reclaims), after which workers beyond a class's
@@ -304,7 +303,6 @@ class Controller(Actor):
 
     def _apply_plan(self, plan: AllocationPlan) -> None:
         self.current_plan = plan
-        self.solve_times.append(plan.solver_time_s)
 
         if plan.light_variant is not None:
             light_variant = plan.light_variant

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.simulator.simulation import Actor, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.core.autoscaler import Autoscaler
     from repro.core.controller import Controller
     from repro.core.load_balancer import LoadBalancer
     from repro.core.results import ResultCollector
@@ -106,7 +107,9 @@ class EpochSnapshot:
     #: it (the repaired incumbent was feasible for the drifted problem) — not
     #: merely when a previous plan was offered.
     warm_started: bool
-    solver_time_s: float
+    #: LP relaxations the epoch's re-solve ran (0 when the epoch skipped the
+    #: solve, or when the policy has no MILP allocator).
+    lp_solves: int
     #: Canonical token of the fleet the epoch planned against (changes when
     #: the Controller's active fleet is shrunk mid-run, e.g. a device-class
     #: failure scenario).
@@ -139,6 +142,7 @@ class ReplanController(Actor):
         collector: "ResultCollector",
         load_balancer: "LoadBalancer",
         config: ReplanConfig,
+        autoscaler: "Autoscaler",
     ) -> None:
         super().__init__(sim, name="replanner")
         self.controller = controller
@@ -156,11 +160,10 @@ class ReplanController(Actor):
         # Controller's stats window.
         self._prev_total = 0
         self._prev_bad = 0
-        #: Attached by :class:`~repro.core.system.ServingSimulation` when an
-        #: autoscale policy is configured: evaluated every epoch *before* the
-        #: re-solve decision, so a scale event and the plan that fits it land
-        #: in the same epoch.
-        self.autoscaler: Optional[object] = None
+        #: Evaluated every epoch *before* the re-solve decision, so a scale
+        #: event and the plan that fits it land in the same epoch.  The
+        #: ``static`` policy never proposes a change.
+        self.autoscaler = autoscaler
         controller.replanner = self
 
     # ------------------------------------------------------------------ start
@@ -207,6 +210,13 @@ class ReplanController(Actor):
             return True
         return bool(allocator.last_warm_start_used)
 
+    def _lp_solves(self) -> int:
+        """LP relaxations the policy's MILP solvers have run so far."""
+        allocator = getattr(self.controller.policy, "allocator", None)
+        if allocator is None:
+            return 0
+        return allocator.solver.total_lp_solves + allocator.exhaustive_solver.total_lp_solves
+
     def _epoch_tick(self) -> None:
         controller = self.controller
         config = self.config
@@ -228,25 +238,23 @@ class ReplanController(Actor):
         # under serial and sharded execution.  A scale event always forces a
         # re-solve — the plan must fit the new fleet.
         scaled = False
-        if self.autoscaler is not None:
-            proposal = self.autoscaler.evaluate(self.now, arrival_rate, violation_ratio)
-            if proposal is not None:
-                controller.set_fleet(
-                    proposal, reason=f"autoscale:{self.autoscaler.policy.kind}"
-                )
-                controller.fleet_target = proposal
-                scaled = True
+        proposal = self.autoscaler.evaluate(self.now, arrival_rate, violation_ratio)
+        if proposal is not None:
+            controller.set_fleet(proposal, reason=f"autoscale:{self.autoscaler.policy.kind}")
+            controller.fleet_target = proposal
+            scaled = True
         controller.cost_ledger.observe(self.now)
 
         replanned = scaled or self._should_replan(demand_estimate, violation_ratio)
         warm_started = False
-        solver_time_s = 0.0
+        lp_solves = 0
         degraded = False
         if replanned:
             warm = controller.current_plan if config.warm_start else None
-            plan = controller.replan(observed_deferral=observed_deferral, warm_start=warm)
+            lp_before = self._lp_solves()
+            controller.replan(observed_deferral=observed_deferral, warm_start=warm)
+            lp_solves = self._lp_solves() - lp_before
             warm_started = warm is not None and self._warm_start_accepted()
-            solver_time_s = plan.solver_time_s
             allocator = getattr(controller.policy, "allocator", None)
             degraded = bool(getattr(allocator, "last_solve_timed_out", False))
             self._last_solved_demand = demand_estimate
@@ -264,7 +272,7 @@ class ReplanController(Actor):
                 running_p99_latency=live["p99_latency"],
                 replanned=replanned,
                 warm_started=warm_started,
-                solver_time_s=solver_time_s,
+                lp_solves=lp_solves,
                 fleet=controller.active_fleet.token(),
                 residency=self._residency_token(controller.current_plan),
                 degraded=degraded,

@@ -323,7 +323,6 @@ class SimulationResult:
     slo: float
     duration: float
     control_history: List[ControlSnapshot] = field(default_factory=list)
-    allocator_solve_times: List[float] = field(default_factory=list)
     system_name: str = "system"
     #: Epoch-by-epoch control-plane samples when an online re-planner was
     #: attached (:class:`~repro.core.replanner.EpochSnapshot` items); empty
@@ -359,7 +358,6 @@ class SimulationResult:
         slo: float,
         duration: float,
         control_history: Optional[List[ControlSnapshot]] = None,
-        allocator_solve_times: Optional[List[float]] = None,
         system_name: str = "system",
         replan_history: Optional[List[object]] = None,
         fleet_cost: float = 0.0,
@@ -376,7 +374,6 @@ class SimulationResult:
             slo=slo,
             duration=duration,
             control_history=list(control_history or []),
-            allocator_solve_times=list(allocator_solve_times or []),
             system_name=system_name,
             replan_history=list(replan_history or []),
             fleet_cost=fleet_cost,

@@ -49,6 +49,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.geo import GeoRouter, GeoTopology, RegionSpec, sample_origins
+from repro.core.pricing import CostLedger
 from repro.core.query import QueryBatch
 from repro.core.results import ColumnStore, ControlSnapshot, SimulationResult
 from repro.core.system import ServingSimulation, SystemRuntime, Workload
@@ -147,13 +148,12 @@ class RegionResult:
 
     cols: ColumnStore
     control_history: List[ControlSnapshot]
-    allocator_solve_times: List[float]
     replan_history: List[object]
     stats: RegionStats
     #: The region controller's :class:`~repro.core.pricing.CostLedger`
     #: (pure data: price trace + closed intervals), shipped whole so the
     #: merge can integrate each region's bill to the common horizon.
-    cost_ledger: Optional[object] = None
+    cost_ledger: CostLedger
 
 
 # --------------------------------------------------------------------------
@@ -229,7 +229,6 @@ class RegionRuntime:
         return RegionResult(
             cols=ColumnStore.concat(self._chunks, self._feature_dim),
             control_history=list(self.runtime.controller.history),
-            allocator_solve_times=list(self.runtime.controller.solve_times),
             replan_history=(
                 list(self.runtime.replanner.history)
                 if self.runtime.replanner is not None
@@ -673,18 +672,10 @@ class ShardSupervisor:
         replan_history = sorted(
             (snap for r in ordered for snap in r.replan_history), key=lambda s: s.time
         )
-        solve_times = [t for r in ordered for t in r.allocator_solve_times]
         # Per-region bills integrate each ledger to the common horizon; the
         # merged bill sums them in canonical region order (pure float adds of
         # per-region exact values, so it is independent of shard count).
-        region_costs = {
-            name: (
-                collected[name].cost_ledger.total_at(horizon)
-                if collected[name].cost_ledger is not None
-                else 0.0
-            )
-            for name in names
-        }
+        region_costs = {name: collected[name].cost_ledger.total_at(horizon) for name in names}
         merged_cost = sum(region_costs[name] for name in names)
         self.region_results = {
             name: SimulationResult.from_columns(
@@ -693,7 +684,6 @@ class ShardSupervisor:
                 slo=self.template.config.slo,
                 duration=horizon,
                 control_history=result.control_history,
-                allocator_solve_times=result.allocator_solve_times,
                 system_name=f"{self.template.name}@{name}",
                 replan_history=result.replan_history,
                 fleet_cost=region_costs[name],
@@ -706,7 +696,6 @@ class ShardSupervisor:
             slo=self.template.config.slo,
             duration=horizon,
             control_history=control_history,
-            allocator_solve_times=solve_times,
             system_name=self.template.name,
             replan_history=replan_history,
             fleet_cost=merged_cost,

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 
-from repro.core.autoscaler import Autoscaler, ScalePolicy
+from repro.core.autoscaler import SCALE_POLICIES, Autoscaler, ScalePolicy
 from repro.core.config import (
     DEFAULT_DEVICE_CLASS,
     RoutingMode,
@@ -228,11 +228,11 @@ class SystemRuntime:
     """A fully wired serving system whose event loop the caller drives.
 
     :meth:`ServingSimulation.run` is the one-shot driver; the shard
-    supervisor instead :meth:`inject`s routed queries epoch by epoch and
-    :meth:`advance`s to each barrier, which fires exactly the same events in
-    exactly the same order as a straight run (events are totally ordered by
-    ``(time, priority, seq)`` and arrival times are continuous draws, so
-    slicing the loop at barriers cannot reorder anything).
+    supervisor instead passes routed queries to :meth:`inject_batch` epoch by
+    epoch and :meth:`advance`s to each barrier, which fires exactly the same
+    events in exactly the same order as a straight run (events are totally
+    ordered by ``(time, priority, seq)`` and arrival times are continuous
+    draws, so slicing the loop at barriers cannot reorder anything).
     """
 
     sim: Simulator
@@ -245,26 +245,15 @@ class SystemRuntime:
     name: str
     feeder: ArrivalFeeder
 
-    def inject(self, queries: Sequence[Query]) -> None:
-        """Schedule fully formed queries as future arrivals.
-
-        The per-query compatibility path (one closure per arrival); bulk
-        callers should prefer :meth:`inject_batch`.  Arrival times must lie
-        at or after the current clock — the epoch protocol guarantees this by
-        injecting epoch ``k``'s queries before advancing into epoch ``k``.
-        """
-        submit = self.load_balancer.submit
-        schedule_at = self.sim.schedule_at
-        for query in queries:
-            schedule_at(query.arrival_time, lambda q=query: submit(q), name="arrival")
-
     def inject_batch(self, batch: QueryBatch) -> None:
         """Schedule a column-oriented batch of routed arrivals, lazily.
 
         The batch's arrays go to the runtime's :class:`ArrivalFeeder`, which
         materializes ``Query`` objects one chunk at a time as the clock
-        reaches them — observation-equivalent to :meth:`inject` with the
-        fully formed query list, at O(chunk) live objects.
+        reaches them, so live objects stay at O(chunk).  Arrival times must
+        lie at or after the current clock — the epoch protocol guarantees
+        this by injecting epoch ``k``'s queries before advancing into epoch
+        ``k``.
         """
         if len(batch):
             self.feeder.feed(batch.ids, batch.times, batch.slos)
@@ -295,7 +284,6 @@ class SystemRuntime:
             slo=self.config.slo,
             duration=duration,
             control_history=list(self.controller.history),
-            allocator_solve_times=list(self.controller.solve_times),
             system_name=self.name,
             replan_history=list(self.replanner.history) if self.replanner is not None else [],
             fleet_cost=self.controller.cost_ledger.total_at(duration),
@@ -356,8 +344,8 @@ class ServingSimulation:
         worker pool is pre-provisioned up to ``max_factor`` times the
         configured fleet (spares are built drained and fire zero events) and
         an :class:`~repro.core.autoscaler.Autoscaler` is attached to the
-        re-planner's epoch loop; requires ``replan``.  ``None`` keeps runs
-        bit-for-bit legacy.
+        re-planner's epoch loop; requires ``replan``.  ``None`` means the
+        ``static`` policy, which builds no spares and never scales.
     prices:
         Optional :class:`~repro.core.pricing.PriceTrace` metering the cost
         ledger and pricing spot classes for the cost-aware policy/MILP
@@ -413,6 +401,7 @@ class ServingSimulation:
                 "(set replan_epoch/replan_policy): scale decisions are "
                 "evaluated at replan epochs"
             )
+        autoscale = self.autoscale if self.autoscale is not None else SCALE_POLICIES["static"]
         sim = Simulator(seed=self.config.seed, profile=self.profile)
         generator = self.generator
         if generator is None or generator.seed != self.config.seed:
@@ -446,12 +435,10 @@ class ServingSimulation:
         # workers beyond the active fleet receive no assignments and schedule
         # zero events, so scale-out activates them without perturbing the
         # event stream (serial == sharded byte-identical).
-        build_counts = []
-        for device, count in self.config.fleet.devices:
-            built = count
-            if self.autoscale is not None:
-                built = max(count, math.ceil(count * self.autoscale.max_factor))
-            build_counts.append((device, built))
+        build_counts = [
+            (device, max(count, math.ceil(count * autoscale.max_factor)))
+            for device, count in self.config.fleet.devices
+        ]
         workers = []
         for device, count in build_counts:
             for _ in range(count):
@@ -513,10 +500,7 @@ class ServingSimulation:
                 collector=collector,
                 load_balancer=load_balancer,
                 config=self.replan,
-            )
-        if self.autoscale is not None:
-            replanner.autoscaler = Autoscaler(
-                self.autoscale, controller, prices=self.prices
+                autoscaler=Autoscaler(autoscale, controller, prices=self.prices),
             )
 
         if self.faults is not None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -116,7 +115,6 @@ class BranchAndBoundSolver:
         ``warm_start`` optionally seeds the incumbent from a previous solution
         of a drifted instance of the same problem (see the class docs).
         """
-        start = time.perf_counter()
         counter = itertools.count()
         root_bounds: Bounds = {}
         lp_solves = 0
@@ -129,23 +127,11 @@ class BranchAndBoundSolver:
         lp_solves += 1
         self.total_lp_solves += 1
         if status == "infeasible":
-            return MILPSolution(
-                status=SolveStatus.INFEASIBLE,
-                solve_time_s=time.perf_counter() - start,
-                lp_solves=lp_solves,
-            )
+            return MILPSolution(status=SolveStatus.INFEASIBLE, lp_solves=lp_solves)
         if status == "unbounded":
-            return MILPSolution(
-                status=SolveStatus.UNBOUNDED,
-                solve_time_s=time.perf_counter() - start,
-                lp_solves=lp_solves,
-            )
+            return MILPSolution(status=SolveStatus.UNBOUNDED, lp_solves=lp_solves)
         if status == "error" or values is None or bound is None:
-            return MILPSolution(
-                status=SolveStatus.ERROR,
-                solve_time_s=time.perf_counter() - start,
-                lp_solves=lp_solves,
-            )
+            return MILPSolution(status=SolveStatus.ERROR, lp_solves=lp_solves)
 
         heap: list[_Node] = [
             _Node(
@@ -199,12 +185,9 @@ class BranchAndBoundSolver:
             for child in (down_bounds, up_bounds):
                 heapq.heappush(heap, _Node(neg_bound=-bound, seq=next(counter), bounds=child))
 
-        elapsed = time.perf_counter() - start
         if incumbent is None:
             status_out = SolveStatus.NODE_LIMIT if heap else SolveStatus.INFEASIBLE
-            return MILPSolution(
-                status=status_out, nodes_explored=nodes, solve_time_s=elapsed, lp_solves=lp_solves
-            )
+            return MILPSolution(status=status_out, nodes_explored=nodes, lp_solves=lp_solves)
         status_out = (
             SolveStatus.OPTIMAL if not heap or nodes < self.max_nodes else SolveStatus.NODE_LIMIT
         )
@@ -213,7 +196,6 @@ class BranchAndBoundSolver:
             objective=incumbent_obj,
             values=incumbent,
             nodes_explored=nodes,
-            solve_time_s=elapsed,
             lp_solves=lp_solves,
             warm_start_used=warm_used,
         )

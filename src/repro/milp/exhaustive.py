@@ -15,7 +15,6 @@ below a search-space cutoff.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Dict, List, Mapping, Optional
 
 import numpy as np
@@ -75,7 +74,6 @@ class ExhaustiveSolver:
         optimising their continuous part — and ties resolve to the warm
         solution, keeping re-planned allocations stable.
         """
-        start = time.perf_counter()
         lp_before = self.total_lp_solves
         domains = self._integer_domains(problem)
         int_names = list(domains)
@@ -118,18 +116,14 @@ class ExhaustiveSolver:
                 best_obj = obj
                 best_values = dict(full)
 
-        elapsed = time.perf_counter() - start
         lp_solves = self.total_lp_solves - lp_before
         if best_values is None:
-            return MILPSolution(
-                status=SolveStatus.INFEASIBLE, solve_time_s=elapsed, lp_solves=lp_solves
-            )
+            return MILPSolution(status=SolveStatus.INFEASIBLE, lp_solves=lp_solves)
         return MILPSolution(
             status=SolveStatus.OPTIMAL,
             objective=best_obj,
             values=best_values,
             nodes_explored=checked,
-            solve_time_s=elapsed,
             lp_solves=lp_solves,
             warm_start_used=warm_used,
         )

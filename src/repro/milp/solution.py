@@ -32,8 +32,6 @@ class MILPSolution:
     nodes_explored:
         Branch-and-bound nodes processed (assignments checked for the
         exhaustive solver).
-    solve_time_s:
-        Wall-clock solve time in seconds.
     lp_solves:
         Number of LP relaxations solved (the dominant cost of a solve; used
         by the warm-start benchmarks as a wall-clock-independent cost model).
@@ -46,7 +44,6 @@ class MILPSolution:
     objective: Optional[float] = None
     values: Dict[str, float] = field(default_factory=dict)
     nodes_explored: int = 0
-    solve_time_s: float = 0.0
     lp_solves: int = 0
     warm_start_used: bool = False
 

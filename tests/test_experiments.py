@@ -8,7 +8,13 @@ headline qualitative findings at reduced scale.
 import numpy as np
 import pytest
 
-from repro.experiments import fig1_motivation, fig1_pareto, milp_overhead, reuse_study
+from repro.experiments import (
+    drift_adaptation,
+    fig1_motivation,
+    fig1_pareto,
+    milp_overhead,
+    reuse_study,
+)
 from repro.experiments.cascade_eval import CascadeEvaluator
 from repro.experiments.harness import (
     DEFAULT_QPS_RANGE,
@@ -107,6 +113,18 @@ def test_milp_overhead_fast_and_consistent():
     assert len(result.thresholds) == 3
     # Threshold falls (weakly) as demand rises.
     assert result.thresholds[0] >= result.thresholds[-1] - 1e-9
+
+
+# ------------------------------------------------------------ drift adaptation
+def test_drift_table_reproduces_byte_for_byte():
+    # Eight workers keep the re-solves on branch-and-bound (non-zero LPs).
+    scale = ExperimentScale(dataset_size=60, trace_duration=30.0, num_workers=8)
+    first = drift_adaptation.main(scale)
+    assert drift_adaptation.main(scale) == first
+    assert "LPs/replan" in first.splitlines()[1]
+    result = drift_adaptation.run_drift_adaptation(scale=scale, workloads=("flash-crowd",))
+    assert result.arm("flash-crowd", "static").lps_per_replan == 0.0
+    assert result.arm("flash-crowd", "periodic").lps_per_replan > 0.0
 
 
 # ----------------------------------------------------------------- reuse study

@@ -8,7 +8,6 @@ must match exactly.  A scipy release that changes the private bindings fails
 here rather than silently moving a golden.
 """
 
-import dataclasses
 import pickle
 
 import numpy as np
@@ -169,10 +168,6 @@ def test_branch_and_bound_relaxations_match_linprog(
 
 
 # ------------------------------------------------------------------ pickle
-def _plan_key(plan):
-    return dataclasses.replace(plan, solver_time_s=0.0)
-
-
 def test_allocator_pickled_after_plan_replans_identically(
     cascade1, deferral_profile, trained_discriminator
 ):
@@ -180,10 +175,10 @@ def test_allocator_pickled_after_plan_replans_identically(
     that has already solved still pickles into shard and pool processes."""
     allocator = _allocator(cascade1, deferral_profile, trained_discriminator)
     contexts = _cold_ramp()[:3] + _mixed_fleet()[:2]
-    first = [_plan_key(allocator.plan(ctx)) for ctx in contexts]
+    first = [allocator.plan(ctx) for ctx in contexts]
     clone = pickle.loads(pickle.dumps(allocator))
     lps_before = allocator.solver.total_lp_solves
     assert clone.solver.total_lp_solves == lps_before
-    assert [_plan_key(clone.plan(ctx)) for ctx in contexts] == first
-    assert [_plan_key(allocator.plan(ctx)) for ctx in contexts] == first
+    assert [clone.plan(ctx) for ctx in contexts] == first
+    assert [allocator.plan(ctx) for ctx in contexts] == first
     assert clone.solver.total_lp_solves == allocator.solver.total_lp_solves == 2 * lps_before

@@ -12,6 +12,10 @@ rendered table.  Three things are pinned:
   autoscaling configuration, and run name;
 * the sha256 of the rendered Table 1.
 
+The build fingerprints of the two DiffServe systems were re-pinned once,
+when the allocator lost its wall-clock solve-time attributes: with those
+attributes filtered out, the old fingerprints hash to the new pins.
+
 The pinned cells and builds go through ``executor.run_cell_results`` and
 ``harness.build_comparison_systems``, the two entry points the runner uses.
 """
@@ -97,64 +101,64 @@ BUILD_SHA256 = {
         "clipper-light": "9fa2adf8e13efea4123eaa861eb4445a617f0d6113479fe895e1490b94e9a43a",
         "clipper-heavy": "72f22dfebac77aa7fc7869fee3607510edd093ca1e7cdb74f42b95a08f8b9735",
         "proteus": "4794a183da9e4fa81d53052936c44aa79c865958d69fece62954db175173ba5c",
-        "diffserve-static": "4b11c41c24ce3098dca940bda56090c0519289b4c9ae840d8c4f2d0f1b86c1aa",
-        "diffserve": "2327bb7e1a66f1a13599970640dd27ecd39c53846f989b2717e2e19747060a5f",
+        "diffserve-static": "2b53a7cb944cac8b6edac8fe646078db0cd4d030c18d8e12c809abe6488ebe87",
+        "diffserve": "a19d2a25deff9e329de3760ab8239f75a80b6ed621715a3e5e61c4f0d1e281fa",
     },
     "fleet": {
         "clipper-light": "1620861054b0b50635f31ab8d4bd63a8b4d3fb75bcc59ffaf0914f5f1594b78b",
         "clipper-heavy": "b86bb13f682aa239b8a4587b43d12192ad01dc52b050b5d72ed9f4970b22a9f3",
         "proteus": "fc0bb779aeca2db6141305dfa675707baca779d7522ae9b96eecfa03b74844f8",
-        "diffserve-static": "24448d74602261c956f2222c79c803908192d4c11b6846e830da95131f3ba9d1",
-        "diffserve": "6163999caa1b4a5ee7523f4c8478d27a84e776115c970493d0c527a4c732157f",
+        "diffserve-static": "1ca2851694672142830c1c6070bac686a7bf04ae32861bd021daf27761946df2",
+        "diffserve": "19359c237aae51268af679d3b2c875cb55c32329437f06bfc20ff8661fed2ba3",
     },
     "resources": {
         "clipper-light": "64e2910306e93d983b3de8e564791336d78749a2125a547f47c761800eb291ae",
         "clipper-heavy": "d89ba0489fbf7363d0246b83459d00e3c8696b8ffeda10c8d9fc3f6f71ce1a8e",
         "proteus": "5b51bdb60579e834e0cf9a01ce3d10cb56e406df61f3bff12f30d207efca9134",
-        "diffserve-static": "221adf112ff19c2b31f38b5bff36510ced305e317b0e0e075034282732b5e22d",
-        "diffserve": "242ded2b2f6fa5276edff12fe0e65f45aeb4e065452c6675e2e4c19a3b814f1e",
+        "diffserve-static": "ab9c2fcef14d74419913888156dbbcedd4676bf421ac81bb9544137029f2b166",
+        "diffserve": "8c97fc843be6f2ff8d7545b7935d8c16631f7c90defcd68c5a22606d27bae8ca",
     },
     "faults": {
         "clipper-light": "53ba27781db900888a6ca518e7af4ece50d3b0ed6d7fd34ffd2cec7bc9050e50",
         "clipper-heavy": "8fa1fe3a45ed99b24763dfaa51f68cdd6197aac1bcf72f8f97713a8bd204aa22",
         "proteus": "c1107d5f9e98f9fe2555a1597b1a877d7c329f75c72ec909abe4eb86488ed068",
-        "diffserve-static": "bc94961ada5cbcd3e86100471e540018883f20c19978ce681ef22926219f4b40",
-        "diffserve": "fd22508ed3097777a8dbaef5a9c62075094a46c142060534215300fbce182e8d",
+        "diffserve-static": "e39536dcf63166d3b43e50fd0ad848ff7dc9398f10e2835648e7633ccab19878",
+        "diffserve": "fbee16226dfb292bf39c86714ee932673bddbf67bb75781fe75a2d3980c7a75f",
     },
     "autoscale": {
         "clipper-light": "8ccd314aa87f09dee787cfb23c2ee8e30a870ec9b3c8205ec43d5a7d4fd5aaee",
         "clipper-heavy": "130a539e7b9bf02786e4d2d7c39bc29b804fb2d386e54070553ae62d0d44b470",
         "proteus": "7cf9b1ea34b6262699912e4e40c0e7d716f3800ee841a358d8db15089a1395d9",
-        "diffserve-static": "e23bc8f00dfbbb93cd87e391ab5e68a1ecf69df8c62a42e5f413e22150ba671c",
-        "diffserve": "bd42f717a5fb9e706f9c2c00ba509091527a0bd95c1790ffea239e61dc7ca240",
+        "diffserve-static": "364c4d90b87faa0068db9b48e90fa4aab3770bc9aac37bec383200265d7c614e",
+        "diffserve": "e027723a19f93daa6bcb4b36f52c4af9928021e6d38ed83d50d1d5b9538654ca",
     },
     "overrides": {
         "clipper-light": "c9ba7d0f45e498e7f9fe30c1c979dc371a4d02dab50d506aa40d226917fb16f6",
         "clipper-heavy": "4fcaca92a7ff8e9945a1226aaf468a0e48934a04273e968f7d99558b65aef028",
         "proteus": "8bbd11b7005cbf2820de20fe14fdfcccf6cc5a115fed8034129cdb5260ede44f",
-        "diffserve-static": "48b84bcf28dec914d442917b9600627b5525a65a66632daa47684ce1132c9282",
-        "diffserve": "615d4b88f516502291f19a2ce6c613dd8b99b81de569bde5a30654672e532801",
+        "diffserve-static": "db2bc0891fe775a6368b7b72cbddd25a20954ae995dc2886f2ba6bab1162aa25",
+        "diffserve": "fe7ddb870e226c03a801cfd047004776cdf27b536e7e9df6b6193040f12931d1",
     },
     "static-threshold": {
         "clipper-light": "9fa2adf8e13efea4123eaa861eb4445a617f0d6113479fe895e1490b94e9a43a",
         "clipper-heavy": "72f22dfebac77aa7fc7869fee3607510edd093ca1e7cdb74f42b95a08f8b9735",
         "proteus": "4794a183da9e4fa81d53052936c44aa79c865958d69fece62954db175173ba5c",
-        "diffserve-static": "4b11c41c24ce3098dca940bda56090c0519289b4c9ae840d8c4f2d0f1b86c1aa",
-        "diffserve": "bf4438852c6037d6233f1914954c2e980344fd2af08cfd90a912c7bbd3d01d9d",
+        "diffserve-static": "2b53a7cb944cac8b6edac8fe646078db0cd4d030c18d8e12c809abe6488ebe87",
+        "diffserve": "44b6998cb69a8586e48672ad2f1167473b013b201c04b1a5cb324105ff615877",
     },
     "aimd": {
         "clipper-light": "9fa2adf8e13efea4123eaa861eb4445a617f0d6113479fe895e1490b94e9a43a",
         "clipper-heavy": "72f22dfebac77aa7fc7869fee3607510edd093ca1e7cdb74f42b95a08f8b9735",
         "proteus": "4794a183da9e4fa81d53052936c44aa79c865958d69fece62954db175173ba5c",
-        "diffserve-static": "4b11c41c24ce3098dca940bda56090c0519289b4c9ae840d8c4f2d0f1b86c1aa",
-        "diffserve": "6f8327759fe962dfaf680854420340bb2cacf8129c479797309f8e8553c6668d",
+        "diffserve-static": "2b53a7cb944cac8b6edac8fe646078db0cd4d030c18d8e12c809abe6488ebe87",
+        "diffserve": "5df348cdc011c96b1354d332c49058e0305393a2c906644299c6c722c22f5168",
     },
     "no-queueing": {
         "clipper-light": "9fa2adf8e13efea4123eaa861eb4445a617f0d6113479fe895e1490b94e9a43a",
         "clipper-heavy": "72f22dfebac77aa7fc7869fee3607510edd093ca1e7cdb74f42b95a08f8b9735",
         "proteus": "4794a183da9e4fa81d53052936c44aa79c865958d69fece62954db175173ba5c",
-        "diffserve-static": "4b11c41c24ce3098dca940bda56090c0519289b4c9ae840d8c4f2d0f1b86c1aa",
-        "diffserve": "8087b51063f665d60cfe4e82aaaca0e6f5f2d820900cf66bdf1b3329cce73e80",
+        "diffserve-static": "2b53a7cb944cac8b6edac8fe646078db0cd4d030c18d8e12c809abe6488ebe87",
+        "diffserve": "7c05677a24d9118e17c8c7826c0d6046e8b13f5ab9df2739ab5b66baf560b1b5",
     },
 }
 
