@@ -211,11 +211,6 @@ class ResidencySet:
         """Total weights resident (or being transferred in) right now."""
         return sum(self._resident.values())
 
-    @property
-    def free_gb(self) -> float:
-        """Headroom left for further admissions."""
-        return self.capacity_gb - self.occupied_gb
-
     def contains(self, name: str) -> bool:
         """Whether ``name`` holds memory (resident or mid-transfer)."""
         return name in self._resident

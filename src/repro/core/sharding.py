@@ -247,13 +247,13 @@ class RegionRuntime:
 class _InlineShard:
     """Runs its regions in the supervisor's own process (``shards=1``).
 
-    Shares the epoch protocol with :class:`_ProcessShard` so both execution
-    modes drive the identical :class:`RegionRuntime` code path.
+    Shares the begin/collect protocol with :class:`_ProcessShard` (the work
+    happens at ``begin_*``) so both modes drive the same :class:`RegionRuntime`.
     """
 
     def __init__(self, systems: Dict[str, ServingSimulation]) -> None:
         self._runtimes = {name: RegionRuntime(system) for name, system in systems.items()}
-        self._pending: Optional[Dict[str, RegionStats]] = None
+        self._pending: Optional[Dict[str, object]] = None
 
     def begin_epoch(self, barrier: float, queries: Mapping[str, QueryBatch]) -> None:
         self._pending = {
@@ -261,16 +261,20 @@ class _InlineShard:
             for name, runtime in self._runtimes.items()
         }
 
-    def collect_stats(self) -> Dict[str, RegionStats]:
+    def begin_finish(self) -> None:
+        self._pending = {name: runtime.finish() for name, runtime in self._runtimes.items()}
+
+    def _collect(self) -> Dict:
         pending, self._pending = self._pending, None
-        assert pending is not None, "collect_stats before begin_epoch"
+        assert pending is not None, "collect before begin"
         return pending
 
-    def finish(self) -> Dict[str, RegionResult]:
-        return {name: runtime.finish() for name, runtime in self._runtimes.items()}
+    collect_stats = collect_results = _collect
 
-    def close(self) -> None:  # pragma: no cover - nothing to release
+    def begin_close(self) -> None:  # pragma: no cover - nothing to release
         pass
+
+    join = begin_close
 
 
 def _shard_worker_main(conn, sys_path: List[str]) -> None:
@@ -330,6 +334,33 @@ class _ProcessShard:
     poll_interval: float = 0.25
 
     def __init__(self, systems: Dict[str, ServingSimulation]) -> None:
+        self._spawn(systems)
+        self._conn.send(("init", systems))
+        self._expect("ready")
+
+    @classmethod
+    def start_all(cls, groups: Sequence[Dict[str, ServingSimulation]]) -> List["_ProcessShard"]:
+        """Ready shards for ``groups``: every process is spawned and sent its
+        ``init`` before any ``ready`` is awaited, so their spawn and import
+        overlap.  On any start failure, every shard already launched is
+        closed and joined before the error propagates.
+        """
+        shards: List[_ProcessShard] = []
+        try:
+            for systems in groups:
+                shard = cls.__new__(cls)
+                shard._spawn(systems)
+                shards.append(shard)
+            for shard, systems in zip(shards, groups):
+                shard._conn.send(("init", systems))
+            for shard in shards:
+                shard._expect("ready")
+        except BaseException:
+            _close_all(shards)
+            raise
+        return shards
+
+    def _spawn(self, systems: Dict[str, ServingSimulation]) -> None:
         self._regions = tuple(systems)
         context = multiprocessing.get_context("spawn")
         self._conn, child_conn = context.Pipe(duplex=True)
@@ -338,8 +369,6 @@ class _ProcessShard:
         )
         self._process.start()
         child_conn.close()
-        self._conn.send(("init", systems))
-        self._expect("ready")
 
     def _dead_shard_error(self, verb: str, reason: str) -> RuntimeError:
         regions = ", ".join(self._regions)
@@ -359,7 +388,7 @@ class _ProcessShard:
                 )
         try:
             message = self._conn.recv()
-        except EOFError:
+        except (EOFError, ConnectionResetError):
             raise self._dead_shard_error(verb, "closed its pipe") from None
         if message[0] != verb:  # pragma: no cover - protocol misuse
             raise RuntimeError(f"expected {verb!r} from shard, got {message[0]!r}")
@@ -373,20 +402,32 @@ class _ProcessShard:
     def collect_stats(self) -> Dict[str, RegionStats]:
         return self._expect("stats")[0]
 
-    def finish(self) -> Dict[str, RegionResult]:
+    def begin_finish(self) -> None:
         self._conn.send(("finish",))
+
+    def collect_results(self) -> Dict[str, RegionResult]:
         return self._expect("result")[0]
 
-    def close(self) -> None:
+    def begin_close(self) -> None:
         try:
             self._conn.send(("close",))
         except (BrokenPipeError, OSError):  # pragma: no cover - already gone
             pass
         self._conn.close()
+
+    def join(self) -> None:
         self._process.join(timeout=30)
         if self._process.is_alive():  # pragma: no cover - hung worker
             self._process.terminate()
             self._process.join()
+
+
+def _close_all(shards: Sequence) -> None:
+    """Send every shard ``close``, then join each, so their exits overlap."""
+    for shard in shards:
+        shard.begin_close()
+    for shard in shards:
+        shard.join()
 
 
 # --------------------------------------------------------------------------
@@ -596,14 +637,6 @@ class ShardSupervisor:
         names = list(systems)
         n_shards = min(self.shards, len(names))
         assignment = [names[i::n_shards] for i in range(n_shards)]
-        if n_shards == 1:
-            shards: List = [_InlineShard(systems)]
-        else:
-            shards = [
-                _ProcessShard({name: systems[name] for name in owned})
-                for owned in assignment
-            ]
-
         router = GeoRouter(
             self.topology,
             spill_threshold=self.spill_threshold,
@@ -613,7 +646,14 @@ class ShardSupervisor:
         self.shard_timing = {}
         self.shard_profiles = {}
         self.barrier_seconds = 0.0
+        shards: List = []
         try:
+            if n_shards == 1:
+                shards = [_InlineShard(systems)]
+            else:
+                shards = _ProcessShard.start_all(
+                    [{name: systems[name] for name in owned} for owned in assignment]
+                )
             cursor = 0
             epoch_start = 0.0
             for barrier in self._barriers(horizon):
@@ -647,12 +687,13 @@ class ShardSupervisor:
                 self.live_summaries.append(
                     self._merged_live_summary([barrier_stats[name] for name in names])
                 )
+            for shard in shards:
+                shard.begin_finish()
             collected: Dict[str, RegionResult] = {}
             for shard in shards:
-                collected.update(shard.finish())
+                collected.update(shard.collect_results())
         finally:
-            for shard in shards:
-                shard.close()
+            _close_all(shards)
 
         self.spilled_queries = router.spilled
         return self._merge(collected, names, horizon)

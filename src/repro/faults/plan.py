@@ -279,10 +279,6 @@ class FaultPlan:
             self, "faults", tuple(sorted(self.faults, key=lambda f: (f.at, f.token())))
         )
 
-    @property
-    def has_recovery(self) -> bool:
-        return self.recovery is not None
-
     def token(self) -> str:
         recovery = self.recovery.token() if self.recovery is not None else "off"
         body = ";".join(f.token() for f in self.faults) or "quiet"

@@ -148,12 +148,6 @@ class ModelFootprint:
         if self.egress_gb_per_image < 0:
             raise ValueError("footprint egress_gb_per_image must be non-negative")
 
-    def transfer_seconds(self, transfer_gbps: float) -> float:
-        """Time to move the weights over a channel of ``transfer_gbps`` GB/s."""
-        if transfer_gbps <= 0:
-            raise ValueError("transfer_gbps must be positive")
-        return self.weights_gb / transfer_gbps
-
     def token(self) -> str:
         """Canonical string form (cache keys)."""
         return f"{self.weights_gb:g}/{self.egress_gb_per_image:g}"

@@ -357,27 +357,6 @@ class EventQueue:
             return event
         raise IndexError("pop from empty EventQueue")
 
-    def pop_due(self, until: Optional[float] = None) -> Optional[Event]:
-        """Pop the earliest live event firing at or before ``until``.
-
-        Returns ``None`` when the queue is drained or the next live event
-        lies beyond ``until`` — the single-traversal primitive behind the
-        driver's advance loop (it replaces a ``peek_time`` + ``pop`` pair).
-        """
-        heap = self._heap
-        while heap:
-            event = heap[0]
-            if event[3] is None:
-                heappop(heap)
-                self._discard(event)
-                continue
-            if until is not None and event[0] > until:
-                return None
-            heappop(heap)
-            self._live -= 1
-            return event
-        return None
-
     def peek_time(self) -> Optional[float]:
         """Return the time of the next live event, or ``None`` if empty."""
         heap = self._heap

@@ -84,12 +84,6 @@ class RateCurve:
             rates = min_qps + (self.rates - lo) * (max_qps - min_qps) / (hi - lo)
         return RateCurve(times=self.times.copy(), rates=rates, name=f"{self.name}-scaled")
 
-    def total_expected_queries(self) -> float:
-        """Expected number of arrivals over the whole curve."""
-        if len(self.times) == 1:
-            return float(self.rates[0])
-        return float(_trapezoid(self.rates, self.times))
-
 
 @dataclass
 class ArrivalTrace:

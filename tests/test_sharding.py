@@ -6,6 +6,8 @@ summaries.  The determinism tests here are the gate; they carry an
 ``xdist_group`` marker so a parallel CI runner keeps them on one worker.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.core.geo import (
     sample_origins,
 )
 from repro.core.results import ColumnStore
+from repro.core import sharding
 from repro.core.sharding import (
     ShardSupervisor,
     build_region_systems,
@@ -425,3 +428,112 @@ def test_dead_shard_surfaces_one_line_error_instead_of_hanging():
     finally:
         shard._conn.close()
         shard._process.join(timeout=30)
+
+
+def test_worker_killed_with_init_unread_surfaces_one_line_error():
+    """A worker that dies before reading its ``init`` resets the pipe; that
+    surfaces as the same one-line error, not a bare ConnectionResetError."""
+    from repro.core.sharding import _ProcessShard
+
+    shard = _ProcessShard.__new__(_ProcessShard)
+    shard._spawn({"us": None})
+    try:
+        shard._conn.send(("init", {"us": None}))
+        shard._process.terminate()
+        shard._process.join(timeout=30)
+        assert not shard._process.is_alive()
+        with pytest.raises(
+            RuntimeError,
+            match=r"shard worker for region\(s\) us "
+            r"(died \(exit code -?\d+\)|closed its pipe) "
+            r"while the supervisor waited for 'ready'",
+        ):
+            shard._expect("ready")
+    finally:
+        shard._conn.close()
+
+
+class _DiesAtInit:
+    """Pickles fine in the supervisor; unpickling it in the worker raises, so
+    the worker dies while decoding its ``init`` message."""
+
+    def __reduce__(self):
+        return (int, ("not a system",))
+
+
+def test_failed_start_closes_every_launched_shard(monkeypatch):
+    """The second shard dying at ``init`` fails the run with a one-line error
+    naming its regions, and the first, already launched shard is closed and
+    joined rather than leaked."""
+    topology = two_region_topology()
+    doomed = topology.names[1]  # round-robin: the second shard's only region
+
+    def poisoned(template, topology):
+        systems = build_region_systems(template, topology)
+        systems[doomed] = _DiesAtInit()
+        return systems
+
+    monkeypatch.setattr(sharding, "build_region_systems", poisoned)
+    supervisor = ShardSupervisor(template=small_system(), topology=topology, shards=2)
+    # Children other tests left behind (e.g. a timed-out pool's stragglers
+    # still exiting) are not this run's to reap.
+    earlier = set(multiprocessing.active_children())
+    with pytest.raises(
+        RuntimeError,
+        match=rf"shard worker for region\(s\) {doomed} "
+        r"(died \(exit code -?\d+\)|closed its pipe) "
+        r"while the supervisor waited for 'ready'$",
+    ) as failure:
+        supervisor.run(small_workload())
+    assert "\n" not in str(failure.value)
+    assert set(multiprocessing.active_children()) <= earlier
+
+
+def _record_shard_lifecycle(monkeypatch) -> list:
+    """Record every process shard's lifecycle steps, in call order.
+
+    Pipe reads are recorded by the verb awaited (``ready``, ``stats``,
+    ``result``); the other steps by method name.
+    """
+    from repro.core.sharding import _ProcessShard
+
+    calls = []
+    for name in ("_spawn", "_expect", "begin_finish", "begin_close", "join"):
+
+        def recorded(self, *args, _name=name, _original=getattr(_ProcessShard, name)):
+            calls.append(args[0] if _name == "_expect" else _name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(_ProcessShard, name, recorded)
+    return calls
+
+
+@pytest.mark.xdist_group("sharding-determinism")
+@pytest.mark.parametrize("shards", [2, 4])
+def test_shards_start_finish_and_close_together(monkeypatch, shards):
+    """Each lifecycle phase reaches every shard before it waits on any one:
+    all processes spawn before the first ``ready`` is awaited, every
+    ``finish`` is sent before the first result is read, and every ``close``
+    is sent before the first join.  The summary still equals the inline run's
+    byte for byte."""
+    topology = GeoTopology(
+        regions=tuple(
+            RegionSpec(name=name, fleet=fleet_from_counts({"a100": 3}), rtt_s=rtt)
+            for name, rtt in (("us", 0.01), ("eu", 0.02), ("ap", 0.03), ("sa", 0.04))
+        )
+    )
+    reference = run_sharded(small_system(), small_workload(), topology=topology, shards=1)
+    calls = _record_shard_lifecycle(monkeypatch)
+    sharded = run_sharded(small_system(), small_workload(), topology=topology, shards=shards)
+
+    def at(step):
+        return [i for i, call in enumerate(calls) if call == step]
+
+    assert len(at("_spawn")) == len(at("ready")) == len(at("join")) == shards
+    assert max(at("_spawn")) < min(at("ready"))
+    assert max(at("ready")) < min(at("stats"))
+    assert max(at("begin_finish")) < min(at("result"))
+    assert max(at("begin_close")) < min(at("join"))
+    assert canonical_summaries_json({"s": sharded.summary()}) == canonical_summaries_json(
+        {"s": reference.summary()}
+    )
