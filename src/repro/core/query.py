@@ -115,7 +115,6 @@ class QueryRecord:
     features: Optional[np.ndarray] = None
     confidence: Optional[float] = None
     deferred: bool = False
-    light_latency: Optional[float] = None
     #: Recovery requeues this query survived before its terminal record
     #: (0 outside fault-injection runs).  Latency still spans the *first*
     #: arrival to the final completion.

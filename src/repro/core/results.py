@@ -1,17 +1,19 @@
 """Result collection and post-run analysis.
 
-The analytics path is columnar: :class:`ResultCollector` maintains online
-sufficient statistics (O(1) per query) for live metrics while the simulation
-runs, and :class:`SimulationResult` reads every metric — summary scalars,
-latency percentiles, the violation/demand/FID time series — from a
-lazily-built, cached :class:`ColumnStore` of NumPy arrays instead of
-re-scanning ``QueryRecord`` objects per property.
+The analytics path is columnar: :class:`ResultCollector` writes each
+finished query straight into column buffers and keeps live accumulators that
+fold only when read, and :class:`SimulationResult` reads every metric —
+summary scalars, latency percentiles, the violation/demand/FID time series —
+from the drained :class:`ColumnStore` of NumPy arrays.  ``QueryRecord``
+objects exist only for hand-built results and for readers of
+:attr:`SimulationResult.records`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from repro.models.generation import GeneratedImage
 
 #: Integer codes for :class:`QueryStage` in the column store.
 STAGE_CODES = {QueryStage.LIGHT: 0, QueryStage.HEAVY: 1, QueryStage.DROPPED: 2}
+_STAGES = {code: stage for stage, code in STAGE_CODES.items()}
 
 
 @dataclass
@@ -165,34 +168,100 @@ class ColumnStore:
         return late | self.dropped
 
 
-class ResultCollector:
-    """Sink of the data path: one :class:`QueryRecord` per query, plus
-    online accumulators maintained as queries finish.
+def _nan_to_none(column: np.ndarray) -> List[Optional[float]]:
+    return [None if math.isnan(value) else value for value in column.tolist()]
 
-    The record list keeps the fully general per-query view (the column store
-    is built from it lazily, in one vectorized pass, by the result); the
-    streaming accumulators (:class:`~repro.metrics.accumulators.GaussianStats`
+
+class RecordView(Sequence[QueryRecord]):
+    """Drained rows as :class:`QueryRecord` objects, built on first access.
+
+    Holds the :class:`ColumnStore` plus the per-row ``Query`` objects and
+    model names the columns do not carry.  No metric reads records; tests
+    do, and they pay for building them.
+    """
+
+    __slots__ = ("cols", "_queries", "_models", "_records")
+
+    def __init__(
+        self, cols: ColumnStore, queries: List[Query], models: List[Optional[str]]
+    ) -> None:
+        self.cols = cols
+        self._queries = queries
+        self._models = models
+        self._records: Optional[List[QueryRecord]] = None
+
+    def _built(self) -> List[QueryRecord]:
+        if self._records is None:
+            cols = self.cols
+            features = dict(zip(cols.feature_index.tolist(), cols.features))
+            stages = [_STAGES[code] for code in cols.stage.tolist()]
+            completion = _nan_to_none(cols.completion)
+            quality = _nan_to_none(cols.quality)
+            confidence = _nan_to_none(cols.confidence)
+            self._records = [
+                QueryRecord(
+                    query=query,
+                    stage=stages[i],
+                    completion_time=completion[i],
+                    model_used=self._models[i],
+                    quality=quality[i],
+                    features=features.get(i),
+                    confidence=confidence[i],
+                    deferred=deferred,
+                    retries=retries,
+                )
+                for i, (query, deferred, retries) in enumerate(
+                    zip(self._queries, cols.deferred.tolist(), cols.retries.tolist())
+                )
+            ]
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self._queries)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self) -> Iterator[QueryRecord]:
+        return iter(self._built())
+
+
+class ResultCollector:
+    """Sink of the data path: a column writer with live views folded on read.
+
+    ``complete``/``drop`` append each query's values to per-column buffers
+    and bump O(1) counters; no per-query record object is built.
+    :meth:`drain` hands the buffered rows over as a :class:`ColumnStore`.
+
+    The live accumulators (:class:`~repro.metrics.accumulators.GaussianStats`
     over response features, :class:`~repro.metrics.accumulators.StreamingMoments`
-    + :class:`~repro.metrics.accumulators.P2Quantile` over latency) expose
-    O(1) live metrics mid-run.
+    and :class:`~repro.metrics.accumulators.P2Quantile` over latency) are
+    folded only when a live view is read, or when :meth:`drain` takes rows
+    they have not seen.  The fold feeds the completions in completion order
+    and gives the same bits as one ``add`` per completion, so a run that
+    never reads them never pays for them.
     """
 
     def __init__(self, dataset: QueryDataset) -> None:
         self.dataset = dataset
-        self.records: List[QueryRecord] = []
+        self._feature_dim = dataset.real_features.shape[1]
         self._violations_window = 0
         self._completions_window = 0
-        # Online accumulators for live metrics.
-        self.feature_stats = GaussianStats(dataset.real_features.shape[1])
-        self.latency_moments = StreamingMoments()
-        self.latency_p99 = P2Quantile(0.99)
         self._completed = 0
         self._dropped = 0
         self._violated = 0
         self._heavy = 0
         #: query_id -> requeue count for queries currently being retried;
-        #: popped into the final record at completion/drop time.
+        #: popped into the query's row at completion/drop time.
         self._retries: Dict[int, int] = {}
+        self._reset_buffers()
+        self._feature_stats = GaussianStats(self._feature_dim)
+        self._latency_moments = StreamingMoments()
+        self._latency_p99 = P2Quantile(0.99)
+        #: The last ``_unfolded`` completions in the buffers are not yet in
+        #: the live accumulators.
+        self._unfolded = 0
+        self._closed = False
 
     # ------------------------------------------------------------- data path
     def complete(
@@ -205,52 +274,123 @@ class ResultCollector:
         completion_time: float,
     ) -> None:
         """Record a completed query."""
-        record = QueryRecord(
-            query=query,
-            stage=stage,
-            completion_time=completion_time,
-            model_used=image.variant_name,
-            quality=image.quality,
-            features=image.features,
-            confidence=confidence,
-            deferred=deferred,
-            retries=self._retries.pop(query.query_id, 0),
+        self._feature_index.append(len(self._queries))
+        self._features.append(image.features)
+        self._append_row(
+            query,
+            image.variant_name,
+            completion_time,
+            STAGE_CODES[stage],
+            image.quality,
+            np.nan if confidence is None else confidence,
+            deferred,
         )
-        self.records.append(record)
         self._completions_window += 1
         self._completed += 1
         if stage == QueryStage.HEAVY:
             self._heavy += 1
-        if record.slo_violated:
+        if completion_time > query.deadline:
             self._violations_window += 1
             self._violated += 1
-        latency = completion_time - query.arrival_time
-        self.latency_moments.add(latency)
-        self.latency_p99.add(latency)
-        if record.features is not None:
-            self.feature_stats.add(record.features)
+        self._unfolded += 1
 
     def drop(self, query: Query) -> None:
         """Record a dropped query."""
-        self.records.append(
-            QueryRecord(
-                query=query,
-                stage=QueryStage.DROPPED,
-                retries=self._retries.pop(query.query_id, 0),
-            )
+        self._append_row(
+            query, None, np.nan, STAGE_CODES[QueryStage.DROPPED], np.nan, np.nan, False
         )
         self._violations_window += 1
         self._dropped += 1
+
+    def _append_row(
+        self,
+        query: Query,
+        model: Optional[str],
+        completion: float,
+        stage: int,
+        quality: float,
+        confidence: float,
+        deferred: bool,
+    ) -> None:
+        self._queries.append(query)
+        self._models.append(model)
+        self._arrival.append(query.arrival_time)
+        self._slo.append(query.slo)
+        self._completion.append(completion)
+        self._stage.append(stage)
+        self._quality.append(quality)
+        self._confidence.append(confidence)
+        self._deferred.append(deferred)
+        self._retry_counts.append(self._retries.pop(query.query_id, 0))
 
     def record_retry(self, query: Query) -> None:
         """Count one recovery requeue for ``query`` (fault-injection path).
 
         The query stays *open* — exactly one terminal ``complete``/``drop``
-        record is ever written for it, with the accumulated retry count, so
+        row is ever written for it, with the accumulated retry count, so
         retries never inflate query totals and latency spans first arrival to
         final completion.
         """
         self._retries[query.query_id] = self._retries.get(query.query_id, 0) + 1
+
+    def __len__(self) -> int:
+        """Rows buffered since the last drain."""
+        return len(self._queries)
+
+    def drain(self) -> RecordView:
+        """Hand over the rows written since the last drain, and forget them.
+
+        Completions no live view has read yet are folded first, so the live
+        views keep covering every row.
+        """
+        self._fold()
+        return self._take()
+
+    def close(self) -> RecordView:
+        """The final :meth:`drain`, without the fold: the completions no
+        live view has read are never folded.  Reading a live view afterwards
+        raises."""
+        self._closed = True
+        self._unfolded = 0
+        return self._take()
+
+    def _take(self) -> RecordView:
+        """The buffered rows as a :class:`ColumnStore`, one ``np.array`` call
+        per column (``deadline`` adds the ``slo`` column to ``arrival``, as
+        :attr:`Query.deadline` does)."""
+        arrival = np.array(self._arrival, dtype=float)
+        cols = ColumnStore(
+            arrival=arrival,
+            deadline=arrival + np.array(self._slo, dtype=float),
+            completion=np.array(self._completion, dtype=float),
+            stage=np.array(self._stage, dtype=np.int8),
+            quality=np.array(self._quality, dtype=float),
+            confidence=np.array(self._confidence, dtype=float),
+            deferred=np.array(self._deferred, dtype=bool),
+            retries=np.array(self._retry_counts, dtype=np.int32),
+            features=(
+                np.array(self._features) if self._features else np.zeros((0, self._feature_dim))
+            ),
+            feature_index=np.array(self._feature_index, dtype=np.int64),
+        )
+        rows = RecordView(cols, self._queries, self._models)
+        self._reset_buffers()
+        return rows
+
+    def _reset_buffers(self) -> None:
+        """Empty column buffers: one entry per row since the last drain."""
+        self._queries: List[Query] = []
+        self._models: List[Optional[str]] = []
+        self._arrival: List[float] = []
+        self._slo: List[float] = []
+        self._completion: List[float] = []
+        self._stage: List[int] = []
+        self._quality: List[float] = []
+        self._confidence: List[float] = []
+        self._deferred: List[bool] = []
+        self._retry_counts: List[int] = []
+        self._features: List[np.ndarray] = []
+        self._feature_index: List[int] = []
 
     # ----------------------------------------------------------- control path
     @property
@@ -281,21 +421,55 @@ class ResultCollector:
         return stats
 
     # ------------------------------------------------------------ live views
+    @property
+    def pending_rows(self) -> int:
+        """Completions not yet folded into the live accumulators."""
+        return self._unfolded
+
+    def _fold(self) -> None:
+        if self._closed:
+            raise RuntimeError("the collector is closed: its live views are gone")
+        if not self._unfolded:
+            return
+        for row in self._feature_index[-self._unfolded :]:
+            latency = self._completion[row] - self._arrival[row]
+            self._latency_moments.add(latency)
+            self._latency_p99.add(latency)
+        self._feature_stats.add_rows(self._features[-self._unfolded :])
+        self._unfolded = 0
+
+    @property
+    def feature_stats(self) -> GaussianStats:
+        """Response-feature statistics of every completion so far."""
+        self._fold()
+        return self._feature_stats
+
+    @property
+    def latency_moments(self) -> StreamingMoments:
+        """Latency moments of every completion so far."""
+        self._fold()
+        return self._latency_moments
+
+    @property
+    def latency_p99(self) -> P2Quantile:
+        """P² p99 latency estimate over every completion so far."""
+        self._fold()
+        return self._latency_p99
+
     def running_fid(self) -> float:
         """FID of all responses so far, from the streaming sufficient stats.
 
-        O(d^2) regardless of how many queries have completed: the generated
-        moments come from the online :class:`GaussianStats` and the reference
-        moments are cached on the dataset.
+        O(d^2) plus the fold of the completions since the last read: the
+        generated moments come from the online :class:`GaussianStats` and the
+        reference moments are cached on the dataset.
         """
-        if self.feature_stats.count < 2:
+        stats = self.feature_stats
+        if stats.count < 2:
             return float("nan")
-        return frechet_from_moments(
-            self.feature_stats.mean, self.feature_stats.cov(), self.dataset.real_moments
-        )
+        return frechet_from_moments(stats.mean, stats.cov(), self.dataset.real_moments)
 
     def running_summary(self) -> Dict[str, float]:
-        """O(1) live headline metrics (usable while the run is in flight)."""
+        """Live headline metrics (usable while the run is in flight)."""
         total = self._completed + self._dropped
         return {
             "total_queries": float(total),
@@ -313,12 +487,13 @@ class ResultCollector:
 class SimulationResult:
     """Everything measured during one serving simulation run.
 
-    All metrics read the cached column store (built lazily from ``records``
-    in one pass on first access), so repeated ``summary()`` / time-series
-    calls never re-scan the per-query objects.
+    All metrics read the column store: the one a run drained from its
+    collector, or for a hand-built result one built from ``records`` in one
+    pass on first access.  A run's ``records`` is a :class:`RecordView`
+    that builds the per-query objects only if something reads them.
     """
 
-    records: List[QueryRecord]
+    records: Sequence[QueryRecord]
     dataset: QueryDataset
     slo: float
     duration: float
@@ -361,15 +536,17 @@ class SimulationResult:
         system_name: str = "system",
         replan_history: Optional[List[object]] = None,
         fleet_cost: float = 0.0,
+        records: Sequence[QueryRecord] = (),
     ) -> "SimulationResult":
         """Build a result directly from a (merged) column store.
 
-        The sharded path ships columns, not ``QueryRecord`` objects, across
-        process boundaries; ``records`` is therefore empty here and every
-        metric reads the pre-built store.
+        Every metric reads the pre-built store.  ``records`` is the
+        :class:`RecordView` of a serial run's drained rows; the sharded path
+        ships columns, not ``QueryRecord`` objects, across process
+        boundaries, so its ``records`` stays empty.
         """
         result = cls(
-            records=[],
+            records=records,
             dataset=dataset,
             slo=slo,
             duration=duration,

@@ -164,12 +164,12 @@ class RegionResult:
 class RegionRuntime:
     """One region's event loop, driven epoch by epoch inside a shard.
 
-    Completed :class:`~repro.core.query.QueryRecord` objects are drained
-    into :class:`~repro.core.results.ColumnStore` chunks at every barrier,
-    so resident per-query state stays bounded by one epoch's completions —
+    The collector's column buffers are drained into
+    :class:`~repro.core.results.ColumnStore` chunks at every barrier, so
+    resident per-query state stays bounded by one epoch's completions —
     that is what keeps million-query cells affordable.  Chunk concatenation
-    reproduces the serial ``from_records`` arrays exactly (values are
-    copied, never recomputed).
+    reproduces the serial run's drained arrays exactly (values are copied,
+    never recomputed).
     """
 
     def __init__(self, system: ServingSimulation) -> None:
@@ -181,11 +181,9 @@ class RegionRuntime:
         self.advance_seconds = 0.0
         self.runtime.start()
 
-    def _drain_records(self) -> None:
-        records = self.runtime.collector.records
-        if records:
-            self._chunks.append(ColumnStore.from_records(records, self._feature_dim))
-            records.clear()
+    def _drain(self) -> None:
+        if len(self.runtime.collector):
+            self._chunks.append(self.runtime.collector.drain().cols)
 
     def run_epoch(self, queries: QueryBatch, barrier: float) -> RegionStats:
         """Inject one epoch's routed arrivals, advance to the barrier.
@@ -198,7 +196,7 @@ class RegionRuntime:
         tick = time.perf_counter()
         self.runtime.advance(barrier)
         self.advance_seconds += time.perf_counter() - tick
-        self._drain_records()
+        self._drain()
         return self.stats()
 
     def stats(self) -> RegionStats:
@@ -225,7 +223,7 @@ class RegionRuntime:
     def finish(self) -> RegionResult:
         """Fire finish hooks and package the region's complete output."""
         self.runtime.finish()
-        self._drain_records()
+        self._drain()
         return RegionResult(
             cols=ColumnStore.concat(self._chunks, self._feature_dim),
             control_history=list(self.runtime.controller.history),

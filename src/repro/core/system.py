@@ -273,13 +273,15 @@ class SystemRuntime:
     def result(self, duration: float) -> SimulationResult:
         """Package everything measured so far as a :class:`SimulationResult`.
 
-        The collector's records move into the result and the collector is
-        left empty, so they live exactly as long as the result does rather
-        than as long as the runtime's reference cycles.
+        Closes the collector: its rows move into the result, and the
+        completions its live views never folded are dropped.  So the rows
+        live exactly as long as the result does rather than as long as the
+        runtime's reference cycles.
         """
-        records, self.collector.records = self.collector.records, []
-        return SimulationResult(
-            records=records,
+        rows = self.collector.close()
+        return SimulationResult.from_columns(
+            rows.cols,
+            records=rows,
             dataset=self.dataset,
             slo=self.config.slo,
             duration=duration,

@@ -3,9 +3,10 @@
 Every figure in the paper is a reduction over per-query records, and the grid
 runner executes hundreds of cells per suite — so the measurement layer must
 scale with the simulated system.  The accumulators here let the result
-collector maintain sufficient statistics *during* the run (O(1) per record)
-and let the windowed-FID path compute per-window Gaussian fits from cumulative
-sums instead of re-scanning records:
+collector keep live sufficient statistics *during* the run (folded in
+bounded blocks whenever a live view is read) and let the windowed-FID path
+compute per-window Gaussian fits from cumulative sums instead of re-scanning
+records:
 
 * :class:`GaussianStats` — count / feature-sum / outer-product-sum sufficient
   statistics of a multivariate Gaussian.  Mergeable and associative, so
@@ -20,9 +21,15 @@ sums instead of re-scanning records:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+import bisect
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
+
+#: Rows per block in :meth:`GaussianStats.add_rows`.  It bounds the block of
+#: outer products held at once to ``64 * dim**2`` floats (128 KiB at
+#: ``dim=16``), so a fold adds no more than that to peak memory.
+FOLD_CHUNK = 64
 
 
 def as_float_array(values: Iterable[float]) -> np.ndarray:
@@ -82,6 +89,26 @@ class GaussianStats:
         self.count += 1
         self.sum += x
         self.outer += np.outer(x, x)
+
+    def add_rows(self, rows: Sequence[np.ndarray]) -> None:
+        """Fold feature rows exactly as one :meth:`add` per row would.
+
+        ``np.add.reduce`` along the leading axis adds the rows to the running
+        sums one after another, left to right, so the result is the same bits
+        as the per-row loop (unlike :meth:`add_batch`'s matrix product).  Rows
+        go in blocks of :data:`FOLD_CHUNK`; the running outer sum is added
+        into the block's first product (addition commutes bitwise), which
+        spares a concatenated copy of the block.
+        """
+        for start in range(0, len(rows), FOLD_CHUNK):
+            block = np.asarray(rows[start : start + FOLD_CHUNK], dtype=float)
+            if block.ndim != 2 or block.shape[1] != self.dim:
+                raise ValueError("feature dimensionality mismatch")
+            self.count += block.shape[0]
+            self.sum = np.add.reduce(np.concatenate([self.sum[None], block]), axis=0)
+            products = block[:, :, None] * block[:, None, :]
+            products[0] += self.outer
+            self.outer = np.add.reduce(products, axis=0)
 
     def add_batch(self, features: np.ndarray) -> None:
         """Fold a feature matrix (n_samples, dim) into the statistics."""
@@ -250,7 +277,7 @@ class P2Quantile:
             h[4] = value
             k = 3
         else:
-            k = next(i for i in range(4) if h[i] <= value < h[i + 1])
+            k = self._cell(value)
         for i in range(k + 1, 5):
             pos[i] += 1.0
         for i in range(5):
@@ -267,6 +294,13 @@ class P2Quantile:
                 else:  # parabolic prediction left the bracket: fall back to linear
                     h[i] = h[i] + sign * (h[i + int(sign)] - h[i]) / (pos[i + int(sign)] - pos[i])
                 pos[i] += sign
+
+    def _cell(self, value: float) -> int:
+        """The k with h[k] <= value < h[k + 1], for h[0] <= value < h[4].
+
+        Heights never decrease, so that cell is unique.
+        """
+        return bisect.bisect_right(self._heights, value) - 1
 
     def _parabolic(self, i: int, sign: float) -> float:
         h, pos = self._heights, self._positions

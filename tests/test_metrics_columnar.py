@@ -186,8 +186,8 @@ def test_column_store_from_records_handles_empty_and_all_dropped():
 
 
 def test_collector_driven_result_matches_brute_force():
-    """Records produced through the collector's data path yield the same
-    columnar metrics as the per-record reference computation."""
+    """Rows written through the collector's data path yield the same
+    columnar metrics as the per-record reference over the input records."""
     dataset = make_coco_like(200, seed=3, feature_dim=DIM)
     records = _random_records(3)
     collector = ResultCollector(dataset)
@@ -202,14 +202,16 @@ def test_collector_driven_result_matches_brute_force():
                 features=r.features,
             )
             collector.complete(r.query, image, r.stage, r.confidence, r.deferred, r.completion_time)
-    result = SimulationResult(
-        records=collector.records, dataset=dataset, slo=SLO, duration=DURATION
+    rows = collector.drain()
+    result = SimulationResult.from_columns(
+        rows.cols, records=rows, dataset=dataset, slo=SLO, duration=DURATION
     )
-    # The lazily-built store is cached on first access.
-    assert result.cols is result.cols
+    assert result.cols is rows.cols
     assert isinstance(result.cols, ColumnStore)
     summary = result.summary()
-    reference = _ref_summary(result)
+    reference = _ref_summary(
+        SimulationResult(records=records, dataset=dataset, slo=SLO, duration=DURATION)
+    )
     for key in reference:
         assert summary[key] == pytest.approx(reference[key], rel=1e-9, abs=1e-9), key
 
@@ -231,7 +233,7 @@ def test_collector_running_summary_tracks_final_summary():
             collector.complete(r.query, image, r.stage, r.confidence, r.deferred, r.completion_time)
     live = collector.running_summary()
     final = SimulationResult(
-        records=collector.records, dataset=dataset, slo=SLO, duration=DURATION
+        records=collector.drain(), dataset=dataset, slo=SLO, duration=DURATION
     ).summary()
     for key in ("total_queries", "completed", "dropped", "slo_violation_ratio", "deferral_rate"):
         assert live[key] == pytest.approx(final[key], rel=1e-12), key
