@@ -17,12 +17,14 @@ from repro.core.allocator import AllocationPlan, ControlContext
 from repro.core.policies import AllocationPolicy
 from repro.models.variants import ModelVariant
 
+#: A batch fits the SLO when this many times its execution latency does:
+#: the execution itself plus the 2x-execution queueing estimate.
+HEADROOM = 3.0
 
-def _largest_safe_batch(
-    variant: ModelVariant, slo: float, batch_candidates: Sequence[int], headroom: float = 3.0
-) -> int:
+
+def _largest_safe_batch(variant: ModelVariant, slo: float, batch_candidates: Sequence[int]) -> int:
     """Largest batch whose execution (plus 2x queueing estimate) fits the SLO."""
-    feasible = [b for b in batch_candidates if headroom * variant.latency.latency(b) <= slo]
+    feasible = [b for b in batch_candidates if HEADROOM * variant.latency.latency(b) <= slo]
     if feasible:
         return max(feasible)
     # Even batch 1 is tight; serve with batch 1 and accept violations.
@@ -39,17 +41,15 @@ class ClipperPolicy(AllocationPolicy):
         variant: ModelVariant,
         *,
         batch_candidates: Sequence[int] = (1, 2, 4, 8, 16),
-        headroom: float = 3.0,
     ) -> None:
         self.variant = variant
         self.batch_candidates = tuple(batch_candidates)
-        self.headroom = headroom
 
     def plan(
         self, ctx: ControlContext, *, warm_start: Optional[AllocationPlan] = None
     ) -> AllocationPlan:
         # The allocation is static; a warm start carries no information.
-        batch = _largest_safe_batch(self.variant, ctx.slo, self.batch_candidates, self.headroom)
+        batch = _largest_safe_batch(self.variant, ctx.slo, self.batch_candidates)
         return AllocationPlan(
             num_light=ctx.fleet.total_workers,
             num_heavy=0,
@@ -58,5 +58,5 @@ class ClipperPolicy(AllocationPolicy):
             threshold=0.0,
             heavy_fraction=0.0,
             feasible=True,
-            light_variant_name=self.variant.name,
+            light_variant=self.variant,
         )

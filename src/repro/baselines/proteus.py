@@ -25,6 +25,9 @@ from repro.core.policies import AllocationPolicy
 from repro.models.variants import ModelVariant
 from repro.models.zoo import MODEL_ZOO, CascadeSpec
 
+#: Proteus's queueing estimate: a wait of twice the batch execution latency.
+QUEUEING_MULTIPLIER = 2.0
+
 
 def default_variant_family(cascade: CascadeSpec) -> List[ModelVariant]:
     """Model variants Proteus may host for a cascade's task (same family/resolution)."""
@@ -56,20 +59,15 @@ class ProteusPolicy(AllocationPolicy):
         self,
         cascade: CascadeSpec,
         *,
-        candidates: Optional[Sequence[ModelVariant]] = None,
         batch_candidates: Sequence[int] = (1, 2, 4, 8, 16),
         over_provision: float = 1.1,
-        queueing_multiplier: float = 2.0,
     ) -> None:
         if over_provision < 1.0:
             raise ValueError("over_provision must be >= 1.0")
         self.cascade = cascade
-        self.candidates = (
-            list(candidates) if candidates is not None else default_variant_family(cascade)
-        )
+        self.candidates = default_variant_family(cascade)
         self.batch_candidates = tuple(batch_candidates)
         self.over_provision = over_provision
-        self.queueing_multiplier = queueing_multiplier
 
     # ------------------------------------------------------------- internals
     def _best_batch(self, variant: ModelVariant, slo: float) -> Optional[int]:
@@ -77,7 +75,7 @@ class ProteusPolicy(AllocationPolicy):
         feasible = [
             b
             for b in self.batch_candidates
-            if (1.0 + self.queueing_multiplier) * variant.latency.latency(b) <= slo
+            if (1.0 + QUEUEING_MULTIPLIER) * variant.latency.latency(b) <= slo
         ]
         return max(feasible) if feasible else None
 

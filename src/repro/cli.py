@@ -23,7 +23,7 @@ import json
 import sys
 from dataclasses import replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments import (
     drift_adaptation,
@@ -298,6 +298,30 @@ def parse_shards(text: Optional[str]) -> int:
     return shards
 
 
+def _grid_numbers(
+    fields: Dict[str, str], key: str, convert: Callable[[str], float], default: str = ""
+) -> list:
+    """Pop grid key ``key`` as a comma list of numbers, skipping empty entries.
+
+    A key given with no number at all (``seeds=,``) is an error, not an
+    empty axis that would silently make the grid empty.
+    """
+    text = fields.pop(key, default)
+    values = []
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        try:
+            values.append(convert(item))
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise ValueError(f"grid key {key!r}: {item!r} is not {kind}") from None
+    if text and not values:
+        raise ValueError(f"grid key {key!r} has no values")
+    return values
+
+
 def parse_grid(
     text: str,
     scale: ExperimentScale,
@@ -350,9 +374,9 @@ def parse_grid(
         fields[key.strip()] = value.strip()
 
     cascades = [c for c in fields.pop("cascades", "sdturbo").split(",") if c]
-    seeds = [int(s) for s in fields.pop("seeds", str(scale.seed)).split(",")]
-    qps = [float(q) for q in fields.pop("qps", "").split(",") if q]
-    slos = [float(s) for s in fields.pop("slos", "").split(",") if s]
+    seeds = _grid_numbers(fields, "seeds", int, str(scale.seed))
+    qps = _grid_numbers(fields, "qps", float)
+    slos = _grid_numbers(fields, "slos", float)
     kinds_text = workloads if workloads is not None else fields.pop("workloads", "")
     fields.pop("workloads", None)
     kinds = [w.strip() for w in kinds_text.split(",") if w.strip()]

@@ -28,7 +28,6 @@ from repro.core.demand import DemandEstimator
 from repro.core.load_balancer import LoadBalancer
 from repro.core.query import Query, QueryRecord, QueryStage
 from repro.core.queueing import QueueingModel, LittlesLawModel, TwoXExecutionModel
-from repro.core.repository import ModelRepository
 from repro.core.results import SimulationResult
 from repro.core.system import ServingSimulation
 from repro.core.worker import Worker
@@ -54,7 +53,6 @@ __all__ = [
     "TwoXExecutionModel",
     "AllocationPlan",
     "DiffServeAllocator",
-    "ModelRepository",
     "SimulationResult",
     "ServingSimulation",
 ]

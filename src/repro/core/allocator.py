@@ -42,6 +42,20 @@ from repro.milp.solution import MILPSolution
 from repro.models.variants import ModelVariant
 from repro.models.zoo import variant_profile
 
+#: Quantile levels of the deferral profile the threshold grid is built from.
+THRESHOLD_LEVELS = 21
+#: Objective cost per second of weight-transfer a plan would trigger
+#: (multi-resource model with ``reload_aware`` only).  Small enough that
+#: throughput-feasibility always wins, large enough to break ties toward
+#: splits that avoid reloads.
+RELOAD_PENALTY = 0.02
+#: Objective cost per worker placed on the most expensive class when a
+#: :class:`~repro.core.pricing.PriceTrace` is attached (spot-market runs
+#: only).  Like :data:`RELOAD_PENALTY` it is a tie-break: throughput
+#: feasibility always wins, but equal-capacity splits prefer classes that are
+#: cheap (and revocation-safe) at the current price.
+PRICE_PENALTY = 0.02
+
 
 @dataclass
 class AllocationPlan:
@@ -55,8 +69,6 @@ class AllocationPlan:
     means the split is class-agnostic and the Controller assigns workers in
     fleet order (the legacy behaviour every baseline policy relies on).
     ``heavy_fraction`` is only used by random-split (Proteus-style) routing.
-    ``light_variant_name`` / ``heavy_variant_name`` allow baseline policies
-    to place other model variants on the two pools.
     """
 
     num_light: int
@@ -67,11 +79,9 @@ class AllocationPlan:
     heavy_fraction: float = 0.0
     feasible: bool = True
     objective: Optional[float] = None
-    light_variant_name: Optional[str] = None
-    heavy_variant_name: Optional[str] = None
-    #: Optional concrete variant objects, used by policies that place models
-    #: outside the registered zoo (e.g. Proteus deriving a reduced-step
-    #: sampler); they take precedence over the ``*_variant_name`` fields.
+    #: The variants to place on the two pools (``None`` = the cascade's
+    #: light/heavy variant).  Baseline policies set them: Clipper serves one
+    #: variant everywhere, Proteus may derive a reduced-step sampler.
     light_variant: Optional[object] = None
     heavy_variant: Optional[object] = None
     #: Per-device-class worker counts (``{class name: count}``, positive
@@ -162,18 +172,12 @@ class DiffServeAllocator:
         discriminator_latency: float = 0.01,
         queueing_model: Optional[QueueingModel] = None,
         batch_candidates: Sequence[int] = (1, 2, 4, 8, 16),
-        threshold_levels: int = 21,
         over_provision: float = 1.05,
-        solver: Optional[BranchAndBoundSolver] = None,
         min_light_workers: int = 1,
         exhaustive_cutoff: int = 0,
-        reload_penalty: float = 0.02,
-        price_penalty: float = 0.02,
     ) -> None:
         if over_provision < 1.0:
             raise ValueError("over_provision must be >= 1.0")
-        if threshold_levels < 2:
-            raise ValueError("threshold_levels must be >= 2")
         if exhaustive_cutoff < 0:
             raise ValueError("exhaustive_cutoff must be non-negative")
         self.light = light
@@ -183,7 +187,7 @@ class DiffServeAllocator:
         self.queueing_model = queueing_model or LittlesLawModel()
         self.batch_candidates = tuple(sorted(set(int(b) for b in batch_candidates)))
         self.over_provision = over_provision
-        self.solver = solver or BranchAndBoundSolver()
+        self.solver = BranchAndBoundSolver()
         self.min_light_workers = min_light_workers
         #: Below this integral-search-space size the per-pair MILP is handed
         #: to the LP-free exhaustive solver instead of branch-and-bound
@@ -192,22 +196,7 @@ class DiffServeAllocator:
         #: closed form, so small clusters re-plan with pure arithmetic.
         self.exhaustive_cutoff = exhaustive_cutoff
         self.exhaustive_solver = ExhaustiveSolver()
-        #: Objective cost per second of weight-transfer a plan would trigger
-        #: (multi-resource model with ``reload_aware`` only).  Small enough
-        #: that throughput-feasibility always wins, large enough to break
-        #: ties toward splits that avoid reloads.
-        if reload_penalty < 0:
-            raise ValueError("reload_penalty must be non-negative")
-        self.reload_penalty = reload_penalty
-        #: Objective cost per worker placed on the most expensive class when
-        #: a :class:`~repro.core.pricing.PriceTrace` is attached (spot-market
-        #: runs only).  Like ``reload_penalty`` it is a tie-break: throughput
-        #: feasibility always wins, but equal-capacity splits prefer classes
-        #: that are cheap (and revocation-safe) at the current price.
-        if price_penalty < 0:
-            raise ValueError("price_penalty must be non-negative")
-        self.price_penalty = price_penalty
-        self.threshold_grid = self._build_threshold_grid(threshold_levels)
+        self.threshold_grid = self._build_threshold_grid()
         # Warm-start telemetry (read by the re-planner and the benchmarks).
         self.warm_solves = 0
         self.cold_solves = 0
@@ -227,18 +216,18 @@ class DiffServeAllocator:
         self.last_solve_timed_out = False
 
     # ----------------------------------------------------------------- grids
-    def _build_threshold_grid(self, levels: int) -> List[Tuple[float, float]]:
+    def _build_threshold_grid(self) -> List[Tuple[float, float]]:
         """Candidate (threshold, deferral fraction) pairs from the profile."""
-        quantiles = np.linspace(0.0, 1.0, levels)
+        quantiles = np.linspace(0.0, 1.0, THRESHOLD_LEVELS)
         thresholds = {0.0, 1.0}
         for q in quantiles:
             thresholds.add(round(self.deferral_profile.threshold_for_fraction(float(q)), 6))
         grid = sorted(thresholds)
         return [(t, self.deferral_profile.fraction(t)) for t in grid]
 
-    def refresh_threshold_grid(self, levels: int = 21) -> None:
+    def refresh_threshold_grid(self) -> None:
         """Rebuild the grid after the deferral profile was updated online."""
-        self.threshold_grid = self._build_threshold_grid(levels)
+        self.threshold_grid = self._build_threshold_grid()
 
     # --------------------------------------------------------------- latency
     def _light_execution(self, batch: int, device: Optional[DeviceClass] = None) -> float:
@@ -512,11 +501,11 @@ class DiffServeAllocator:
                         -float(prev.get(cname, 0)),
                         name=f"reload[{x_name}]",
                     )
-                    objective[r_name] = -self.reload_penalty * cost
+                    objective[r_name] = -RELOAD_PENALTY * cost
             # Spot-market tie-break: every worker placed on a class pays its
             # *effective* price (spot price risk-inflated by revocation
             # probability), normalised so the most expensive class costs
-            # exactly ``price_penalty``.  Only heterogeneous fleets have a
+            # exactly :data:`PRICE_PENALTY`.  Only heterogeneous fleets have a
             # placement choice; ``prices=None`` leaves the problem untouched.
             if ctx.prices is not None and not fleet.is_homogeneous:
                 effective = {
@@ -525,11 +514,11 @@ class DiffServeAllocator:
                     for device in fleet.classes
                 }
                 top = max(effective.values())
-                if self.price_penalty > 0 and top > 0:
+                if top > 0:
                     for x_name in list(light_vars) + list(heavy_vars):
                         cname = x_name[x_name.index("[") + 1 : -1]
                         objective[x_name] = objective.get(x_name, 0.0) - (
-                            self.price_penalty * effective[cname] / top
+                            PRICE_PENALTY * effective[cname] / top
                         )
             problem.set_objective(objective)
             problem.add_ge(light_vars, demand, name="light-throughput")

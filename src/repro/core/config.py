@@ -322,21 +322,16 @@ class ResourceConfig:
         Variants absent from ``weights`` keep their catalog footprint; an
         explicit ``egress_gb_per_image`` applies to every entry.
         """
-        merged: Dict[str, ModelFootprint] = dict(MODEL_FOOTPRINTS)
-        for name, gb in weights.items():
-            base = merged.get(name)
-            egress = (
-                egress_gb_per_image
-                if egress_gb_per_image is not None
-                else (base.egress_gb_per_image if base is not None else 0.003)
-            )
-            merged[name] = ModelFootprint(weights_gb=float(gb), egress_gb_per_image=egress)
-        if egress_gb_per_image is not None:
-            merged = {
-                name: ModelFootprint(fp.weights_gb, float(egress_gb_per_image))
-                for name, fp in merged.items()
-            }
-        return cls(footprints=tuple(sorted(merged.items())), reload_aware=reload_aware)
+        footprints = []
+        for name in sorted({*MODEL_FOOTPRINTS, *weights}):
+            base = MODEL_FOOTPRINTS.get(name)
+            gb = float(weights[name]) if name in weights else base.weights_gb
+            if egress_gb_per_image is not None:
+                egress = float(egress_gb_per_image)
+            else:
+                egress = base.egress_gb_per_image if base is not None else 0.003
+            footprints.append((name, ModelFootprint(weights_gb=gb, egress_gb_per_image=egress)))
+        return cls(footprints=tuple(footprints), reload_aware=reload_aware)
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "ResourceConfig":
@@ -458,14 +453,6 @@ class SystemConfig:
         Routing mode of the Load Balancer.
     control_period:
         Controller re-allocation period (seconds).
-    drop_late_queries:
-        Whether workers preemptively drop queries predicted to miss their
-        deadline.
-    worker_reload_latency:
-        Time to load a different model variant onto a baseline-class worker
-        (seconds); each device class scales it by its ``reload_factor``.
-    monitoring_window:
-        Length of the statistics window the Controller aggregates over.
     seed:
         Root random seed for the simulation.
     fleet:
@@ -480,9 +467,6 @@ class SystemConfig:
     slo: Optional[float] = None
     routing: RoutingMode = RoutingMode.CASCADE
     control_period: float = 5.0
-    drop_late_queries: bool = True
-    worker_reload_latency: float = 0.5
-    monitoring_window: float = 20.0
     seed: int = 0
     fleet: FleetSpec = FleetSpec.homogeneous(16)
     resources: Optional[ResourceConfig] = field(default=None)
@@ -499,7 +483,3 @@ class SystemConfig:
             raise ValueError("slo must be positive")
         if self.control_period <= 0:
             raise ValueError("control_period must be positive")
-        if self.worker_reload_latency < 0:
-            raise ValueError("worker_reload_latency must be non-negative")
-        if self.monitoring_window <= 0:
-            raise ValueError("monitoring_window must be positive")

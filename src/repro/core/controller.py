@@ -9,7 +9,7 @@ sizes and updating the cascade's confidence threshold (Sections 3.1/3.3).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.allocator import AllocationPlan, ControlContext
 from repro.core.config import FleetSpec, RoutingMode, SystemConfig
@@ -17,10 +17,10 @@ from repro.core.demand import DemandEstimator
 from repro.core.load_balancer import LoadBalancer
 from repro.core.policies import AllocationPolicy
 from repro.core.pricing import CostLedger, PriceTrace
-from repro.core.repository import ModelRepository
 from repro.core.results import ControlSnapshot, ResultCollector
 from repro.core.worker import Worker
 from repro.discriminators.base import Discriminator
+from repro.models.variants import ModelVariant
 from repro.simulator.simulation import Actor, Simulator
 
 
@@ -35,7 +35,7 @@ class Controller(Actor):
         load_balancer: LoadBalancer,
         collector: ResultCollector,
         policy: AllocationPolicy,
-        repository: ModelRepository,
+        variants: Dict[str, ModelVariant],
         discriminator: Optional[Discriminator],
         *,
         initial_demand: float = 1.0,
@@ -47,7 +47,9 @@ class Controller(Actor):
         self.load_balancer = load_balancer
         self.collector = collector
         self.policy = policy
-        self.repository = repository
+        #: Variants a plan's residency may name, by name: the zoo plus the
+        #: served cascade's two variants.
+        self.variants = variants
         self.discriminator = discriminator
         self.demand_estimator = DemandEstimator(alpha=0.5, initial=initial_demand)
         self.current_plan: Optional[AllocationPlan] = None
@@ -304,18 +306,8 @@ class Controller(Actor):
     def _apply_plan(self, plan: AllocationPlan) -> None:
         self.current_plan = plan
 
-        if plan.light_variant is not None:
-            light_variant = plan.light_variant
-        elif plan.light_variant_name:
-            light_variant = self.repository.get_variant(plan.light_variant_name)
-        else:
-            light_variant = self.config.cascade.light
-        if plan.heavy_variant is not None:
-            heavy_variant = plan.heavy_variant
-        elif plan.heavy_variant_name:
-            heavy_variant = self.repository.get_variant(plan.heavy_variant_name)
-        else:
-            heavy_variant = self.config.cascade.heavy
+        light_variant = plan.light_variant or self.config.cascade.light
+        heavy_variant = plan.heavy_variant or self.config.cascade.heavy
         use_discriminator = self.config.routing == RoutingMode.CASCADE
 
         light_pool, heavy_pool = self._select_pools(plan)
@@ -370,11 +362,6 @@ class Controller(Actor):
             names = plan.residency.get(device.name)
             if names is None:
                 continue
-            variants = []
-            for name in names:
-                try:
-                    variants.append(self.repository.get_variant(name))
-                except KeyError:
-                    continue
+            variants = [self.variants[name] for name in names if name in self.variants]
             for worker in self._workers_by_class.get(device.name, []):
                 worker.pin_residency(variants)

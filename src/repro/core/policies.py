@@ -18,6 +18,11 @@ from repro.core.queueing import TwoXExecutionModel
 from repro.discriminators.deferral import DeferralProfile
 from repro.models.variants import ModelVariant
 
+#: AIMD's additive step: the batch grows by this after a period without violations.
+AIMD_INCREASE = 1
+#: AIMD's multiplicative step: the batch is scaled by this after a violation.
+AIMD_DECREASE_FACTOR = 0.5
+
 
 class AllocationPolicy(abc.ABC):
     """Interface between the Controller and an allocation algorithm."""
@@ -88,15 +93,13 @@ class AIMDBatchState:
 
     batch: int = 1
     max_batch: int = 16
-    increase: int = 1
-    decrease_factor: float = 0.5
 
     def update(self, had_violation: bool) -> int:
         """Advance the AIMD state after one control period."""
         if had_violation:
-            self.batch = max(1, int(self.batch * self.decrease_factor))
+            self.batch = max(1, int(self.batch * AIMD_DECREASE_FACTOR))
         else:
-            self.batch = min(self.max_batch, self.batch + self.increase)
+            self.batch = min(self.max_batch, self.batch + AIMD_INCREASE)
         return self.batch
 
 

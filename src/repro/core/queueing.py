@@ -12,6 +12,9 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
+#: Floor on the arrival rate Little's law divides by (queries/second).
+MIN_RATE = 1e-3
+
 
 class QueueingModel(abc.ABC):
     """Estimates the queueing (waiting) delay of a query at a worker pool."""
@@ -44,14 +47,12 @@ class LittlesLawModel(QueueingModel):
     would double-count that residual and over-provision at low load.
     """
 
-    min_rate: float = 1e-3
-
     def waiting_time(
         self, queue_length: float, arrival_rate: float, execution_latency: float
     ) -> float:
         if queue_length < 0 or arrival_rate < 0 or execution_latency < 0:
             raise ValueError("inputs must be non-negative")
-        rate = max(arrival_rate, self.min_rate)
+        rate = max(arrival_rate, MIN_RATE)
         littles = queue_length / rate
         return max(littles, execution_latency / 2.0)
 

@@ -67,7 +67,11 @@ class ColumnStore:
 
     @classmethod
     def from_records(cls, records: List[QueryRecord], feature_dim: int) -> "ColumnStore":
-        """Build the columns with one pass over a record list."""
+        """Build the columns with one pass over a record list.
+
+        Makes the columns of hand-built results, and is the test oracle for
+        :meth:`ResultCollector.drain` and :meth:`ColumnStore.concat`.
+        """
         n = len(records)
         arrival = np.empty(n)
         deadline = np.empty(n)

@@ -8,6 +8,7 @@ simulator, runs a workload trace through the system, and returns a
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -25,7 +26,6 @@ from repro.core.load_balancer import LoadBalancer
 from repro.core.policies import AllocationPolicy
 from repro.core.query import Query, QueryBatch
 from repro.core.replanner import ReplanConfig, ReplanController
-from repro.core.repository import ModelRepository
 from repro.core.resources import BandwidthChannel, ResidencySet, WorkerResources
 from repro.core.results import ResultCollector, SimulationResult
 from repro.core.worker import Worker
@@ -136,35 +136,15 @@ class ArrivalFeeder:
         if self.seed_streams is not None:
             self.seed_streams(chunk_ids, chunk_difficulties)
         if slos is None:
-            slo = self.slo
-            args_seq = [
-                (
-                    Query(
-                        query_id=qid,
-                        arrival_time=t,
-                        prompt=prompt(qid),
-                        difficulty=d,
-                        slo=slo,
-                    ),
-                )
-                for qid, t, d in zip(chunk_ids, chunk_times, chunk_difficulties)
-            ]
+            chunk_slos = itertools.repeat(self.slo)
         else:
             chunk_slos = slos[lo:hi]
             if hasattr(chunk_slos, "tolist"):
                 chunk_slos = chunk_slos.tolist()
-            args_seq = [
-                (
-                    Query(
-                        query_id=qid,
-                        arrival_time=t,
-                        prompt=prompt(qid),
-                        difficulty=d,
-                        slo=s,
-                    ),
-                )
-                for qid, t, d, s in zip(chunk_ids, chunk_times, chunk_difficulties, chunk_slos)
-            ]
+        args_seq = [
+            (Query(query_id=qid, arrival_time=t, prompt=prompt(qid), difficulty=d, slo=s),)
+            for qid, t, d, s in zip(chunk_ids, chunk_times, chunk_difficulties, chunk_slos)
+        ]
         self.sim.schedule_many_at(chunk_times, self.submit, args_seq, name="arrival")
         self.scheduled_arrivals += len(args_seq)
         self.chunks_fired += 1
@@ -467,19 +447,14 @@ class ServingSimulation:
                         discriminator=self.discriminator
                         if self.config.routing == RoutingMode.CASCADE
                         else None,
-                        drop_late=self.config.drop_late_queries,
-                        reload_latency=self.config.worker_reload_latency,
                         device=device,
                         resources=resources,
                     )
                 )
 
-        repository = ModelRepository()
-        for variant in MODEL_ZOO.values():
-            repository.register_variant(variant)
+        variants = dict(MODEL_ZOO)
         for variant in (self.config.cascade.light, self.config.cascade.heavy):
-            if variant.name not in repository:
-                repository.register_variant(variant)
+            variants.setdefault(variant.name, variant)
 
         controller = Controller(
             sim,
@@ -488,7 +463,7 @@ class ServingSimulation:
             load_balancer,
             collector,
             self.policy,
-            repository,
+            variants,
             self.discriminator,
             initial_demand=self.initial_demand,
             prices=self.prices,

@@ -36,6 +36,10 @@ from repro.models.variants import ModelVariant
 from repro.models.zoo import variant_profile
 from repro.simulator.simulation import Actor, Simulator
 
+#: Seconds a baseline-class worker spends loading a different variant in the
+#: legacy reload model; each device class scales it by its ``reload_factor``.
+RELOAD_LATENCY_S = 0.5
+
 
 @dataclass(slots=True)
 class WorkItem:
@@ -52,7 +56,11 @@ class WorkItem:
 
 @dataclass
 class WorkerStats:
-    """Runtime statistics reported to the Controller each control period."""
+    """Cumulative counters of one worker's run.
+
+    No control-plane code reads them: they are diagnostics for tests and
+    for inspecting a finished run's workers.
+    """
 
     arrivals: int = 0
     completions: int = 0
@@ -65,17 +73,6 @@ class WorkerStats:
     resident_hits: int = 0
     weight_reloads: int = 0
     reload_stall_time: float = 0.0
-
-    def reset(self) -> None:
-        """Clear the per-window counters."""
-        self.arrivals = 0
-        self.completions = 0
-        self.drops = 0
-        self.busy_time = 0.0
-        self.batches = 0
-        self.resident_hits = 0
-        self.weight_reloads = 0
-        self.reload_stall_time = 0.0
 
 
 class Worker(Actor):
@@ -99,7 +96,7 @@ class Worker(Actor):
         batch_size: int = 1,
         discriminator: Optional[Discriminator] = None,
         drop_late: bool = True,
-        reload_latency: float = 0.5,
+        reload_latency: float = RELOAD_LATENCY_S,
         device: Optional[DeviceClass] = None,
         resources: Optional[WorkerResources] = None,
         on_complete: Optional[Callable[[WorkItem, GeneratedImage, Optional[float]], None]] = None,
@@ -446,16 +443,3 @@ class Worker(Actor):
             if self.on_complete is not None:
                 conf = float(confidence) if confidence is not None else None
                 self.on_complete(item, image, conf)
-
-    # -------------------------------------------------------------- lifecycle
-    def collect_stats(self) -> WorkerStats:
-        """Return and reset the per-window statistics."""
-        snapshot = WorkerStats(
-            arrivals=self.stats.arrivals,
-            completions=self.stats.completions,
-            drops=self.stats.drops,
-            busy_time=self.stats.busy_time,
-            batches=self.stats.batches,
-        )
-        self.stats.reset()
-        return snapshot

@@ -18,6 +18,9 @@ from repro.models.dataset import QueryDataset
 from repro.models.generation import ImageGenerator
 from repro.models.variants import ModelVariant
 
+#: Weight of the newest observation in the online correction's EWMA.
+EWMA_ALPHA = 0.3
+
 
 @dataclass
 class DeferralProfile:
@@ -30,7 +33,6 @@ class DeferralProfile:
     """
 
     confidences: np.ndarray
-    ewma_alpha: float = 0.3
     _online_correction: float = field(default=0.0, repr=False)
 
     def __post_init__(self) -> None:
@@ -88,7 +90,7 @@ class DeferralProfile:
         predicted = self.fraction(threshold) - self._online_correction
         error = observed_fraction - predicted
         self._online_correction = (
-            (1 - self.ewma_alpha) * self._online_correction + self.ewma_alpha * error
+            (1 - EWMA_ALPHA) * self._online_correction + EWMA_ALPHA * error
         )
 
     # ------------------------------------------------------------ profiling

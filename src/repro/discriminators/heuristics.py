@@ -75,7 +75,13 @@ class RandomDiscriminator(Discriminator):
 
 
 class OracleDiscriminator(Discriminator):
-    """Exposes the latent image quality directly (testing upper bound)."""
+    """Exposes the latent image quality directly.
+
+    Test oracle for :class:`~repro.discriminators.deferral.DeferralProfile`
+    (its fractions must match the quality quantiles) and a discriminator
+    with known confidences for the :class:`~repro.core.worker.Worker` and
+    :class:`~repro.core.load_balancer.LoadBalancer` tests.
+    """
 
     name = "oracle"
     latency_s = 0.0

@@ -85,7 +85,6 @@ def run_milp_overhead(
         cascade.heavy,
         profile,
         discriminator_latency=discriminator.latency_s,
-        solver=BranchAndBoundSolver(),
     )
 
     if demands is None:

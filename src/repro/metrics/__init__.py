@@ -10,7 +10,7 @@ from repro.metrics.fid import (
 )
 from repro.metrics.latency import LatencyStats, percentile
 from repro.metrics.pareto import ParetoPoint, pareto_frontier, is_pareto_dominated
-from repro.metrics.slo import SLOReport, SLOTracker
+from repro.metrics.slo import SLOReport
 
 __all__ = [
     "GaussianStats",
@@ -26,6 +26,5 @@ __all__ = [
     "ParetoPoint",
     "pareto_frontier",
     "is_pareto_dominated",
-    "SLOTracker",
     "SLOReport",
 ]

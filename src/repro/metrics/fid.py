@@ -164,7 +164,12 @@ def fid_score(
 
 
 def fid_from_images(images: Sequence, real_features: np.ndarray) -> float:
-    """FID of a collection of :class:`~repro.models.generation.GeneratedImage`."""
+    """FID of a collection of :class:`~repro.models.generation.GeneratedImage`.
+
+    Test oracle for the image quality model of
+    :class:`~repro.models.generation.ImageGenerator` and for discriminator
+    routing: it scores hand-picked image sets directly, with no simulation.
+    """
     if len(images) < 2:
         raise ValueError("need at least 2 generated images to compute FID")
     feats = np.stack([img.features for img in images])
@@ -276,7 +281,9 @@ def windowed_fid_reference(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Brute-force windowed FID: per-window mask, Gaussian fit, and ``sqrtm``.
 
-    Kept as the equivalence/benchmark baseline for :func:`windowed_fid`.
+    Test oracle for :func:`windowed_fid` and
+    ``SimulationResult.fid_timeseries``, and the baseline of the windowed-FID
+    benchmark.
     """
     timestamps = np.asarray(timestamps, dtype=float)
     features = np.asarray(features, dtype=float)

@@ -9,7 +9,7 @@ SLO violation ratio (lower is better).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -79,43 +79,3 @@ def pareto_frontier(
             seen.add(key)
             unique.append(p)
     return unique
-
-
-def hypervolume_2d(
-    frontier: Sequence[ParetoPoint],
-    reference: Tuple[float, float],
-    *,
-    minimize_x: bool = True,
-    minimize_y: bool = True,
-) -> float:
-    """Dominated hypervolume w.r.t. a reference point (both objectives minimised
-    by converting maximised axes).  Used in tests to compare frontiers."""
-    if not frontier:
-        return 0.0
-
-    def to_min(v: float, minimize: bool, ref: float) -> Tuple[float, float]:
-        # Convert a maximised axis into an equivalent minimised one by negation.
-        return (v, ref) if minimize else (-v, -ref)
-
-    pts = []
-    for p in frontier:
-        x, rx = to_min(p.x, minimize_x, reference[0])
-        y, ry = to_min(p.y, minimize_y, reference[1])
-        if x <= rx and y <= ry:
-            pts.append((x, y, rx, ry))
-    if not pts:
-        return 0.0
-    pts.sort(key=lambda t: t[0])
-    volume = 0.0
-    prev_x = None
-    best_y = None
-    rx, ry = pts[0][2], pts[0][3]
-    for x, y, _, _ in pts:
-        if best_y is None or y < best_y:
-            if prev_x is not None and best_y is not None:
-                volume += (x - prev_x) * (ry - best_y)
-            prev_x = x
-            best_y = y
-    if prev_x is not None and best_y is not None:
-        volume += (rx - prev_x) * (ry - best_y)
-    return max(volume, 0.0)

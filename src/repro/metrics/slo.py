@@ -8,9 +8,6 @@ dropped by the system because they are predicted to miss their deadline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -34,102 +31,3 @@ class SLOReport:
         if self.total == 0:
             return 0.0
         return (self.violated + self.dropped) / self.total
-
-    @property
-    def goodput_ratio(self) -> float:
-        """Fraction of queries completed within their SLO."""
-        if self.total == 0:
-            return 0.0
-        return (self.completed - self.violated) / self.total
-
-
-@dataclass
-class _Record:
-    arrival: float
-    deadline: float
-    completion: Optional[float] = None
-    dropped: bool = False
-
-
-class SLOTracker:
-    """Tracks per-query arrival, completion and drop events against SLOs."""
-
-    def __init__(self, slo: float) -> None:
-        if slo <= 0:
-            raise ValueError("slo must be positive")
-        self.slo = float(slo)
-        self._records: List[_Record] = []
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def arrive(self, arrival_time: float, slo: Optional[float] = None) -> int:
-        """Register a query arrival; returns its tracking index."""
-        deadline = arrival_time + (self.slo if slo is None else slo)
-        self._records.append(_Record(arrival=arrival_time, deadline=deadline))
-        return len(self._records) - 1
-
-    def complete(self, index: int, completion_time: float) -> bool:
-        """Register a completion; returns ``True`` if the query met its SLO."""
-        rec = self._records[index]
-        if rec.dropped:
-            raise ValueError(f"query {index} was already dropped")
-        rec.completion = completion_time
-        return completion_time <= rec.deadline
-
-    def drop(self, index: int) -> None:
-        """Register a preemptive drop."""
-        rec = self._records[index]
-        if rec.completion is not None:
-            raise ValueError(f"query {index} already completed")
-        rec.dropped = True
-
-    # ------------------------------------------------------------ reporting
-    def report(self, window: Optional[Tuple[float, float]] = None) -> SLOReport:
-        """Aggregate report, optionally restricted to arrivals in ``window``."""
-        records = self._records
-        if window is not None:
-            lo, hi = window
-            records = [r for r in records if lo <= r.arrival < hi]
-        total = len(records)
-        completed = sum(1 for r in records if r.completion is not None)
-        dropped = sum(1 for r in records if r.dropped)
-        violated = sum(
-            1 for r in records if r.completion is not None and r.completion > r.deadline
-        )
-        return SLOReport(total=total, completed=completed, violated=violated, dropped=dropped)
-
-    def violation_ratio(self) -> float:
-        """Overall SLO violation ratio."""
-        return self.report().violation_ratio
-
-    def latencies(self) -> np.ndarray:
-        """Latencies of completed queries."""
-        return np.array(
-            [r.completion - r.arrival for r in self._records if r.completion is not None]
-        )
-
-    def timeseries(self, window: float, horizon: float) -> Tuple[np.ndarray, np.ndarray]:
-        """SLO violation ratio per window of arrival time."""
-        if window <= 0 or horizon <= 0:
-            raise ValueError("window and horizon must be positive")
-        edges = np.arange(0.0, horizon + window, window)
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        ratios = np.zeros(len(centers))
-        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-            ratios[i] = self.report(window=(lo, hi)).violation_ratio
-        return centers, ratios
-
-
-def violation_ratio(latencies: Sequence[float], slo: float, dropped: int = 0) -> float:
-    """SLO violation ratio from a flat list of latencies plus a drop count."""
-    if slo <= 0:
-        raise ValueError("slo must be positive")
-    if dropped < 0:
-        raise ValueError("dropped must be non-negative")
-    lat = np.asarray(list(latencies), dtype=float)
-    total = len(lat) + dropped
-    if total == 0:
-        return 0.0
-    late = int(np.sum(lat > slo))
-    return (late + dropped) / total

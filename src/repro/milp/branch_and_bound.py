@@ -15,6 +15,12 @@ from repro.milp.solution import MILPSolution, SolveStatus
 
 Bounds = Dict[str, Tuple[float, Optional[float]]]
 
+#: Node cap per solve: a guard against a runaway search, which the
+#: allocation problems (a handful of nodes each) never reach.
+MAX_NODES = 10000
+#: A node is pruned unless its LP bound beats the incumbent by more than this.
+MIP_GAP = 1e-6
+
 
 @dataclass(order=True)
 class _Node:
@@ -46,18 +52,8 @@ class BranchAndBoundSolver:
     after a single LP.
     """
 
-    def __init__(
-        self,
-        *,
-        tol: float = 1e-6,
-        max_nodes: int = 10000,
-        mip_gap: float = 1e-6,
-    ) -> None:
-        if max_nodes < 1:
-            raise ValueError("max_nodes must be >= 1")
+    def __init__(self, *, tol: float = 1e-6) -> None:
         self.tol = tol
-        self.max_nodes = max_nodes
-        self.mip_gap = mip_gap
         #: Cumulative LP relaxations solved over the solver's lifetime (the
         #: dominant solve cost; benchmarks read this as a deterministic,
         #: wall-clock-independent cost model).
@@ -143,13 +139,13 @@ class BranchAndBoundSolver:
         ]
         nodes = 0
 
-        while heap and nodes < self.max_nodes:
+        while heap and nodes < MAX_NODES:
             node = heapq.heappop(heap)
             nodes += 1
             # Prune against the incumbent.  With a warm start whose objective
             # already matches the root relaxation bound this fires on the root
             # itself and the solve finishes after one LP.
-            if -node.neg_bound <= incumbent_obj + self.mip_gap:
+            if -node.neg_bound <= incumbent_obj + MIP_GAP:
                 continue
             if node.relaxation is not None:
                 values, bound = node.relaxation
@@ -159,7 +155,7 @@ class BranchAndBoundSolver:
                 self.total_lp_solves += 1
                 if status != "optimal" or values is None or bound is None:
                     continue
-            if bound <= incumbent_obj + self.mip_gap:
+            if bound <= incumbent_obj + MIP_GAP:
                 continue
             branch_var = self._most_fractional(problem, values)
             if branch_var is None:
@@ -189,7 +185,7 @@ class BranchAndBoundSolver:
             status_out = SolveStatus.NODE_LIMIT if heap else SolveStatus.INFEASIBLE
             return MILPSolution(status=status_out, nodes_explored=nodes, lp_solves=lp_solves)
         status_out = (
-            SolveStatus.OPTIMAL if not heap or nodes < self.max_nodes else SolveStatus.NODE_LIMIT
+            SolveStatus.OPTIMAL if not heap or nodes < MAX_NODES else SolveStatus.NODE_LIMIT
         )
         return MILPSolution(
             status=status_out,

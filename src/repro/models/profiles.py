@@ -92,16 +92,6 @@ class LatencyProfile:
         factor = float(np.exp(rng.normal(0.0, self.jitter)))
         return base * factor
 
-    # --------------------------------------------------------------- tabular
-    def as_table(self) -> Dict[int, float]:
-        """Profile as a ``{batch_size: latency}`` table (offline profiling output)."""
-        return {b: self.latency(b) for b in self.batch_sizes}
-
-    def best_batch_for_deadline(self, deadline: float) -> Optional[int]:
-        """Largest profiled batch size whose execution latency fits ``deadline``."""
-        feasible = [b for b in self.batch_sizes if self.latency(b) <= deadline]
-        return max(feasible) if feasible else None
-
     # ---------------------------------------------------------- device classes
     def scaled(self, speed_factor: float) -> "LatencyProfile":
         """This variant's profile on a device ``speed_factor``x the baseline.

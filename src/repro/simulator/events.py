@@ -357,15 +357,6 @@ class EventQueue:
             return event
         raise IndexError("pop from empty EventQueue")
 
-    def peek_time(self) -> Optional[float]:
-        """Return the time of the next live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap and heap[0][3] is None:
-            self._discard(heappop(heap))
-        if not heap:
-            return None
-        return heap[0][0]
-
     def clear(self) -> None:
         """Remove all events and reset compaction/recycling state.
 

@@ -121,20 +121,6 @@ class Simulator:
         """Cancel a scheduled event."""
         self.events.cancel(event)
 
-    def reschedule(self, event: Event, time: float) -> Event:
-        """Move a pending timed event to a new absolute time.
-
-        The resource channels reschedule their single release event whenever
-        capacity sharing changes a transfer's completion time; cancelling and
-        re-pushing keeps the queue's ``(time, priority, seq)`` total order —
-        the new event gets a fresh sequence number, so determinism is
-        preserved.  Cancelled or already-fired events simply schedule anew.
-        """
-        # Read the slots before cancelling: tombstoning clears callback/args.
-        callback, args, priority, name = event[3], event[4], event[1], event[5]
-        self.events.cancel(event)
-        return self.schedule_at(time, callback, priority=priority, name=name, args=args)
-
     # ---------------------------------------------------------------- actors
     def register(self, actor: "Actor") -> None:
         """Register an actor so it participates in ``start``/``finish`` hooks."""

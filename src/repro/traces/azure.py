@@ -84,8 +84,3 @@ def trace_4to32qps(duration: float = 360.0, seed: int = 0) -> RateCurve:
 def trace_1to8qps(duration: float = 360.0, seed: int = 0) -> RateCurve:
     """The ``trace_1to8qps`` workload used for Cascade 3 on 16 workers."""
     return azure_functions_like_rate(1, 8, duration, seed=seed, name="trace_1to8qps")
-
-
-def trace_2to16qps(duration: float = 360.0, seed: int = 0) -> RateCurve:
-    """The ``trace_2to16qps`` workload (8 workers)."""
-    return azure_functions_like_rate(2, 16, duration, seed=seed, name="trace_2to16qps")

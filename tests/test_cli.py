@@ -121,6 +121,37 @@ def test_parse_grid_rejects_unknown_keys_and_malformed_fields():
         cli.parse_grid("cascades", scale)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seeds=a", "grid key 'seeds': 'a' is not an integer"),
+        ("seeds=0,1.5", "grid key 'seeds': '1.5' is not an integer"),
+        ("qps=abc", "grid key 'qps': 'abc' is not a number"),
+        ("slos=x", "grid key 'slos': 'x' is not a number"),
+        ("seeds=,", "grid key 'seeds' has no values"),
+        ("qps=,,", "grid key 'qps' has no values"),
+    ],
+)
+def test_parse_grid_number_errors_name_the_key(text, message):
+    scale = ExperimentScale(dataset_size=60, trace_duration=10.0, num_workers=2, seed=0)
+    with pytest.raises(ValueError) as info:
+        cli.parse_grid(text, scale)
+    assert str(info.value) == message
+
+
+def test_parse_grid_number_keys_skip_empty_entries():
+    scale = ExperimentScale(dataset_size=60, trace_duration=10.0, num_workers=2, seed=0)
+    grid = cli.parse_grid("seeds=0,,1;qps=4,,8;slos=3,,5;systems=diffserve", scale)
+    assert len(grid) == 8
+    assert {spec.scale.seed for spec in grid} == {0, 1}
+    assert {spec.trace.qps for spec in grid} == {4.0, 8.0}
+
+
+def test_run_command_reports_bad_grid_number_on_one_line(capsys):
+    assert cli.main(["run", "--grid", "seeds=a"]) == 2
+    assert capsys.readouterr().err == "error: grid key 'seeds': 'a' is not an integer\n"
+
+
 def test_run_command_executes_and_caches(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     argv = ["run", "--grid", "cascades=sdturbo;qps=4;systems=diffserve", "--jobs", "1"] + TINY_ARGS

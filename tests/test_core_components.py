@@ -1,5 +1,5 @@
-"""Tests for core building blocks: queries, demand estimation, queueing models,
-repository and configuration."""
+"""Tests for core building blocks: queries, demand estimation, queueing models
+and configuration."""
 
 import pytest
 
@@ -7,9 +7,7 @@ from repro.core.config import FleetSpec, RoutingMode, SystemConfig
 from repro.core.demand import DemandEstimator
 from repro.core.query import Query, QueryRecord, QueryStage
 from repro.core.queueing import LittlesLawModel, TwoXExecutionModel
-from repro.core.repository import ModelRepository
-from repro.discriminators.heuristics import OracleDiscriminator
-from repro.models.zoo import get_cascade, get_variant
+from repro.models.zoo import get_cascade
 
 
 # ----------------------------------------------------------------------- query
@@ -105,35 +103,6 @@ def test_queueing_models_diverge_under_load():
     assert littles.waiting_time(100, 5.0, execution) > heuristic.waiting_time(
         100, 5.0, execution
     )
-
-
-# ------------------------------------------------------------------ repository
-def test_repository_variant_registration():
-    repo = ModelRepository()
-    light, heavy = get_variant("sd-turbo"), get_variant("sd-v1.5")
-    repo.register_variant(light)
-    repo.register_variant(heavy)
-    repo.register_variant(light)  # idempotent
-    assert len(repo) == 2
-    assert "sd-turbo" in repo
-    assert repo.get_variant("sd-turbo") is light
-    with pytest.raises(KeyError):
-        repo.get_variant("missing")
-
-
-def test_repository_discriminator_registration():
-    repo = ModelRepository()
-    light, heavy = get_variant("sd-turbo"), get_variant("sd-v1.5")
-    repo.register_variant(light)
-    repo.register_variant(heavy)
-    disc = OracleDiscriminator()
-    repo.register_discriminator("sd-turbo", "sd-v1.5", disc)
-    assert repo.get_discriminator("sd-turbo", "sd-v1.5") is disc
-    assert repo.cascades() == [("sd-turbo", "sd-v1.5")]
-    with pytest.raises(KeyError):
-        repo.register_discriminator("missing", "sd-v1.5", disc)
-    with pytest.raises(KeyError):
-        repo.get_discriminator("sd-v1.5", "sd-turbo")
 
 
 # --------------------------------------------------------------------- config

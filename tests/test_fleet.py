@@ -351,7 +351,6 @@ def test_controller_maps_typed_assignments_onto_device_groups(coco_dataset, casc
     from repro.core.config import RoutingMode
     from repro.core.controller import Controller
     from repro.core.load_balancer import LoadBalancer
-    from repro.core.repository import ModelRepository
     from repro.core.results import ResultCollector
     from repro.core.worker import Worker
     from repro.models.generation import ImageGenerator
@@ -371,7 +370,7 @@ def test_controller_maps_typed_assignments_onto_device_groups(coco_dataset, casc
     lb = LoadBalancer(sim, routing=RoutingMode.CASCADE)
     controller = Controller(
         sim, config, workers, lb, ResultCollector(coco_dataset),
-        ClipperPolicy(cascade1.light), ModelRepository(), None,
+        ClipperPolicy(cascade1.light), {}, None,
     )
     plan = AllocationPlan(
         num_light=2, num_heavy=2, light_batch=1, heavy_batch=1, threshold=0.5,

@@ -1,7 +1,7 @@
 """Tests for Pareto-frontier utilities."""
 
 
-from repro.metrics.pareto import ParetoPoint, hypervolume_2d, is_pareto_dominated, pareto_frontier
+from repro.metrics.pareto import ParetoPoint, is_pareto_dominated, pareto_frontier
 
 
 def test_dominated_point_detected():
@@ -59,16 +59,3 @@ def test_frontier_of_empty_set():
 def test_payload_preserved():
     points = [ParetoPoint(1.0, 1.0, payload={"cfg": 1})]
     assert pareto_frontier(points)[0].payload == {"cfg": 1}
-
-
-def test_hypervolume_positive_and_monotone():
-    frontier_a = [ParetoPoint(1.0, 1.0)]
-    frontier_b = [ParetoPoint(2.0, 2.0)]
-    ref = (5.0, 5.0)
-    hv_a = hypervolume_2d(frontier_a, ref)
-    hv_b = hypervolume_2d(frontier_b, ref)
-    assert hv_a > hv_b > 0
-
-
-def test_hypervolume_empty():
-    assert hypervolume_2d([], (1.0, 1.0)) == 0.0

@@ -38,19 +38,6 @@ def test_sample_latency_jitter_is_bounded_and_positive():
     assert np.mean(samples) == pytest.approx(base, rel=0.05)
 
 
-def test_as_table_matches_latency():
-    profile = LatencyProfile(per_image=0.2)
-    table = profile.as_table()
-    for batch, latency in table.items():
-        assert latency == pytest.approx(profile.latency(batch))
-
-
-def test_best_batch_for_deadline():
-    profile = LatencyProfile(per_image=1.0, fixed_overhead=0.0, batching_gain=0.0)
-    assert profile.best_batch_for_deadline(4.5) == 4
-    assert profile.best_batch_for_deadline(0.5) is None
-
-
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         LatencyProfile(per_image=0.0)

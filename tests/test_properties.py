@@ -11,7 +11,7 @@ from repro.discriminators.deferral import DeferralProfile
 from repro.metrics.accumulators import P2Quantile
 from repro.metrics.fid import fid_score, frechet_distance
 from repro.metrics.pareto import ParetoPoint, is_pareto_dominated, pareto_frontier
-from repro.metrics.slo import violation_ratio
+from repro.metrics.slo import SLOReport
 from repro.milp.branch_and_bound import BranchAndBoundSolver
 from repro.milp.exhaustive import ExhaustiveSolver
 from repro.milp.problem import MILPProblem
@@ -189,8 +189,13 @@ def test_littles_law_nonnegative_and_monotone_in_queue(queue, rate, execution):
 )
 @settings(**_SETTINGS)
 def test_violation_ratio_bounded(latencies, slo, dropped):
-    ratio = violation_ratio(latencies, slo, dropped)
-    assert 0.0 <= ratio <= 1.0
+    report = SLOReport(
+        total=len(latencies) + dropped,
+        completed=len(latencies),
+        violated=sum(latency > slo for latency in latencies),
+        dropped=dropped,
+    )
+    assert 0.0 <= report.violation_ratio <= 1.0
 
 
 # ------------------------------------------------------------------------ MILP

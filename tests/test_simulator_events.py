@@ -61,18 +61,6 @@ def test_pop_empty_raises():
         q.pop()
 
 
-def test_peek_time_skips_cancelled():
-    q = EventQueue()
-    e = q.push(1.0, lambda: None)
-    q.push(5.0, lambda: None)
-    q.cancel(e)
-    assert q.peek_time() == 5.0
-
-
-def test_peek_time_empty_returns_none():
-    assert EventQueue().peek_time() is None
-
-
 def test_negative_time_rejected():
     q = EventQueue()
     with pytest.raises(ValueError):
@@ -85,7 +73,8 @@ def test_clear_removes_everything():
     q.push(2.0, lambda: None)
     q.clear()
     assert len(q) == 0
-    assert q.peek_time() is None
+    with pytest.raises(IndexError):
+        q.pop()
 
 
 def test_event_fire_returns_callback_value():

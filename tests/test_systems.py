@@ -15,6 +15,16 @@ rendered table.  Three things are pinned:
 The build fingerprints of the two DiffServe systems were re-pinned once,
 when the allocator lost its wall-clock solve-time attributes: with those
 attributes filtered out, the old fingerprints hash to the new pins.
+Every build fingerprint was re-pinned once more when constructor options that
+no caller set became module constants and three unread ``SystemConfig``
+fields went.  The old ``_describe``, with exactly the deleted attributes
+(``DiffServeAllocator.reload_penalty``/``price_penalty``,
+``BranchAndBoundSolver.max_nodes``/``mip_gap``, ``LittlesLawModel.min_rate``,
+``DeferralProfile.ewma_alpha``, ``AIMDBatchState.increase``/``decrease_factor``,
+``ProteusPolicy.queueing_multiplier``, ``ClipperPolicy.headroom``) and
+fields (``drop_late_queries``, ``worker_reload_latency``,
+``monitoring_window``) filtered out, dumps every build fingerprint to JSON
+that hashes identically to the new code's unfiltered dump.
 
 The pinned cells and builds go through ``executor.run_cell_results`` and
 ``harness.build_comparison_systems``, the two entry points the runner uses.
@@ -98,67 +108,67 @@ SUMMARY_SHA256 = {
 #: build -> system -> sha256 of the system's build fingerprint.
 BUILD_SHA256 = {
     "plain": {
-        "clipper-light": "9fa2adf8e13efea4123eaa861eb4445a617f0d6113479fe895e1490b94e9a43a",
-        "clipper-heavy": "72f22dfebac77aa7fc7869fee3607510edd093ca1e7cdb74f42b95a08f8b9735",
-        "proteus": "4794a183da9e4fa81d53052936c44aa79c865958d69fece62954db175173ba5c",
-        "diffserve-static": "2b53a7cb944cac8b6edac8fe646078db0cd4d030c18d8e12c809abe6488ebe87",
-        "diffserve": "a19d2a25deff9e329de3760ab8239f75a80b6ed621715a3e5e61c4f0d1e281fa",
+        "clipper-light": "a68565aeb5f99fb146a4e6527a240be8e86b587163bda3bb675d8e83d4112f32",
+        "clipper-heavy": "aa72b424683d8d789e209263b579f01985b323a6b74f003c86ddccfa32288b87",
+        "proteus": "55c76c6be948cd09b9db3a224cddf2a12249057babc91a14fbf1ce8f1821ce2c",
+        "diffserve-static": "b7dab942a5ad6e629cd910b0a61df851fd45bf64f317d8d078754cac15cbcd54",
+        "diffserve": "076674db8e738c21d0a81f972aa288b309ebedeb1f58ec9b42f5c3d6c576f6a6",
     },
     "fleet": {
-        "clipper-light": "1620861054b0b50635f31ab8d4bd63a8b4d3fb75bcc59ffaf0914f5f1594b78b",
-        "clipper-heavy": "b86bb13f682aa239b8a4587b43d12192ad01dc52b050b5d72ed9f4970b22a9f3",
-        "proteus": "fc0bb779aeca2db6141305dfa675707baca779d7522ae9b96eecfa03b74844f8",
-        "diffserve-static": "1ca2851694672142830c1c6070bac686a7bf04ae32861bd021daf27761946df2",
-        "diffserve": "19359c237aae51268af679d3b2c875cb55c32329437f06bfc20ff8661fed2ba3",
+        "clipper-light": "e6a4978f0da96cd027b5f82b82d7616a6c91da52fa22936b79c5392a3c2c911c",
+        "clipper-heavy": "9e6f7ed1220ebb3d6c1806687e7da145eb0648b4ca46bce7e41238c088624181",
+        "proteus": "0a8d90d36b87f4511f0e57a0c22a08ec9cdb8aae4e7ae2eadfd8862682aaa54f",
+        "diffserve-static": "80ecc11e930f47a3e22746d38850bdcc7ea85a27593af0e5b56ac8f0a5bd6768",
+        "diffserve": "2aff638324e39096a43bd70a07b9c874e8fcc14ea69867e81f2f3876f847689c",
     },
     "resources": {
-        "clipper-light": "64e2910306e93d983b3de8e564791336d78749a2125a547f47c761800eb291ae",
-        "clipper-heavy": "d89ba0489fbf7363d0246b83459d00e3c8696b8ffeda10c8d9fc3f6f71ce1a8e",
-        "proteus": "5b51bdb60579e834e0cf9a01ce3d10cb56e406df61f3bff12f30d207efca9134",
-        "diffserve-static": "ab9c2fcef14d74419913888156dbbcedd4676bf421ac81bb9544137029f2b166",
-        "diffserve": "8c97fc843be6f2ff8d7545b7935d8c16631f7c90defcd68c5a22606d27bae8ca",
+        "clipper-light": "3b4373f1d312bc71b568593e793d67bb37df867eac59585b6d8cea4fc3b244f6",
+        "clipper-heavy": "688b9e1db7d8af55cd82d216290936f94a1e522086624639104ed3f7f0ffe664",
+        "proteus": "9f09c29d7e0578ac159d59dd842bb5a4c2ef7ca594b97d92405fe94775d5dce4",
+        "diffserve-static": "7b4d409ace6afc977494f5d6169981955d876c016fb2d407d3207b561b632147",
+        "diffserve": "8839951c5ab235355adc667fefbcad8c93e8a73dcf236d7d43a97abd0f5efb15",
     },
     "faults": {
-        "clipper-light": "53ba27781db900888a6ca518e7af4ece50d3b0ed6d7fd34ffd2cec7bc9050e50",
-        "clipper-heavy": "8fa1fe3a45ed99b24763dfaa51f68cdd6197aac1bcf72f8f97713a8bd204aa22",
-        "proteus": "c1107d5f9e98f9fe2555a1597b1a877d7c329f75c72ec909abe4eb86488ed068",
-        "diffserve-static": "e39536dcf63166d3b43e50fd0ad848ff7dc9398f10e2835648e7633ccab19878",
-        "diffserve": "fbee16226dfb292bf39c86714ee932673bddbf67bb75781fe75a2d3980c7a75f",
+        "clipper-light": "9280cf9bc9f15e220b241f2ec6a7f20861f3da15d7a06a26254431e75eb16900",
+        "clipper-heavy": "5c976039edf611cf4672b847f0b48988c5320966ddcb7c1b2ac8e6fede331876",
+        "proteus": "49927f4281c5733258f61f04710f1959f1caede84c8d585906f507a097a0feb8",
+        "diffserve-static": "ea54119037bbc3e2c6b72b0c5dce6e281d09d8574c871a9acac844c61b63cf91",
+        "diffserve": "bcc90d7ee61c20f3a89f3857df00f3ce2dd0f50861bd0b5956b41027f43335e0",
     },
     "autoscale": {
-        "clipper-light": "8ccd314aa87f09dee787cfb23c2ee8e30a870ec9b3c8205ec43d5a7d4fd5aaee",
-        "clipper-heavy": "130a539e7b9bf02786e4d2d7c39bc29b804fb2d386e54070553ae62d0d44b470",
-        "proteus": "7cf9b1ea34b6262699912e4e40c0e7d716f3800ee841a358d8db15089a1395d9",
-        "diffserve-static": "364c4d90b87faa0068db9b48e90fa4aab3770bc9aac37bec383200265d7c614e",
-        "diffserve": "e027723a19f93daa6bcb4b36f52c4af9928021e6d38ed83d50d1d5b9538654ca",
+        "clipper-light": "d0bb548700e78bdda30ea9350bcc3239783a8f90fe75c81c8e25d4d5d60dafea",
+        "clipper-heavy": "a30ee87537e7d441846bef689d76455fe1936fa07eaf1e01c5b8a24f0f62189d",
+        "proteus": "97aa7a38186fe27a344cf68703cb1d65276bf26296d303e7c1f17fd484af6aab",
+        "diffserve-static": "848124e509ed1d54207e6ded4f485ee0ffb717724ae80c0ac51366fe3e7f4b60",
+        "diffserve": "a95f4fc67f236264398a2d498ec064606bc5ca0298f1b0cfc2cce8f0da7f12fc",
     },
     "overrides": {
-        "clipper-light": "c9ba7d0f45e498e7f9fe30c1c979dc371a4d02dab50d506aa40d226917fb16f6",
-        "clipper-heavy": "4fcaca92a7ff8e9945a1226aaf468a0e48934a04273e968f7d99558b65aef028",
-        "proteus": "8bbd11b7005cbf2820de20fe14fdfcccf6cc5a115fed8034129cdb5260ede44f",
-        "diffserve-static": "db2bc0891fe775a6368b7b72cbddd25a20954ae995dc2886f2ba6bab1162aa25",
-        "diffserve": "fe7ddb870e226c03a801cfd047004776cdf27b536e7e9df6b6193040f12931d1",
+        "clipper-light": "9b8495ae5d545950d638a029e1edbc7033c3a4c33018f0aeea705d7d35e3438e",
+        "clipper-heavy": "1227f03fe2d5560d3abe5a318546c3c19ba08d8d66a2bb87f328486f43978582",
+        "proteus": "c36c1c35a6c7f7142383cfea76829f0a4bfa23d2b025cd4cba63a54c2eb87fd4",
+        "diffserve-static": "b3a1a924a6e56f10e0c9b29e131d8d60ce9a4041d78cc698868b3512d3acac1b",
+        "diffserve": "0343080c34eddac24df1c0859cd0ed1d3b2c78d3af88ba55cf8977db56092493",
     },
     "static-threshold": {
-        "clipper-light": "9fa2adf8e13efea4123eaa861eb4445a617f0d6113479fe895e1490b94e9a43a",
-        "clipper-heavy": "72f22dfebac77aa7fc7869fee3607510edd093ca1e7cdb74f42b95a08f8b9735",
-        "proteus": "4794a183da9e4fa81d53052936c44aa79c865958d69fece62954db175173ba5c",
-        "diffserve-static": "2b53a7cb944cac8b6edac8fe646078db0cd4d030c18d8e12c809abe6488ebe87",
-        "diffserve": "44b6998cb69a8586e48672ad2f1167473b013b201c04b1a5cb324105ff615877",
+        "clipper-light": "a68565aeb5f99fb146a4e6527a240be8e86b587163bda3bb675d8e83d4112f32",
+        "clipper-heavy": "aa72b424683d8d789e209263b579f01985b323a6b74f003c86ddccfa32288b87",
+        "proteus": "55c76c6be948cd09b9db3a224cddf2a12249057babc91a14fbf1ce8f1821ce2c",
+        "diffserve-static": "b7dab942a5ad6e629cd910b0a61df851fd45bf64f317d8d078754cac15cbcd54",
+        "diffserve": "b73d41cf4edbf15a0068249eab021ec95093a9d0707f8d1698ec2ac7778547b1",
     },
     "aimd": {
-        "clipper-light": "9fa2adf8e13efea4123eaa861eb4445a617f0d6113479fe895e1490b94e9a43a",
-        "clipper-heavy": "72f22dfebac77aa7fc7869fee3607510edd093ca1e7cdb74f42b95a08f8b9735",
-        "proteus": "4794a183da9e4fa81d53052936c44aa79c865958d69fece62954db175173ba5c",
-        "diffserve-static": "2b53a7cb944cac8b6edac8fe646078db0cd4d030c18d8e12c809abe6488ebe87",
-        "diffserve": "5df348cdc011c96b1354d332c49058e0305393a2c906644299c6c722c22f5168",
+        "clipper-light": "a68565aeb5f99fb146a4e6527a240be8e86b587163bda3bb675d8e83d4112f32",
+        "clipper-heavy": "aa72b424683d8d789e209263b579f01985b323a6b74f003c86ddccfa32288b87",
+        "proteus": "55c76c6be948cd09b9db3a224cddf2a12249057babc91a14fbf1ce8f1821ce2c",
+        "diffserve-static": "b7dab942a5ad6e629cd910b0a61df851fd45bf64f317d8d078754cac15cbcd54",
+        "diffserve": "3482d00fedd9def1f486fc17aa209ae81a1a9264b5be2ef589518c7a27c6a5e9",
     },
     "no-queueing": {
-        "clipper-light": "9fa2adf8e13efea4123eaa861eb4445a617f0d6113479fe895e1490b94e9a43a",
-        "clipper-heavy": "72f22dfebac77aa7fc7869fee3607510edd093ca1e7cdb74f42b95a08f8b9735",
-        "proteus": "4794a183da9e4fa81d53052936c44aa79c865958d69fece62954db175173ba5c",
-        "diffserve-static": "2b53a7cb944cac8b6edac8fe646078db0cd4d030c18d8e12c809abe6488ebe87",
-        "diffserve": "7c05677a24d9118e17c8c7826c0d6046e8b13f5ab9df2739ab5b66baf560b1b5",
+        "clipper-light": "a68565aeb5f99fb146a4e6527a240be8e86b587163bda3bb675d8e83d4112f32",
+        "clipper-heavy": "aa72b424683d8d789e209263b579f01985b323a6b74f003c86ddccfa32288b87",
+        "proteus": "55c76c6be948cd09b9db3a224cddf2a12249057babc91a14fbf1ce8f1821ce2c",
+        "diffserve-static": "b7dab942a5ad6e629cd910b0a61df851fd45bf64f317d8d078754cac15cbcd54",
+        "diffserve": "6fd49562b37f042194f44681e41d71d56482a872931f540f798c1055649409d1",
     },
 }
 
@@ -171,9 +181,6 @@ CONFIG_FIELDS = (
     "slo",
     "routing",
     "control_period",
-    "drop_late_queries",
-    "worker_reload_latency",
-    "monitoring_window",
     "seed",
     "fleet",
     "resources",

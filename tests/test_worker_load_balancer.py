@@ -129,14 +129,13 @@ def test_worker_same_variant_switch_is_free():
     assert not worker.busy
 
 
-def test_worker_stats_collection_resets():
+def test_worker_stats_count_arrivals_completions_and_batches():
     sim = Simulator(seed=0)
     worker = make_worker(sim)
     worker.enqueue(WorkItem(query=make_query(), stage="light", enqueue_time=0.0))
     sim.run(until=5.0)
-    stats = worker.collect_stats()
-    assert stats.arrivals == 1 and stats.completions == 1 and stats.batches == 1
-    assert worker.stats.arrivals == 0  # reset after collection
+    stats = worker.stats
+    assert (stats.arrivals, stats.completions, stats.batches) == (1, 1, 1)
 
 
 def test_worker_batch_size_validation():
