@@ -13,22 +13,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.baselines.proteus import largest_fitting_batch
 from repro.core.allocator import AllocationPlan, ControlContext
 from repro.core.policies import AllocationPolicy
 from repro.models.variants import ModelVariant
-
-#: A batch fits the SLO when this many times its execution latency does:
-#: the execution itself plus the 2x-execution queueing estimate.
-HEADROOM = 3.0
-
-
-def _largest_safe_batch(variant: ModelVariant, slo: float, batch_candidates: Sequence[int]) -> int:
-    """Largest batch whose execution (plus 2x queueing estimate) fits the SLO."""
-    feasible = [b for b in batch_candidates if HEADROOM * variant.latency.latency(b) <= slo]
-    if feasible:
-        return max(feasible)
-    # Even batch 1 is tight; serve with batch 1 and accept violations.
-    return min(batch_candidates)
 
 
 class ClipperPolicy(AllocationPolicy):
@@ -49,7 +37,9 @@ class ClipperPolicy(AllocationPolicy):
         self, ctx: ControlContext, *, warm_start: Optional[AllocationPlan] = None
     ) -> AllocationPlan:
         # The allocation is static; a warm start carries no information.
-        batch = _largest_safe_batch(self.variant, ctx.slo, self.batch_candidates)
+        batch = largest_fitting_batch(self.variant, ctx.slo, self.batch_candidates)
+        if batch is None:
+            batch = min(self.batch_candidates)  # even the smallest is tight: accept violations
         return AllocationPlan(
             num_light=ctx.fleet.total_workers,
             num_heavy=0,

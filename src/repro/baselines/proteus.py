@@ -29,6 +29,20 @@ from repro.models.zoo import MODEL_ZOO, CascadeSpec
 QUEUEING_MULTIPLIER = 2.0
 
 
+def largest_fitting_batch(
+    variant: ModelVariant, slo: float, batch_candidates: Sequence[int]
+) -> Optional[int]:
+    """Largest batch whose execution plus the queueing estimate fits the SLO,
+    or ``None`` if none does.  The Clipper baselines size batches by the same
+    rule."""
+    feasible = [
+        b
+        for b in batch_candidates
+        if (1.0 + QUEUEING_MULTIPLIER) * variant.latency.latency(b) <= slo
+    ]
+    return max(feasible) if feasible else None
+
+
 def default_variant_family(cascade: CascadeSpec) -> List[ModelVariant]:
     """Model variants Proteus may host for a cascade's task (same family/resolution)."""
     family = cascade.heavy.family
@@ -70,17 +84,12 @@ class ProteusPolicy(AllocationPolicy):
         self.over_provision = over_provision
 
     # ------------------------------------------------------------- internals
-    def _best_batch(self, variant: ModelVariant, slo: float) -> Optional[int]:
-        """Largest batch whose execution + heuristic queueing delay fits the SLO."""
-        feasible = [
-            b
-            for b in self.batch_candidates
-            if (1.0 + QUEUEING_MULTIPLIER) * variant.latency.latency(b) <= slo
-        ]
-        return max(feasible) if feasible else None
-
     def _feasible_candidates(self, slo: float) -> List[ModelVariant]:
-        feasible = [v for v in self.candidates if self._best_batch(v, slo) is not None]
+        feasible = [
+            v
+            for v in self.candidates
+            if largest_fitting_batch(v, slo, self.batch_candidates) is not None
+        ]
         return sorted(feasible, key=lambda v: v.quality.base_quality, reverse=True)
 
     # ------------------------------------------------------------------ plan
@@ -93,14 +102,14 @@ class ProteusPolicy(AllocationPolicy):
         S = ctx.fleet.total_workers
         demand = max(ctx.demand, 1e-3) * self.over_provision
         light = self.cascade.light
-        light_batch = self._best_batch(light, slo) or 1
+        light_batch = largest_fitting_batch(light, slo, self.batch_candidates) or 1
         light_tput = light.latency.throughput(light_batch)
 
         feasible = self._feasible_candidates(slo)
         # Drop the light model itself from the "accurate" pool choices.
         accurate = [v for v in feasible if v.name != light.name] or [light]
         best = accurate[0]
-        best_batch = self._best_batch(best, slo) or 1
+        best_batch = largest_fitting_batch(best, slo, self.batch_candidates) or 1
         best_tput = best.latency.throughput(best_batch)
 
         # Give as many workers as possible to the accurate variant while the

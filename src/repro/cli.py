@@ -298,27 +298,30 @@ def parse_shards(text: Optional[str]) -> int:
     return shards
 
 
+def _grid_names(key: str, text: str, sep: str = ",") -> list:
+    """Split grid key ``key``'s value ``text`` on ``sep``, skipping empty entries.
+
+    A key given with no entry at all (``cascades=,``, ``systems=+``) is an
+    error, not an empty axis that would silently make the grid empty or fall
+    back to the defaults.
+    """
+    names = [item.strip() for item in text.split(sep) if item.strip()]
+    if text and not names:
+        raise ValueError(f"grid key {key!r} has no values")
+    return names
+
+
 def _grid_numbers(
     fields: Dict[str, str], key: str, convert: Callable[[str], float], default: str = ""
 ) -> list:
-    """Pop grid key ``key`` as a comma list of numbers, skipping empty entries.
-
-    A key given with no number at all (``seeds=,``) is an error, not an
-    empty axis that would silently make the grid empty.
-    """
-    text = fields.pop(key, default)
+    """Pop grid key ``key`` as a comma list of numbers, skipping empty entries."""
     values = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in _grid_names(key, fields.pop(key, default)):
         try:
             values.append(convert(item))
         except ValueError:
             kind = "an integer" if convert is int else "a number"
             raise ValueError(f"grid key {key!r}: {item!r} is not {kind}") from None
-    if text and not values:
-        raise ValueError(f"grid key {key!r} has no values")
     return values
 
 
@@ -373,14 +376,13 @@ def parse_grid(
             raise ValueError(f"malformed grid field {part!r}; expected key=value")
         fields[key.strip()] = value.strip()
 
-    cascades = [c for c in fields.pop("cascades", "sdturbo").split(",") if c]
+    cascades = _grid_names("cascades", fields.pop("cascades", "sdturbo"))
     seeds = _grid_numbers(fields, "seeds", int, str(scale.seed))
     qps = _grid_numbers(fields, "qps", float)
     slos = _grid_numbers(fields, "slos", float)
-    kinds_text = workloads if workloads is not None else fields.pop("workloads", "")
-    fields.pop("workloads", None)
-    kinds = [w.strip() for w in kinds_text.split(",") if w.strip()]
-    systems = tuple(s for s in fields.pop("systems", "").split("+") if s) or DEFAULT_SYSTEMS
+    kinds_text = fields.pop("workloads", "")
+    kinds = _grid_names("workloads", kinds_text if workloads is None else workloads)
+    systems = tuple(_grid_names("systems", fields.pop("systems", ""), "+")) or DEFAULT_SYSTEMS
     if fields:
         raise ValueError(f"unknown grid keys {sorted(fields)}")
 

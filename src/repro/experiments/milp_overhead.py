@@ -80,12 +80,6 @@ def run_milp_overhead(
         profile,
         discriminator_latency=discriminator.latency_s,
     )
-    exhaustive_allocator = DiffServeAllocator(
-        cascade.light,
-        cascade.heavy,
-        profile,
-        discriminator_latency=discriminator.latency_s,
-    )
 
     if demands is None:
         demands = np.linspace(2.0, 2.0 * num_workers, 9)
@@ -108,7 +102,7 @@ def run_milp_overhead(
         result.thresholds.append(plan.threshold)
 
         if check_exhaustive and plan.feasible:
-            problem = exhaustive_allocator.build_problem(
+            problem = allocator.build_problem(
                 ctx, plan.light_batch, plan.heavy_batch, float(demand) * allocator.over_provision
             )
             bnb = BranchAndBoundSolver().solve(problem)

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import linalg
 
 
 def _fit_gaussian(features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -98,6 +97,10 @@ def frechet_distance(
         raise ValueError("mean vectors have mismatched shapes")
     if sigma1.shape != sigma2.shape:
         raise ValueError("covariance matrices have mismatched shapes")
+
+    # Imported here so that importing repro (every spawned shard and pool
+    # worker does) loads no scipy subpackage; only this raw-array path needs it.
+    from scipy import linalg
 
     def _sqrtm(matrix: np.ndarray) -> np.ndarray:
         # scipy < 1.18 returns (sqrtm, errest) when disp=False; newer versions

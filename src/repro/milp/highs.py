@@ -22,23 +22,57 @@ The direct path keeps ``linprog(method="highs")``'s answers exactly:
 
 The handle is process-local and created on first use.  It never lives on a
 solver object, because solvers are pickled into shard and pool processes.
+
+``_core`` is loaded straight from its file rather than imported through the
+``scipy.optimize`` package.  The extension is self-contained, but the
+package's ``__init__`` pulls in ``scipy.linalg``, ``scipy.sparse``,
+``scipy.fft`` and more, none of which the solver calls; that was more than
+half of the ~1 s every spawned shard and pool worker paid to import
+:mod:`repro`.  The module is registered in ``sys.modules`` under its
+canonical name, so a later ``import scipy.optimize`` finds it there, and an
+entry scipy made first is reused: whichever imports it first, a process
+holds one module object, and the extension is never initialised twice.  The
+matrix is lowered to CSC with numpy for the same reason, so ``scipy.sparse``
+is not imported either.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from types import ModuleType
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csc_array
 
-try:
-    from scipy.optimize._highspy import _core as _h
-    from scipy.optimize._highspy._core import simplex_constants as _simplex
-except ImportError as exc:  # pragma: no cover - depends on the installed scipy
-    raise ImportError(
-        "repro.milp needs scipy>=1.15 (for scipy.optimize._highspy._core)"
-    ) from exc
+_CORE = "scipy.optimize._highspy._core"
 
+
+def _load_core() -> ModuleType:
+    """scipy's HiGHS extension, loaded from its file without importing
+    ``scipy.optimize`` and registered in ``sys.modules`` under its own name."""
+    core = sys.modules.get(_CORE)
+    if core is not None:
+        return core
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is not None and scipy.submodule_search_locations:
+        directory = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "_core" + suffix)
+            if os.path.isfile(path):
+                loader = ExtensionFileLoader(_CORE, path)
+                spec = importlib.util.spec_from_file_location(_CORE, path, loader=loader)
+                core = importlib.util.module_from_spec(spec)
+                sys.modules[_CORE] = core
+                loader.exec_module(core)
+                return core
+    raise ImportError("repro.milp needs scipy>=1.15 (for scipy.optimize._highspy._core)")
+
+
+_h = _load_core()
+_simplex = _h.simplex_constants
 _INF = _h.kHighsInf
 
 #: HiGHS model statuses with their ``linprog`` outcome; anything else
@@ -68,6 +102,17 @@ def _highs() -> "_h._Highs":
             raise RuntimeError("HiGHS rejected the linprog option set")
         _handle = highs
     return _handle
+
+
+def csc_lowering(dense: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, data)`` of ``dense`` in canonical CSC form, as
+    ``scipy.sparse.csc_array(dense)`` builds it: zeros (``-0.0`` included)
+    dropped, rows sorted within each column, int32 indices."""
+    cols, rows = np.nonzero(dense.T)
+    counts = np.bincount(cols, minlength=dense.shape[1])
+    indptr = np.zeros(dense.shape[1] + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, rows.astype(np.int32), dense.T[cols, rows]
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -108,16 +153,17 @@ class LinearProgram:
         A_eq = np.empty((0, n)) if A_eq is None else A_eq
         b_ub = np.empty(0) if b_ub is None else np.asarray(b_ub, dtype=float)
         b_eq = np.empty(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-        A = csc_array(np.vstack((A_ub, A_eq)))
+        A = np.vstack((A_ub, A_eq))
+        indptr, indices, data = csc_lowering(A)
         lp = _h.HighsLp()
         lp.num_col_ = n
         lp.num_row_ = A.shape[0]
         lp.a_matrix_.num_col_ = n
         lp.a_matrix_.num_row_ = A.shape[0]
         lp.a_matrix_.format_ = _h.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
-        lp.a_matrix_.value_ = A.data
+        lp.a_matrix_.start_ = indptr
+        lp.a_matrix_.index_ = indices
+        lp.a_matrix_.value_ = data
         lp.col_cost_ = np.asarray(c, dtype=float)
         lp.row_lower_ = _finite(np.concatenate((np.full(len(b_ub), -np.inf), b_eq)))
         lp.row_upper_ = _finite(np.concatenate((b_ub, b_eq)))

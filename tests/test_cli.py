@@ -139,6 +139,27 @@ def test_parse_grid_number_errors_name_the_key(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("cascades=,", "cascades"),
+        ("cascades=sdturbo;systems=+", "systems"),
+        ("cascades=sdturbo;workloads=,", "workloads"),
+    ],
+)
+def test_parse_grid_name_keys_without_values_are_errors(text, key):
+    # Neither an empty grid (cells=0, exit 0) nor the default systems/workloads.
+    scale = ExperimentScale(dataset_size=60, trace_duration=10.0, num_workers=2, seed=0)
+    with pytest.raises(ValueError) as info:
+        cli.parse_grid(text, scale)
+    assert str(info.value) == f"grid key {key!r} has no values"
+
+
+def test_run_command_reports_empty_grid_key_on_one_line(capsys):
+    assert cli.main(["run", "--grid", "cascades=,"]) == 2
+    assert capsys.readouterr().err == "error: grid key 'cascades' has no values\n"
+
+
 def test_parse_grid_number_keys_skip_empty_entries():
     scale = ExperimentScale(dataset_size=60, trace_duration=10.0, num_workers=2, seed=0)
     grid = cli.parse_grid("seeds=0,,1;qps=4,,8;slos=3,,5;systems=diffserve", scale)
