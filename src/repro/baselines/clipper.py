@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.baselines.proteus import largest_fitting_batch
-from repro.core.allocator import AllocationPlan, ControlContext
+from repro.core.allocator import AllocationPlan, ControlContext, fleet_order_split
 from repro.core.policies import AllocationPolicy
 from repro.models.variants import ModelVariant
 
@@ -40,9 +40,10 @@ class ClipperPolicy(AllocationPolicy):
         batch = largest_fitting_batch(self.variant, ctx.slo, self.batch_candidates)
         if batch is None:
             batch = min(self.batch_candidates)  # even the smallest is tight: accept violations
+        light, heavy = fleet_order_split(ctx.fleet, ctx.fleet.total_workers, 0)
         return AllocationPlan(
-            num_light=ctx.fleet.total_workers,
-            num_heavy=0,
+            light_assignment=light,
+            heavy_assignment=heavy,
             light_batch=batch,
             heavy_batch=1,
             threshold=0.0,

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.allocator import AllocationPlan, ControlContext
+from repro.core.allocator import AllocationPlan, ControlContext, fleet_order_split
 from repro.core.policies import AllocationPolicy
 from repro.models.variants import ModelVariant
 from repro.models.zoo import MODEL_ZOO, CascadeSpec
@@ -63,8 +63,9 @@ class ProteusPolicy(AllocationPolicy):
     """Query-agnostic accuracy scaling over a family of model variants.
 
     Proteus stays device-class-agnostic on a typed fleet: it scales model
-    variants against the aggregate worker count, which is exactly the
-    heterogeneity-blindness the fleet study measures against.
+    variants against the aggregate worker count and splits that count over
+    the device classes in fleet order (:func:`fleet_order_split`), which is
+    exactly the heterogeneity-blindness the fleet study measures against.
     """
 
     dynamic = True
@@ -128,9 +129,12 @@ class ProteusPolicy(AllocationPolicy):
         if chosen_heavy == 0:
             heavy_fraction = 0.0
 
+        light_assignment, heavy_assignment = fleet_order_split(
+            ctx.fleet, S - chosen_heavy, chosen_heavy
+        )
         return AllocationPlan(
-            num_light=S - chosen_heavy,
-            num_heavy=chosen_heavy,
+            light_assignment=light_assignment,
+            heavy_assignment=heavy_assignment,
             light_batch=light_batch,
             heavy_batch=best_batch,
             threshold=0.0,

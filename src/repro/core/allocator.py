@@ -61,18 +61,17 @@ PRICE_PENALTY = 0.02
 class AllocationPlan:
     """The Controller-facing output of one allocation solve.
 
-    ``num_light`` workers host the light model (plus discriminator),
-    ``num_heavy`` host the heavy model, with the given batch sizes and
-    confidence threshold.  On a heterogeneous fleet the optional
-    ``light_assignment`` / ``heavy_assignment`` maps name each pool's
-    per-device-class worker counts (they must sum to the totals); ``None``
-    means the split is class-agnostic and the Controller assigns workers in
-    fleet order (the legacy behaviour every baseline policy relies on).
-    ``heavy_fraction`` is only used by random-split (Proteus-style) routing.
+    ``light_assignment`` / ``heavy_assignment`` name each pool's worker
+    count per device class (``{class name: count}``): the light pool hosts
+    the light model (plus discriminator), the heavy pool the heavy model,
+    with the given batch sizes and confidence threshold.  Every policy emits
+    these maps; class-blind baselines build them with
+    :func:`fleet_order_split`.  ``heavy_fraction`` is only used by
+    random-split (Proteus-style) routing.
     """
 
-    num_light: int
-    num_heavy: int
+    light_assignment: Dict[str, int]
+    heavy_assignment: Dict[str, int]
     light_batch: int
     heavy_batch: int
     threshold: float
@@ -84,10 +83,6 @@ class AllocationPlan:
     #: variant everywhere, Proteus may derive a reduced-step sampler.
     light_variant: Optional[object] = None
     heavy_variant: Optional[object] = None
-    #: Per-device-class worker counts (``{class name: count}``, positive
-    #: entries only) for typed fleets; ``None`` for class-agnostic plans.
-    light_assignment: Optional[Dict[str, int]] = None
-    heavy_assignment: Optional[Dict[str, int]] = None
     #: Multi-resource model only: variants each device class should keep
     #: resident (``{class name: (variant names...)}``).  The Controller pins
     #: these on every worker of the class, so later pool reassignments find
@@ -96,29 +91,62 @@ class AllocationPlan:
     residency: Optional[Dict[str, Tuple[str, ...]]] = None
 
     def __post_init__(self) -> None:
-        if self.num_light < 0 or self.num_heavy < 0:
-            raise ValueError("worker counts must be non-negative")
+        for label, assignment in (
+            ("light", self.light_assignment),
+            ("heavy", self.heavy_assignment),
+        ):
+            if any(count < 0 for count in assignment.values()):
+                raise ValueError(f"{label}_assignment counts must be non-negative")
         if self.light_batch < 1 or self.heavy_batch < 1:
             raise ValueError("batch sizes must be >= 1")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
         if not 0.0 <= self.heavy_fraction <= 1.0:
             raise ValueError("heavy_fraction must lie in [0, 1]")
-        for label, assignment, total in (
-            ("light", self.light_assignment, self.num_light),
-            ("heavy", self.heavy_assignment, self.num_heavy),
-        ):
-            if assignment is None:
-                continue
-            if any(count < 0 for count in assignment.values()):
-                raise ValueError(f"{label}_assignment counts must be non-negative")
-            if sum(assignment.values()) != total:
-                raise ValueError(f"{label}_assignment must sum to num_{label} ({total})")
+
+    @property
+    def num_light(self) -> int:
+        """Workers in the light pool."""
+        return sum(self.light_assignment.values())
+
+    @property
+    def num_heavy(self) -> int:
+        """Workers in the heavy pool."""
+        return sum(self.heavy_assignment.values())
 
     @property
     def total_workers(self) -> int:
         """Total workers used by the plan."""
         return self.num_light + self.num_heavy
+
+
+def fleet_order_split(
+    fleet: FleetSpec, num_light: int, num_heavy: int
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """Per-class (light, heavy) maps for a class-blind split of ``fleet``.
+
+    Light workers fill the fleet's classes in fleet order, then heavy workers
+    continue from where the light pool stopped: the split slicing a
+    class-grouped worker list ``[:num_light]`` / ``[num_light:num_light +
+    num_heavy]`` gives.  Positive entries only.
+    """
+    if num_light + num_heavy > fleet.total_workers:
+        raise ValueError(
+            f"{num_light} light + {num_heavy} heavy workers exceed the fleet's "
+            f"{fleet.total_workers}"
+        )
+    light: Dict[str, int] = {}
+    heavy: Dict[str, int] = {}
+    for device, count in fleet.devices:
+        take = min(num_light, count)
+        num_light -= take
+        rest = min(num_heavy, count - take)
+        num_heavy -= rest
+        if take:
+            light[device.name] = take
+        if rest:
+            heavy[device.name] = rest
+    return light, heavy
 
 
 @dataclass
@@ -325,32 +353,6 @@ class DiffServeAllocator:
         return [], []
 
     # ----------------------------------------------------- reload-aware model
-    @staticmethod
-    def _spread_assignment(
-        plan: AllocationPlan, fleet: FleetSpec
-    ) -> Tuple[Dict[str, int], Dict[str, int]]:
-        """Per-class (light, heavy) worker counts of ``plan`` on ``fleet``.
-
-        Class-agnostic plans spread their totals in fleet order (the same
-        order the Controller maps them onto device groups).
-        """
-        counts = fleet.as_counts()
-        light = dict(plan.light_assignment or {})
-        heavy = dict(plan.heavy_assignment or {})
-        if plan.light_assignment is None and plan.num_light:
-            remaining = plan.num_light
-            for name, count in counts.items():
-                take = min(remaining, count)
-                light[name] = take
-                remaining -= take
-        if plan.heavy_assignment is None and plan.num_heavy:
-            remaining = plan.num_heavy
-            for name, count in counts.items():
-                take = min(remaining, count)
-                heavy[name] = take
-                remaining -= take
-        return light, heavy
-
     def _reload_model(self, ctx: ControlContext) -> Optional[Dict[str, object]]:
         """Per-class reload costs and the previous split, or ``None``.
 
@@ -378,8 +380,11 @@ class DiffServeAllocator:
                 any_cost = True
         if not any_cost:
             return None
-        prev_light, prev_heavy = self._spread_assignment(ctx.current_plan, ctx.fleet)
-        return {"costs": costs, "prev_light": prev_light, "prev_heavy": prev_heavy}
+        return {
+            "costs": costs,
+            "prev_light": ctx.current_plan.light_assignment,
+            "prev_heavy": ctx.current_plan.heavy_assignment,
+        }
 
     def _plan_residency(self, ctx: ControlContext) -> Optional[Dict[str, Tuple[str, ...]]]:
         """Residency each device class should pin under the new plan.
@@ -593,16 +598,14 @@ class DiffServeAllocator:
             if count:
                 heavy_assignment[device.name] = count
         return AllocationPlan(
-            num_light=sum(light_assignment.values()),
-            num_heavy=sum(heavy_assignment.values()),
+            light_assignment=light_assignment,
+            heavy_assignment=heavy_assignment,
             light_batch=b1,
             heavy_batch=b2,
             threshold=threshold,
             heavy_fraction=fraction,
             feasible=True,
             objective=solution.objective,
-            light_assignment=light_assignment,
-            heavy_assignment=heavy_assignment,
         )
 
     def _candidate_allocations(
@@ -644,31 +647,18 @@ class DiffServeAllocator:
         deferred fraction takes its maximal value for that split — making the
         incumbent as strong as the previous worker split permits.
 
-        The repair is robust to fleet-shape drift: per-class counts from the
-        previous plan are clamped to the current fleet's counts, classes that
-        disappeared (or are no longer eligible for a stage) are dropped, and
-        the light pool is re-grown on the remaining classes — an incumbent
-        the solver then re-validates, so a stale shape can never crash a
-        re-solve.
+        The repair starts from the previous plan's per-class maps and is
+        robust to fleet-shape drift: counts are clamped to the current fleet's
+        counts, classes that disappeared (or are no longer eligible for a
+        stage) are dropped, and the light pool is re-grown on the remaining
+        classes — an incumbent the solver then re-validates, so a stale shape
+        can never crash a re-solve.
         """
         counts = ctx.fleet.as_counts()
         light_names = [d.name for d in light_classes]
         heavy_names = [d.name for d in heavy_classes]
-        prev_light = dict(previous.light_assignment or {})
-        prev_heavy = dict(previous.heavy_assignment or {})
-        if previous.light_assignment is None and previous.num_light:
-            # Class-agnostic previous plan: spread its totals in fleet order.
-            remaining = previous.num_light
-            for name in light_names:
-                take = min(remaining, counts[name])
-                prev_light[name] = take
-                remaining -= take
-        if previous.heavy_assignment is None and previous.num_heavy:
-            remaining = previous.num_heavy
-            for name in heavy_names:
-                take = min(remaining, counts[name])
-                prev_heavy[name] = take
-                remaining -= take
+        prev_light = previous.light_assignment
+        prev_heavy = previous.heavy_assignment
 
         # Clamp to the current fleet shape: drop unknown/ineligible classes,
         # cap counts that shrank, and resolve per-class over-subscription by
@@ -907,8 +897,8 @@ class DiffServeAllocator:
         prefer_heavy = plan.heavy_fraction > 0 and plan.num_heavy > 0
         light_ok = {d.name for d in light_classes}
         heavy_ok = {d.name for d in heavy_classes}
-        light = dict(plan.light_assignment or {})
-        heavy = dict(plan.heavy_assignment or {})
+        light = dict(plan.light_assignment)
+        heavy = dict(plan.heavy_assignment)
         for device, count in sorted(
             fleet.devices, key=lambda dc: (dc[0].speed_factor, dc[0].name)
         ):
@@ -926,8 +916,6 @@ class DiffServeAllocator:
                     break
         plan.light_assignment = {k: v for k, v in light.items() if v}
         plan.heavy_assignment = {k: v for k, v in heavy.items() if v}
-        plan.num_light = sum(plan.light_assignment.values())
-        plan.num_heavy = sum(plan.heavy_assignment.values())
         return plan
 
     @staticmethod
@@ -965,14 +953,12 @@ class DiffServeAllocator:
         batch = max(feasible_batches) if feasible_batches else max(self.batch_candidates)
         assignment = {d.name: fleet.count_for(d.name) for d in hostable}
         return AllocationPlan(
-            num_light=sum(assignment.values()),
-            num_heavy=0,
+            light_assignment=assignment,
+            heavy_assignment={},
             light_batch=batch,
             heavy_batch=1,
             threshold=0.0,
             heavy_fraction=0.0,
             feasible=False,
             objective=None,
-            light_assignment=assignment,
-            heavy_assignment={},
         )

@@ -269,36 +269,26 @@ class Controller(Actor):
 
     # -------------------------------------------------------------- applying
     def _select_pools(self, plan: AllocationPlan):
-        """Map a plan's worker counts onto concrete workers.
+        """Map a plan's per-class worker counts onto concrete workers.
 
-        Typed plans (with per-class assignments) pick workers class by class
-        in fleet order; class-agnostic plans keep the legacy behaviour of
-        slicing the flat worker list — which is identical for homogeneous
-        fleets, since workers are constructed grouped per class in the same
-        canonical order.
+        Classes are visited in fleet order; within a class the light pool
+        takes the first healthy workers and the heavy pool the next ones.
+        Failed and quarantined workers never receive assignments, so a slot
+        a dead worker leaves stays empty in its own class.  Every policy
+        goes through this one rule; for a class-blind split from
+        :func:`~repro.core.allocator.fleet_order_split` on a healthy fleet it
+        picks the workers a flat slice of the class-grouped worker list would.
         """
-        # Failed/quarantined workers never receive assignments; the filters
-        # are identity (same list contents, same order) on a healthy fleet,
-        # so legacy runs select byte-identical pools.
-        if plan.light_assignment is None and plan.heavy_assignment is None:
-            workers = [w for w in self.workers if not w.failed and not w.quarantined]
-            num_light = min(plan.num_light, len(workers))
-            return (
-                workers[:num_light],
-                workers[num_light : num_light + plan.num_heavy],
-            )
         light_pool = []
         heavy_pool = []
-        light_assignment = plan.light_assignment or {}
-        heavy_assignment = plan.heavy_assignment or {}
         for device, _count in self.active_fleet.devices:
             group = [
                 w
                 for w in self._workers_by_class.get(device.name, [])
                 if not w.failed and not w.quarantined
             ]
-            n_light = min(light_assignment.get(device.name, 0), len(group))
-            n_heavy = min(heavy_assignment.get(device.name, 0), len(group) - n_light)
+            n_light = min(plan.light_assignment.get(device.name, 0), len(group))
+            n_heavy = min(plan.heavy_assignment.get(device.name, 0), len(group) - n_light)
             light_pool.extend(group[:n_light])
             heavy_pool.extend(group[n_light : n_light + n_heavy])
         return light_pool, heavy_pool

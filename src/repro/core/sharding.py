@@ -448,20 +448,16 @@ class ShardSupervisor:
         Number of worker processes to pack regions into (round-robin in
         canonical order).  ``1`` runs every region inline — no processes —
         and is the reference the byte-identity gate compares against.
-    epoch:
-        Barrier length in seconds.  Defaults to the template's replan epoch
-        (the natural consistency point since online re-planning landed) or
-        its control period.
-    spill_threshold / rtt_penalty:
-        Router tuning, see :class:`~repro.core.geo.GeoRouter`.
+
+    Epoch barriers fall at the template's replan epoch (the natural
+    consistency point since online re-planning landed) or, without one, its
+    control period.  Routing uses :class:`~repro.core.geo.GeoRouter`'s
+    default spill threshold and RTT penalty.
     """
 
     template: ServingSimulation
     topology: GeoTopology
     shards: int = 1
-    epoch: Optional[float] = None
-    spill_threshold: float = 4.0
-    rtt_penalty: float = 20.0
     #: Merged live running summary at each barrier (one dict per epoch),
     #: computed from the regions' exact merged sufficient statistics.
     live_summaries: List[Dict[str, float]] = field(default_factory=list)
@@ -498,8 +494,6 @@ class ShardSupervisor:
     @property
     def epoch_length(self) -> float:
         """Barrier spacing: the replan epoch when one is configured."""
-        if self.epoch is not None:
-            return float(self.epoch)
         if self.template.replan is not None:
             return float(self.template.replan.epoch)
         return float(self.template.config.control_period)
@@ -635,11 +629,7 @@ class ShardSupervisor:
         names = list(systems)
         n_shards = min(self.shards, len(names))
         assignment = [names[i::n_shards] for i in range(n_shards)]
-        router = GeoRouter(
-            self.topology,
-            spill_threshold=self.spill_threshold,
-            rtt_penalty=self.rtt_penalty,
-        )
+        router = GeoRouter(self.topology)
         self.live_summaries = []
         self.shard_timing = {}
         self.shard_profiles = {}
@@ -748,7 +738,6 @@ def run_sharded(
     topology: Optional[GeoTopology] = None,
     shards: int = 1,
     duration: Optional[float] = None,
-    epoch: Optional[float] = None,
 ) -> SimulationResult:
     """One-call sharded run (see :class:`ShardSupervisor` for the knobs).
 
@@ -759,9 +748,7 @@ def run_sharded(
         topology = GeoTopology(
             regions=(RegionSpec(name="main", fleet=template.config.fleet),)
         )
-    supervisor = ShardSupervisor(
-        template=template, topology=topology, shards=shards, epoch=epoch
-    )
+    supervisor = ShardSupervisor(template=template, topology=topology, shards=shards)
     return supervisor.run(workload, duration=duration)
 
 

@@ -51,55 +51,33 @@ class PlanStore:
     def recall(self, fleet: FleetSpec) -> Optional[AllocationPlan]:
         """The newest recorded plan, clamped to ``fleet``.
 
-        Typed plans drop classes absent from ``fleet`` and cap the rest at
-        the surviving per-class counts; class-agnostic plans cap totals at
-        ``fleet.total_workers`` (shedding heavy capacity first, since the
-        light pool is what keeps queries from dropping).  Returns ``None``
-        when nothing was ever recorded or nothing survives the clamp.
+        The plan's per-class maps drop classes absent from ``fleet`` and cap
+        the rest at the surviving per-class counts, the light pool first
+        (it is what keeps queries from dropping), the heavy pool on what is
+        left.  Returns ``None`` when nothing was ever recorded or nothing
+        survives the clamp.
         """
         if not self._plans:
             return None
         _, plan = self._plans[-1]
         counts = {device.name: count for device, count in fleet.devices}
-        if plan.light_assignment is None and plan.heavy_assignment is None:
-            total = fleet.total_workers
-            num_light = min(plan.num_light, total)
-            num_heavy = min(plan.num_heavy, total - num_light)
-            if num_light + num_heavy == 0:
-                return None
-            clamped = dataclasses.replace(
-                plan, num_light=num_light, num_heavy=num_heavy, feasible=False
-            )
-        else:
-            light = _clamp_assignment(plan.light_assignment, counts)
-            remaining = {
-                name: counts.get(name, 0) - light.get(name, 0) for name in counts
-            }
-            heavy = _clamp_assignment(plan.heavy_assignment, remaining)
-            num_light = sum(light.values())
-            num_heavy = sum(heavy.values())
-            if num_light + num_heavy == 0:
-                return None
-            clamped = dataclasses.replace(
-                plan,
-                num_light=num_light,
-                num_heavy=num_heavy,
-                light_assignment=light or None,
-                heavy_assignment=heavy or None,
-                feasible=False,
-            )
+        light = _clamp_assignment(plan.light_assignment, counts)
+        remaining = {name: counts[name] - light.get(name, 0) for name in counts}
+        heavy = _clamp_assignment(plan.heavy_assignment, remaining)
+        if not light and not heavy:
+            return None
         self.recalls += 1
-        return clamped
+        return dataclasses.replace(
+            plan, light_assignment=light, heavy_assignment=heavy, feasible=False
+        )
 
 
 def _clamp_assignment(
-    assignment: Optional[Dict[str, int]], available: Dict[str, int]
+    assignment: Dict[str, int], available: Dict[str, int]
 ) -> Dict[str, int]:
-    if not assignment:
-        return {}
     clamped = {}
     for name, count in assignment.items():
-        kept = min(count, max(0, available.get(name, 0)))
+        kept = min(count, available.get(name, 0))
         if kept > 0:
             clamped[name] = kept
     return clamped

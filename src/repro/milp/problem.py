@@ -221,21 +221,21 @@ class MILPProblem:
 
     # ------------------------------------------------------------ evaluation
     def validated_assignment(
-        self, assignment: Optional[Mapping[str, float]], tol: float = 1e-5
+        self, candidate: Optional[Mapping[str, float]], tol: float = 1e-5
     ) -> Optional[Dict[str, float]]:
         """Round and feasibility-check a candidate (warm-start) assignment.
 
         Integral variables are rounded exactly; ``None`` is returned when the
-        assignment misses a variable or violates any bound, integrality or
-        constraint within ``tol``.  Both solvers use this to validate a
+        candidate is ``None``, misses a variable or violates any bound,
+        integrality or constraint within ``tol``.  Both solvers use this to validate a
         warm start against the *current* problem, so acceptance stays
         consistent regardless of which solver an instance is routed to.
         """
-        if assignment is None:
+        if candidate is None:
             return None
         try:
             rounded = {
-                name: (round(assignment[name]) if var.is_integral else float(assignment[name]))
+                name: (round(candidate[name]) if var.is_integral else float(candidate[name]))
                 for name, var in self.variables.items()
             }
         except KeyError:

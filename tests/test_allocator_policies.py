@@ -24,13 +24,25 @@ def ctx(demand, *, slo=5.0, workers=16, **kwargs):
 # ------------------------------------------------------------------------ plan
 def test_allocation_plan_validation():
     with pytest.raises(ValueError):
-        AllocationPlan(num_light=-1, num_heavy=0, light_batch=1, heavy_batch=1, threshold=0.5)
+        AllocationPlan(
+            light_assignment={"a100": -1}, heavy_assignment={},
+            light_batch=1, heavy_batch=1, threshold=0.5,
+        )
     with pytest.raises(ValueError):
-        AllocationPlan(num_light=1, num_heavy=0, light_batch=0, heavy_batch=1, threshold=0.5)
+        AllocationPlan(
+            light_assignment={"a100": 1}, heavy_assignment={},
+            light_batch=0, heavy_batch=1, threshold=0.5,
+        )
     with pytest.raises(ValueError):
-        AllocationPlan(num_light=1, num_heavy=0, light_batch=1, heavy_batch=1, threshold=1.5)
-    plan = AllocationPlan(num_light=3, num_heavy=5, light_batch=2, heavy_batch=1, threshold=0.5)
-    assert plan.total_workers == 8
+        AllocationPlan(
+            light_assignment={"a100": 1}, heavy_assignment={},
+            light_batch=1, heavy_batch=1, threshold=1.5,
+        )
+    plan = AllocationPlan(
+        light_assignment={"a100": 3}, heavy_assignment={"a100": 2, "l4": 3},
+        light_batch=2, heavy_batch=1, threshold=0.5,
+    )
+    assert (plan.num_light, plan.num_heavy, plan.total_workers) == (3, 5, 8)
 
 
 def test_control_context_validation():

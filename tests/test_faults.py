@@ -321,6 +321,30 @@ def test_unmitigated_crash_degrades_gracefully():
     assert summary["completed"] + summary["dropped"] == summary["total_queries"]
 
 
+def test_unrecovered_crash_leaves_proteus_slot_empty_in_its_class():
+    """Without recovery a dead worker still counts in the active fleet.  Its
+    slot in the plan stays empty in its own class for every system: Proteus's
+    fleet-order split of 2 light + 4 heavy on ``a100=1,l4=5`` puts one light
+    worker on the dead a100, so the light pool runs one l4 short while the
+    heavy pool keeps all four l4 workers."""
+    system = build_system(
+        "sdturbo",
+        "proteus",
+        fleet=fleet_from_counts({"a100": 1, "l4": 5}),
+        dataset_size=100,
+        seed=0,
+        faults=FaultPlan(faults=(WorkerCrash(0, 1.0),), recovery=None),
+    )
+    runtime, _, _ = run_prepared(
+        system, make_workload("static", duration=60.0, qps=20.0, seed=0)
+    )
+    history = runtime.controller.history
+    assert (history[0].time, history[0].num_light, history[0].num_heavy) == (0.0, 1, 5)
+    # The first re-plan after the crash at t=1 (the 5 s control tick).
+    replan = history[1]
+    assert (replan.time, replan.num_light, replan.num_heavy) == (5.0, 1, 4)
+
+
 def test_recovery_beats_norecovery_under_storm():
     """The chaos experiment's headline, at unit-test scale."""
     fleet = FleetSpec.homogeneous(6)
@@ -358,8 +382,6 @@ def test_solver_timeout_degrades_to_last_known_good():
 # ------------------------------------------------------------- plan store
 def _typed_plan(**overrides):
     defaults = dict(
-        num_light=3,
-        num_heavy=1,
         light_batch=4,
         heavy_batch=2,
         threshold=0.5,
@@ -376,8 +398,7 @@ def test_plan_store_records_only_feasible():
     store = PlanStore()
     fleet = fleet_from_counts({"a100": 4})
     store.record(_typed_plan(), fleet)
-    store.record(_typed_plan(feasible=False, num_light=0, num_heavy=0,
-                             light_assignment=None, heavy_assignment=None), fleet)
+    store.record(_typed_plan(feasible=False, light_assignment={}, heavy_assignment={}), fleet)
     assert len(store) == 1
 
 

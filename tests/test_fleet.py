@@ -6,9 +6,18 @@ class-indexed MILP on the default single-class fleet must keep reproducing
 those decisions exactly.
 """
 
-import pytest
+from collections import Counter
 
-from repro.core.allocator import AllocationPlan, ControlContext, DiffServeAllocator
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.allocator import (
+    AllocationPlan,
+    ControlContext,
+    DiffServeAllocator,
+    fleet_order_split,
+)
 from repro.core.config import (
     DEVICE_CLASSES,
     DeviceClass,
@@ -196,12 +205,9 @@ def test_mixed_fleet_plan_respects_per_class_capacity(allocator):
         ControlContext(demand=20.0, slo=5.0, fleet=fleet, observed_deferral=0.4)
     )
     assert plan.feasible
-    assert plan.light_assignment is not None and plan.heavy_assignment is not None
     for name in set(plan.light_assignment) | set(plan.heavy_assignment):
         used = plan.light_assignment.get(name, 0) + plan.heavy_assignment.get(name, 0)
         assert used <= fleet.count_for(name)
-    assert sum(plan.light_assignment.values()) == plan.num_light
-    assert sum(plan.heavy_assignment.values()) == plan.num_heavy
     assert plan.total_workers <= fleet.total_workers
 
 
@@ -229,8 +235,6 @@ def test_spare_workers_deterministic_tiebreak_under_mixed_fleet(allocator):
     fleet = mixed_fleet(a100=4, h100=2, l4=4)
     classes = {d.name: d for d in fleet.classes}
     plan = AllocationPlan(
-        num_light=2,
-        num_heavy=2,
         light_batch=4,
         heavy_batch=2,
         threshold=0.5,
@@ -256,8 +260,6 @@ def test_spare_workers_ineligible_class_stays_idle(allocator):
     fleet = mixed_fleet(a100=2, t4=2)
     classes = {d.name: d for d in fleet.classes}
     plan = AllocationPlan(
-        num_light=1,
-        num_heavy=1,
         light_batch=1,
         heavy_batch=1,
         threshold=0.5,
@@ -301,16 +303,14 @@ def test_warm_start_repair_survives_fleet_shape_change(allocator):
         warm_start=plan,
     )
     assert repaired.feasible
-    assert "h100" not in (repaired.light_assignment or {})
-    assert "h100" not in (repaired.heavy_assignment or {})
+    assert "h100" not in repaired.light_assignment
+    assert "h100" not in repaired.heavy_assignment
 
 
 def test_warm_assignment_clamps_to_current_fleet(allocator):
     fleet = mixed_fleet(a100=2, l4=4)
     ctx = ControlContext(demand=8.0, slo=5.0, fleet=fleet, observed_deferral=0.4)
     stale = AllocationPlan(
-        num_light=6,
-        num_heavy=6,
         light_batch=1,
         heavy_batch=2,
         threshold=0.5,
@@ -330,24 +330,9 @@ def test_warm_assignment_clamps_to_current_fleet(allocator):
     assert 0.0 <= assignment["f"] <= 1.0
 
 
-def test_warm_start_from_legacy_totals_only_plan(allocator):
-    """Class-agnostic warm plans (no per-class assignment) are spread over the
-    fleet instead of rejected."""
-    fleet = mixed_fleet(a100=8, h100=4)
-    legacy = AllocationPlan(
-        num_light=2, num_heavy=10, light_batch=1, heavy_batch=2, threshold=0.4,
-        heavy_fraction=0.4,
-    )
-    plan = allocator.plan(
-        ControlContext(demand=16.0, slo=5.0, fleet=fleet, observed_deferral=0.4),
-        warm_start=legacy,
-    )
-    assert plan.feasible
-
-
 # ------------------------------------------------------------- control plane
-def test_controller_maps_typed_assignments_onto_device_groups(coco_dataset, cascade1):
-    from repro.baselines.clipper import ClipperPolicy
+def _controller(fleet, cascade, dataset, policy):
+    """A Controller over one worker per fleet slot, built in fleet order."""
     from repro.core.config import RoutingMode
     from repro.core.controller import Controller
     from repro.core.load_balancer import LoadBalancer
@@ -356,24 +341,31 @@ def test_controller_maps_typed_assignments_onto_device_groups(coco_dataset, casc
     from repro.models.generation import ImageGenerator
     from repro.simulator.simulation import Simulator
 
-    fleet = mixed_fleet(a100=2, l4=3)
-    config = SystemConfig(cascade=cascade1, fleet=fleet, routing=RoutingMode.CASCADE)
+    config = SystemConfig(cascade=cascade, fleet=fleet, routing=RoutingMode.CASCADE)
     sim = Simulator(seed=0)
     generator = ImageGenerator(seed=0)
     workers = []
     for device, count in fleet.devices:
         for _ in range(count):
             workers.append(
-                Worker(sim, worker_id=len(workers), variant=cascade1.light,
+                Worker(sim, worker_id=len(workers), variant=cascade.light,
                        generator=generator, device=device)
             )
     lb = LoadBalancer(sim, routing=RoutingMode.CASCADE)
-    controller = Controller(
-        sim, config, workers, lb, ResultCollector(coco_dataset),
-        ClipperPolicy(cascade1.light), {}, None,
+    return Controller(
+        sim, config, workers, lb, ResultCollector(dataset), policy, {}, None,
     )
+
+
+def test_controller_maps_typed_assignments_onto_device_groups(coco_dataset, cascade1):
+    from repro.baselines.clipper import ClipperPolicy
+
+    controller = _controller(
+        mixed_fleet(a100=2, l4=3), cascade1, coco_dataset, ClipperPolicy(cascade1.light)
+    )
+    lb = controller.load_balancer
     plan = AllocationPlan(
-        num_light=2, num_heavy=2, light_batch=1, heavy_batch=1, threshold=0.5,
+        light_batch=1, heavy_batch=1, threshold=0.5,
         light_assignment={"a100": 1, "l4": 1}, heavy_assignment={"a100": 1, "l4": 1},
     )
     controller._apply_plan(plan)
@@ -388,6 +380,62 @@ def test_controller_maps_typed_assignments_onto_device_groups(coco_dataset, casc
     assert controller.active_fleet.total_workers == 3
     with pytest.raises(ValueError, match="fleet class 'l4': count 9 exceeds"):
         controller.set_fleet(mixed_fleet(l4=9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.dictionaries(
+        st.sampled_from(sorted(DEVICE_CLASSES)), st.integers(1, 6), min_size=1, max_size=4
+    ),
+    data=st.data(),
+)
+def test_fleet_order_split_equals_slicing_class_grouped_workers(counts, data):
+    """The baselines' split is the flat slice of a class-grouped worker list:
+    light ``[:L]``, heavy ``[L:L+H]``, so heavy workers start where the light
+    pool stopped rather than at the first class."""
+    fleet = fleet_from_counts(counts)
+    total = fleet.total_workers
+    num_light = data.draw(st.integers(0, total), label="num_light")
+    num_heavy = data.draw(st.integers(0, total - num_light), label="num_heavy")
+    grouped = [device.name for device, count in fleet.devices for _ in range(count)]
+    light, heavy = fleet_order_split(fleet, num_light, num_heavy)
+    assert list(light.items()) == list(Counter(grouped[:num_light]).items())
+    assert list(heavy.items()) == list(
+        Counter(grouped[num_light : num_light + num_heavy]).items()
+    )
+
+
+def test_fleet_order_split_rejects_splits_larger_than_the_fleet():
+    fleet = mixed_fleet(a100=2, l4=4)
+    assert fleet_order_split(fleet, 3, 2) == ({"a100": 2, "l4": 1}, {"l4": 2})
+    with pytest.raises(ValueError, match="exceed the fleet's 6"):
+        fleet_order_split(fleet, 4, 3)
+
+
+def test_baseline_plans_select_the_flat_slice_on_a_healthy_fleet(coco_dataset, cascade1):
+    """Clipper and Proteus plans pick the same workers, in the same order, as
+    slicing the class-grouped worker list by their totals."""
+    from repro.baselines.clipper import ClipperPolicy
+    from repro.baselines.proteus import ProteusPolicy
+
+    fleet = mixed_fleet(a100=2, l4=4)
+    controller = _controller(fleet, cascade1, coco_dataset, ClipperPolicy(cascade1.light))
+    workers = controller.workers
+    plans = [ClipperPolicy(cascade1.light).plan(ControlContext(demand=4.0, slo=5.0, fleet=fleet))]
+    proteus = ProteusPolicy(cascade1)
+    plans += [
+        proteus.plan(ControlContext(demand=demand, slo=5.0, fleet=fleet))
+        for demand in (4.0, 24.0, 32.0, 64.0)
+    ]
+    splits = {(plan.num_light, plan.num_heavy) for plan in plans}
+    # Heavy pools starting in the first class, at a class boundary, and
+    # mid-way through the second class are all covered.
+    assert {(6, 0), (1, 5), (2, 4), (3, 3)} <= splits
+    for plan in plans:
+        light_pool, heavy_pool = controller._select_pools(plan)
+        num_light, num_heavy = plan.num_light, plan.num_heavy
+        assert light_pool == workers[:num_light]
+        assert heavy_pool == workers[num_light : num_light + num_heavy]
 
 
 def test_mixed_fleet_simulation_end_to_end(coco_dataset, trained_discriminator, cascade1):

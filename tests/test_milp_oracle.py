@@ -24,7 +24,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from repro.core.allocator import AllocationPlan, ControlContext, DiffServeAllocator
+from repro.core.allocator import (
+    AllocationPlan,
+    ControlContext,
+    DiffServeAllocator,
+    fleet_order_split,
+)
 from repro.core.config import FleetSpec, ResourceConfig, fleet_from_counts
 from repro.core.pricing import PRICE_TRACES
 from repro.discriminators.deferral import DeferralProfile
@@ -93,9 +98,12 @@ def problems(draw):
         )
         total = fleet.total_workers
         num_light = draw(st.integers(min_value=0, max_value=total))
+        light, heavy = fleet_order_split(
+            fleet, num_light, draw(st.integers(min_value=0, max_value=total - num_light))
+        )
         kwargs["current_plan"] = AllocationPlan(
-            num_light=num_light,
-            num_heavy=draw(st.integers(min_value=0, max_value=total - num_light)),
+            light_assignment=light,
+            heavy_assignment=heavy,
             light_batch=1,
             heavy_batch=1,
             threshold=0.5,

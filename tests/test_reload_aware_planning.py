@@ -31,6 +31,12 @@ def _ctx(
     )
 
 
+def _plan(light, heavy, **kwargs):
+    return AllocationPlan(
+        light_assignment=light, heavy_assignment=heavy, light_batch=1, heavy_batch=1, **kwargs
+    )
+
+
 def _contended():
     """Footprints that cannot co-reside in 80 GB (no co-placement)."""
     return ResourceConfig.from_weights({"sd-turbo": 30.0, "sd-v1.5": 60.0})
@@ -42,7 +48,7 @@ def test_reload_model_none_without_resources_or_previous_plan(allocator):
     # Resources attached but no previous plan: nothing to reload from.
     assert allocator._reload_model(_ctx(allocator, resources=_contended())) is None
     # Reload-oblivious config: the planner must ignore the resource model.
-    prev = AllocationPlan(num_light=3, num_heavy=1, threshold=0.5, heavy_fraction=0.2, light_batch=1, heavy_batch=1)
+    prev = _plan({"a100": 3}, {"a100": 1}, threshold=0.5, heavy_fraction=0.2)
     ctx = _ctx(
         allocator,
         resources=ResourceConfig.from_weights(
@@ -56,13 +62,13 @@ def test_reload_model_none_without_resources_or_previous_plan(allocator):
 def test_reload_model_none_when_every_class_coplaced(allocator):
     # Catalog footprints (5 + 8 GB) co-fit on a100: reloads are free
     # everywhere, so the model collapses to None and the MILP is unchanged.
-    prev = AllocationPlan(num_light=3, num_heavy=1, threshold=0.5, heavy_fraction=0.2, light_batch=1, heavy_batch=1)
+    prev = _plan({"a100": 3}, {"a100": 1}, threshold=0.5, heavy_fraction=0.2)
     ctx = _ctx(allocator, resources=ResourceConfig.default(), current_plan=prev)
     assert allocator._reload_model(ctx) is None
 
 
 def test_reload_model_costs_follow_transfer_bandwidth(allocator):
-    prev = AllocationPlan(num_light=3, num_heavy=1, threshold=0.5, heavy_fraction=0.2, light_batch=1, heavy_batch=1)
+    prev = _plan({"a100": 3}, {"a100": 1}, threshold=0.5, heavy_fraction=0.2)
     ctx = _ctx(allocator, resources=_contended(), current_plan=prev)
     reload = allocator._reload_model(ctx)
     assert reload is not None
@@ -74,7 +80,7 @@ def test_reload_model_costs_follow_transfer_bandwidth(allocator):
 
 
 def test_build_problem_adds_reload_variables_only_when_contended(allocator):
-    prev = AllocationPlan(num_light=3, num_heavy=1, threshold=0.5, heavy_fraction=0.2, light_batch=1, heavy_batch=1)
+    prev = _plan({"a100": 3}, {"a100": 1}, threshold=0.5, heavy_fraction=0.2)
     contended = allocator.build_problem(
         _ctx(allocator, resources=_contended(), current_plan=prev), 1, 1, 2.0
     )
@@ -93,7 +99,7 @@ def test_reload_penalty_steers_plans_toward_fewer_flips(allocator):
     # Previous plan: all four workers light.  A reload-aware re-solve at
     # demand the light pool can still carry must prefer keeping the split
     # (flipping to heavy would pay 3.75 s of transfer in the objective).
-    prev = AllocationPlan(num_light=4, num_heavy=0, threshold=0.0, heavy_fraction=0.0, light_batch=1, heavy_batch=1)
+    prev = _plan({"a100": 4}, {}, threshold=0.0, heavy_fraction=0.0)
     ctx = _ctx(allocator, resources=_contended(), current_plan=prev, demand=1.0)
     plan = allocator.plan(ctx)
     oblivious = allocator.plan(_ctx(allocator, demand=1.0))
@@ -104,7 +110,7 @@ def test_reload_penalty_steers_plans_toward_fewer_flips(allocator):
 
 
 def test_fill_reload_vars_completes_warm_incumbent(allocator):
-    prev = AllocationPlan(num_light=3, num_heavy=1, threshold=0.5, heavy_fraction=0.2, light_batch=1, heavy_batch=1)
+    prev = _plan({"a100": 3}, {"a100": 1}, threshold=0.5, heavy_fraction=0.2)
     ctx = _ctx(allocator, resources=_contended(), current_plan=prev)
     assignment = allocator._fill_reload_vars(
         {"x1[a100]": 2.0, "x2[a100]": 2.0, "f": 0.2}, ctx
@@ -131,7 +137,7 @@ def test_plan_residency_carries_previous_pins_across_fleet_drift(allocator):
     # Previous plan pinned the light weights on l4; after drift the l4 class
     # must keep pins that still fit while a vanished class drops out.
     resources = ResourceConfig.from_weights({"sd-turbo": 10.0, "sd-v1.5": 20.0})
-    prev = AllocationPlan(num_light=3, num_heavy=1, threshold=0.5, heavy_fraction=0.2, light_batch=1, heavy_batch=1)
+    prev = _plan({"a100": 3}, {"a100": 1}, threshold=0.5, heavy_fraction=0.2)
     prev.residency = {"l4": ("sd-turbo",), "t4": ("sd-turbo",)}
     fleet = fleet_from_counts({"a100": 2, "l4": 3})
     ctx = _ctx(allocator, fleet=fleet, resources=resources, current_plan=prev)
@@ -143,7 +149,7 @@ def test_plan_residency_carries_previous_pins_across_fleet_drift(allocator):
 
 def test_plan_residency_drops_pins_that_no_longer_fit(allocator):
     resources = ResourceConfig.from_weights({"sd-turbo": 30.0, "sd-v1.5": 60.0})
-    prev = AllocationPlan(num_light=3, num_heavy=1, threshold=0.5, heavy_fraction=0.2, light_batch=1, heavy_batch=1)
+    prev = _plan({"a100": 3}, {"a100": 1}, threshold=0.5, heavy_fraction=0.2)
     prev.residency = {"a100": ("sd-v1.5", "sd-turbo")}
     ctx = _ctx(allocator, resources=resources, current_plan=prev)
     residency = allocator._plan_residency(ctx)
@@ -181,12 +187,12 @@ def test_controller_applies_residency_to_workers(cascade1):
 def test_replanner_snapshots_record_residency_token():
     from repro.core.replanner import ReplanController
 
-    plan = AllocationPlan(num_light=3, num_heavy=1, threshold=0.5, heavy_fraction=0.2, light_batch=1, heavy_batch=1)
+    plan = _plan({"a100": 3}, {"a100": 1}, threshold=0.5, heavy_fraction=0.2)
     plan.residency = {"a100": ("sd-turbo", "sd-v1.5"), "l4": ()}
     token = ReplanController._residency_token(plan)
     assert token == "a100:sd-turbo+sd-v1.5"
     assert ReplanController._residency_token(None) == ""
-    bare = AllocationPlan(num_light=3, num_heavy=1, threshold=0.5, heavy_fraction=0.2, light_batch=1, heavy_batch=1)
+    bare = _plan({"a100": 3}, {"a100": 1}, threshold=0.5, heavy_fraction=0.2)
     assert ReplanController._residency_token(bare) == ""
 
 
