@@ -13,8 +13,9 @@ checks both halves of the tentpole contract:
 ``REPRO_SHARD_BENCH_QUERIES`` sizes the trace: the default keeps the smoke
 suite affordable, CI's dedicated step runs 400k, and the nightly workflow
 runs the full 1M-query cell.  The speedup gate only arms above
-:data:`GATE_MIN_QUERIES` — below that, process spawn overhead dominates and
-the measurement is noise, so it is reported but not asserted.
+:data:`GATE_MIN_QUERIES` — below that, the fixed per-run cost of starting
+and closing shard processes and of the epoch barriers dominates and the
+measurement is noise, so it is reported but not asserted.
 """
 
 import os
@@ -33,7 +34,7 @@ from repro.workloads import make_workload
 N_QUERIES = int(os.environ.get("REPRO_SHARD_BENCH_QUERIES", "20000"))
 #: Aggregate arrival rate across all 8 regions (moderate overload).
 QPS = 240.0
-#: Below this trace size, spawn overhead dominates: report, don't gate.
+#: Below this trace size, fixed per-run costs dominate: report, don't gate.
 GATE_MIN_QUERIES = 200_000
 #: Minimum accepted 4-shard speedup at gated scale (acceptance criterion).
 SPEEDUP_FLOOR = 2.5

@@ -41,7 +41,6 @@ import copy
 import dataclasses
 import multiprocessing
 import os
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -275,7 +274,22 @@ class _InlineShard:
     join = begin_close
 
 
-def _shard_worker_main(conn, sys_path: List[str]) -> None:
+def process_context() -> multiprocessing.context.BaseContext:
+    """Start method of every shard and grid pool worker: ``fork`` where the
+    platform offers it, so a child begins with its parent's modules imported,
+    else the platform default.  Work still reaches a child pickled.
+
+    The parent has OpenBLAS threads when it forks.  OpenBLAS's
+    ``pthread_atfork`` handler stops its pool before the fork and the pool
+    restarts on next use, so the child's BLAS calls work.  CPython >= 3.12
+    still warns about any fork of a multi-threaded process.
+    """
+    return multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    )
+
+
+def _shard_worker_main(conn, inherited: Sequence) -> None:
     """Entry point of one shard worker process.
 
     Speaks a four-verb protocol over the pipe: ``epoch`` (inject + advance +
@@ -283,10 +297,13 @@ def _shard_worker_main(conn, sys_path: List[str]) -> None:
     results), ``close`` (exit).  The systems arrive pickled in the first
     ``init`` message; runtimes are built here so no live event loop ever
     crosses a process boundary.
+
+    A forked worker first closes the supervisor's pipe ends it inherited
+    (``inherited``: its own and earlier shards'), so that when the supervisor
+    dies every shard's ``recv`` raises ``EOFError``.
     """
-    for entry in sys_path:
-        if entry not in sys.path:
-            sys.path.insert(0, entry)
+    for end in inherited:
+        end.close()
     runtimes: Dict[str, RegionRuntime] = {}
     try:
         while True:
@@ -331,23 +348,18 @@ class _ProcessShard:
     #: Poll granularity; bounds dead-process detection latency.
     poll_interval: float = 0.25
 
-    def __init__(self, systems: Dict[str, ServingSimulation]) -> None:
-        self._spawn(systems)
-        self._conn.send(("init", systems))
-        self._expect("ready")
-
     @classmethod
     def start_all(cls, groups: Sequence[Dict[str, ServingSimulation]]) -> List["_ProcessShard"]:
-        """Ready shards for ``groups``: every process is spawned and sent its
-        ``init`` before any ``ready`` is awaited, so their spawn and import
-        overlap.  On any start failure, every shard already launched is
-        closed and joined before the error propagates.
+        """Ready shards for ``groups``: every process is started and sent its
+        ``init`` before any ``ready`` is awaited, so their starts and
+        ``init`` decoding overlap.  On any start failure, every shard already
+        launched is closed and joined before the error propagates.
         """
         shards: List[_ProcessShard] = []
         try:
             for systems in groups:
-                shard = cls.__new__(cls)
-                shard._spawn(systems)
+                shard = cls()
+                shard._spawn(systems, shards)
                 shards.append(shard)
             for shard, systems in zip(shards, groups):
                 shard._conn.send(("init", systems))
@@ -358,12 +370,13 @@ class _ProcessShard:
             raise
         return shards
 
-    def _spawn(self, systems: Dict[str, ServingSimulation]) -> None:
+    def _spawn(self, systems: Dict[str, ServingSimulation], earlier: Sequence) -> None:
         self._regions = tuple(systems)
-        context = multiprocessing.get_context("spawn")
+        context = process_context()
         self._conn, child_conn = context.Pipe(duplex=True)
+        inherited = [shard._conn for shard in earlier] + [self._conn]
         self._process = context.Process(
-            target=_shard_worker_main, args=(child_conn, list(sys.path)), daemon=True
+            target=_shard_worker_main, args=(child_conn, inherited), daemon=True
         )
         self._process.start()
         child_conn.close()

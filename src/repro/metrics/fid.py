@@ -98,8 +98,8 @@ def frechet_distance(
     if sigma1.shape != sigma2.shape:
         raise ValueError("covariance matrices have mismatched shapes")
 
-    # Imported here so that importing repro (every spawned shard and pool
-    # worker does) loads no scipy subpackage; only this raw-array path needs it.
+    # Imported here so that importing repro (every CLI start does) loads no
+    # scipy subpackage; only this raw-array path needs it.
     from scipy import linalg
 
     def _sqrtm(matrix: np.ndarray) -> np.ndarray:

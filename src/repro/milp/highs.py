@@ -27,13 +27,13 @@ solver object, because solvers are pickled into shard and pool processes.
 ``scipy.optimize`` package.  The extension is self-contained, but the
 package's ``__init__`` pulls in ``scipy.linalg``, ``scipy.sparse``,
 ``scipy.fft`` and more, none of which the solver calls; that was more than
-half of the ~1 s every spawned shard and pool worker paid to import
-:mod:`repro`.  The module is registered in ``sys.modules`` under its
-canonical name, so a later ``import scipy.optimize`` finds it there, and an
-entry scipy made first is reused: whichever imports it first, a process
-holds one module object, and the extension is never initialised twice.  The
-matrix is lowered to CSC with numpy for the same reason, so ``scipy.sparse``
-is not imported either.
+half of the ~1 s every CLI start (and every shard or pool worker on a
+platform without ``fork``) paid to import :mod:`repro`.  The module is
+registered in ``sys.modules`` under its canonical name, so a later ``import
+scipy.optimize`` finds it there, and an entry scipy made first is reused:
+whichever imports it first, a process holds one module object, and the
+extension is never initialised twice.  The matrix is lowered to CSC with
+numpy for the same reason, so ``scipy.sparse`` is not imported either.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The runner turns every figure/table experiment into one or more declarative
 :class:`~repro.runner.spec.ExperimentSpec` grid cells, executes them serially
-or across a spawn-safe process pool, and memoizes the expensive artifacts
+or across a forked process pool, and memoizes the expensive artifacts
 (loaded datasets, trained discriminators, per-cell result summaries) in a
 disk cache keyed by a deterministic content hash.  Re-running a figure or a
 CI job therefore skips every simulation whose spec has not changed.

@@ -3,9 +3,9 @@
 ``run_cell_results`` is the single canonical "build systems, run the trace,
 collect results" implementation every experiment shares (the per-figure
 modules used to hand-roll this loop).  ``run_grid`` executes many cells,
-either inline or across a spawn-safe :class:`~concurrent.futures.ProcessPoolExecutor`
-with per-cell timeouts and failure isolation, consulting the artifact cache
-so previously computed cells are not re-simulated.
+either inline or across a forked process pool with per-cell timeouts and
+failure isolation, consulting the artifact cache so previously computed
+cells are not re-simulated.
 
 Cells are pure functions of their spec: every random stream inside a cell is
 derived from the spec's seed (via :class:`~repro.simulator.rng.RandomStreams`
@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import json
 import signal
-import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Dict, List, Optional, Tuple
 
 from repro.runner.cache import ArtifactCache, default_cache
@@ -40,7 +38,6 @@ class CellResult:
     status: str  # "ok" | "cached" | "error" | "timeout"
     summaries: Dict[str, Dict[str, float]] = field(default_factory=dict)
     error: str = ""
-    duration_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -252,15 +249,8 @@ class _cell_deadline:
 
 
 # --------------------------------------------------------------------------
-# Process-pool plumbing (spawn-safe: everything at module level)
+# Process-pool plumbing (module level: the pool pickles each call by name)
 # --------------------------------------------------------------------------
-
-
-def _worker_init(parent_sys_path: List[str]) -> None:
-    """Make ``repro`` importable in spawned workers regardless of install state."""
-    for entry in reversed(parent_sys_path):
-        if entry not in sys.path:
-            sys.path.insert(0, entry)
 
 
 def _worker_run_cell(
@@ -358,26 +348,16 @@ def _run_one_inline(
     use_cache: bool,
     cell_timeout: Optional[float],
 ) -> CellResult:
-    start = time.perf_counter()
     try:
         with _cell_deadline(cell_timeout):
             summaries = run_cell(spec, cache=cell_cache)
     except _CellTimeout as exc:
-        return CellResult(
-            spec=spec, status="timeout", error=str(exc), duration_s=time.perf_counter() - start
-        )
+        return CellResult(spec=spec, status="timeout", error=str(exc))
     except Exception:  # noqa: BLE001 - failure isolation
-        return CellResult(
-            spec=spec,
-            status="error",
-            error=traceback.format_exc(),
-            duration_s=time.perf_counter() - start,
-        )
+        return CellResult(spec=spec, status="error", error=traceback.format_exc())
     if use_cache:
         cache.put(SUMMARY_KIND, spec.cache_key, summaries)
-    return CellResult(
-        spec=spec, status="ok", summaries=summaries, duration_s=time.perf_counter() - start
-    )
+    return CellResult(spec=spec, status="ok", summaries=summaries)
 
 
 def _run_pending_pool(
@@ -389,6 +369,8 @@ def _run_pending_pool(
     use_cache: bool,
     cell_timeout: Optional[float],
 ) -> None:
+    from repro.core.sharding import process_context
+
     cache_root = str(cell_cache.root) if cell_cache.enabled else None
     # The cells police their own budget; the parent only keeps a generous
     # backstop for cells wedged in uninterruptible native code.
@@ -397,10 +379,7 @@ def _run_pending_pool(
         backstop = cell_timeout * len(pending) + 30.0
     timed_out = False
     with ProcessPoolExecutor(
-        max_workers=min(jobs, len(pending)),
-        mp_context=get_context("spawn"),
-        initializer=_worker_init,
-        initargs=(list(sys.path),),
+        max_workers=min(jobs, len(pending)), mp_context=process_context()
     ) as pool:
         started = time.perf_counter()
         futures = [

@@ -1,15 +1,18 @@
-"""What a spawned process pays to reach HiGHS.
+"""What a fresh interpreter pays to reach HiGHS.
 
-Every geo shard and every ``run_grid`` pool worker starts a fresh interpreter
-and imports :mod:`repro` before it simulates anything.  :mod:`repro.milp.highs`
-loads scipy's HiGHS extension (``scipy.optimize._highspy._core``) from its
-file, so that import loads no scipy subpackage: ``scipy.optimize``'s
-``__init__`` alone pulls in ``scipy.linalg``, ``scipy.sparse``, ``scipy.fft``
-and more, none of which the solver calls.  These checks count modules, not
+Every CLI start imports :mod:`repro` before it simulates anything; geo
+shards and ``run_grid`` pool workers fork with it already imported where the
+platform offers ``fork``, and import it themselves elsewhere.
+:mod:`repro.milp.highs` loads scipy's HiGHS extension
+(``scipy.optimize._highspy._core``) from its file, so that import loads no
+scipy subpackage: ``scipy.optimize``'s ``__init__`` alone pulls in
+``scipy.linalg``, ``scipy.sparse``, ``scipy.fft`` and more, none of which
+the solver calls.  These checks count modules, not
 seconds:
 
-* a fresh interpreter that imports what a shard or pool worker imports and
-  solves one allocation plan has none of the heavy scipy subpackages loaded;
+* a fresh interpreter that imports what a shard, a pool worker or the CLI
+  imports and solves one allocation plan has none of the heavy scipy
+  subpackages loaded;
 * in either import order (repro first, or ``linprog`` first) the process ends
   with one ``_core`` module object, and the direct path answers bit for bit
   as ``linprog`` does;
@@ -32,7 +35,7 @@ from scipy.sparse import csc_array
 import repro
 from repro.milp.highs import csc_lowering
 
-#: scipy subpackages a shard or pool worker must not load.
+#: scipy subpackages importing repro and solving one plan must not load.
 HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.stats", "scipy.special")
 
 

@@ -1,6 +1,9 @@
 """Tests for the parallel experiment runner and its artifact cache."""
 
+import json
+import multiprocessing
 import pickle
+import sys
 
 import pytest
 
@@ -206,6 +209,34 @@ def test_cell_timeout_reports_timeout_cells(tmp_path):
     )
     assert not report.ok
     assert report.cells[0].status == "timeout"
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="pool workers inherit their parent's modules only where they fork",
+)
+def test_pool_worker_imports_no_module_before_its_first_cell(tmp_path, monkeypatch):
+    """A forked pool worker reaches its first cell with no import of its own.
+    (A spawned worker imported the whole package first.)  The forked worker
+    inherits this test's patch, which records its ``sys.modules`` in place
+    of simulating the cell."""
+    import repro.runner.executor as executor
+
+    seen = tmp_path / "modules.json"
+
+    def recording_cell(spec, cache):
+        seen.write_text(json.dumps(sorted(sys.modules)))
+        return {}
+
+    monkeypatch.setattr(executor, "run_cell", recording_cell)
+    report = run_grid(
+        ExperimentGrid.of([tiny_spec()]),
+        jobs=2,
+        cache=ArtifactCache(root=tmp_path),
+        use_cache=False,
+    )
+    assert report.cells[0].status == "ok"
+    assert sorted(set(json.loads(seen.read_text())) - set(sys.modules)) == []
 
 
 # ------------------------------------------------------------------ workloads

@@ -6,11 +6,20 @@ summaries.  The determinism tests here are the gate; they carry an
 ``xdist_group`` marker so a parallel CI runner keeps them on one worker.
 """
 
+import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.config import FleetSpec, fleet_from_counts
 from repro.core.geo import (
     GEO_TOPOLOGIES,
@@ -410,7 +419,7 @@ def test_dead_shard_surfaces_one_line_error_instead_of_hanging():
     """
     from repro.core.sharding import _ProcessShard
 
-    shard = _ProcessShard({"us": small_system(), "eu": small_system()})
+    shard = _ProcessShard.start_all([{"us": small_system(), "eu": small_system()}])[0]
     try:
         shard._process.terminate()
         shard._process.join(timeout=30)
@@ -436,7 +445,7 @@ def test_worker_killed_with_init_unread_surfaces_one_line_error():
     from repro.core.sharding import _ProcessShard
 
     shard = _ProcessShard.__new__(_ProcessShard)
-    shard._spawn({"us": None})
+    shard._spawn({"us": None}, [])
     try:
         shard._conn.send(("init", {"us": None}))
         shard._process.terminate()
@@ -487,6 +496,109 @@ def test_failed_start_closes_every_launched_shard(monkeypatch):
         supervisor.run(small_workload())
     assert "\n" not in str(failure.value)
     assert set(multiprocessing.active_children()) <= earlier
+
+
+#: Starts a ``shards=2`` supervisor, prints its shard pids once both are
+#: ready, then blocks until it is killed.
+_SUPERVISOR_SCRIPT = """
+    import json, time
+    from repro.baselines.registry import build_system
+    from repro.core import sharding
+    from repro.core.config import FleetSpec, fleet_from_counts
+    from repro.core.geo import GeoTopology, RegionSpec
+    from repro.workloads import make_workload
+
+    start_all = sharding._ProcessShard.start_all
+
+    def announce(groups):
+        shards = start_all(groups)
+        print(json.dumps([shard._process.pid for shard in shards]), flush=True)
+        time.sleep(600)
+
+    sharding._ProcessShard.start_all = announce
+    topology = GeoTopology(
+        regions=tuple(
+            RegionSpec(name=name, fleet=fleet_from_counts({"a100": 4}), rtt_s=rtt)
+            for name, rtt in (("us", 0.01), ("eu", 0.02))
+        )
+    )
+    template = build_system(fleet=FleetSpec.homogeneous(4), dataset_size=100, seed=3)
+    sharding.ShardSupervisor(template=template, topology=topology, shards=2).run(
+        make_workload("static", duration=40.0, qps=6.0, seed=3)
+    )
+"""
+
+
+def _still_running(pids, marker: bytes) -> list:
+    """The pids that are live (not zombie) processes whose command line
+    carries ``marker`` or is a multiprocessing child's."""
+    running = []
+    for pid in pids:
+        try:
+            state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+        except (OSError, IndexError):
+            continue
+        if state not in "ZX" and (marker in cmdline or b"multiprocessing" in cmdline):
+            running.append(pid)
+    return running
+
+
+@pytest.mark.xdist_group("sharding-determinism")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
+def test_shards_exit_when_their_supervisor_is_killed():
+    """A shard learns of its supervisor's death only as EOF on its pipe.  A
+    forked shard inherits copies of the supervisor's pipe ends (its own and
+    those of the shards started before it); unless it closes them, a
+    SIGKILLed supervisor leaves every shard blocked in ``recv`` forever."""
+    script = textwrap.dedent(_SUPERVISOR_SCRIPT)
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    supervisor = subprocess.Popen(
+        [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True
+    )
+    marker = b"announce(groups)"
+    pids = []
+    try:
+        pids = json.loads(supervisor.stdout.readline())
+        assert len(pids) == 2 and _still_running(pids, marker) == pids
+        supervisor.send_signal(signal.SIGKILL)
+        supervisor.wait(timeout=30)
+        deadline = time.monotonic() + 10.0
+        while _still_running(pids, marker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _still_running(pids, marker) == []
+    finally:
+        supervisor.kill()
+        supervisor.wait(timeout=30)
+        supervisor.stdout.close()
+        for pid in _still_running(pids, marker):
+            os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.xdist_group("sharding-determinism")
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="shards inherit their parent's modules only where they fork",
+)
+def test_shard_imports_no_module_before_ready(monkeypatch, tmp_path):
+    """A forked shard starts with every module its supervisor has imported,
+    so decoding its ``init`` and building its runtimes imports nothing new.
+    (A spawned shard imported the whole package before its ``ready``.)  The
+    forked child inherits this test's patch, which records the child's
+    ``sys.modules`` once its runtime is built."""
+    seen = tmp_path / "modules.json"
+    build = sharding.RegionRuntime
+
+    def recording_runtime(system):
+        runtime = build(system)
+        seen.write_text(json.dumps(sorted(sys.modules)))
+        return runtime
+
+    monkeypatch.setattr(sharding, "RegionRuntime", recording_runtime)
+    sharding._close_all(sharding._ProcessShard.start_all([{"us": small_system()}]))
+    assert sorted(set(json.loads(seen.read_text())) - set(sys.modules)) == []
 
 
 def _record_shard_lifecycle(monkeypatch) -> list:
