@@ -28,7 +28,7 @@ def test_bench_table1(benchmark, bench_scale):
     assert all(name in rendered for name in table)
 
 
-def test_bench_table1_query_awareness_is_behavioural(bench_scale):
+def test_bench_table1_query_awareness_is_behavioural(bench_scale, row_recorder):
     """DiffServe defers hard queries; Proteus's routing ignores difficulty."""
     cascade, dataset, discriminator = shared_components("sdturbo", bench_scale)
     curve, trace = default_trace("sdturbo", bench_scale)
@@ -41,19 +41,19 @@ def test_bench_table1_query_awareness_is_behavioural(bench_scale):
         systems=("proteus", "diffserve"),
     )
 
-    def difficulty_gap(result):
-        heavy = [
-            r.query.difficulty for r in result.completed_records if r.stage == QueryStage.HEAVY
-        ]
-        light = [
-            r.query.difficulty for r in result.completed_records if r.stage == QueryStage.LIGHT
-        ]
+    def difficulty_gap(system):
+        """Mean difficulty of heavy- minus light-stage completions, from the
+        rows recorded while ``system`` runs."""
+        row_recorder.rows.clear()
+        system.run(trace)
+        heavy = [r.query.difficulty for r in row_recorder.rows if r.stage == QueryStage.HEAVY]
+        light = [r.query.difficulty for r in row_recorder.rows if r.stage == QueryStage.LIGHT]
         if not heavy or not light:
             return 0.0
         return float(np.mean(heavy) - np.mean(light))
 
-    diffserve_gap = difficulty_gap(systems["diffserve"].run(trace))
-    proteus_gap = difficulty_gap(systems["proteus"].run(trace))
+    diffserve_gap = difficulty_gap(systems["diffserve"])
+    proteus_gap = difficulty_gap(systems["proteus"])
     # Query-aware routing sends clearly harder queries to the heavy model.
     assert diffserve_gap > 0.05
     # Query-agnostic routing shows no such separation.

@@ -1,23 +1,21 @@
 """Result collection and post-run analysis.
 
-The analytics path is columnar: :class:`ResultCollector` writes each
+A result's rows exist only as columns: :class:`ResultCollector` writes each
 finished query straight into column buffers and keeps live accumulators that
 fold only when read, and :class:`SimulationResult` reads every metric —
 summary scalars, latency percentiles, the violation/demand/FID time series —
-from the drained :class:`ColumnStore` of NumPy arrays.  ``QueryRecord``
-objects exist only for hand-built results and for readers of
-:attr:`SimulationResult.records`.
+from the drained :class:`ColumnStore` of NumPy arrays.  No per-query object
+outlives the collector's call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.query import Query, QueryRecord, QueryStage
+from repro.core.query import Query, QueryStage
 from repro.metrics.accumulators import GaussianStats, P2Quantile, StreamingMoments
 from repro.metrics.fid import frechet_from_moments, windowed_fid
 from repro.metrics.latency import LatencyStats
@@ -27,7 +25,6 @@ from repro.models.generation import GeneratedImage
 
 #: Integer codes for :class:`QueryStage` in the column store.
 STAGE_CODES = {QueryStage.LIGHT: 0, QueryStage.HEAVY: 1, QueryStage.DROPPED: 2}
-_STAGES = {code: stage for stage, code in STAGE_CODES.items()}
 
 
 @dataclass
@@ -44,14 +41,15 @@ class ControlSnapshot:
     feasible: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColumnStore:
     """Per-query measurements as parallel NumPy columns.
 
-    One row per query that entered the system, in record order.  Dropped
-    queries carry NaN completion/latency/quality.  Feature vectors exist only
-    for completed queries that returned an image; ``feature_index`` maps those
-    rows of ``features`` back to record indices.
+    One row per query that entered the system, in the order the collector
+    wrote them.  Dropped queries carry NaN completion/latency/quality.
+    Feature vectors exist only for completed queries that returned an image;
+    ``feature_index`` maps those rows of ``features`` back to row indices.
+    Stores compare by identity: no generated ``__eq__`` compares arrays.
     """
 
     arrival: np.ndarray  # float, arrival time
@@ -63,53 +61,22 @@ class ColumnStore:
     deferred: np.ndarray  # bool
     retries: np.ndarray  # int32, requeues this query survived (0 = none)
     features: np.ndarray  # (n_feat, d) float
-    feature_index: np.ndarray  # int, record index of each features row
+    feature_index: np.ndarray  # int, row index of each features row
 
     @classmethod
-    def from_records(cls, records: List[QueryRecord], feature_dim: int) -> "ColumnStore":
-        """Build the columns with one pass over a record list.
-
-        Makes the columns of hand-built results, and is the test oracle for
-        :meth:`ResultCollector.drain` and :meth:`ColumnStore.concat`.
-        """
-        n = len(records)
-        arrival = np.empty(n)
-        deadline = np.empty(n)
-        completion = np.full(n, np.nan)
-        stage = np.empty(n, dtype=np.int8)
-        quality = np.full(n, np.nan)
-        confidence = np.full(n, np.nan)
-        deferred = np.zeros(n, dtype=bool)
-        retries = np.zeros(n, dtype=np.int32)
-        feats: List[np.ndarray] = []
-        feat_idx: List[int] = []
-        for i, r in enumerate(records):
-            arrival[i] = r.query.arrival_time
-            deadline[i] = r.query.deadline
-            stage[i] = STAGE_CODES[r.stage]
-            retries[i] = r.retries
-            if r.completion_time is not None:
-                completion[i] = r.completion_time
-            if r.quality is not None:
-                quality[i] = r.quality
-            if r.confidence is not None:
-                confidence[i] = r.confidence
-            deferred[i] = r.deferred
-            if r.features is not None:
-                feats.append(r.features)
-                feat_idx.append(i)
-        features = np.stack(feats) if feats else np.zeros((0, feature_dim))
+    def empty(cls, feature_dim: int) -> "ColumnStore":
+        """A store with no rows."""
         return cls(
-            arrival=arrival,
-            deadline=deadline,
-            completion=completion,
-            stage=stage,
-            quality=quality,
-            confidence=confidence,
-            deferred=deferred,
-            retries=retries,
-            features=features,
-            feature_index=np.asarray(feat_idx, dtype=np.int64),
+            arrival=np.zeros(0),
+            deadline=np.zeros(0),
+            completion=np.zeros(0),
+            stage=np.zeros(0, dtype=np.int8),
+            quality=np.zeros(0),
+            confidence=np.zeros(0),
+            deferred=np.zeros(0, dtype=bool),
+            retries=np.zeros(0, dtype=np.int32),
+            features=np.zeros((0, feature_dim)),
+            feature_index=np.zeros(0, dtype=np.int64),
         )
 
     @classmethod
@@ -119,12 +86,12 @@ class ColumnStore:
         ``feature_index`` entries are shifted by the preceding stores' row
         counts so they keep addressing their own rows.  Concatenating the
         per-epoch / per-region chunks a sharded run drains reproduces the
-        exact arrays a serial :meth:`from_records` pass would build — the
-        values are copied, never recomputed — which is what lets sharded
-        summaries stay byte-identical to serial ones.
+        exact arrays a serial run drains — the values are copied, never
+        recomputed — which is what lets sharded summaries stay byte-identical
+        to serial ones.
         """
         if not stores:
-            return cls.from_records([], feature_dim)
+            return cls.empty(feature_dim)
         if len(stores) == 1:
             return stores[0]
         offsets = np.cumsum([0] + [len(store) for store in stores[:-1]])
@@ -172,69 +139,11 @@ class ColumnStore:
         return late | self.dropped
 
 
-def _nan_to_none(column: np.ndarray) -> List[Optional[float]]:
-    return [None if math.isnan(value) else value for value in column.tolist()]
-
-
-class RecordView(Sequence[QueryRecord]):
-    """Drained rows as :class:`QueryRecord` objects, built on first access.
-
-    Holds the :class:`ColumnStore` plus the per-row ``Query`` objects and
-    model names the columns do not carry.  No metric reads records; tests
-    do, and they pay for building them.
-    """
-
-    __slots__ = ("cols", "_queries", "_models", "_records")
-
-    def __init__(
-        self, cols: ColumnStore, queries: List[Query], models: List[Optional[str]]
-    ) -> None:
-        self.cols = cols
-        self._queries = queries
-        self._models = models
-        self._records: Optional[List[QueryRecord]] = None
-
-    def _built(self) -> List[QueryRecord]:
-        if self._records is None:
-            cols = self.cols
-            features = dict(zip(cols.feature_index.tolist(), cols.features))
-            stages = [_STAGES[code] for code in cols.stage.tolist()]
-            completion = _nan_to_none(cols.completion)
-            quality = _nan_to_none(cols.quality)
-            confidence = _nan_to_none(cols.confidence)
-            self._records = [
-                QueryRecord(
-                    query=query,
-                    stage=stages[i],
-                    completion_time=completion[i],
-                    model_used=self._models[i],
-                    quality=quality[i],
-                    features=features.get(i),
-                    confidence=confidence[i],
-                    deferred=deferred,
-                    retries=retries,
-                )
-                for i, (query, deferred, retries) in enumerate(
-                    zip(self._queries, cols.deferred.tolist(), cols.retries.tolist())
-                )
-            ]
-        return self._records
-
-    def __len__(self) -> int:
-        return len(self._queries)
-
-    def __getitem__(self, index):
-        return self._built()[index]
-
-    def __iter__(self) -> Iterator[QueryRecord]:
-        return iter(self._built())
-
-
 class ResultCollector:
     """Sink of the data path: a column writer with live views folded on read.
 
     ``complete``/``drop`` append each query's values to per-column buffers
-    and bump O(1) counters; no per-query record object is built.
+    and bump O(1) counters; no per-query object is built or kept.
     :meth:`drain` hands the buffered rows over as a :class:`ColumnStore`.
 
     The live accumulators (:class:`~repro.metrics.accumulators.GaussianStats`
@@ -278,11 +187,10 @@ class ResultCollector:
         completion_time: float,
     ) -> None:
         """Record a completed query."""
-        self._feature_index.append(len(self._queries))
+        self._feature_index.append(len(self._arrival))
         self._features.append(image.features)
         self._append_row(
             query,
-            image.variant_name,
             completion_time,
             STAGE_CODES[stage],
             image.quality,
@@ -300,24 +208,19 @@ class ResultCollector:
 
     def drop(self, query: Query) -> None:
         """Record a dropped query."""
-        self._append_row(
-            query, None, np.nan, STAGE_CODES[QueryStage.DROPPED], np.nan, np.nan, False
-        )
+        self._append_row(query, np.nan, STAGE_CODES[QueryStage.DROPPED], np.nan, np.nan, False)
         self._violations_window += 1
         self._dropped += 1
 
     def _append_row(
         self,
         query: Query,
-        model: Optional[str],
         completion: float,
         stage: int,
         quality: float,
         confidence: float,
         deferred: bool,
     ) -> None:
-        self._queries.append(query)
-        self._models.append(model)
         self._arrival.append(query.arrival_time)
         self._slo.append(query.slo)
         self._completion.append(completion)
@@ -339,9 +242,9 @@ class ResultCollector:
 
     def __len__(self) -> int:
         """Rows buffered since the last drain."""
-        return len(self._queries)
+        return len(self._arrival)
 
-    def drain(self) -> RecordView:
+    def drain(self) -> ColumnStore:
         """Hand over the rows written since the last drain, and forget them.
 
         Completions no live view has read yet are folded first, so the live
@@ -350,7 +253,7 @@ class ResultCollector:
         self._fold()
         return self._take()
 
-    def close(self) -> RecordView:
+    def close(self) -> ColumnStore:
         """The final :meth:`drain`, without the fold: the completions no
         live view has read are never folded.  Reading a live view afterwards
         raises."""
@@ -358,7 +261,7 @@ class ResultCollector:
         self._unfolded = 0
         return self._take()
 
-    def _take(self) -> RecordView:
+    def _take(self) -> ColumnStore:
         """The buffered rows as a :class:`ColumnStore`, one ``np.array`` call
         per column (``deadline`` adds the ``slo`` column to ``arrival``, as
         :attr:`Query.deadline` does)."""
@@ -377,14 +280,11 @@ class ResultCollector:
             ),
             feature_index=np.array(self._feature_index, dtype=np.int64),
         )
-        rows = RecordView(cols, self._queries, self._models)
         self._reset_buffers()
-        return rows
+        return cols
 
     def _reset_buffers(self) -> None:
         """Empty column buffers: one entry per row since the last drain."""
-        self._queries: List[Query] = []
-        self._models: List[Optional[str]] = []
         self._arrival: List[float] = []
         self._slo: List[float] = []
         self._completion: List[float] = []
@@ -487,17 +387,16 @@ class ResultCollector:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationResult:
     """Everything measured during one serving simulation run.
 
-    All metrics read the column store: the one a run drained from its
-    collector, or for a hand-built result one built from ``records`` in one
-    pass on first access.  A run's ``records`` is a :class:`RecordView`
-    that builds the per-query objects only if something reads them.
+    Every metric reads ``cols``, the rows the run drained from its collector
+    (merged across regions for a sharded run).  Results compare by identity:
+    no generated ``__eq__`` compares their arrays.
     """
 
-    records: Sequence[QueryRecord]
+    cols: ColumnStore
     dataset: QueryDataset
     slo: float
     duration: float
@@ -513,69 +412,18 @@ class SimulationResult:
     #: and autoscale transitions show up in the bill.
     fleet_cost: float = 0.0
 
-    # ------------------------------------------------------------ column view
-    @property
-    def cols(self) -> ColumnStore:
-        """The column store behind every metric (built once, lazily).
-
-        A non-field cached attribute (like ``completed_records``) so it never
-        participates in the dataclass constructor, ``replace()``, or ``__eq__``
-        — a stale store can't be injected alongside fresh records.
-        """
-        cached = getattr(self, "_columns", None)
-        if cached is None:
-            cached = ColumnStore.from_records(self.records, self.dataset.real_features.shape[1])
-            self._columns = cached
-        return cached
-
     @classmethod
-    def from_columns(
-        cls,
-        cols: ColumnStore,
-        *,
-        dataset: QueryDataset,
-        slo: float,
-        duration: float,
-        control_history: Optional[List[ControlSnapshot]] = None,
-        system_name: str = "system",
-        replan_history: Optional[List[object]] = None,
-        fleet_cost: float = 0.0,
-        records: Sequence[QueryRecord] = (),
-    ) -> "SimulationResult":
-        """Build a result directly from a (merged) column store.
-
-        Every metric reads the pre-built store.  ``records`` is the
-        :class:`RecordView` of a serial run's drained rows; the sharded path
-        ships columns, not ``QueryRecord`` objects, across process
-        boundaries, so its ``records`` stays empty.
-        """
-        result = cls(
-            records=records,
-            dataset=dataset,
-            slo=slo,
-            duration=duration,
-            control_history=list(control_history or []),
-            system_name=system_name,
-            replan_history=list(replan_history or []),
-            fleet_cost=fleet_cost,
-        )
-        result._columns = cols
-        return result
+    def from_columns(cls, cols: ColumnStore, **fields) -> "SimulationResult":
+        """The result of a run or of a shard merge: ``cols`` plus the other
+        fields by keyword.  Its own step so that tracing can time the
+        packaging of a result apart from the run."""
+        return cls(cols=cols, **fields)
 
     # ------------------------------------------------------------ accounting
     @property
     def total_queries(self) -> int:
         """Number of queries that entered the system."""
         return len(self.cols)
-
-    @property
-    def completed_records(self) -> List[QueryRecord]:
-        """Records of queries that received a response (cached)."""
-        cached = getattr(self, "_completed_records", None)
-        if cached is None:
-            cached = [r for r in self.records if not r.dropped]
-            self._completed_records = cached
-        return cached
 
     @property
     def dropped_count(self) -> int:

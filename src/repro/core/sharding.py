@@ -182,7 +182,7 @@ class RegionRuntime:
 
     def _drain(self) -> None:
         if len(self.runtime.collector):
-            self._chunks.append(self.runtime.collector.drain().cols)
+            self._chunks.append(self.runtime.collector.drain())
 
     def run_epoch(self, queries: QueryBatch, barrier: float) -> RegionStats:
         """Inject one epoch's routed arrivals, advance to the barrier.

@@ -258,10 +258,8 @@ class SystemRuntime:
         live exactly as long as the result does rather than as long as the
         runtime's reference cycles.
         """
-        rows = self.collector.close()
         return SimulationResult.from_columns(
-            rows.cols,
-            records=rows,
+            self.collector.close(),
             dataset=self.dataset,
             slo=self.config.slo,
             duration=duration,

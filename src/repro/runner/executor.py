@@ -16,10 +16,13 @@ it runs inline, in a worker process, or on another machine.
 from __future__ import annotations
 
 import json
+import os
 import signal
+import threading
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeoutError
+from contextlib import closing, suppress
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -271,6 +274,25 @@ def _worker_run_cell(
         return ("error", {}, traceback.format_exc(), cache.stats.as_dict())
 
 
+def _exit_with_parent(watch_end, parent_end) -> None:
+    """Pool worker initializer: end this worker once its parent is gone.
+
+    Only the parent keeps ``parent_end`` open (a forked worker closes the
+    copy it inherits here), so ``watch_end`` reads EOF exactly when the
+    parent has exited or been killed, even while this worker is running a
+    cell.  Without the watch, a worker whose parent was SIGKILLed waits on
+    the call queue forever: it holds a write end of that queue itself.
+    """
+    parent_end.close()
+
+    def watch() -> None:
+        with suppress(EOFError):
+            watch_end.recv_bytes()  # nothing is ever sent: only EOF ends the wait
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
 # --------------------------------------------------------------------------
 # Grid execution
 # --------------------------------------------------------------------------
@@ -378,9 +400,17 @@ def _run_pending_pool(
     if cell_timeout is not None:
         backstop = cell_timeout * len(pending) + 30.0
     timed_out = False
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(pending)), mp_context=process_context()
-    ) as pool:
+    context = process_context()
+    watch_end, parent_end = context.Pipe(duplex=False)
+    pool = ProcessPoolExecutor(
+        max_workers=min(jobs, len(pending)),
+        mp_context=context,
+        initializer=_exit_with_parent,
+        initargs=(watch_end, parent_end),
+    )
+    # The pipe closes after the pool has shut down, so no worker sees EOF
+    # while it is still being joined.
+    with closing(watch_end), closing(parent_end), pool:
         started = time.perf_counter()
         futures = [
             (

@@ -40,7 +40,7 @@ from repro.runner.dimensions import DIMENSIONS
 #: v8: deterministic fault injection — ``faults`` became a grid dimension and
 #: fault-enabled cells run the injector + self-healing control plane
 #: (crash/straggler/revocation faults, retry-with-backoff requeue,
-#: last-known-good plan fallback); QueryRecord gained a ``retries`` column.
+#: last-known-good plan fallback); results gained a ``retries`` column.
 #: v9: elastic fleets — ``autoscale`` / ``prices`` became grid dimensions
 #: (epoch-synchronous scale policies over deterministic spot price traces),
 #: summaries gained a time-integrated ``fleet_cost`` key, and fleet

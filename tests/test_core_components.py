@@ -1,12 +1,14 @@
 """Tests for core building blocks: queries, demand estimation, queueing models
 and configuration."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import FleetSpec, RoutingMode, SystemConfig
 from repro.core.demand import DemandEstimator
-from repro.core.query import Query, QueryRecord, QueryStage
+from repro.core.query import Query, QueryStage
 from repro.core.queueing import LittlesLawModel, TwoXExecutionModel
+from repro.core.results import STAGE_CODES, ColumnStore
 from repro.models.zoo import get_cascade
 
 
@@ -22,15 +24,30 @@ def test_query_deadline_and_validation():
         Query(query_id=0, arrival_time=0.0, prompt="", difficulty=0.3, slo=0.0)
 
 
-def test_query_record_latency_and_violation():
-    q = Query(query_id=0, arrival_time=1.0, prompt="x", difficulty=0.5, slo=2.0)
-    on_time = QueryRecord(query=q, stage=QueryStage.LIGHT, completion_time=2.5)
-    late = QueryRecord(query=q, stage=QueryStage.HEAVY, completion_time=4.0)
-    dropped = QueryRecord(query=q, stage=QueryStage.DROPPED)
-    assert on_time.latency == pytest.approx(1.5)
-    assert not on_time.slo_violated
-    assert late.slo_violated
-    assert dropped.dropped and dropped.slo_violated and dropped.latency is None
+def test_column_store_latency_and_violation():
+    """Rows: on time, late, dropped, and completed exactly at the deadline,
+    which is on time (a violation is ``completion > deadline``)."""
+    light, heavy, dropped = (
+        STAGE_CODES[QueryStage.LIGHT],
+        STAGE_CODES[QueryStage.HEAVY],
+        STAGE_CODES[QueryStage.DROPPED],
+    )
+    cols = ColumnStore(
+        arrival=np.array([1.0, 1.0, 1.0, 1.0]),
+        deadline=np.array([3.0, 3.0, 3.0, 3.0]),
+        completion=np.array([2.5, 4.0, np.nan, 3.0]),
+        stage=np.array([light, heavy, dropped, light], dtype=np.int8),
+        quality=np.full(4, np.nan),
+        confidence=np.full(4, np.nan),
+        deferred=np.array([False, True, False, False]),
+        retries=np.zeros(4, dtype=np.int32),
+        features=np.zeros((0, 2)),
+        feature_index=np.zeros(0, dtype=np.int64),
+    )
+    np.testing.assert_array_equal(cols.latency, [1.5, 3.0, np.nan, 2.0])
+    assert cols.violated.tolist() == [False, True, True, False]
+    assert cols.dropped.tolist() == [False, False, True, False]
+    assert cols.completed.tolist() == [True, True, False, True]
 
 
 # ---------------------------------------------------------------------- demand

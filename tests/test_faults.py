@@ -272,9 +272,9 @@ def test_retries_conserve_query_count():
     assert runtime.load_balancer.requeues > 0, "storm should exercise the retry path"
     assert summary["total_queries"] == source.total_queries
     assert summary["completed"] + summary["dropped"] == summary["total_queries"]
-    # Retried queries carry their retry count on the record, and the recorded
+    # Retried queries carry their retry count in their row, and the recorded
     # retries never exceed the load balancer's requeue notifications.
-    recorded_retries = sum(record.retries for record in result.records)
+    recorded_retries = int(result.cols.retries.sum())
     assert recorded_retries > 0
     assert recorded_retries <= runtime.load_balancer.requeues
 
@@ -308,7 +308,7 @@ def test_retry_budget_bounds_requeues(budget):
         small_system(faults=plan, dataset_size=60),
         make_workload("static", duration=20.0, qps=5.0, seed=3),
     )
-    assert max((record.retries for record in result.records), default=0) <= budget
+    assert result.cols.retries.max(initial=0) <= budget
 
 
 # -------------------------------------------------- graceful degradation

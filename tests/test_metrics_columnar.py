@@ -2,8 +2,9 @@
 
 Every vectorized path (columnar ``summary()``, ``violation_timeseries``,
 streaming ``windowed_fid``, moments-cached FID) is pinned against a
-brute-force per-record reimplementation of the legacy computation on
-randomized runs, to ~1e-9.
+brute-force per-row reimplementation of the legacy computation on
+randomized runs, to ~1e-9.  The rows and the columns built from them come
+from the root ``conftest.py``'s ``row_recorder``.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.query import Query, QueryRecord, QueryStage
+from repro.core.query import Query, QueryStage
 from repro.core.results import ColumnStore, ResultCollector, SimulationResult
 from repro.metrics.accumulators import GaussianStats, P2Quantile, StreamingMoments
 from repro.metrics.fid import (
@@ -35,19 +36,19 @@ DURATION = 120.0
 # --------------------------------------------------------------------------
 
 
-def _random_records(seed: int, n: int = 400):
-    """A randomized record list with drops, violations, and both stages."""
+def _random_rows(Row, seed: int, n: int = 400):
+    """A randomized row list with drops, violations, and both stages."""
     rng = np.random.default_rng(seed)
-    records = []
+    rows = []
     for i in range(n):
         arrival = float(rng.uniform(0.0, DURATION))
         query = Query(query_id=i, arrival_time=arrival, prompt="p", difficulty=0.5, slo=SLO)
         if rng.random() < 0.15:
-            records.append(QueryRecord(query=query, stage=QueryStage.DROPPED))
+            rows.append(Row(query=query, stage=QueryStage.DROPPED))
             continue
         stage = QueryStage.HEAVY if rng.random() < 0.4 else QueryStage.LIGHT
-        records.append(
-            QueryRecord(
+        rows.append(
+            Row(
                 query=query,
                 stage=stage,
                 completion_time=arrival + float(rng.exponential(1.2)),
@@ -58,14 +59,30 @@ def _random_records(seed: int, n: int = 400):
                 deferred=stage == QueryStage.HEAVY,
             )
         )
-    return records
+    return rows
 
 
-def _result(seed: int, n: int = 400) -> SimulationResult:
+def _result(recorder, seed: int, n: int = 400):
+    """A result built by hand from random rows, and the rows."""
+    rows = _random_rows(recorder.Row, seed, n)
     dataset = make_coco_like(200, seed=seed, feature_dim=DIM)
-    return SimulationResult(
-        records=_random_records(seed, n), dataset=dataset, slo=SLO, duration=DURATION
-    )
+    cols = recorder.columns_from_rows(rows, DIM)
+    return SimulationResult(cols=cols, dataset=dataset, slo=SLO, duration=DURATION), rows
+
+
+def _write_rows(collector: ResultCollector, rows) -> None:
+    """Hand every row to the collector's data path."""
+    for r in rows:
+        if r.dropped:
+            collector.drop(r.query)
+        else:
+            image = GeneratedImage(
+                query_id=r.query.query_id,
+                variant_name=r.model_used,
+                quality=r.quality,
+                features=r.features,
+            )
+            collector.complete(r.query, image, r.stage, r.confidence, r.deferred, r.completion_time)
 
 
 # --------------------------------------------------------------------------
@@ -73,8 +90,7 @@ def _result(seed: int, n: int = 400) -> SimulationResult:
 # --------------------------------------------------------------------------
 
 
-def _ref_summary(result: SimulationResult) -> dict:
-    records = result.records
+def _ref_summary(result: SimulationResult, records) -> dict:
     completed = [r for r in records if not r.dropped]
     dropped = sum(1 for r in records if r.dropped)
     violated = sum(1 for r in completed if r.slo_violated)
@@ -99,12 +115,12 @@ def _ref_summary(result: SimulationResult) -> dict:
     }
 
 
-def _ref_violation_timeseries(result: SimulationResult, window: float):
+def _ref_violation_timeseries(result: SimulationResult, records, window: float):
     edges = np.arange(0.0, result.duration + window, window)
     centers = (edges[:-1] + edges[1:]) / 2.0
     ratios = np.zeros(len(centers))
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        in_window = [r for r in result.records if lo <= r.query.arrival_time < hi]
+        in_window = [r for r in records if lo <= r.query.arrival_time < hi]
         if not in_window:
             continue
         ratios[i] = sum(1 for r in in_window if r.slo_violated) / len(in_window)
@@ -117,10 +133,10 @@ def _ref_violation_timeseries(result: SimulationResult, window: float):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_columnar_summary_matches_brute_force(seed):
-    result = _result(seed)
+def test_columnar_summary_matches_brute_force(row_recorder, seed):
+    result, rows = _result(row_recorder, seed)
     summary = result.summary()
-    reference = _ref_summary(result)
+    reference = _ref_summary(result, rows)
     assert set(summary) == set(reference)
     for key in reference:
         assert summary[key] == pytest.approx(reference[key], rel=1e-9, abs=1e-9), key
@@ -128,49 +144,50 @@ def test_columnar_summary_matches_brute_force(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("window", [7.5, 20.0, 60.0])
-def test_columnar_violation_timeseries_matches_brute_force(seed, window):
-    result = _result(seed)
+def test_columnar_violation_timeseries_matches_brute_force(row_recorder, seed, window):
+    result, rows = _result(row_recorder, seed)
     centers, ratios = result.violation_timeseries(window)
-    ref_centers, ref_ratios = _ref_violation_timeseries(result, window)
+    ref_centers, ref_ratios = _ref_violation_timeseries(result, rows, window)
     np.testing.assert_allclose(centers, ref_centers)
     np.testing.assert_allclose(ratios, ref_ratios, atol=1e-12)
 
 
-def test_columnar_demand_timeseries_matches_histogram():
-    result = _result(0)
+def test_columnar_demand_timeseries_matches_histogram(row_recorder):
+    result, rows = _result(row_recorder, 0)
     centers, demand = result.demand_timeseries(20.0)
-    arrivals = np.array([r.query.arrival_time for r in result.records])
+    arrivals = np.array([r.query.arrival_time for r in rows])
     edges = np.arange(0.0, result.duration + 20.0, 20.0)
     counts, _ = np.histogram(arrivals, bins=edges)
     np.testing.assert_allclose(demand, counts / 20.0)
     assert len(centers) == len(demand)
 
 
-def test_columnar_latency_stats_match_per_record_scan():
-    result = _result(1)
+def test_columnar_latency_stats_match_per_record_scan(row_recorder):
+    result, rows = _result(row_recorder, 1)
     stats = result.latency_stats()
-    latencies = [r.latency for r in result.completed_records if r.latency is not None]
+    latencies = [r.latency for r in rows if r.latency is not None]
     assert stats.count == len(latencies)
     assert stats.mean == pytest.approx(np.mean(latencies), rel=1e-12)
     assert stats.p99 == pytest.approx(np.percentile(latencies, 99), rel=1e-12)
     assert stats.maximum == pytest.approx(np.max(latencies), rel=1e-12)
 
 
-def test_column_store_from_records_handles_empty_and_all_dropped():
+def test_column_store_from_records_handles_empty_and_all_dropped(row_recorder):
     dataset = make_coco_like(50, seed=0, feature_dim=DIM)
-    empty = SimulationResult(records=[], dataset=dataset, slo=SLO, duration=10.0)
+    empty = SimulationResult(cols=ColumnStore.empty(DIM), dataset=dataset, slo=SLO, duration=10.0)
     assert empty.total_queries == 0
     assert empty.dropped_count == 0
     assert empty.slo_violation_ratio == 0.0
     assert np.isnan(empty.fid())
+    dropped = [
+        row_recorder.Row(
+            query=Query(query_id=i, arrival_time=1.0, prompt="p", difficulty=0.5, slo=SLO),
+            stage=QueryStage.DROPPED,
+        )
+        for i in range(3)
+    ]
     all_dropped = SimulationResult(
-        records=[
-            QueryRecord(
-                query=Query(query_id=i, arrival_time=1.0, prompt="p", difficulty=0.5, slo=SLO),
-                stage=QueryStage.DROPPED,
-            )
-            for i in range(3)
-        ],
+        cols=row_recorder.columns_from_rows(dropped, DIM),
         dataset=dataset,
         slo=SLO,
         duration=10.0,
@@ -185,55 +202,27 @@ def test_column_store_from_records_handles_empty_and_all_dropped():
 # --------------------------------------------------------------------------
 
 
-def test_collector_driven_result_matches_brute_force():
+def test_collector_driven_result_matches_brute_force(row_recorder):
     """Rows written through the collector's data path yield the same
-    columnar metrics as the per-record reference over the input records."""
+    columnar metrics as the per-row reference over the input rows."""
     dataset = make_coco_like(200, seed=3, feature_dim=DIM)
-    records = _random_records(3)
+    rows = _random_rows(row_recorder.Row, 3)
     collector = ResultCollector(dataset)
-    for r in records:
-        if r.dropped:
-            collector.drop(r.query)
-        else:
-            image = GeneratedImage(
-                query_id=r.query.query_id,
-                variant_name=r.model_used,
-                quality=r.quality,
-                features=r.features,
-            )
-            collector.complete(r.query, image, r.stage, r.confidence, r.deferred, r.completion_time)
-    rows = collector.drain()
-    result = SimulationResult.from_columns(
-        rows.cols, records=rows, dataset=dataset, slo=SLO, duration=DURATION
-    )
-    assert result.cols is rows.cols
-    assert isinstance(result.cols, ColumnStore)
+    _write_rows(collector, rows)
+    result = SimulationResult(cols=collector.drain(), dataset=dataset, slo=SLO, duration=DURATION)
     summary = result.summary()
-    reference = _ref_summary(
-        SimulationResult(records=records, dataset=dataset, slo=SLO, duration=DURATION)
-    )
+    reference = _ref_summary(result, rows)
     for key in reference:
         assert summary[key] == pytest.approx(reference[key], rel=1e-9, abs=1e-9), key
 
 
-def test_collector_running_summary_tracks_final_summary():
+def test_collector_running_summary_tracks_final_summary(row_recorder):
     dataset = make_coco_like(200, seed=4, feature_dim=DIM)
-    records = _random_records(4)
     collector = ResultCollector(dataset)
-    for r in records:
-        if r.dropped:
-            collector.drop(r.query)
-        else:
-            image = GeneratedImage(
-                query_id=r.query.query_id,
-                variant_name=r.model_used,
-                quality=r.quality,
-                features=r.features,
-            )
-            collector.complete(r.query, image, r.stage, r.confidence, r.deferred, r.completion_time)
+    _write_rows(collector, _random_rows(row_recorder.Row, 4))
     live = collector.running_summary()
     final = SimulationResult(
-        records=collector.drain(), dataset=dataset, slo=SLO, duration=DURATION
+        cols=collector.drain(), dataset=dataset, slo=SLO, duration=DURATION
     ).summary()
     for key in ("total_queries", "completed", "dropped", "slo_violation_ratio", "deferral_rate"):
         assert live[key] == pytest.approx(final[key], rel=1e-12), key
@@ -286,10 +275,10 @@ def test_streaming_windowed_fid_accepts_unsorted_timestamps():
     np.testing.assert_allclose(values, ref_values, rtol=1e-9, atol=1e-9)
 
 
-def test_fid_timeseries_uses_cached_real_moments():
-    result = _result(2)
+def test_fid_timeseries_uses_cached_real_moments(row_recorder):
+    result, rows = _result(row_recorder, 2)
     centers, values = result.fid_timeseries(window=20.0)
-    completed = [r for r in result.completed_records if r.features is not None]
+    completed = [r for r in rows if r.features is not None]
     times = np.array([r.completion_time for r in completed])
     feats = np.stack([r.features for r in completed])
     ref_centers, ref_values = windowed_fid_reference(

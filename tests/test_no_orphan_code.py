@@ -28,8 +28,6 @@ ALLOWED = {
     "(tests/test_systems.py) and the table1 benchmark",
     "repro.core.geo.GeoTopology.total_capacity_units": "topology property checked by the "
     "sharding tests",
-    "repro.core.query.QueryRecord.slo_violated": "per-record test oracle for the columnar "
-    "SLO counts of SimulationResult",
     "repro.core.resources.BandwidthChannel.active_count": "channel state the "
     "resource-conservation tests inspect",
     "repro.core.resources.BandwidthChannel.total_rate_gbps": "channel state the "
@@ -39,8 +37,6 @@ ALLOWED = {
     "accumulators fold lazily",
     "repro.core.results.SimulationResult.total_queries": "result accessor read by the "
     "serial == sharded tests",
-    "repro.core.results.SimulationResult.completed_records": "record view the tests use as "
-    "an oracle for the columnar metrics",
     "repro.core.system.ClientSource.total_queries": "arrival count the fault tests check "
     "query conservation against",
     "repro.discriminators.base.Discriminator.accepts": "threshold rule stated as a method; "

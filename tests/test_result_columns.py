@@ -1,8 +1,8 @@
-"""The result collector as a column writer, checked against the record path.
+"""The result collector as a column writer, checked against recorded rows.
 
-* Differential oracle: on real cells, the drained columns equal what the
-  per-completion ``QueryRecord`` path built, column by column, dtypes and
-  NaN positions included.
+* Differential oracle: on real cells, the drained columns equal the columns
+  built from the rows the collector was handed, one ``Row`` per call,
+  column by column, dtypes and NaN positions included.
 * Fold on read: however a stream of completions is split by live-view
   reads, the lazily folded accumulators hold the same bits as one ``add``
   per completion.
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.registry import build_system
 from repro.core.config import FleetSpec
-from repro.core.query import Query, QueryRecord, QueryStage
+from repro.core.query import Query, QueryStage
 from repro.core.results import ColumnStore, ResultCollector
 from repro.core.system import ClientSource
 from repro.metrics.accumulators import GaussianStats, P2Quantile, StreamingMoments
@@ -42,54 +42,6 @@ def _assert_same_columns(expected: ColumnStore, actual: ColumnStore) -> None:
         assert np.array_equal(got, want, equal_nan=floats), column.name
 
 
-class _RecordShadow:
-    """Replays the collector's calls into ``QueryRecord`` objects, as the
-    collector itself did before it wrote columns."""
-
-    def __init__(self, monkeypatch) -> None:
-        self.records = []
-        self._retries = {}
-        complete, drop, retry = (
-            ResultCollector.complete,
-            ResultCollector.drop,
-            ResultCollector.record_retry,
-        )
-
-        def shadow_complete(collector, query, image, stage, confidence, deferred, now):
-            self.records.append(
-                QueryRecord(
-                    query=query,
-                    stage=stage,
-                    completion_time=now,
-                    model_used=image.variant_name,
-                    quality=image.quality,
-                    features=image.features,
-                    confidence=confidence,
-                    deferred=deferred,
-                    retries=self._retries.pop(query.query_id, 0),
-                )
-            )
-            complete(collector, query, image, stage, confidence, deferred, now)
-
-        def shadow_drop(collector, query):
-            self.records.append(
-                QueryRecord(
-                    query=query,
-                    stage=QueryStage.DROPPED,
-                    retries=self._retries.pop(query.query_id, 0),
-                )
-            )
-            drop(collector, query)
-
-        def shadow_retry(collector, query):
-            self._retries[query.query_id] = self._retries.get(query.query_id, 0) + 1
-            retry(collector, query)
-
-        monkeypatch.setattr(ResultCollector, "complete", shadow_complete)
-        monkeypatch.setattr(ResultCollector, "drop", shadow_drop)
-        monkeypatch.setattr(ResultCollector, "record_retry", shadow_retry)
-
-
 def _cascade_cell():
     system = build_system("sdturbo", fleet=FleetSpec.homogeneous(2), dataset_size=60, seed=0)
     return system, make_workload("static", duration=30.0, qps=20.0, seed=0)
@@ -109,25 +61,16 @@ def _storm_cell():
 
 
 @pytest.mark.parametrize("cell", [_cascade_cell, _storm_cell], ids=["cascade", "storm"])
-def test_drained_columns_match_the_record_path(monkeypatch, cell):
+def test_drained_columns_match_the_record_path(row_recorder, cell):
     system, workload = cell()
-    shadow = _RecordShadow(monkeypatch)
     result = system.run(workload)
     cols = result.cols
-    dim = system.dataset.real_features.shape[1]
 
-    assert len(shadow.records) == len(cols) > 0
+    assert len(row_recorder.rows) == len(cols) > 0
     assert cols.dropped.any() and cols.deferred.any()
     if cell is _storm_cell:
         assert cols.retries.any()
-    _assert_same_columns(ColumnStore.from_records(shadow.records, dim), cols)
-    # The lazy record view round-trips to the same columns and carries the
-    # objects the columns do not: the queries and the model names.
-    _assert_same_columns(ColumnStore.from_records(result.records, dim), cols)
-    for mine, theirs in zip(result.records, shadow.records):
-        assert mine.query is theirs.query
-        assert mine.model_used == theirs.model_used
-    assert result.completed_records == [r for r in result.records if not r.dropped]
+    _assert_same_columns(row_recorder.columns(system.dataset.real_features.shape[1]), cols)
 
 
 def test_result_closes_the_collector():
@@ -144,7 +87,7 @@ def test_result_closes_the_collector():
     assert len(collector) == 0
     assert collector.pending_rows == 0
     total = collector.completed_count + collector.dropped_count
-    assert len(result.records) == len(result.cols) == total
+    assert len(result.cols) == total
     with pytest.raises(RuntimeError, match="closed"):
         collector.running_summary()
 

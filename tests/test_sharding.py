@@ -6,6 +6,7 @@ summaries.  The determinism tests here are the gate; they carry an
 ``xdist_group`` marker so a parallel CI runner keeps them on one worker.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -283,10 +284,10 @@ def test_sample_origins_deterministic_and_weighted():
 
 
 # -------------------------------------------------------------- column merging
-def _random_records(rng, n, start_id=0):
-    from repro.core.query import Query, QueryRecord, QueryStage
+def _random_rows(Row, rng, n, start_id=0):
+    from repro.core.query import Query, QueryStage
 
-    records = []
+    rows = []
     for i in range(n):
         query = Query(
             query_id=start_id + i,
@@ -301,8 +302,8 @@ def _random_records(rng, n, start_id=0):
             if dropped
             else (QueryStage.LIGHT if rng.uniform() < 0.7 else QueryStage.HEAVY)
         )
-        records.append(
-            QueryRecord(
+        rows.append(
+            Row(
                 query=query,
                 stage=stage,
                 completion_time=(
@@ -314,14 +315,18 @@ def _random_records(rng, n, start_id=0):
                 features=None if dropped else rng.normal(size=4),
             )
         )
-    return records
+    return rows
 
 
-def test_column_store_concat_matches_from_records():
+def test_column_store_concat_matches_from_records(row_recorder):
     rng = np.random.default_rng(5)
-    chunks = [_random_records(rng, n, start_id=s) for n, s in ((7, 0), (0, 7), (13, 7), (4, 20))]
-    whole = ColumnStore.from_records([r for chunk in chunks for r in chunk], 4)
-    merged = ColumnStore.concat([ColumnStore.from_records(c, 4) for c in chunks], 4)
+    build = row_recorder.columns_from_rows
+    chunks = [
+        _random_rows(row_recorder.Row, rng, n, start_id=s)
+        for n, s in ((7, 0), (0, 7), (13, 7), (4, 20))
+    ]
+    whole = build([r for chunk in chunks for r in chunk], 4)
+    merged = ColumnStore.concat([build(c, 4) for c in chunks], 4)
     assert len(merged) == len(whole)
     for column in ("arrival", "deadline", "completion", "quality", "confidence"):
         assert np.array_equal(getattr(merged, column), getattr(whole, column), equal_nan=True)
@@ -331,11 +336,15 @@ def test_column_store_concat_matches_from_records():
     assert np.array_equal(merged.features, whole.features)
 
 
-def test_column_store_concat_empty_and_single():
+def test_column_store_concat_empty_and_single(row_recorder):
     empty = ColumnStore.concat([], 4)
     assert len(empty) == 0 and empty.features.shape == (0, 4)
+    # The same empty columns, dtypes included, as a store built from no rows.
+    oracle = row_recorder.columns_from_rows([], 4)
+    for column in dataclasses.fields(ColumnStore):
+        assert getattr(empty, column.name).dtype == getattr(oracle, column.name).dtype, column.name
     rng = np.random.default_rng(6)
-    one = ColumnStore.from_records(_random_records(rng, 3), 4)
+    one = row_recorder.columns_from_rows(_random_rows(row_recorder.Row, rng, 3), 4)
     assert ColumnStore.concat([one], 4) is one
 
 
@@ -544,6 +553,34 @@ def _still_running(pids, marker: bytes) -> list:
     return running
 
 
+def _assert_children_die_with_their_parent(script: str, read_pids, marker: bytes) -> None:
+    """Run ``script`` in a fresh interpreter, read its children's pids with
+    ``read_pids(stdout)``, SIGKILL it, and assert that every child exits
+    within 10 s.  Survivors are killed in cleanup."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    parent = subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(script)], env=env, stdout=subprocess.PIPE, text=True
+    )
+    pids = []
+    try:
+        pids = read_pids(parent.stdout)
+        assert len(pids) == 2 and sorted(_still_running(pids, marker)) == sorted(pids)
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(timeout=30)
+        deadline = time.monotonic() + 10.0
+        while _still_running(pids, marker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _still_running(pids, marker) == []
+    finally:
+        parent.kill()
+        parent.wait(timeout=30)
+        parent.stdout.close()
+        for pid in _still_running(pids, marker):
+            os.kill(pid, signal.SIGKILL)
+
+
 @pytest.mark.xdist_group("sharding-determinism")
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
 def test_shards_exit_when_their_supervisor_is_killed():
@@ -551,30 +588,45 @@ def test_shards_exit_when_their_supervisor_is_killed():
     forked shard inherits copies of the supervisor's pipe ends (its own and
     those of the shards started before it); unless it closes them, a
     SIGKILLed supervisor leaves every shard blocked in ``recv`` forever."""
-    script = textwrap.dedent(_SUPERVISOR_SCRIPT)
-    env = dict(os.environ)
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    supervisor = subprocess.Popen(
-        [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True
+    _assert_children_die_with_their_parent(
+        _SUPERVISOR_SCRIPT, lambda out: json.loads(out.readline()), b"announce(groups)"
     )
-    marker = b"announce(groups)"
-    pids = []
-    try:
-        pids = json.loads(supervisor.stdout.readline())
-        assert len(pids) == 2 and _still_running(pids, marker) == pids
-        supervisor.send_signal(signal.SIGKILL)
-        supervisor.wait(timeout=30)
-        deadline = time.monotonic() + 10.0
-        while _still_running(pids, marker) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert _still_running(pids, marker) == []
-    finally:
-        supervisor.kill()
-        supervisor.wait(timeout=30)
-        supervisor.stdout.close()
-        for pid in _still_running(pids, marker):
-            os.kill(pid, signal.SIGKILL)
+
+
+#: Runs a two-cell grid on two pool workers whose cells hang; each worker
+#: prints its pid once its cell has started.
+_POOL_SCRIPT = """
+    import os, time
+    from repro.experiments.harness import ExperimentScale
+    from repro.runner import executor
+    from repro.runner.spec import ExperimentGrid
+
+    def hang_in_cell(spec, cache):
+        print(os.getpid(), flush=True)
+        time.sleep(600)
+
+    executor.run_cell = hang_in_cell
+    scale = ExperimentScale(dataset_size=60, trace_duration=10.0, num_workers=2)
+    executor.run_grid(
+        ExperimentGrid.product(base_scale=scale, seeds=(0, 1), systems=("diffserve",)),
+        jobs=2,
+        use_cache=False,
+    )
+"""
+
+
+@pytest.mark.xdist_group("sharding-determinism")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
+def test_pool_workers_exit_when_their_parent_is_killed():
+    """A pool worker waits for work on the call queue, and it holds a write
+    end of that queue itself, so a SIGKILLed ``run_grid`` process never
+    shows it EOF there.  Each worker watches a pipe whose write end only
+    its parent holds, and exits at EOF, even in the middle of a cell."""
+    _assert_children_die_with_their_parent(
+        _POOL_SCRIPT,
+        lambda out: [int(out.readline()) for _ in range(2)],
+        b"hang_in_cell",
+    )
 
 
 @pytest.mark.xdist_group("sharding-determinism")

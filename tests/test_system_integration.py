@@ -1,5 +1,6 @@
 """Integration tests: full serving simulations of DiffServe and the baselines."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -13,7 +14,8 @@ from repro.baselines.registry import (
     render_baseline_table,
 )
 from repro.core.config import FleetSpec
-from repro.core.query import QueryStage
+from repro.core.query import Query, QueryStage
+from repro.core.results import STAGE_CODES
 from repro.traces.azure import azure_functions_like_rate
 from repro.traces.base import ArrivalTrace
 from repro.traces.synthetic import static_rate
@@ -52,7 +54,7 @@ def trained_discriminator_module(request):
 def test_diffserve_serves_every_query(diffserve_result, short_trace):
     _, trace = short_trace
     assert diffserve_result.total_queries == len(trace)
-    completed = len(diffserve_result.completed_records)
+    completed = int(diffserve_result.cols.completed.sum())
     assert completed + diffserve_result.dropped_count == len(trace)
     assert completed > 0.9 * len(trace)
 
@@ -62,8 +64,9 @@ def test_diffserve_keeps_slo_violations_low(diffserve_result):
 
 
 def test_diffserve_uses_both_models(diffserve_result):
-    stages = {r.stage for r in diffserve_result.completed_records}
-    assert QueryStage.LIGHT in stages and QueryStage.HEAVY in stages
+    cols = diffserve_result.cols
+    stages = set(cols.stage[cols.completed].tolist())
+    assert STAGE_CODES[QueryStage.LIGHT] in stages and STAGE_CODES[QueryStage.HEAVY] in stages
     assert 0.05 < diffserve_result.deferral_rate < 0.95
 
 
@@ -111,12 +114,14 @@ def test_simulation_is_reproducible(coco_dataset_module, trained_discriminator_m
     assert a.deferral_rate == pytest.approx(b.deferral_rate)
 
 
-def test_dropping_a_result_frees_its_records(coco_dataset_module, trained_discriminator_module):
-    """The result owns the records: none outlive it, even with the cyclic GC off.
+def test_a_finished_result_holds_no_query(coco_dataset_module, trained_discriminator_module):
+    """A result holds its rows as columns only: with the cyclic GC off, no
+    ``Query`` of the run is alive while the result is, and the result's
+    column arrays die with it.
 
     The finished runtime (simulator, actors, collector) is a web of
-    reference cycles only the cyclic collector frees; records handed over to
-    the result must not wait for it.
+    reference cycles only the cyclic collector frees; what the result holds
+    must not wait for it.
     """
     trace = ArrivalTrace.from_rate_curve(static_rate(10.0, 30.0), np.random.default_rng(1))
     system = build_system(
@@ -130,9 +135,14 @@ def test_dropping_a_result_frees_its_records(coco_dataset_module, trained_discri
     enabled = gc.isenabled()
     gc.disable()
     try:
+        # Queries other tests left alive are held here, so their ids stay theirs.
+        earlier = [obj for obj in gc.get_objects() if isinstance(obj, Query)]
+        known = {id(obj) for obj in earlier}
         result = system.run(trace)
-        refs = [weakref.ref(record) for record in result.records]
-        assert len(refs) == len(trace.arrival_times) > 0
+        assert len(result.cols) == len(trace.arrival_times) > 0
+        alive = [obj for obj in gc.get_objects() if isinstance(obj, Query) and id(obj) not in known]
+        assert alive == []
+        refs = [weakref.ref(getattr(result.cols, f.name)) for f in dataclasses.fields(result.cols)]
         del result
         assert sum(ref() is not None for ref in refs) == 0
     finally:
@@ -141,20 +151,22 @@ def test_dropping_a_result_frees_its_records(coco_dataset_module, trained_discri
 
 
 # -------------------------------------------------------------------- baselines
-def test_clipper_light_never_defers(coco_dataset_module, short_trace):
+def test_clipper_light_never_defers(coco_dataset_module, short_trace, row_recorder):
     _, trace = short_trace
     system = build_system("sdturbo", "clipper-light", dataset=coco_dataset_module)
     result = system.run(trace)
     assert result.deferral_rate == 0.0
     assert result.slo_violation_ratio < 0.02
-    assert all(r.model_used == "sd-turbo" for r in result.completed_records)
+    assert len(row_recorder.rows) == result.total_queries
+    assert all(r.model_used == "sd-turbo" for r in row_recorder.completed())
 
 
-def test_clipper_heavy_overloads_at_peak(coco_dataset_module, short_trace):
+def test_clipper_heavy_overloads_at_peak(coco_dataset_module, short_trace, row_recorder):
     _, trace = short_trace
     system = build_system("sdturbo", "clipper-heavy", dataset=coco_dataset_module)
     result = system.run(trace)
-    assert all(r.model_used == "sd-v1.5" for r in result.completed_records)
+    assert len(row_recorder.rows) == result.total_queries
+    assert all(r.model_used == "sd-v1.5" for r in row_recorder.completed())
     assert result.slo_violation_ratio > 0.2
 
 
@@ -167,11 +179,13 @@ def test_clipper_quality_ordering(coco_dataset_module, short_trace):
         build_system("sdturbo", "clipper-medium")
 
 
-def test_proteus_uses_multiple_variants_query_agnostically(coco_dataset_module, short_trace):
+def test_proteus_uses_multiple_variants_query_agnostically(
+    coco_dataset_module, short_trace, row_recorder
+):
     _, trace = short_trace
     system = build_system("sdturbo", "proteus", dataset=coco_dataset_module)
     result = system.run(trace)
-    used = {r.model_used for r in result.completed_records}
+    used = {r.model_used for r in row_recorder.completed()}
     assert len(used) >= 2  # light + a more accurate variant
     assert result.slo_violation_ratio < 0.15
 
