@@ -4,9 +4,11 @@ Two gates:
 
 * Warm-started re-planning is cheap: re-solving a drifting allocation
   problem with the previous epoch's plan as a warm start solves at least 3x
-  fewer LP relaxations than cold solves (the deterministic cost model).  The
-  warm path seeds the MILP incumbent and prunes batch pairs through the
-  closed-form relaxation bound
+  fewer LP relaxations than cold solves (the deterministic cost model).
+  Both sweeps skip batch pairs whose pair bound cannot reach the best
+  plan's key; the warm path also seeds the MILP incumbent, takes an
+  incumbent that meets its pair bound without a solve, and prunes pairs
+  whose closed-form relaxation bound cannot beat the incumbent's objective
   (:meth:`repro.core.allocator.DiffServeAllocator.plan`).  Wall time is
   reported to ``benchmarks/compare.py``, not asserted.
 * Adaptation wins: on the flash-crowd workload the online re-planned system

@@ -26,6 +26,7 @@ a grid and selected with binary variables inside a MILP solved per candidate
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -37,8 +38,8 @@ from repro.core.queueing import LittlesLawModel, QueueingModel
 from repro.discriminators.deferral import DeferralProfile
 from repro.milp.branch_and_bound import BranchAndBoundSolver
 from repro.milp.exhaustive import ExhaustiveSolver
-from repro.milp.problem import MILPProblem
-from repro.milp.solution import MILPSolution
+from repro.milp.problem import ACCEPT_TOL, MILPProblem
+from repro.milp.solution import MILPSolution, SolveStatus
 from repro.models.variants import ModelVariant
 from repro.models.zoo import variant_profile
 
@@ -316,28 +317,35 @@ class DiffServeAllocator:
         return light, heavy
 
     def _eligible_classes(
-        self, ctx: ControlContext, b1: int, b2: int, demand: float
+        self,
+        ctx: ControlContext,
+        demand: float,
+        light: Sequence[DeviceClass],
+        light_execution: Mapping[str, float],
+        heavy: Sequence[DeviceClass],
+        heavy_execution: Mapping[str, float],
     ) -> Tuple[List[DeviceClass], List[DeviceClass]]:
         """Classes allowed to host each stage for a fixed batch pair.
 
-        Starts from memory-fitting classes whose per-stage execution latency
-        fits the SLO, then enforces the end-to-end latency budget (Eq. 1) on
-        the *worst-case* cascade path: while the slowest light-eligible plus
-        slowest heavy-eligible class blow the budget, the slowest class of
-        the stage contributing more is evicted (ties evict from the heavy
-        stage) and the check repeats.  On a homogeneous fleet there is
-        nothing to evict, so the pair is simply feasible or not — exactly
-        the pre-fleet behaviour.  Either returned list may be empty (the
-        pair is infeasible).
+        ``light`` / ``heavy`` are the memory-fitting classes and
+        ``*_execution`` their per-class execution latency at the pair's batch
+        sizes (see :meth:`_candidate_allocations`).  Starts from the classes
+        whose per-stage execution latency fits the SLO, then enforces the
+        end-to-end latency budget (Eq. 1) on the *worst-case* cascade path:
+        while the slowest light-eligible plus slowest heavy-eligible class
+        blow the budget, the slowest class of the stage contributing more is
+        evicted (ties evict from the heavy stage) and the check repeats.  On
+        a homogeneous fleet there is nothing to evict, so the pair is simply
+        feasible or not — exactly the pre-fleet behaviour.  Either returned
+        list may be empty (the pair is infeasible).
         """
-        light, heavy = self._hostable_classes(ctx.fleet, ctx.resources)
-        light = [d for d in light if self._light_execution(b1, d) <= ctx.slo]
-        heavy = [d for d in heavy if self._heavy_execution(b2, d) <= ctx.slo]
+        light = [d for d in light if light_execution[d.name] <= ctx.slo]
+        heavy = [d for d in heavy if heavy_execution[d.name] <= ctx.slo]
         deferral_guess = ctx.observed_deferral if ctx.observed_deferral is not None else 0.3
         heavy_rate = max(demand * deferral_guess, 1e-3)
         while light and heavy:
-            e1 = max(self._light_execution(b1, d) for d in light)
-            e2 = max(self._heavy_execution(b2, d) for d in heavy)
+            e1 = max(light_execution[d.name] for d in light)
+            e2 = max(heavy_execution[d.name] for d in heavy)
             q1 = self.queueing_model.waiting_time(
                 ctx.light_queue_length, max(demand, 1e-3), e1
             )
@@ -345,9 +353,9 @@ class DiffServeAllocator:
             if e1 + q1 + e2 + q2 <= ctx.slo:
                 return light, heavy
             if len(heavy) > 1 and (e2 >= e1 or len(light) == 1):
-                heavy = [d for d in heavy if self._heavy_execution(b2, d) < e2]
+                heavy = [d for d in heavy if heavy_execution[d.name] < e2]
             elif len(light) > 1:
-                light = [d for d in light if self._light_execution(b1, d) < e1]
+                light = [d for d in light if light_execution[d.name] < e1]
             else:
                 return [], []
         return [], []
@@ -568,10 +576,34 @@ class DiffServeAllocator:
         heavy_classes: Optional[Sequence[DeviceClass]] = None,
     ) -> MILPSolution:
         """Solve the fixed-batch MILP, routing small instances to the LP-free
-        exhaustive solver and seeding the incumbent when a warm start exists."""
+        exhaustive solver and seeding the incumbent when a warm start exists.
+
+        A warm incumbent whose objective reaches the pair's
+        :meth:`_pair_bound` keeps the most heavy capacity any accepted light
+        pool leaves, at no penalty, so it is returned as the solution without
+        a solve.  Either solver would return it too: the exhaustive solver
+        keeps its seed unless an assignment strictly beats it, and
+        branch-and-bound explores only nodes whose relaxation beats it by
+        more than its MIP gap.  The incumbent must also hold every row to
+        within ``1e-9``, well inside HiGHS's feasibility tolerance, so that
+        branch-and-bound would not have found the root relaxation infeasible.
+        """
+        if light_classes is None or heavy_classes is None:
+            light_classes, heavy_classes = self._hostable_classes(ctx.fleet, ctx.resources)
         problem = self.build_problem(
             ctx, b1, b2, demand, light_classes=light_classes, heavy_classes=heavy_classes
         )
+        incumbent = problem.validated_assignment(warm_assignment)
+        if incumbent is not None:
+            objective = problem.objective_value(incumbent)
+            bound = self._pair_bound(b1, b2, demand, ctx.fleet, light_classes, heavy_classes)
+            if objective >= bound and problem.is_feasible(incumbent, tol=1e-9):
+                return MILPSolution(
+                    status=SolveStatus.OPTIMAL,
+                    objective=objective,
+                    values=incumbent,
+                    warm_start_used=True,
+                )
         if self.exhaustive_cutoff:
             size = self.exhaustive_solver.search_space(problem)
             if size is not None and 0 < size <= self.exhaustive_cutoff:
@@ -616,17 +648,27 @@ class DiffServeAllocator:
 
         Larger batches give strictly higher worker throughput, so for each
         light batch size only the largest heavy batch that still fits the
-        latency budget can be optimal.
+        latency budget can be optimal.  Memory gating and the per-(batch,
+        class) execution latencies are computed once per call and shared by
+        every pair's eligibility check.
         """
+        light, heavy = self._hostable_classes(ctx.fleet, ctx.resources)
+        light_execution = {
+            b: {d.name: self._light_execution(b, d) for d in light} for b in self.batch_candidates
+        }
+        heavy_execution = {
+            b: {d.name: self._heavy_execution(b, d) for d in heavy} for b in self.batch_candidates
+        }
         allocations: List[Tuple[int, int, List[DeviceClass], List[DeviceClass]]] = []
-        for b1 in sorted(self.batch_candidates, reverse=True):
-            best_b2: Optional[Tuple[int, List[DeviceClass], List[DeviceClass]]] = None
-            for b2 in self.batch_candidates:
-                light, heavy = self._eligible_classes(ctx, b1, b2, demand)
-                if light and heavy and (best_b2 is None or b2 > best_b2[0]):
-                    best_b2 = (b2, light, heavy)
-            if best_b2 is not None:
-                allocations.append((b1, best_b2[0], best_b2[1], best_b2[2]))
+        descending = sorted(self.batch_candidates, reverse=True)
+        for b1 in descending:
+            for b2 in descending:
+                eligible = self._eligible_classes(
+                    ctx, demand, light, light_execution[b1], heavy, heavy_execution[b2]
+                )
+                if eligible[0] and eligible[1]:
+                    allocations.append((b1, b2, *eligible))
+                    break
         return allocations
 
     def _warm_assignment(
@@ -761,10 +803,11 @@ class DiffServeAllocator:
         Any feasible light pool pays at least the larger of the two, so the
         bound subtracts their maximum.  On a single class this is the
         paper's closed form ``min(1, (S - max(min_light, D/t1)) * t2 / D)``.
-        Integrality is relaxed, so this is a true upper bound on any
-        integer-feasible plan, which is what lets a warm re-solve skip batch
-        pairs that cannot beat the incumbent carried over from the previous
-        epoch.
+        Integrality is relaxed, so this bounds the objective of any exactly
+        feasible plan.  A warm sweep prunes every pair whose bound does not
+        beat its best objective so far; :meth:`_pair_bound` falls back to it
+        (at a demand relaxed by the solvers' tolerance) when a pair has more
+        than one light-eligible class.
         """
         if demand <= 0:
             return -np.inf
@@ -808,18 +851,70 @@ class DiffServeAllocator:
             return -np.inf
         return min(1.0, max(0.0, heavy_cap - spent) / demand)
 
+    def _pair_bound(
+        self,
+        b1: int,
+        b2: int,
+        demand: float,
+        fleet: FleetSpec,
+        light_classes: Sequence[DeviceClass],
+        heavy_classes: Sequence[DeviceClass],
+    ) -> float:
+        """Upper bound on the heavy capacity, as a share of ``D`` and at most
+        1, that survives every light pool the solvers accept for one batch
+        pair (``-inf`` when they accept none).
+
+        The solvers accept a light-throughput row that holds to within
+        :data:`~repro.milp.problem.ACCEPT_TOL`, so the light pool need only
+        cover ``D - ACCEPT_TOL``.  With exactly one light-eligible class the
+        light pool is a whole number of its workers, at least ``max(min_light,
+        ceil((D - ACCEPT_TOL) / t1))``, and every other worker may serve
+        heavy.  Otherwise the bound is :meth:`_fraction_upper_bound` at the
+        relaxed demand.  An accepted ``f`` may still exceed the bound by
+        ``ACCEPT_TOL / D``, the heavy row's slack; :meth:`plan` adds it back
+        before it reads a threshold off the bound.
+        """
+        relaxed = demand - ACCEPT_TOL
+        if len(light_classes) != 1:
+            return self._fraction_upper_bound(
+                b1, b2, relaxed, fleet, light_classes, heavy_classes
+            )
+        (device,) = light_classes
+        # 1e-9 absorbs the rounding of the quotient.
+        light = max(
+            self.min_light_workers,
+            math.ceil(relaxed / self._light_throughput(b1, device) - 1e-9),
+        )
+        if light > fleet.count_for(device.name):
+            return -np.inf
+        heavy_capacity = sum(
+            (fleet.count_for(d.name) - (light if d.name == device.name else 0))
+            * self._heavy_throughput(b2, d)
+            for d in heavy_classes
+        )
+        return min(1.0, heavy_capacity / demand)
+
     def plan(
         self, ctx: ControlContext, *, warm_start: Optional[AllocationPlan] = None
     ) -> AllocationPlan:
         """Solve the allocation problem for the given control context.
 
+        The sweep visits the candidate batch pairs and keeps the plan with
+        the largest :meth:`_plan_key`.  Before solving a pair it takes the
+        pair's :meth:`_pair_bound` through the threshold grid: that is the
+        best key the pair could reach, and a pair whose best key is below the
+        current best plan's key is skipped, since it could never replace it.
+        Cold sweeps visit the largest light batch first, so after the first
+        solve every pair that cannot beat its threshold is skipped.
+
         ``warm_start`` carries the previous epoch's plan into the solve: the
-        incumbent of every per-pair MILP is seeded from its (repaired) worker
-        split, and once one pair is solved its objective prunes — via the
-        closed-form relaxation bound — every remaining batch pair that cannot
-        strictly improve on it.  Warm re-solves therefore cost one MILP in the
-        common case instead of one per candidate pair, and ties resolve
-        towards the previous plan (fewer worker reconfigurations).
+        previous batch pair is visited first, the incumbent of every per-pair
+        MILP is seeded from the (repaired) previous worker split, and a pair
+        whose closed-form relaxation bound cannot strictly beat the best
+        objective so far is skipped as well.  An incumbent whose objective
+        already meets the pair bound is the pair's solution without a solve.
+        Warm re-solves therefore often cost no LP at all, and objective ties
+        resolve towards the previous plan (fewer worker reconfigurations).
         """
         demand = max(ctx.demand, 1e-3) * self.over_provision
         max_threshold = max(t for t, _ in self.threshold_grid)
@@ -844,13 +939,24 @@ class DiffServeAllocator:
         for b1, b2, light_classes, heavy_classes in allocations:
             if best is not None and best.threshold >= max_threshold:
                 break
+            if best is not None:
+                bound = self._pair_bound(b1, b2, demand, ctx.fleet, light_classes, heavy_classes)
+                # An accepted f may exceed the bound by the heavy row's slack.
+                reach = (
+                    -np.inf
+                    if bound == -np.inf
+                    else self._grid_threshold(min(1.0, bound + ACCEPT_TOL / demand))
+                )
+                if (reach, b1, b2) < self._plan_key(best):
+                    self.pairs_pruned_by_bound += 1
+                    continue
             warm_assignment = None
             if warm_start is not None:
                 if best is not None and best.objective is not None:
-                    bound = self._fraction_upper_bound(
+                    relaxation = self._fraction_upper_bound(
                         b1, b2, demand, ctx.fleet, light_classes, heavy_classes
                     )
-                    if bound <= best.objective + 1e-9:
+                    if relaxation <= best.objective + 1e-9:
                         self.pairs_pruned_by_bound += 1
                         continue
                 warm_assignment = self._warm_assignment(
@@ -924,14 +1030,16 @@ class DiffServeAllocator:
         # larger batches, which give more throughput headroom under bursts.
         return (plan.threshold, plan.light_batch, plan.heavy_batch)
 
+    def _grid_threshold(self, fraction: float) -> float:
+        """Largest grid threshold whose deferral fraction fits ``fraction``
+        (the grid is the empirical ``f^{-1}``); 0 when none does."""
+        candidates = [t for t, frac in self.threshold_grid if frac <= fraction + 1e-9]
+        return max(candidates) if candidates else 0.0
+
     def _threshold_from_solution(self, solution) -> Tuple[float, float]:
         """Recover (threshold, deferred fraction) from either formulation."""
         if "f" in solution.values:
-            fraction = float(np.clip(solution.values["f"], 0.0, 1.0))
-            # Largest grid threshold whose deferral fraction fits the solved f
-            # (the grid is the empirical f^{-1}).
-            candidates = [t for t, frac in self.threshold_grid if frac <= fraction + 1e-9]
-            threshold = max(candidates) if candidates else 0.0
+            threshold = self._grid_threshold(float(np.clip(solution.values["f"], 0.0, 1.0)))
             return threshold, self.deferral_profile.fraction(threshold)
         for k, (threshold, fraction) in enumerate(self.threshold_grid):
             if solution.values.get(f"z{k}", 0.0) > 0.5:

@@ -10,7 +10,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.milp.highs import LinearProgram
-from repro.milp.problem import MILPProblem
+from repro.milp.problem import ACCEPT_TOL, MILPProblem
 from repro.milp.solution import MILPSolution, SolveStatus
 
 Bounds = Dict[str, Tuple[float, Optional[float]]]
@@ -165,7 +165,7 @@ class BranchAndBoundSolver:
                     for name, v in values.items()
                 }
                 obj = problem.objective_value(rounded)
-                if obj > incumbent_obj and problem.is_feasible(rounded, tol=1e-5):
+                if obj > incumbent_obj and problem.is_feasible(rounded, tol=ACCEPT_TOL):
                     incumbent_obj = obj
                     incumbent = rounded
                 continue

@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional
 import numpy as np
 
 from repro.milp.highs import LinearProgram
-from repro.milp.problem import MILPProblem, Sense
+from repro.milp.problem import ACCEPT_TOL, MILPProblem, Sense
 from repro.milp.solution import MILPSolution, SolveStatus
 
 #: Feasibility slack used when reducing constraints on the single continuous
@@ -221,6 +221,6 @@ class ExhaustiveSolver:
             return None
         full = dict(fixed)
         full.update({name: float(v) for name, v in zip(cont_names, result.x)})
-        if not problem.is_feasible(full, tol=1e-5):
+        if not problem.is_feasible(full, tol=ACCEPT_TOL):
             return None
         return full

@@ -14,6 +14,12 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+#: Constraint slack within which both solvers accept an assignment: a warm
+#: start (:meth:`MILPProblem.validated_assignment`), an integral
+#: branch-and-bound node and an exhaustive LP completion.  Callers that bound
+#: what a solve can return (the allocator's pair bound) widen their rows by it.
+ACCEPT_TOL = 1e-5
+
 
 class VarType(enum.Enum):
     """Variable domain."""
@@ -221,7 +227,7 @@ class MILPProblem:
 
     # ------------------------------------------------------------ evaluation
     def validated_assignment(
-        self, candidate: Optional[Mapping[str, float]], tol: float = 1e-5
+        self, candidate: Optional[Mapping[str, float]], tol: float = ACCEPT_TOL
     ) -> Optional[Dict[str, float]]:
         """Round and feasibility-check a candidate (warm-start) assignment.
 

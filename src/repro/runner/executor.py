@@ -229,26 +229,37 @@ class _cell_deadline:
     the budget applies to the cell's own execution time — whether the cell
     runs inline or in a pool worker, and regardless of how long it waited in
     the pool's queue.  The previous handler and timer are restored on exit.
+
+    Code the alarm interrupts may swallow the exception: a C extension's
+    module initialisation can, when the alarm lands in an import.  So an
+    expired deadline also raises on exit, and the cell's result is dropped.
     """
 
     def __init__(self, seconds: Optional[float]) -> None:
         self.seconds = seconds
         self.active = bool(seconds) and hasattr(signal, "setitimer")
         self._previous = None
+        self._expired = False
+
+    def _timeout(self) -> _CellTimeout:
+        return _CellTimeout(f"cell exceeded its {self.seconds}s budget")
 
     def __enter__(self) -> "_cell_deadline":
         if self.active:
             def _expire(signum, frame):
-                raise _CellTimeout(f"cell exceeded its {self.seconds}s budget")
+                self._expired = True
+                raise self._timeout()
 
             self._previous = signal.signal(signal.SIGALRM, _expire)
             signal.setitimer(signal.ITIMER_REAL, self.seconds)
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, exc_type, *exc_info) -> None:
         if self.active:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, self._previous)
+            if self._expired and exc_type is None:
+                raise self._timeout()
 
 
 # --------------------------------------------------------------------------

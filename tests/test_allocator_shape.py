@@ -5,7 +5,9 @@ A single-class fleet builds the same class-indexed problem as a mixed one
 (``x1[a100]``, ``x2[a100]``, one capacity row, the ``min-light`` row).  The
 warm-ramp numbers below were recorded from the allocator that still kept a
 separate two-variable problem for single-class fleets; the class-indexed
-problem must reproduce them exactly.
+problem must reproduce them exactly.  The LP, pruned-pair and warm-hit
+counters also pin the sweep's pair bound and warm certificate, which move
+those counters but never the plans.
 """
 
 import numpy as np
@@ -54,9 +56,9 @@ WARM_RAMPS = {
         0,
         False,
         [0.5, 2.0, 6.0, 10.0, 14.0, 18.0, 14.0, 9.0, 4.0, 1.0, 0.3],
-        60,
-        9,
-        25,
+        2,
+        18,
+        16,
         [
             (1, 7, 16, 1, 1.0),
             (1, 7, 16, 1, 1.0),
@@ -93,13 +95,14 @@ WARM_RAMPS = {
         ],
     ),
     # Reload variables are continuous, so every enumerated split costs the
-    # exhaustive solver one LP: the count pins the size of the search space.
+    # exhaustive solver one LP; every solve here is certified or pruned by
+    # the pair bound instead, so none runs.
     "exhaustive-reload-aware": (
         4,
         64,
         True,
         [0.3, 1.0, 2.5, 4.0, 6.0, 8.0, 6.0, 3.0, 1.5, 0.4],
-        200,
+        0,
         23,
         10,
         [

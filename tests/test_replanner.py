@@ -6,6 +6,7 @@ periodic / adaptive policies), the allocator's warm-started solve path
 wiring through :func:`~repro.baselines.registry.build_system`.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -248,12 +249,14 @@ def test_observation_window_covers_replan_epochs_longer_than_control_period(
 ):
     # An epoch longer than the controller's period must not truncate the
     # balancer's arrival history (that would bias the demand estimate low).
+    # The running controller updates its profile online, so it gets a copy:
+    # the session fixture must reach later tests unchanged.
     system = build_system(
         "sdturbo",
         fleet=FleetSpec.homogeneous(4),
         dataset=coco_dataset,
         discriminator=trained_discriminator,
-        deferral_profile=deferral_profile,
+        deferral_profile=copy.deepcopy(deferral_profile),
         control_period=5.0,
         replan_epoch=12.0,
     )

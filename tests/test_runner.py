@@ -3,11 +3,14 @@
 import json
 import multiprocessing
 import pickle
+import signal
 import sys
+import time
 
 import pytest
 
 from repro.experiments.harness import ExperimentScale
+from repro.runner import executor
 from repro.runner.cache import ArtifactCache
 from repro.runner.executor import SUMMARY_KIND, canonical_summaries_json, run_grid
 from repro.runner.spec import ExperimentGrid, ExperimentSpec, TraceSpec, substrate_fingerprint
@@ -209,6 +212,19 @@ def test_cell_timeout_reports_timeout_cells(tmp_path):
     )
     assert not report.ok
     assert report.cells[0].status == "timeout"
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="the deadline needs setitimer")
+def test_cell_deadline_holds_when_the_interrupted_code_swallows_it():
+    """The alarm can land in code that swallows the exception (a C
+    extension's module initialisation, when the cell's first import runs
+    late); the expired deadline must still end the cell as a timeout."""
+    with pytest.raises(executor._CellTimeout):
+        with executor._cell_deadline(0.01):
+            try:
+                time.sleep(5.0)
+            except executor._CellTimeout:
+                pass
 
 
 @pytest.mark.skipif(

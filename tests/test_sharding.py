@@ -553,10 +553,27 @@ def _still_running(pids, marker: bytes) -> list:
     return running
 
 
+def _describe(pids) -> str:
+    """Each pid's ``/proc`` state and command line, for a failure message."""
+    lines = []
+    for pid in pids:
+        try:
+            state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            cmdline = Path(f"/proc/{pid}/cmdline").read_bytes().replace(b"\0", b" ")
+        except (OSError, IndexError) as exc:
+            lines.append(f"pid {pid}: unreadable ({exc})")
+            continue
+        text = cmdline.decode(errors="replace")[:300]
+        lines.append(f"pid {pid}: state {state}, cmdline {text!r}")
+    return "; ".join(lines)
+
+
 def _assert_children_die_with_their_parent(script: str, read_pids, marker: bytes) -> None:
     """Run ``script`` in a fresh interpreter, read its children's pids with
     ``read_pids(stdout)``, SIGKILL it, and assert that every child exits
-    within 10 s.  Survivors are killed in cleanup."""
+    within 10 s.  Survivors are killed in cleanup.  A failure names its step
+    (reading the pids, the children running before the kill, or survivors
+    after it) and each child's ``/proc`` state and command line."""
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -565,14 +582,24 @@ def _assert_children_die_with_their_parent(script: str, read_pids, marker: bytes
     )
     pids = []
     try:
-        pids = read_pids(parent.stdout)
-        assert len(pids) == 2 and sorted(_still_running(pids, marker)) == sorted(pids)
+        try:
+            pids = read_pids(parent.stdout)
+        except ValueError as exc:
+            pytest.fail(f"reading the children's pids: {exc!r}; parent exit code {parent.poll()}")
+        assert len(pids) == 2, f"reading the children's pids: expected two, read {pids}"
+        running = _still_running(pids, marker)
+        assert sorted(running) == sorted(pids), (
+            f"before the kill only {running} of {pids} run: {_describe(pids)}"
+        )
         parent.send_signal(signal.SIGKILL)
         parent.wait(timeout=30)
         deadline = time.monotonic() + 10.0
         while _still_running(pids, marker) and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert _still_running(pids, marker) == []
+        survivors = _still_running(pids, marker)
+        assert survivors == [], (
+            f"10 s after the parent's SIGKILL {survivors} still run: {_describe(survivors)}"
+        )
     finally:
         parent.kill()
         parent.wait(timeout=30)
