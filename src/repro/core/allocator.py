@@ -247,12 +247,11 @@ class DiffServeAllocator:
     # ----------------------------------------------------------------- grids
     def _build_threshold_grid(self) -> List[Tuple[float, float]]:
         """Candidate (threshold, deferral fraction) pairs from the profile."""
-        quantiles = np.linspace(0.0, 1.0, THRESHOLD_LEVELS)
-        thresholds = {0.0, 1.0}
-        for q in quantiles:
-            thresholds.add(round(self.deferral_profile.threshold_for_fraction(float(q)), 6))
-        grid = sorted(thresholds)
-        return [(t, self.deferral_profile.fraction(t)) for t in grid]
+        profile = self.deferral_profile
+        levels = profile.thresholds_for_fractions(np.linspace(0.0, 1.0, THRESHOLD_LEVELS))
+        # Python's round, not np.round: the two round some halves differently.
+        grid = sorted({0.0, 1.0, *(round(t, 6) for t in levels.tolist())})
+        return list(zip(grid, profile.fractions(grid).tolist()))
 
     def refresh_threshold_grid(self) -> None:
         """Rebuild the grid after the deferral profile was updated online."""

@@ -23,7 +23,7 @@ import numpy as np
 from repro.discriminators.base import Discriminator
 from repro.discriminators.classifiers import LogisticClassifier, MLPClassifier
 from repro.models.generation import GeneratedImage
-from repro.simulator.rng import SeedTable, stable_hash
+from repro.simulator.rng import SeedTable, stable_hash, stable_hashes
 
 Classifier = Union[LogisticClassifier, MLPClassifier]
 
@@ -193,33 +193,43 @@ class TrainedDiscriminator(Discriminator):
         return self._draw_observation(image, noise_std)
 
     def _draw_observation(self, image: GeneratedImage, noise_std: float) -> np.ndarray:
-        rng = self.seed_table.take(image.variant_name, image.query_id)
-        if rng is not None:
-            self.seeded_draws += 1
-        else:
-            self.fallback_draws += 1
-            rng = np.random.default_rng(
-                stable_hash(self.seed, self.architecture.name, image.query_id, image.variant_name)
-            )
+        row = self.seed_table.take(image.variant_name, image.query_id)
+        if row is not None:
+            (noise,) = self.seed_table.columns
+            if noise.shape[1:] == image.features.shape:
+                self.seeded_draws += 1
+                return image.features + noise[row]
+        self.fallback_draws += 1
+        rng = np.random.default_rng(
+            stable_hash(self.seed, self.architecture.name, image.query_id, image.variant_name)
+        )
         return image.features + rng.normal(0.0, noise_std, size=image.features.shape)
 
     def seed_observations(
-        self, variant_name: str, query_ids: Sequence[int], held: Sequence[GeneratedImage] = ()
+        self,
+        variant_name: str,
+        query_ids: Sequence[int],
+        held: Sequence[GeneratedImage],
+        width: int,
     ) -> None:
-        """Precompute the observation-noise streams of these images (see the base class).
+        """Draw the observation noise of these images (see the base class).
 
         A held image that already carries this backbone's observation is
-        skipped: scoring reads the memo and draws nothing.
+        skipped: scoring reads the memo and draws nothing.  Each image's
+        noise row is ``0.0 + noise * z`` for its stream's ``width`` standard
+        normals, as :meth:`_draw_observation` computes it.
         """
-        if self.architecture.observation_noise == 0:
+        noise_std = self.architecture.observation_noise
+        if noise_std == 0:
             return
         memo_key = (self.seed, self.architecture)
         ids = [int(qid) for qid in query_ids]
         ids += [img.query_id for img in held if memo_key not in img.observations]
-        arch = self.architecture.name
-        self.seed_table.fill(
-            variant_name, ids, [stable_hash(self.seed, arch, qid, variant_name) for qid in ids]
-        )
+        keys = stable_hashes((self.seed, self.architecture.name), ids, (variant_name,))
+        rows = self.seed_table.normals(keys, width)
+        rows *= noise_std
+        rows += 0.0
+        self.seed_table.fill(variant_name, ids, rows)
 
     def end_turn(self) -> None:
         """Drop the seeded observation streams (a system's run is over)."""

@@ -39,13 +39,18 @@ class Discriminator(abc.ABC):
         return np.array([self.confidence(img) for img in images], dtype=float)
 
     def seed_observations(
-        self, variant_name: str, query_ids: Sequence[int], held: Sequence[GeneratedImage] = ()
+        self,
+        variant_name: str,
+        query_ids: Sequence[int],
+        held: Sequence[GeneratedImage],
+        width: int,
     ) -> None:
-        """Precompute the per-image random streams scoring these images will use.
+        """Precompute the per-image random draws scoring these images will use.
 
         Called once per chunk of arrivals for the ``variant_name`` images of
         ``query_ids`` plus the ``held`` images an outcome table already
-        holds.  A discriminator that draws no per-image randomness ignores it.
+        holds; ``width`` is the length of their feature vectors.  A
+        discriminator that draws no per-image randomness ignores it.
         """
 
     def end_turn(self) -> None:

@@ -54,8 +54,12 @@ class DeferralProfile:
         return float(np.clip(base + self._online_correction, 0.0, 1.0))
 
     def fractions(self, thresholds: Sequence[float]) -> np.ndarray:
-        """Vectorised :meth:`fraction`."""
-        return np.array([self.fraction(t) for t in thresholds])
+        """:meth:`fraction` of every threshold, element for element, in one pass."""
+        thresholds = np.asarray(thresholds, dtype=float)
+        if not np.all((thresholds >= 0.0) & (thresholds <= 1.0)):
+            raise ValueError("threshold must lie in [0, 1]")
+        base = np.searchsorted(self.confidences, thresholds, side="left") / len(self.confidences)
+        return np.clip(base + self._online_correction, 0.0, 1.0)
 
     def threshold_for_fraction(self, fraction: float) -> float:
         """Largest threshold whose deferral fraction does not exceed ``fraction``.
@@ -76,6 +80,16 @@ class DeferralProfile:
             # anything below the minimum confidence) defers nothing.
             return float(self.confidences[0])
         return float(self.confidences[k])
+
+    def thresholds_for_fractions(self, fractions: Sequence[float]) -> np.ndarray:
+        """:meth:`threshold_for_fraction` of every fraction, element for element, in one pass."""
+        fractions = np.asarray(fractions, dtype=float)
+        if not np.all((fractions >= 0.0) & (fractions <= 1.0)):
+            raise ValueError("fraction must lie in [0, 1]")
+        target = np.clip(fractions - self._online_correction, 0.0, 1.0)
+        n = len(self.confidences)
+        k = np.floor(target * n).astype(np.intp)
+        return np.where(k >= n, 1.0, self.confidences[np.clip(k, 0, n - 1)])
 
     # --------------------------------------------------------------- online
     def update_online(self, threshold: float, observed_fraction: float) -> None:

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.models.variants import ModelVariant
-from repro.simulator.rng import SeedTable, stable_hash
+from repro.simulator.rng import SeedTable, stable_hash, stable_hashes
 
 #: Dimensionality of the synthetic image feature space.
 FEATURE_DIM = 16
@@ -106,11 +106,16 @@ class ImageGenerator:
     so the turn count only decides what memory is held, never a result.  A
     pickled generator carries no entries and takes no turns.
 
-    A draw's stream is ``default_rng(stable_hash(seed, query_id, variant))``.
-    :meth:`seed_streams` precomputes those streams for a chunk of arrivals
-    into a :class:`~repro.simulator.rng.SeedTable`; a draw takes its stream
-    from the table when it is there and builds it afresh otherwise, with
-    the same bits either way.
+    A draw's stream is ``default_rng(stable_hash(seed, query_id, variant))``:
+    a quality-noise normal (when the variant has quality noise), then one
+    normal per feature.  :meth:`seed_streams` draws those rows for a chunk
+    of arrivals in one vectorised pass
+    (:func:`~repro.simulator.rng.standard_normal_rows`), turns them into
+    the chunk's qualities and features with the scalar draw's operations in
+    the scalar draw's order, and files them in a
+    :class:`~repro.simulator.rng.SeedTable`.  A draw reads its row from the
+    table when it is there and builds its stream afresh otherwise, with the
+    same bits either way.
     """
 
     def __init__(self, seed: int = 0, feature_dim: int = FEATURE_DIM) -> None:
@@ -160,14 +165,6 @@ class ImageGenerator:
         return len(self._outcomes)
 
     # ------------------------------------------------------------------ rng
-    def _rng_for(self, query_id: int, variant: ModelVariant) -> np.random.Generator:
-        rng = self.seed_table.take(variant.name, query_id)
-        if rng is not None:
-            self.seeded_draws += 1
-            return rng
-        self.fallback_draws += 1
-        return np.random.default_rng(stable_hash(self.seed, int(query_id), variant.name))
-
     def seed_streams(
         self,
         query_ids: Sequence[int],
@@ -175,27 +172,53 @@ class ImageGenerator:
         variant: ModelVariant,
         discriminator=None,
     ) -> None:
-        """Precompute the streams ``variant``'s draws for these arrivals will use.
+        """Draw, for these arrivals, the images ``variant`` will generate.
 
         Queries whose outcome the outcome table already holds are skipped:
-        they will not be drawn.  When ``discriminator`` scores this stage it
-        seeds its observation streams for the same images (held images
-        included, unless they already carry its observation).
+        they will not be drawn, and neither is a difficulty outside [0, 1],
+        which :meth:`generate` rejects.  When ``discriminator`` scores this
+        stage it seeds its observation noise for the same images (held
+        images included, unless they already carry its observation).
         """
         name = variant.name
-        fresh, held = list(query_ids), []
+        fresh, fresh_difficulties, held = list(query_ids), list(difficulties), []
         outcomes = self._outcomes
-        if outcomes:
-            fresh = []
+        if outcomes or not all(0.0 <= d <= 1.0 for d in fresh_difficulties):
+            fresh, fresh_difficulties = [], []
             for qid, difficulty in zip(query_ids, difficulties):
                 stored = outcomes.get((qid, name, difficulty))
                 if stored is not None and stored[0] is variant:
                     held.append(stored[1])
-                else:
+                elif 0.0 <= difficulty <= 1.0:
                     fresh.append(qid)
-        self.seed_table.fill(name, fresh, [stable_hash(self.seed, int(qid), name) for qid in fresh])
+                    fresh_difficulties.append(difficulty)
+        qm = variant.quality
+        noisy = qm.quality_noise > 0
+        normals = self.seed_table.normals(
+            stable_hashes((self.seed,), fresh, (name,)), noisy + self.feature_dim
+        )
+        # generate's scalar operations, element for element: noise is
+        # 0.0 + scale * z, the clip is Python's min(max(q, 0.0), 1.0).
+        quality = qm.base_quality - qm.difficulty_sensitivity * np.asarray(
+            fresh_difficulties, dtype=float
+        )
+        quality = quality + (0.0 + qm.quality_noise * normals[:, 0] if noisy else 0.0)
+        quality = np.where(0.0 > quality, 0.0, quality)
+        quality = np.where(1.0 < quality, 1.0, quality)
+        # The features are the rows' tail, in place (every image views its
+        # row), and the artifact term goes in a column at a time, so no
+        # second chunk-sized array is allocated.
+        features = normals[:, noisy:]
+        features *= np.sqrt(qm.diversity)
+        features += 0.0
+        features += self._domain_offset
+        shift = self._artifact_shift(quality, qm)
+        for column, direction in zip(features.T, self._artifact_direction.tolist()):
+            column += shift * direction
+        features.flags.writeable = False
+        self.seed_table.fill((name, qm), fresh, fresh_difficulties, quality.tolist(), features)
         if discriminator is not None:
-            discriminator.seed_observations(name, fresh, held)
+            discriminator.seed_observations(name, fresh, held, self.feature_dim)
 
     # ------------------------------------------------------------- sampling
     def sample_quality(
@@ -237,7 +260,8 @@ class ImageGenerator:
             Quality penalty applied when reusing an incompatible latent.
 
         A plain draw is served from the outcome table when an earlier reader
-        stored it; a reuse draw is never stored.
+        stored it, and otherwise from the seed table when :meth:`seed_streams`
+        drew it; a reuse draw is never stored and always draws afresh.
         """
         reuse = reuse_from is not None and reuse_penalty > 0
         key = (int(query_id), variant.name, difficulty)
@@ -247,15 +271,24 @@ class ImageGenerator:
                 self.hits += 1
                 return stored[1]
         self.draws += 1
-        rng = self._rng_for(query_id, variant)
-        quality = self.sample_quality(difficulty, variant, rng)
-        if reuse:
-            quality = float(min(max(quality - reuse_penalty, 0.0), 1.0))
-
-        qm = variant.quality
-        core = rng.normal(0.0, np.sqrt(qm.diversity), size=self.feature_dim)
-        artifact_shift = (1.0 - quality) * qm.artifact_scale * _ARTIFACT_GAIN
-        features = core + self._domain_offset + artifact_shift * self._artifact_direction
+        table = self.seed_table
+        row = None if reuse else table.take((variant.name, variant.quality), query_id)
+        if row is not None and table.columns[0][row] == difficulty:
+            self.seeded_draws += 1
+            quality, features = table.columns[1][row], table.columns[2][row]
+        else:
+            self.fallback_draws += 1
+            rng = np.random.default_rng(stable_hash(self.seed, int(query_id), variant.name))
+            quality = self.sample_quality(difficulty, variant, rng)
+            if reuse:
+                quality = float(min(max(quality - reuse_penalty, 0.0), 1.0))
+            qm = variant.quality
+            core = rng.normal(0.0, np.sqrt(qm.diversity), size=self.feature_dim)
+            features = (
+                core
+                + self._domain_offset
+                + self._artifact_shift(quality, qm) * self._artifact_direction
+            )
         keep = self._readers > 0 and not reuse
         image = GeneratedImage(
             query_id=int(query_id),
@@ -268,6 +301,11 @@ class ImageGenerator:
         if keep:
             self._outcomes[key] = (variant, image)
         return image
+
+    @staticmethod
+    def _artifact_shift(quality, qm):
+        """How far an image of ``quality`` drifts along the artifact direction."""
+        return (1.0 - quality) * qm.artifact_scale * _ARTIFACT_GAIN
 
     def generate_batch(
         self,

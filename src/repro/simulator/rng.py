@@ -7,17 +7,32 @@ reproducible and makes components statistically independent of each other,
 so adding randomness to one component does not perturb another.
 
 Per-query streams (image noise, discriminator observation noise) are
-``default_rng(k)`` for a 32-bit :func:`stable_hash` key ``k``.  Building one
-costs a :class:`~numpy.random.SeedSequence` hash per query; a
-:class:`SeedTable` computes that hash for a whole chunk of keys at once
-(:func:`pcg64_states`) and hands out a reseeded generator that draws the same
-bits.
+``default_rng(k)`` for a 32-bit :func:`stable_hash` key ``k``, and every
+per-query draw is a row of standard normals.  Building one generator per
+query costs a :class:`~numpy.random.SeedSequence` hash and a state jump, so
+a chunk of arrivals draws its rows in one vectorised pass instead:
+
+* :func:`stable_hashes` hashes the chunk's keys, formatting each one as
+  :func:`stable_hash` does;
+* :func:`pcg64_states` ports the seed hash, giving each key's starting
+  PCG64 state;
+* :func:`standard_normal_rows` steps PCG64 on every lane at once and
+  applies numpy's ziggurat fast path with numpy's own tables
+  (:mod:`repro.simulator.ziggurat_tables`).  A lane that hits one of the
+  ziggurat's rare slow branches (the tail or a wedge) is redrawn by a
+  scalar generator jumped to its state.
+
+Row ``i`` equals ``default_rng(keys[i]).standard_normal(width)`` bit for
+bit, and ``default_rng`` stays the path of every draw not seeded ahead, so
+the vectorised pass decides speed only, never a result.  A
+:class:`SeedTable` holds what an owner computes from one chunk's rows until
+its draws take them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Hashable, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +52,21 @@ def stable_hash(*parts) -> int:
     """
     digest = hashlib.sha256(repr(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
+
+
+def stable_hashes(head: tuple, ids: Sequence[int], tail: tuple = ()) -> List[int]:
+    """``[stable_hash(*head, i, *tail) for i in ids]`` for integer ``ids``, one template for all.
+
+    Each key is the text ``repr`` gives the whole tuple: the parts of
+    ``head`` and ``tail`` are rendered once with ``repr`` into a bytes
+    template, and each id is written into it as the integer it is.
+    """
+    head_text = "".join(f"{part!r}, " for part in head)
+    tail_text = "".join(f", {part!r}" for part in tail) + ("" if head or tail else ",")
+    template = "(%s%%d%s)" % (head_text.replace("%", "%%"), tail_text.replace("%", "%%"))
+    template = template.encode("utf-8")
+    sha256 = hashlib.sha256
+    return [int.from_bytes(sha256(template % i).digest()[:4], "little") for i in ids]
 
 
 class RandomStreams:
@@ -124,17 +154,23 @@ def seed_sequence_states(keys: Sequence[int]) -> np.ndarray:
 
 def _add128(a_hi, a_lo, b_hi, b_lo):
     """``a + b`` modulo ``2**128`` on (high, low) uint64 words."""
-    carry = ((a_lo >> 1) + (b_lo >> 1) + (a_lo & b_lo & 1)) >> 63
-    return a_hi + b_hi + carry, a_lo + b_lo
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
 
 
 def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
     """High 64 bits of the 128-bit products ``a * b``, from 32-bit halves."""
     a0, a1 = a & _LO32, a >> 32
     b0, b1 = np.uint64(b & _LO32), np.uint64(b >> 32)
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _LO32) + (p10 & _LO32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    t = a1 * b0 + ((a0 * b0) >> 32)
+    u = a0 * b1 + (t & _LO32)
+    return a1 * b1 + (t >> 32) + (u >> 32)
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, ``state * MULT + inc`` modulo ``2**128``, on (high, low) words."""
+    hi = _mulhi64(lo, _PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI) + hi * np.uint64(_PCG_MULT_LO)
+    return _add128(hi, lo * np.uint64(_PCG_MULT_LO), inc_hi, inc_lo)
 
 
 def pcg64_states(keys: Sequence[int]) -> np.ndarray:
@@ -149,35 +185,98 @@ def pcg64_states(keys: Sequence[int]) -> np.ndarray:
     seed_hi, seed_lo, seq_hi, seq_lo = seed_sequence_states(keys).T
     inc_hi = (seq_hi << 1) | (seq_lo >> 63)
     inc_lo = (seq_lo << 1) | 1
-    hi, lo = _add128(inc_hi, inc_lo, seed_hi, seed_lo)
-    hi = _mulhi64(lo, _PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI) + hi * np.uint64(_PCG_MULT_LO)
-    lo = lo * np.uint64(_PCG_MULT_LO)
-    hi, lo = _add128(hi, lo, inc_hi, inc_lo)
+    hi, lo = _lcg_step(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
     return np.stack([hi, lo, inc_hi, inc_lo], axis=1)
 
 
+_SHIFT_OUT = np.uint64(58)
+_ROT_MASK = np.uint64(63)
+_WORD_BITS = np.uint64(64)
+_IDX_MASK = np.uint64(0xFF)
+_SIGN_TO_TOP = np.uint64(55)
+_TOP_BIT = np.uint64(1 << 63)
+_RABS_SHIFT = np.uint64(9)
+_MANTISSA = np.uint64(2**52 - 1)
+
+
+def _draw_normal_rows(keys: Sequence[int], rows: np.ndarray) -> int:
+    """Write :func:`standard_normal_rows` into ``rows``; return the lanes the scalar path redrew."""
+    states = pcg64_states(keys)
+    if not rows.size:
+        return 0
+    from repro.simulator.ziggurat_tables import KI_DOUBLE, WI_DOUBLE
+
+    hi, lo, inc_hi, inc_lo = states.T
+    slow = np.zeros(len(states), dtype=bool)
+    for column in rows.T:
+        # PCG64 steps, then emits XSL-RR: (hi ^ lo) rotated right by hi >> 58.
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        xored, rot = hi ^ lo, hi >> _SHIFT_OUT
+        r = (xored >> rot) | (xored << ((_WORD_BITS - rot) & _ROT_MASK))
+        # random_standard_normal's fast path: 8 bits pick a layer, 1 bit the
+        # sign and 52 bits the magnitude, kept when under the layer's bound.
+        # The magnitude is exact as a double and its product is >= 0, so the
+        # sign bit (bit 8) moves straight to the double's sign bit.
+        idx = (r & _IDX_MASK).astype(np.intp)
+        rabs = (r >> _RABS_SHIFT) & _MANTISSA
+        slow |= rabs >= KI_DOUBLE[idx]
+        value = rabs * WI_DOUBLE[idx]
+        value.view(np.uint64)[:] ^= (r << _SIGN_TO_TOP) & _TOP_BIT
+        column[:] = value
+    redraw = np.flatnonzero(slow)
+    if len(redraw):
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
+        for i in redraw.tolist():
+            words = states[i].tolist()
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": words[0] << 64 | words[1], "inc": words[2] << 64 | words[3]},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            rng.standard_normal(out=rows[i])
+    return len(redraw)
+
+
+def standard_normal_rows(keys: Sequence[int], width: int) -> np.ndarray:
+    """``default_rng(k).standard_normal(width)`` for every key ``k``, one row each, bit for bit.
+
+    Keys lie in ``[0, 2**32)``.  Every lane's PCG64 outputs are generated
+    together and go through the fast path of numpy's ziggurat
+    (``random_standard_normal``); about 1.5% of draws miss it, and a row
+    with any miss is redrawn by a scalar :class:`~numpy.random.Generator`
+    jumped to the lane's starting state.
+    """
+    rows = np.empty((len(keys), width))
+    _draw_normal_rows(keys, rows)
+    return rows
+
+
 class SeedTable:
-    """Precomputed per-query stream states for one chunk of arrivals.
+    """Per-query rows precomputed for one chunk of arrivals.
 
-    :meth:`fill` computes, in one vectorised call, the state
-    ``default_rng(key)`` starts from for each of a chunk's keys, filed under
-    one *tag* (a variant name) and the query's id.  :meth:`take` removes one
-    entry and returns a single reusable generator jumped to that state
-    through ``bit_generator.state``: the draws that follow are bit-identical
-    to ``default_rng(key)``'s, at a fraction of its construction cost.  An
-    id the table does not hold returns ``None`` and its owner falls back to
-    ``default_rng``, so the table only decides speed, never a result.
+    :meth:`fill` files row ``i`` of each of its :attr:`columns` under one
+    *tag* (a variant) and ``ids[i]`` (a query id); :meth:`take` removes one
+    id and returns its row index.  An id the table does not hold returns
+    ``None`` and its owner draws afresh from ``default_rng``, which gives
+    the same bits, so the table only decides speed, never a result.
+    :meth:`normals` draws a chunk's :func:`standard_normal_rows` and counts,
+    as telemetry, the lanes the vectorised pass finished and the lanes the
+    scalar path redrew.
 
-    The table holds at most one chunk (each :meth:`fill` replaces it) and a
-    pickled table arrives empty.
+    The table holds at most one chunk: :meth:`normals` drops the chunk it
+    holds before it draws the next, and :meth:`clear` (at the end of a
+    system's run) drops it for good.  A pickled table arrives empty, with
+    its counters at zero.
     """
 
     def __init__(self) -> None:
-        self.tag: Optional[str] = None
+        self.tag: Optional[Hashable] = None
         self._rows: Dict[Hashable, int] = {}
-        self._states = np.empty((0, 4), dtype=np.uint64)
-        self._bit_generator = np.random.PCG64(0)
-        self._rng = np.random.Generator(self._bit_generator)
+        self.columns: Tuple[Sequence, ...] = ()
+        self.vector_lanes = 0
+        self.scalar_lanes = 0
 
     def __reduce__(self):
         return (SeedTable, ())
@@ -185,34 +284,32 @@ class SeedTable:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def fill(self, tag: str, ids: Sequence[Hashable], keys: Sequence[int]) -> None:
-        """Replace the table with the streams of ``keys``, filed under ``tag`` and ``ids``."""
+    def normals(self, keys: Sequence[int], width: int) -> np.ndarray:
+        """:func:`standard_normal_rows` of ``keys``, drawn once the table's chunk is dropped."""
+        self.clear()
+        rows = np.empty((len(keys), width))
+        scalar = _draw_normal_rows(keys, rows)
+        self.vector_lanes += len(rows) - scalar
+        self.scalar_lanes += scalar
+        return rows
+
+    def fill(self, tag: Hashable, ids: Sequence[Hashable], *columns: Sequence) -> None:
+        """Replace the table with ``columns``, row ``i`` filed under ``tag`` and ``ids[i]``."""
         self.tag = tag
-        self._states = pcg64_states(keys)
         self._rows = dict(zip(ids, range(len(ids))))
+        self.columns = columns
 
-    def take(self, tag: str, id_: Hashable) -> Optional[np.random.Generator]:
-        """The stream of ``(tag, id_)`` at its start, removed from the table.
+    def take(self, tag: Hashable, id_: Hashable) -> Optional[int]:
+        """The row of ``(tag, id_)`` in :attr:`columns`, removed from the table.
 
-        ``None`` if the table does not hold it.  The generator is shared by
-        every take: it is valid until the next one.
+        ``None`` if the table does not hold it.
         """
         if tag != self.tag:
             return None
-        row = self._rows.pop(id_, None)
-        if row is None:
-            return None
-        state_hi, state_lo, inc_hi, inc_lo = self._states[row].tolist()
-        self._bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._rng
+        return self._rows.pop(id_, None)
 
     def clear(self) -> None:
         """Drop every entry."""
         self.tag = None
         self._rows = {}
-        self._states = np.empty((0, 4), dtype=np.uint64)
+        self.columns = ()

@@ -41,6 +41,9 @@ ALLOWED = {
     "query conservation against",
     "repro.discriminators.base.Discriminator.accepts": "threshold rule stated as a method; "
     "the discriminator tests pin it to confidence()",
+    "repro.discriminators.deferral.DeferralProfile.threshold_for_fraction": "scalar "
+    "oracle the property tests check thresholds_for_fractions and the allocator's grid "
+    "against",
     "repro.discriminators.heuristics.RandomDiscriminator": "Figure 1a's random-routing "
     "design, covered by the discriminator tests",
     "repro.discriminators.heuristics.OracleDiscriminator": "test oracle for DeferralProfile "
@@ -75,6 +78,8 @@ ALLOWED = {
     "the determinism and runner tests",
     "repro.simulator.events.Event.fire": "fires a popped event; the event-queue tests and "
     "the simulator benchmark drive the queue by hand",
+    "repro.simulator.rng.standard_normal_rows": "the bit-exact draw SeedTable.normals "
+    "counts; the rng tests check it against default_rng",
     "repro.simulator.simulation.Simulator.stop": "ends a run from inside a callback; the "
     "simulator tests use it",
     "repro.traces.azure.trace_4to32qps": "the paper's named trace for Cascades 1-2, checked "

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.allocator import THRESHOLD_LEVELS, DiffServeAllocator
 from repro.core.demand import DemandEstimator
 from repro.core.queueing import LittlesLawModel
 from repro.discriminators.deferral import DeferralProfile
@@ -16,6 +17,7 @@ from repro.milp.branch_and_bound import BranchAndBoundSolver
 from repro.milp.exhaustive import ExhaustiveSolver
 from repro.milp.problem import MILPProblem
 from repro.models.profiles import LatencyProfile
+from repro.models.zoo import get_cascade
 from repro.simulator.events import EventQueue
 
 # Hypothesis settings: keep runtimes modest, silence fixture-scope warnings.
@@ -151,6 +153,53 @@ def test_deferral_inverse_never_exceeds_target(confidences, target):
     threshold = profile.threshold_for_fraction(target)
     assert 0.0 <= threshold <= 1.0
     assert profile.fraction(threshold) <= target + 1.0 / len(confidences) + 1e-9
+
+
+def _scalar_threshold_grid(profile):
+    """The allocator's threshold grid, one scalar call per level (the oracle)."""
+    thresholds = {0.0, 1.0}
+    for q in np.linspace(0.0, 1.0, THRESHOLD_LEVELS):
+        thresholds.add(round(profile.threshold_for_fraction(float(q)), 6))
+    return [(t, profile.fraction(t)) for t in sorted(thresholds)]
+
+
+@given(
+    # Half-way values at the sixth decimal are where Python's round and
+    # np.round disagree.
+    confidences=st.lists(
+        st.floats(min_value=0.0, max_value=1.0)
+        | st.integers(min_value=0, max_value=10**6 - 1).map(lambda k: (k + 0.5) / 1e6),
+        min_size=1,
+        max_size=60,
+    ),
+    updates=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0)),
+        max_size=3,
+    ),
+    ks=st.lists(st.integers(min_value=0, max_value=60), max_size=10),
+    thresholds=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=10),
+)
+@settings(**{**_SETTINGS, "max_examples": 200})
+def test_vectorised_threshold_grid_equals_scalar_loop(confidences, updates, ks, thresholds):
+    """The vectorised inverse, fractions and grid equal their scalar loops exactly.
+
+    Fractions at ``k / n`` (``n`` calibration confidences) sit where the
+    inverse's ``floor(target * n)`` changes value, and online corrections
+    shift every target off the calibration grid.
+    """
+    cascade = get_cascade("sdturbo")
+    profile = DeferralProfile(confidences=np.array(confidences))
+    allocator = DiffServeAllocator(cascade.light, cascade.heavy, profile)
+    for threshold, observed in [(0.5, 0.5), *updates]:
+        n = len(profile.confidences)
+        fractions = [min(k, n) / n for k in ks] + np.linspace(0.0, 1.0, 21).tolist()
+        expected = [profile.threshold_for_fraction(f) for f in fractions]
+        assert profile.thresholds_for_fractions(fractions).tolist() == expected
+        levels = thresholds + confidences
+        assert profile.fractions(levels).tolist() == [profile.fraction(t) for t in levels]
+        allocator.refresh_threshold_grid()
+        assert allocator.threshold_grid == _scalar_threshold_grid(profile)
+        profile.update_online(threshold, observed)
 
 
 # ----------------------------------------------------------------------- demand

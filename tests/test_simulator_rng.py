@@ -1,4 +1,8 @@
-"""Tests for the named random streams and the bulk per-query seeding."""
+"""Tests for the named random streams and the bulk per-query draws.
+
+The oracle of every vectorised draw is numpy itself: ``SeedSequence``,
+``PCG64`` and ``default_rng(key).standard_normal``, bit for bit.
+"""
 
 import pickle
 
@@ -7,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.rng import RandomStreams, SeedTable, pcg64_states, seed_sequence_states
+from repro.simulator.rng import (
+    RandomStreams,
+    SeedTable,
+    pcg64_states,
+    seed_sequence_states,
+    stable_hash,
+    stable_hashes,
+    standard_normal_rows,
+)
+from repro.simulator.ziggurat_tables import KI_DOUBLE
 
 
 def test_same_seed_same_stream_is_reproducible():
@@ -80,20 +93,80 @@ def test_vectorised_states_equal_seed_sequence(keys):
     assert np.array_equal(states, expected)
 
 
+def _bits(rows: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(rows).view(np.uint64)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(keys_32, min_size=1, max_size=40, unique=True))
-def test_reseeded_streams_equal_default_rng_bitwise(keys):
-    keys = list(dict.fromkeys(keys + EDGE_KEYS))
+@given(st.lists(keys_32, max_size=40), st.sampled_from([1, 2, 16, 17]))
+def test_standard_normal_rows_equal_default_rng_bitwise(keys, width):
+    keys = keys + EDGE_KEYS
+    rows = standard_normal_rows(keys, width)
+    expected = np.stack([np.random.default_rng(k).standard_normal(width) for k in keys])
+    assert rows.shape == (len(keys), width)
+    assert np.array_equal(_bits(rows), _bits(expected))
+
+
+def test_standard_normal_rows_oracle_on_100k_keys():
+    """Every row of 100k keys at widths 1, 16 and 17, both slow branches included.
+
+    ``standard_normal(w)`` draws the first ``w`` normals of the stream, so
+    one 17-wide reference per key serves every width.  The keys must make
+    the ziggurat miss its fast path both ways: in layer 0, where numpy
+    samples the tail, and in the other layers, where it tests a wedge.
+    """
+    keys = np.random.default_rng(2024).integers(0, 2**32, 100_000).tolist()
+    expected = np.stack([np.random.default_rng(k).standard_normal(17) for k in keys])
+    raw = np.stack([np.random.PCG64(k).random_raw(17) for k in keys])
+    layer = (raw & np.uint64(0xFF)).astype(np.intp)
+    missed = ((raw >> np.uint64(9)) & np.uint64(2**52 - 1)) >= KI_DOUBLE[layer]
+    for width in (1, 16, 17):
+        rows = standard_normal_rows(keys, width)
+        assert np.array_equal(_bits(rows), _bits(expected[:, :width]))
+        first_miss = missed[:, :width].argmax(axis=1)
+        lanes = np.flatnonzero(missed[:, :width].any(axis=1))
+        first_layer = layer[lanes, first_miss[lanes]]
+        assert (first_layer == 0).any() and (first_layer != 0).any()
+
+
+def test_standard_normal_rows_of_no_keys():
+    assert standard_normal_rows([], 17).shape == (0, 17)
+    assert standard_normal_rows([5, 6], 0).shape == (2, 0)
+
+
+def test_table_normals_count_lanes_and_drop_the_filed_chunk():
     table = SeedTable()
-    table.fill("v", range(len(keys)), keys)
-    for i, key in enumerate(keys):
-        rng = table.take("v", i)
-        reference = np.random.default_rng(key)
-        assert rng.bit_generator.state == reference.bit_generator.state
-        scalar, vector = rng.normal(0.0, 0.3), rng.normal(0.0, 1.7, size=16)
-        assert scalar == reference.normal(0.0, 0.3)
-        assert np.array_equal(vector, reference.normal(0.0, 1.7, size=16))
-    assert len(table) == 0
+    keys = list(range(4096))
+    rows = table.normals(keys, 17)
+    assert np.array_equal(_bits(rows), _bits(standard_normal_rows(keys, 17)))
+    assert table.vector_lanes + table.scalar_lanes == 4096
+    assert 0 < table.scalar_lanes < 4096 // 2
+    table.fill("light", keys, rows)
+    assert table.take("light", 7) == 7 and len(table) == 4095
+    fewer = table.normals(keys[:5], 18)
+    assert len(table) == 0 and table.columns == () and table.take("light", 8) is None
+    assert np.array_equal(_bits(fewer), _bits(standard_normal_rows(keys[:5], 18)))
+    assert table.vector_lanes + table.scalar_lanes == 4101
+    assert pickle.loads(pickle.dumps(table)).scalar_lanes == 0
+
+
+names = st.text(alphabet=st.characters(codec="utf-8"), max_size=12) | st.sampled_from(
+    ["it's", 'say "hi"', "both ' and \"", "é→✓", "back\\slash", "100%", "%d%s%%", ""]
+)
+parts = st.lists(names | st.integers(-(2**40), 2**40), max_size=3).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts, st.lists(st.integers(0, 2**40), max_size=8), parts)
+def test_stable_hashes_equal_stable_hash(head, ids, tail):
+    expected = [stable_hash(*head, i, *tail) for i in ids]
+    assert stable_hashes(head, ids, tail) == expected
+
+
+def test_stable_hashes_format_ids_as_python_ints():
+    ids = np.arange(3, dtype=np.int64)
+    expected = [stable_hash(0, i, "sd-turbo") for i in range(3)]
+    assert stable_hashes((0,), ids, ("sd-turbo",)) == expected
 
 
 def test_pcg64_states_are_the_seeded_generator_state():
