@@ -241,18 +241,20 @@ class LoadBalancer(Actor):
         return self.light_pool, "light"
 
     def seed_streams(self, query_ids: Sequence[int], difficulties: Sequence[float]) -> None:
-        """Precompute the per-query streams the first stage will draw for these arrivals.
+        """Precompute the per-query draws the first stage will make for these arrivals.
 
-        Seeds the image streams of the variant :meth:`first_pool` serves and,
-        when that stage is scored, the discriminator's observation streams.
-        A query routed elsewhere by the time it runs simply draws afresh.
+        Seeds the images of every pool an arrival can enter first and, when
+        that stage is scored, the discriminator's observations of them: the
+        pool :meth:`first_pool` serves, and under random-split routing,
+        whose split is drawn only at :meth:`submit`, the heavy pool too.  A
+        query routed elsewhere by the time it runs simply draws afresh.
         """
-        pool, _ = self.first_pool()
-        if pool:
-            worker = pool[0]
-            worker.generator.seed_streams(
-                query_ids, difficulties, worker.variant, worker.discriminator
-            )
+        pools = [self.first_pool()[0]]
+        if self.routing == RoutingMode.RANDOM_SPLIT and self.light_pool and self.heavy_pool:
+            pools.append(self.heavy_pool)
+        stages = [(pool[0].variant, pool[0].discriminator) for pool in pools if pool]
+        if stages:
+            pools[0][0].generator.seed_streams(query_ids, difficulties, stages)
 
     def _least_loaded(self, pool: List[Worker]) -> Worker:
         if pool is self.light_pool:

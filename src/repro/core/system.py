@@ -271,19 +271,14 @@ class SystemRuntime:
 
 
 class _GeneratorTurn(Actor):
-    """Ends a system's turn on its image generator and discriminator when the run finishes."""
+    """Ends a system's turn on its image generator when the run finishes."""
 
-    def __init__(
-        self, sim: Simulator, generator: ImageGenerator, discriminator: Optional[Discriminator]
-    ) -> None:
+    def __init__(self, sim: Simulator, generator: ImageGenerator) -> None:
         super().__init__(sim, name="generator-turn")
         self.generator = generator
-        self.discriminator = discriminator
 
     def finish(self) -> None:
         self.generator.end_turn()
-        if self.discriminator is not None:
-            self.discriminator.end_turn()
 
 
 @dataclass
@@ -387,7 +382,7 @@ class ServingSimulation:
         if generator is None or generator.seed != self.config.seed:
             generator = ImageGenerator(seed=self.config.seed)
         generator.take_turn()
-        _GeneratorTurn(sim, generator, self.discriminator)
+        _GeneratorTurn(sim, generator)
         collector = ResultCollector(self.dataset)
 
         load_balancer = LoadBalancer(

@@ -16,14 +16,14 @@ architecture is characterised by:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.discriminators.base import Discriminator
 from repro.discriminators.classifiers import LogisticClassifier, MLPClassifier
 from repro.models.generation import GeneratedImage
-from repro.simulator.rng import SeedTable, stable_hash, stable_hashes
+from repro.simulator.rng import stable_hashes
 
 Classifier = Union[LogisticClassifier, MLPClassifier]
 
@@ -57,6 +57,11 @@ class ArchitectureSpec:
             raise ValueError("observation_noise must be non-negative")
         if self.hidden_units < 0:
             raise ValueError("hidden_units must be non-negative")
+
+    def __hash__(self) -> int:
+        # Equal specs have equal names.  Hashing the name alone keeps specs
+        # cheap as dict keys: every image memo is keyed by one.
+        return hash(self.name)
 
     def make_classifier(self, seed: int = 0) -> Classifier:
         """Instantiate the classifier head for this backbone."""
@@ -123,24 +128,6 @@ class TrainedDiscriminator(Discriminator):
         # outputs spreads the confidence over (0, 1) like the paper's
         # softmax confidence scores while preserving the ordering.
         self._calibration: Optional[tuple] = None
-        self._reset_seeding()
-
-    def _reset_seeding(self) -> None:
-        self.seed_table = SeedTable()
-        #: Telemetry only (never in summaries or cache keys): observations
-        #: whose noise stream came from the seed table or was built afresh.
-        self.seeded_draws = 0
-        self.fallback_draws = 0
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        for name in ("seed_table", "seeded_draws", "fallback_draws"):
-            state.pop(name, None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._reset_seeding()
 
     # ------------------------------------------------------------ calibration
     def calibrate(self, images: Sequence[GeneratedImage]) -> None:
@@ -170,21 +157,29 @@ class TrainedDiscriminator(Discriminator):
         return np.clip((logits - lo) / (hi - lo), 0.0, 1.0)
 
     # ------------------------------------------------------------- features
+    @property
+    def memo_key(self) -> Optional[tuple]:
+        """``(seed, architecture)``, or ``None`` for a noiseless backbone (see the base class)."""
+        if self.architecture.observation_noise == 0:
+            return None
+        return (self.seed, self.architecture)
+
     def observe(self, image: GeneratedImage) -> np.ndarray:
         """Backbone feature extraction: image features + capacity noise.
 
         The noise is keyed by ``(seed, architecture, query, variant)``, so an
         observation is a pure function of the image and this backbone.  An
-        image shared through an outcome table memoizes its observation under
-        ``(seed, architecture)``; later systems of the cell read it back
-        without drawing noise again.
+        image memoizes its observation under :attr:`memo_key` when it sits
+        in an outcome table (later systems of the cell read it back) or when
+        its generator drew it together with the image; a memo without this
+        backbone's key (another discriminator's) is filled on first use.
         """
-        noise_std = self.architecture.observation_noise
-        if noise_std == 0:
+        key = self.memo_key
+        if key is None:
             return image.features
+        noise_std = self.architecture.observation_noise
         memo = image.observations
         if memo is not None:
-            key = (self.seed, self.architecture)
             row = memo.get(key)
             if row is None:
                 row = memo[key] = self._draw_observation(image, noise_std)
@@ -192,48 +187,27 @@ class TrainedDiscriminator(Discriminator):
             return row
         return self._draw_observation(image, noise_std)
 
-    def _draw_observation(self, image: GeneratedImage, noise_std: float) -> np.ndarray:
-        row = self.seed_table.take(image.variant_name, image.query_id)
-        if row is not None:
-            (noise,) = self.seed_table.columns
-            if noise.shape[1:] == image.features.shape:
-                self.seeded_draws += 1
-                return image.features + noise[row]
-        self.fallback_draws += 1
-        rng = np.random.default_rng(
-            stable_hash(self.seed, self.architecture.name, image.query_id, image.variant_name)
-        )
-        return image.features + rng.normal(0.0, noise_std, size=image.features.shape)
+    def observation_keys(self, variant_name: str, query_ids: Sequence[int]) -> List[int]:
+        """Stream keys of the images' noise, ``(seed, architecture, query, variant)``."""
+        return stable_hashes((self.seed, self.architecture.name), query_ids, (variant_name,))
 
-    def seed_observations(
-        self,
-        variant_name: str,
-        query_ids: Sequence[int],
-        held: Sequence[GeneratedImage],
-        width: int,
-    ) -> None:
-        """Draw the observation noise of these images (see the base class).
+    def observe_rows(self, features: np.ndarray, normals: np.ndarray) -> np.ndarray:
+        """Observations of ``features`` rows from their streams' normals, as ``_draw_observation``.
 
-        A held image that already carries this backbone's observation is
-        skipped: scoring reads the memo and draws nothing.  Each image's
-        noise row is ``0.0 + noise * z`` for its stream's ``width`` standard
-        normals, as :meth:`_draw_observation` computes it.
+        Each row is ``features + (0.0 + noise * z)`` for the first
+        ``features.shape[1]`` normals ``z`` of its stream, element for
+        element; the result is a new array.
         """
-        noise_std = self.architecture.observation_noise
-        if noise_std == 0:
-            return
-        memo_key = (self.seed, self.architecture)
-        ids = [int(qid) for qid in query_ids]
-        ids += [img.query_id for img in held if memo_key not in img.observations]
-        keys = stable_hashes((self.seed, self.architecture.name), ids, (variant_name,))
-        rows = self.seed_table.normals(keys, width)
-        rows *= noise_std
-        rows += 0.0
-        self.seed_table.fill(variant_name, ids, rows)
+        observed = normals[:, : features.shape[1]] * self.architecture.observation_noise
+        observed += 0.0
+        observed += features
+        return observed
 
-    def end_turn(self) -> None:
-        """Drop the seeded observation streams (a system's run is over)."""
-        self.seed_table.clear()
+    def _draw_observation(self, image: GeneratedImage, noise_std: float) -> np.ndarray:
+        """One observation drawn from its own generator: the unseeded path and the oracle."""
+        (key,) = self.observation_keys(image.variant_name, [image.query_id])
+        rng = np.random.default_rng(key)
+        return image.features + rng.normal(0.0, noise_std, size=image.features.shape)
 
     def observe_batch(self, images: Sequence[GeneratedImage]) -> np.ndarray:
         """Backbone features for a batch of images.

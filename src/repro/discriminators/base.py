@@ -1,9 +1,17 @@
-"""Discriminator interface."""
+"""Discriminator interface.
+
+A discriminator scores generated images with a confidence.  One that draws
+per-image randomness (a trained backbone's observation noise) names the
+memo key its observations go under and derives their stream keys in one
+method, so an :class:`~repro.models.generation.ImageGenerator` can draw a
+chunk's observations in the vectorised pass that draws its images; each
+image then carries its observation, and scoring it draws nothing.
+"""
 
 from __future__ import annotations
 
 import abc
-from typing import Sequence
+from typing import Hashable, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,23 +46,27 @@ class Discriminator(abc.ABC):
         """
         return np.array([self.confidence(img) for img in images], dtype=float)
 
-    def seed_observations(
-        self,
-        variant_name: str,
-        query_ids: Sequence[int],
-        held: Sequence[GeneratedImage],
-        width: int,
-    ) -> None:
-        """Precompute the per-image random draws scoring these images will use.
+    @property
+    def memo_key(self) -> Optional[Hashable]:
+        """The key an image memoizes this discriminator's observation under.
 
-        Called once per chunk of arrivals for the ``variant_name`` images of
-        ``query_ids`` plus the ``held`` images an outcome table already
-        holds; ``width`` is the length of their feature vectors.  A
-        discriminator that draws no per-image randomness ignores it.
+        ``None`` for a discriminator that draws no per-image randomness:
+        there is nothing to draw ahead for it.  Otherwise
+        :meth:`observation_keys` and :meth:`observe_rows` let an
+        :class:`~repro.models.generation.ImageGenerator` draw the
+        observations of a chunk's images in its one vectorised pass and
+        hand each image its observation in
+        :attr:`~repro.models.generation.GeneratedImage.observations`.
         """
+        return None
 
-    def end_turn(self) -> None:
-        """A system's run is over: drop what :meth:`seed_observations` prepared."""
+    def observation_keys(self, variant_name: str, query_ids: Sequence[int]) -> List[int]:
+        """Stream keys of the observations of ``variant_name``'s images of ``query_ids``."""
+        raise NotImplementedError(f"{type(self).__name__} draws no observations")
+
+    def observe_rows(self, features: np.ndarray, normals: np.ndarray) -> np.ndarray:
+        """Observations of ``features`` rows, each from its stream's leading standard normals."""
+        raise NotImplementedError(f"{type(self).__name__} draws no observations")
 
     def accepts(self, image: GeneratedImage, threshold: float) -> bool:
         """Whether the cascade should return ``image`` rather than defer."""

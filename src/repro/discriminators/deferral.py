@@ -119,13 +119,17 @@ class DeferralProfile:
         n_calibration: int = 500,
         seed: int = 0,
     ) -> "DeferralProfile":
-        """Build ``f(t)`` by scoring light-model outputs on calibration prompts."""
+        """Build ``f(t)`` by scoring light-model outputs on calibration prompts.
+
+        The calibration images and their observations are drawn in one
+        vectorised pass (:meth:`ImageGenerator.seed_streams`).
+        """
         generator = generator or ImageGenerator(seed=seed)
         rng = np.random.default_rng(seed)
         n = min(n_calibration, len(dataset))
-        ids = rng.choice(len(dataset), size=n, replace=False)
-        images = [
-            generator.generate(int(i), dataset.difficulty(int(i)), light) for i in ids
-        ]
+        ids = rng.choice(len(dataset), size=n, replace=False).tolist()
+        difficulties = [dataset.difficulty(i) for i in ids]
+        generator.seed_streams(ids, difficulties, [(light, discriminator)])
+        images = [generator.generate(i, d, light) for i, d in zip(ids, difficulties)]
         confidences = discriminator.confidence_batch(images)
         return cls(confidences=np.clip(confidences, 0.0, 1.0))

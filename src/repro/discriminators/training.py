@@ -10,7 +10,7 @@ as the "real" class and light-model outputs as "fake".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,24 +90,32 @@ class DiscriminatorTrainer:
         n = min(config.n_train, len(self.dataset))
         return rng.choice(len(self.dataset), size=n, replace=False)
 
+    def _generate(
+        self, ids: Sequence[int], variant: ModelVariant, discriminator: TrainedDiscriminator
+    ) -> List[GeneratedImage]:
+        """``variant``'s images of prompts ``ids``, in order.
+
+        The images and ``discriminator``'s observations of them are drawn in
+        one vectorised pass (:meth:`ImageGenerator.seed_streams`); each image
+        carries its observation.  A repeated id draws afresh after its first
+        image, with the same bits.
+        """
+        query_ids = [int(i) for i in ids]
+        difficulties = [self.dataset.difficulty(i) for i in query_ids]
+        self.generator.seed_streams(query_ids, difficulties, [(variant, discriminator)])
+        return [self.generator.generate(i, d, variant) for i, d in zip(query_ids, difficulties)]
+
     def build_training_set(
         self, config: TrainingConfig, architecture: ArchitectureSpec
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Backbone features and binary labels (1 = "real" class)."""
         ids = self._training_prompts(config)
-        light_images = [
-            self.generator.generate(int(i), self.dataset.difficulty(int(i)), self.light)
-            for i in ids
-        ]
-        heavy_images = [
-            self.generator.generate(int(i), self.dataset.difficulty(int(i)), self.heavy)
-            for i in ids
-        ]
-
         # A temporary discriminator gives us the backbone observation function.
         probe = TrainedDiscriminator(
             architecture, architecture.make_classifier(config.seed), seed=config.seed
         )
+        light_images = self._generate(ids, self.light, probe)
+        heavy_images = self._generate(ids, self.heavy, probe)
 
         def observe_generated(images: Sequence[GeneratedImage]) -> np.ndarray:
             return probe.observe_batch(images)
@@ -145,11 +153,7 @@ class DiscriminatorTrainer:
         # softmax confidence is spread over (0, 1) rather than saturated.
         rng = np.random.default_rng(config.seed + 17)
         calib_ids = rng.integers(0, len(self.dataset), size=min(300, len(self.dataset)))
-        calib_images = [
-            self.generator.generate(int(i), self.dataset.difficulty(int(i)), self.light)
-            for i in calib_ids
-        ]
-        discriminator.calibrate(calib_images)
+        discriminator.calibrate(self._generate(calib_ids, self.light, discriminator))
         train_accuracy = classifier.accuracy(X, y)
         quality_correlation = self._quality_correlation(discriminator, config)
         return TrainingResult(
@@ -165,10 +169,7 @@ class DiscriminatorTrainer:
         """Pearson correlation between confidence and latent quality on held-out prompts."""
         rng = np.random.default_rng(config.seed + 99)
         ids = rng.integers(0, len(self.dataset), size=min(n_eval, len(self.dataset)))
-        images = [
-            self.generator.generate(int(i), self.dataset.difficulty(int(i)), self.light)
-            for i in ids
-        ]
+        images = self._generate(ids, self.light, discriminator)
         conf = discriminator.confidence_batch(images)
         quality = np.array([img.quality for img in images])
         if np.std(conf) == 0 or np.std(quality) == 0:

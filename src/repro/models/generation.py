@@ -16,13 +16,17 @@ The feature model is constructed so that:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.models.variants import ModelVariant
 from repro.simulator.rng import SeedTable, stable_hash, stable_hashes
+
+if TYPE_CHECKING:
+    from repro.discriminators.base import Discriminator
 
 #: Dimensionality of the synthetic image feature space.
 FEATURE_DIM = 16
@@ -61,10 +65,13 @@ class GeneratedImage:
     seed:
         Generation seed (used by the reuse study for latent reuse).
     observations:
-        Discriminator observations of this image, keyed by ``(discriminator
-        seed, architecture)``.  ``None`` (observe afresh every time) unless
-        the image sits in an :class:`ImageGenerator`'s outcome table, where
-        later systems of the same cell read it back.
+        Discriminator observations of this image, keyed by the
+        discriminator's ``memo_key`` (``(seed, architecture)``).  An image
+        its generator drew ahead, in an arrival chunk's vectorised pass,
+        arrives carrying the observation of the discriminator that scores
+        its stage.  ``None`` (observe afresh every time) unless the image
+        was drawn ahead or sits in an :class:`ImageGenerator`'s outcome
+        table, where later systems of the same cell read it back.
 
     The feature vector is made read-only: one image may be shared by the
     query records of several systems, so none of them may edit it in place.
@@ -85,6 +92,33 @@ class GeneratedImage:
         if self.features.ndim != 1:
             raise ValueError("features must be a 1-D vector")
         self.features.flags.writeable = False
+
+    @classmethod
+    def _from_chunk(
+        cls,
+        query_id: int,
+        variant_name: str,
+        quality: float,
+        features: np.ndarray,
+        seed: int,
+        observations: Optional[Dict[tuple, np.ndarray]],
+    ) -> "GeneratedImage":
+        """An image from a row of :meth:`ImageGenerator.seed_streams`, without re-validation.
+
+        The chunk pass already clipped ``quality`` to [0, 1] and hands out
+        ``features`` as a 1-D read-only row, which is all
+        :meth:`__post_init__` checks; the fields go straight into the
+        instance dict, as the frozen ``__init__`` would set them.
+        """
+        image = object.__new__(cls)
+        fields = image.__dict__
+        fields["query_id"] = query_id
+        fields["variant_name"] = variant_name
+        fields["quality"] = quality
+        fields["features"] = features
+        fields["seed"] = seed
+        fields["observations"] = observations
+        return image
 
 
 class ImageGenerator:
@@ -108,14 +142,16 @@ class ImageGenerator:
 
     A draw's stream is ``default_rng(stable_hash(seed, query_id, variant))``:
     a quality-noise normal (when the variant has quality noise), then one
-    normal per feature.  :meth:`seed_streams` draws those rows for a chunk
-    of arrivals in one vectorised pass
-    (:func:`~repro.simulator.rng.standard_normal_rows`), turns them into
-    the chunk's qualities and features with the scalar draw's operations in
-    the scalar draw's order, and files them in a
-    :class:`~repro.simulator.rng.SeedTable`.  A draw reads its row from the
-    table when it is there and builds its stream afresh otherwise, with the
-    same bits either way.
+    normal per feature.  :meth:`seed_streams` draws, for a chunk of
+    arrivals, the rows of every first-stage image and of the observation
+    the stage's discriminator will make of it, all in one vectorised pass
+    (:meth:`~repro.simulator.rng.SeedTable.normals`).  It turns them into
+    qualities, features and observations with the scalar draws' operations
+    in the scalar draws' order and files them in a
+    :class:`~repro.simulator.rng.SeedTable`, where a row nobody took yet
+    survives into the next chunk.  A draw reads its row from the table when
+    it is there (the image then carries its observation) and builds its
+    stream afresh otherwise, with the same bits either way.
     """
 
     def __init__(self, seed: int = 0, feature_dim: int = FEATURE_DIM) -> None:
@@ -154,7 +190,7 @@ class ImageGenerator:
             self._readers -= 1
 
     def end_turn(self) -> None:
-        """A reader is done: drop its seeded streams, and every outcome once no reader is left."""
+        """A reader is done: drop its seeded rows, and every outcome once no reader is left."""
         self.seed_table.clear()
         if self._readers == 0:
             self._outcomes.clear()
@@ -169,56 +205,105 @@ class ImageGenerator:
         self,
         query_ids: Sequence[int],
         difficulties: Sequence[float],
-        variant: ModelVariant,
-        discriminator=None,
+        stages: Sequence[Tuple[ModelVariant, Optional[Discriminator]]],
     ) -> None:
-        """Draw, for these arrivals, the images ``variant`` will generate.
+        """Draw every first-stage image and observation these arrivals can need.
+
+        ``stages`` holds one ``(variant, discriminator)`` pair per pool an
+        arrival can enter first; ``discriminator`` scores that stage, or is
+        ``None``.  All rows are drawn in one vectorised pass: per stage, the
+        images ``variant`` will generate and the observations
+        ``discriminator`` will make of them.  A query takes one stage's row
+        and the table retires its rows under the others.
 
         Queries whose outcome the outcome table already holds are skipped:
         they will not be drawn, and neither is a difficulty outside [0, 1],
-        which :meth:`generate` rejects.  When ``discriminator`` scores this
-        stage it seeds its observation noise for the same images (held
-        images included, unless they already carry its observation).
+        which :meth:`generate` rejects.  A held image that lacks the
+        stage's observation gets it now, in its memo.
         """
-        name = variant.name
-        fresh, fresh_difficulties, held = list(query_ids), list(difficulties), []
-        outcomes = self._outcomes
-        if outcomes or not all(0.0 <= d <= 1.0 for d in fresh_difficulties):
-            fresh, fresh_difficulties = [], []
-            for qid, difficulty in zip(query_ids, difficulties):
-                stored = outcomes.get((qid, name, difficulty))
-                if stored is not None and stored[0] is variant:
-                    held.append(stored[1])
-                elif 0.0 <= difficulty <= 1.0:
-                    fresh.append(qid)
-                    fresh_difficulties.append(difficulty)
+        plans, groups = [], []
+        for variant, discriminator in stages:
+            fresh, fresh_difficulties, held = self._unheld(query_ids, difficulties, variant)
+            memo_key = None if discriminator is None else discriminator.memo_key
+            noisy = variant.quality.quality_noise > 0
+            groups.append(
+                (stable_hashes((self.seed,), fresh, (variant.name,)), noisy + self.feature_dim)
+            )
+            if memo_key is not None:
+                held = [image for image in held if memo_key not in image.observations]
+                observed = fresh + [image.query_id for image in held]
+                groups.append(
+                    (discriminator.observation_keys(variant.name, observed), self.feature_dim)
+                )
+            plans.append((variant, discriminator, memo_key, fresh, fresh_difficulties, held))
+        normals = iter(self.seed_table.normals(groups))
+        chunk = {}
+        for variant, discriminator, memo_key, fresh, fresh_difficulties, held in plans:
+            quality, features = self._chunk_images(variant, fresh_difficulties, next(normals))
+            observations = [None] * len(fresh)
+            if memo_key is not None:
+                scored = features
+                if held:
+                    scored = np.concatenate([features, [image.features for image in held]])
+                observations = discriminator.observe_rows(scored, next(normals))
+                observations.flags.writeable = False
+                for image, row in zip(held, observations[len(fresh) :]):
+                    image.observations[memo_key] = row
+            # The stage's quality model and memo key go in as columns too:
+            # the table files and carries rows column by column.
+            columns = (
+                fresh_difficulties,
+                [variant.quality] * len(fresh),
+                quality.tolist(),
+                features,
+                [memo_key] * len(fresh),
+                observations,
+            )
+            chunk[variant.name] = (fresh, columns)
+        self.seed_table.fill(chunk)
+
+    def _unheld(
+        self, query_ids: Sequence[int], difficulties: Sequence[float], variant: ModelVariant
+    ) -> Tuple[List[int], List[float], List[GeneratedImage]]:
+        """The queries ``variant`` will draw afresh, their difficulties, and the held images."""
+        if not self._outcomes and all(0.0 <= d <= 1.0 for d in difficulties):
+            return list(query_ids), list(difficulties), []
+        fresh, fresh_difficulties, held = [], [], []
+        keys = zip(query_ids, itertools.repeat(variant.name), difficulties)
+        for qid, difficulty, stored in zip(query_ids, difficulties, map(self._outcomes.get, keys)):
+            if stored is not None and stored[0] is variant:
+                held.append(stored[1])
+            elif 0.0 <= difficulty <= 1.0:
+                fresh.append(qid)
+                fresh_difficulties.append(difficulty)
+        return fresh, fresh_difficulties, held
+
+    def _chunk_images(
+        self, variant: ModelVariant, difficulties: Sequence[float], normals: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Qualities and read-only features of a chunk's images, from their streams' normals.
+
+        :meth:`generate`'s scalar operations, element for element: noise is
+        ``0.0 + scale * z`` and the clip is Python's ``min(max(q, 0.0), 1.0)``.
+        """
         qm = variant.quality
         noisy = qm.quality_noise > 0
-        normals = self.seed_table.normals(
-            stable_hashes((self.seed,), fresh, (name,)), noisy + self.feature_dim
-        )
-        # generate's scalar operations, element for element: noise is
-        # 0.0 + scale * z, the clip is Python's min(max(q, 0.0), 1.0).
         quality = qm.base_quality - qm.difficulty_sensitivity * np.asarray(
-            fresh_difficulties, dtype=float
+            difficulties, dtype=float
         )
         quality = quality + (0.0 + qm.quality_noise * normals[:, 0] if noisy else 0.0)
         quality = np.where(0.0 > quality, 0.0, quality)
         quality = np.where(1.0 < quality, 1.0, quality)
-        # The features are the rows' tail, in place (every image views its
-        # row), and the artifact term goes in a column at a time, so no
-        # second chunk-sized array is allocated.
-        features = normals[:, noisy:]
-        features *= np.sqrt(qm.diversity)
+        # The artifact term goes in a column at a time rather than as a
+        # second chunk-sized array.
+        features = normals[:, noisy:] * np.sqrt(qm.diversity)
         features += 0.0
         features += self._domain_offset
         shift = self._artifact_shift(quality, qm)
         for column, direction in zip(features.T, self._artifact_direction.tolist()):
             column += shift * direction
         features.flags.writeable = False
-        self.seed_table.fill((name, qm), fresh, fresh_difficulties, quality.tolist(), features)
-        if discriminator is not None:
-            discriminator.seed_observations(name, fresh, held, self.feature_dim)
+        return quality, features
 
     # ------------------------------------------------------------- sampling
     def sample_quality(
@@ -271,11 +356,10 @@ class ImageGenerator:
                 self.hits += 1
                 return stored[1]
         self.draws += 1
-        table = self.seed_table
-        row = None if reuse else table.take((variant.name, variant.quality), query_id)
-        if row is not None and table.columns[0][row] == difficulty:
+        keep = self._readers > 0 and not reuse
+        image = None if reuse else self._seeded(query_id, difficulty, variant, keep)
+        if image is not None:
             self.seeded_draws += 1
-            quality, features = table.columns[1][row], table.columns[2][row]
         else:
             self.fallback_draws += 1
             rng = np.random.default_rng(stable_hash(self.seed, int(query_id), variant.name))
@@ -289,18 +373,40 @@ class ImageGenerator:
                 + self._domain_offset
                 + self._artifact_shift(quality, qm) * self._artifact_direction
             )
-        keep = self._readers > 0 and not reuse
-        image = GeneratedImage(
-            query_id=int(query_id),
-            variant_name=variant.name,
-            quality=quality,
-            features=features,
-            seed=self.seed,
-            observations={} if keep else None,
-        )
+            image = GeneratedImage(
+                query_id=int(query_id),
+                variant_name=variant.name,
+                quality=quality,
+                features=features,
+                seed=self.seed,
+                observations={} if keep else None,
+            )
         if keep:
             self._outcomes[key] = (variant, image)
         return image
+
+    def _seeded(
+        self, query_id: int, difficulty: float, variant: ModelVariant, keep: bool
+    ) -> Optional[GeneratedImage]:
+        """The image :meth:`seed_streams` drew for this query, or ``None``.
+
+        The image carries the observation drawn with it.  A row drawn for
+        another difficulty or another quality model is not this draw's.
+        """
+        found = self.seed_table.take(variant.name, query_id)
+        if found is None:
+            return None
+        (difficulties, models, qualities, features, memo_keys, observed), i = found
+        if difficulties[i] != difficulty or models[i] is not variant.quality:
+            return None
+        memo_key = memo_keys[i]
+        if memo_key is not None:
+            observations = {memo_key: observed[i]}
+        else:
+            observations = {} if keep else None
+        return GeneratedImage._from_chunk(
+            int(query_id), variant.name, qualities[i], features[i], self.seed, observations
+        )
 
     @staticmethod
     def _artifact_shift(quality, qm):

@@ -25,8 +25,10 @@ a chunk of arrivals draws its rows in one vectorised pass instead:
 Row ``i`` equals ``default_rng(keys[i]).standard_normal(width)`` bit for
 bit, and ``default_rng`` stays the path of every draw not seeded ahead, so
 the vectorised pass decides speed only, never a result.  A
-:class:`SeedTable` holds what an owner computes from one chunk's rows until
-its draws take them.
+:class:`SeedTable` draws one pass for a whole chunk, over streams of any
+widths, and holds what an owner computes from those rows, under one tag
+per variant, until its draws take them.  A row nobody took yet survives
+exactly one more chunk, copied out of its chunk's arrays.
 """
 
 from __future__ import annotations
@@ -254,27 +256,35 @@ def standard_normal_rows(keys: Sequence[int], width: int) -> np.ndarray:
 
 
 class SeedTable:
-    """Per-query rows precomputed for one chunk of arrivals.
+    """Per-query rows precomputed for a chunk of arrivals, one tag per variant.
 
-    :meth:`fill` files row ``i`` of each of its :attr:`columns` under one
-    *tag* (a variant) and ``ids[i]`` (a query id); :meth:`take` removes one
-    id and returns its row index.  An id the table does not hold returns
-    ``None`` and its owner draws afresh from ``default_rng``, which gives
-    the same bits, so the table only decides speed, never a result.
-    :meth:`normals` draws a chunk's :func:`standard_normal_rows` and counts,
-    as telemetry, the lanes the vectorised pass finished and the lanes the
-    scalar path redrew.
+    :meth:`normals` draws a chunk's standard normals in one vectorised pass
+    and counts, as telemetry, the passes, the lanes the pass finished and
+    the lanes its scalar path redrew.  An owner turns those normals into
+    columns and :meth:`fill` files them, per *tag* (a variant): row ``i``
+    of every column under query ``ids[i]``.  :meth:`take` removes one
+    query's row under one tag and says where it is, and retires the
+    query's rows under every other tag: a query enters one first stage
+    only.  A row the table does not hold returns ``None`` and its owner
+    draws afresh from ``default_rng``, which gives the same bits, so the
+    table decides speed only, never a result.
 
-    The table holds at most one chunk: :meth:`normals` drops the chunk it
-    holds before it draws the next, and :meth:`clear` (at the end of a
-    system's run) drops it for good.  A pickled table arrives empty, with
-    its counters at zero.
+    A fill replaces the chunk the table holds.  The rows of that chunk that
+    nobody took (a query still queued when the next chunk arrives) survive
+    exactly one more fill, and no longer.  Survivors are copied out of
+    their chunk's columns (arrays read-only), so the table never keeps a
+    chunk's arrays alive past the next fill.  The table therefore holds at
+    most one chunk plus its survivors; :meth:`clear` (at the end of a
+    system's run) drops both.  A pickled table arrives empty, with its
+    counters at zero.
     """
 
     def __init__(self) -> None:
-        self.tag: Optional[Hashable] = None
-        self._rows: Dict[Hashable, int] = {}
-        self.columns: Tuple[Sequence, ...] = ()
+        self._filed: Dict[Hashable, _Rows] = {}
+        self._carried: Dict[Hashable, _Rows] = {}
+        #: Every row index held, filed and carried: a take retires from all.
+        self._indexes: Tuple[Dict[Hashable, int], ...] = ()
+        self.passes = 0
         self.vector_lanes = 0
         self.scalar_lanes = 0
 
@@ -282,34 +292,85 @@ class SeedTable:
         return (SeedTable, ())
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return sum(len(index) for index, _ in self._filed.values()) + self.survivors
 
-    def normals(self, keys: Sequence[int], width: int) -> np.ndarray:
-        """:func:`standard_normal_rows` of ``keys``, drawn once the table's chunk is dropped."""
-        self.clear()
-        rows = np.empty((len(keys), width))
-        scalar = _draw_normal_rows(keys, rows)
-        self.vector_lanes += len(rows) - scalar
-        self.scalar_lanes += scalar
-        return rows
+    @property
+    def survivors(self) -> int:
+        """Rows carried over from the previous fill, not yet taken."""
+        return sum(len(index) for index, _ in self._carried.values())
 
-    def fill(self, tag: Hashable, ids: Sequence[Hashable], *columns: Sequence) -> None:
-        """Replace the table with ``columns``, row ``i`` filed under ``tag`` and ``ids[i]``."""
-        self.tag = tag
-        self._rows = dict(zip(ids, range(len(ids))))
-        self.columns = columns
+    def normals(self, groups: Sequence[Tuple[Sequence[int], int]]) -> List[np.ndarray]:
+        """:func:`standard_normal_rows` of every ``(keys, width)`` group, drawn in one pass.
 
-    def take(self, tag: Hashable, id_: Hashable) -> Optional[int]:
-        """The row of ``(tag, id_)`` in :attr:`columns`, removed from the table.
-
-        ``None`` if the table does not hold it.
+        Returns one array per group, ``len(keys)`` rows by ``width``; the
+        arrays are views into the pass's one buffer.
         """
-        if tag != self.tag:
-            return None
-        return self._rows.pop(id_, None)
+        keys = [key for group, _ in groups for key in group]
+        if not keys:
+            return [np.empty((0, width)) for _, width in groups]
+        # A row's first w normals are its stream's first w, so one pass at
+        # the widest width serves every group.
+        rows = np.empty((len(keys), max(width for _, width in groups)))
+        scalar = _draw_normal_rows(keys, rows)
+        self.passes += 1
+        self.vector_lanes += len(keys) - scalar
+        self.scalar_lanes += scalar
+        views, start = [], 0
+        for group, width in groups:
+            views.append(rows[start : start + len(group), :width])
+            start += len(group)
+        return views
+
+    def fill(self, chunk: Dict[Hashable, Tuple[Sequence[Hashable], Tuple[Sequence, ...]]]) -> None:
+        """Hold ``chunk``, ``tag -> (ids, columns)``, and carry the untaken rows of the last one."""
+        self._carried = {
+            tag: _carried(index, columns) for tag, (index, columns) in self._filed.items() if index
+        }
+        self._filed = {
+            tag: (dict(zip(ids, range(len(ids)))), columns) for tag, (ids, columns) in chunk.items()
+        }
+        self._indexes = tuple(
+            index for index, _ in (*self._filed.values(), *self._carried.values())
+        )
+
+    def take(self, tag: Hashable, id_: Hashable) -> Optional[Tuple[Tuple[Sequence, ...], int]]:
+        """Where the row of ``(tag, id_)`` is, ``(columns, i)``; it leaves the table.
+
+        ``id_``'s rows under every other tag leave with it.  ``None`` if the
+        table does not hold the row.
+        """
+        for held in (self._filed, self._carried):
+            index, columns = held.get(tag, _NO_ROWS)
+            i = index.pop(id_, None)
+            if i is not None:
+                for other in self._indexes:
+                    other.pop(id_, None)
+                return columns, i
+        return None
 
     def clear(self) -> None:
-        """Drop every entry."""
-        self.tag = None
-        self._rows = {}
-        self.columns = ()
+        """Drop every row, survivors included."""
+        self._filed = {}
+        self._carried = {}
+        self._indexes = ()
+
+
+#: A tag's rows: query id -> row index, and the columns.
+_Rows = Tuple[Dict[Hashable, int], Tuple[Sequence, ...]]
+
+#: What a tag the table does not hold reads as; its index is only ever popped from.
+_NO_ROWS: _Rows = ({}, ())
+
+
+def _carried(index: Dict[Hashable, int], columns: Tuple[Sequence, ...]) -> _Rows:
+    """The rows of ``index``, copied out of ``columns`` (arrays read-only) and renumbered."""
+    rows = list(index.values())
+    copied = []
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            column = column[rows]
+            column.flags.writeable = False
+        else:
+            column = [column[i] for i in rows]
+        copied.append(column)
+    return dict(zip(index, range(len(rows)))), tuple(copied)

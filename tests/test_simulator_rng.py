@@ -134,19 +134,19 @@ def test_standard_normal_rows_of_no_keys():
     assert standard_normal_rows([5, 6], 0).shape == (2, 0)
 
 
-def test_table_normals_count_lanes_and_drop_the_filed_chunk():
+def test_table_normals_draw_every_group_in_one_pass():
     table = SeedTable()
     keys = list(range(4096))
-    rows = table.normals(keys, 17)
-    assert np.array_equal(_bits(rows), _bits(standard_normal_rows(keys, 17)))
-    assert table.vector_lanes + table.scalar_lanes == 4096
-    assert 0 < table.scalar_lanes < 4096 // 2
-    table.fill("light", keys, rows)
-    assert table.take("light", 7) == 7 and len(table) == 4095
-    fewer = table.normals(keys[:5], 18)
-    assert len(table) == 0 and table.columns == () and table.take("light", 8) is None
-    assert np.array_equal(_bits(fewer), _bits(standard_normal_rows(keys[:5], 18)))
-    assert table.vector_lanes + table.scalar_lanes == 4101
+    wide, narrow = table.normals([(keys, 17), (keys[:2000], 16)])
+    assert np.array_equal(_bits(wide), _bits(standard_normal_rows(keys, 17)))
+    assert np.array_equal(_bits(narrow), _bits(standard_normal_rows(keys[:2000], 16)))
+    assert table.passes == 1 and table.vector_lanes + table.scalar_lanes == 6096
+    assert 0 < table.scalar_lanes < 6096 // 2
+    table.fill({"light": ([7], ([1],))})
+    assert [rows.shape for rows in table.normals([(keys[:5], 18), ([], 16)])] == [(5, 18), (0, 16)]
+    assert table.take("light", 7) == (([1],), 0)  # drawing does not touch the filed rows
+    assert table.passes == 2 and table.normals([([], 17)])[0].shape == (0, 17)
+    assert table.passes == 2  # nothing to draw, no pass
     assert pickle.loads(pickle.dumps(table)).scalar_lanes == 0
 
 
@@ -180,23 +180,70 @@ def test_keys_outside_32_bits_are_rejected():
         seed_sequence_states([2**32])
 
 
+def _row(table, tag, id_):
+    """The values of the row ``take`` finds, or ``None``."""
+    found = table.take(tag, id_)
+    if found is None:
+        return None
+    columns, i = found
+    return tuple(column[i] for column in columns)
+
+
 def test_take_removes_and_misses_return_none():
     table = SeedTable()
-    table.fill("light", [10, 11], [5, 6])
+    table.fill({"light": ([10, 11], ([5, 6],))})
     assert table.take("heavy", 10) is None  # another tag: not held
     assert table.take("light", 12) is None  # another id: not held
-    assert table.take("light", 10) is not None
+    assert _row(table, "light", 10) == (5,)
     assert table.take("light", 10) is None  # taken once
     assert len(table) == 1
-    table.fill("light", [12], [7])  # a fill replaces the chunk
-    assert table.take("light", 11) is None and len(table) == 1
     table.clear()
-    assert len(table) == 0 and table.take("light", 12) is None
+    assert len(table) == 0 and table.take("light", 11) is None
+
+
+def test_untaken_rows_survive_exactly_one_more_fill():
+    table = SeedTable()
+    table.fill({"light": ([1, 2, 3], ([1, 2, 3],))})
+    assert _row(table, "light", 1) == (1,)
+    table.fill({"light": ([4, 5], ([4, 5],))})
+    assert (len(table), table.survivors) == (4, 2)  # one chunk plus the two untaken
+    assert _row(table, "light", 2) == (2,)  # a survivor is still there
+    table.fill({"light": ([6], ([6],))})
+    assert (len(table), table.survivors) == (3, 2)  # 4 and 5 survive; 3 is gone
+    assert table.take("light", 3) is None
+    assert _row(table, "light", 5) == (5,)
+    table.fill({})
+    assert (len(table), table.survivors) == (1, 1)  # 6 survives; 4 is gone
+    assert table.take("light", 4) is None and _row(table, "light", 6) == (6,)
+
+
+def test_taking_a_row_retires_the_query_under_other_tags():
+    table = SeedTable()
+    table.fill({"light": ([1, 2], (["l1", "l2"],)), "heavy": ([1, 2], (["h1", "h2"],))})
+    assert _row(table, "heavy", 1) == ("h1",)
+    assert table.take("light", 1) is None
+    table.fill({"light": ([3], (["l3"],)), "heavy": ([3], (["h3"],))})
+    assert table.survivors == 2  # query 2 under both tags
+    assert _row(table, "light", 2) == ("l2",)
+    assert table.survivors == 0 and table.take("heavy", 2) is None
+    assert len(table) == 2
+
+
+def test_survivors_are_read_only_copies():
+    table = SeedTable()
+    (chunk,) = table.normals([([1, 2, 3], 4)])
+    chunk.flags.writeable = False
+    table.fill({"light": ([1, 2, 3], ([1, 2, 3], chunk))})
+    table.fill({})
+    (_, survivors), i = table.take("light", 2)
+    assert survivors[i].tobytes() == chunk[1].tobytes()
+    assert not np.shares_memory(survivors, chunk) and not survivors.flags.writeable
 
 
 def test_pickled_table_is_empty():
     table = SeedTable()
-    table.fill("light", [1, 2, 3], [1, 2, 3])
+    table.fill({"light": ([1, 2, 3], ([1, 2, 3],))})
+    table.fill({"light": ([4], ([4],))})
     clone = pickle.loads(pickle.dumps(table))
-    assert len(clone) == 0 and clone.tag is None
+    assert len(clone) == 0 and clone.survivors == 0 and clone.take("light", 4) is None
     assert len(pickle.dumps(table)) < 100

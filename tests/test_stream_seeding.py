@@ -1,24 +1,30 @@
 """Bulk seeding of the per-query random streams.
 
-Each arrival chunk seeds, in one vectorised call, the image streams of the
-variant the load balancer routes to first and, when that stage is scored,
-the discriminator's observation streams.  The gates here: seeding never
-changes a result (the oracle is the same cell with seeding switched off),
-every first-stage draw of a plain cell comes from the seed table, held
-outcomes are not seeded, and the tables never cross a pickle.
+Each arrival chunk draws, in one vectorised pass, the images of every pool
+an arrival can enter first and, when that stage is scored, the
+discriminator's observations of them, which travel with the images.  The
+gates here: seeding never changes a result (the oracle is the same cell
+with seeding switched off), no first-stage draw of a plain cell falls back
+to a generator of its own (not with tiny chunks, and not under random-split
+routing), held outcomes are not seeded, a memoized observation is the
+scalar draw bit for bit, the table holds one chunk plus its survivors, and
+it never crosses a pickle.
 """
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.load_balancer import LoadBalancer
 from repro.core.system import DEFAULT_ARRIVAL_CHUNK
+from repro.discriminators.architectures import TrainedDiscriminator
 from repro.experiments import harness
 from repro.experiments.harness import ExperimentScale
 from repro.models.generation import ImageGenerator
 from repro.runner.executor import canonical_summaries_json, resolve_trace, run_cell_results
 from repro.runner.spec import ExperimentSpec, TraceSpec
+from repro.simulator.rng import SeedTable
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -49,6 +55,38 @@ def seeded_generators(monkeypatch):
 
     monkeypatch.setattr(ImageGenerator, "seed_streams", recording)
     return seen
+
+
+@pytest.fixture
+def observation_draws(monkeypatch):
+    """``(query, variant)`` of every observation drawn from a generator of its own."""
+    drawn = []
+    original = TrainedDiscriminator._draw_observation
+
+    def recording(self, image, noise_std):
+        drawn.append((image.query_id, image.variant_name))
+        return original(self, image, noise_std)
+
+    monkeypatch.setattr(TrainedDiscriminator, "_draw_observation", recording)
+    return drawn
+
+
+@pytest.fixture
+def stage_draws(monkeypatch):
+    """Per variant name, ``[seeded, fallback]`` image draws made through ``generate_batch``."""
+    stages = {}
+    original = ImageGenerator.generate_batch
+
+    def recording(self, query_ids, difficulties, variant):
+        before = (self.seeded_draws, self.fallback_draws)
+        images = original(self, query_ids, difficulties, variant)
+        counts = stages.setdefault(variant.name, [0, 0])
+        counts[0] += self.seeded_draws - before[0]
+        counts[1] += self.fallback_draws - before[1]
+        return images
+
+    monkeypatch.setattr(ImageGenerator, "generate_batch", recording)
+    return stages
 
 
 def _build(systems):
@@ -99,31 +137,63 @@ def test_small_chunks_change_nothing():
     )
 
 
-def test_plain_cell_falls_back_only_for_heavy_draws(monkeypatch):
-    """Every light draw and every observation of a plain cell comes from the table."""
+def test_plain_cell_falls_back_only_for_heavy_draws(stage_draws, observation_draws):
+    """Every light draw of a plain cell comes from the table and carries its observation."""
     _, trace = resolve_trace(_spec())
     assert len(trace.arrival_times) < DEFAULT_ARRIVAL_CHUNK  # one chunk, no leftovers
     system = _build(("diffserve-static",))["diffserve-static"]
-    heavy_name = system.config.cascade.heavy.name
-    stages = {"light": 0, "heavy": 0}
-    original = ImageGenerator.generate_batch
-
-    def recording(self, query_ids, difficulties, variant):
-        stages["heavy" if variant.name == heavy_name else "light"] += len(query_ids)
-        return original(self, query_ids, difficulties, variant)
-
-    monkeypatch.setattr(ImageGenerator, "generate_batch", recording)
-    discriminator = system.discriminator
-    disc_before = (discriminator.seeded_draws, discriminator.fallback_draws)
+    cascade = system.config.cascade
+    built_observations = len(observation_draws)
     system.run(trace)
-    generator = system.generator
-    assert stages["heavy"] > 0 and stages["light"] > 0
-    assert generator.fallback_draws == stages["heavy"]
-    assert generator.seeded_draws == stages["light"]
-    assert discriminator.fallback_draws == disc_before[1]
-    assert discriminator.seeded_draws - disc_before[0] == stages["light"]
-    # end_turn cleared both tables.
-    assert len(generator.seed_table) == 0 and len(discriminator.seed_table) == 0
+    light, heavy = stage_draws[cascade.light.name], stage_draws[cascade.heavy.name]
+    assert light[0] > 0 and light[1] == 0
+    assert heavy == [0, heavy[1]] and heavy[1] > 0
+    assert (system.generator.seeded_draws, system.generator.fallback_draws) == (light[0], heavy[1])
+    # Profiling the deferral curve at build time drew nothing on its own either.
+    assert built_observations == 0 and observation_draws == []
+    # end_turn cleared the table.
+    assert len(system.generator.seed_table) == 0
+
+
+def test_chunk_7_diffserve_cell_has_no_first_stage_fallbacks(stage_draws, observation_draws):
+    """Tiny chunks: a query still queued when the next chunk fills keeps its row."""
+    _, trace = resolve_trace(_spec())
+    system = _build(("diffserve",))["diffserve"]
+    system.arrival_chunk = 7
+    system.run(trace)
+    light = stage_draws[system.config.cascade.light.name]
+    assert light[0] > 0 and light[1] == 0
+    assert observation_draws == []
+    assert system.generator.seed_table.passes > len(trace.arrival_times) // 7
+
+
+def test_proteus_cell_has_no_fallbacks_in_either_pool(stage_draws):
+    """Random-split routing draws its split at submit, so a chunk seeds both pools."""
+    _, trace = resolve_trace(_spec())
+    system = _build(("proteus",))["proteus"]
+    system.run(trace)
+    assert len(stage_draws) == 2  # the light pool and Proteus's own heavy variant
+    assert all(seeded > 0 and fallback == 0 for seeded, fallback in stage_draws.values())
+
+
+def test_the_table_holds_one_chunk_plus_its_survivors(monkeypatch):
+    """At every fill of a chunk-7 cell: at most two chunks' rows, and survivors of one."""
+    _, trace = resolve_trace(_spec())
+    system = _build(("diffserve",))["diffserve"]
+    system.arrival_chunk = 7
+    sizes = []
+    original = SeedTable.fill
+
+    def recording(self, chunk):
+        untaken = len(self) - self.survivors  # the last chunk's rows nobody took
+        original(self, chunk)
+        sizes.append((len(self), self.survivors, untaken))
+
+    monkeypatch.setattr(SeedTable, "fill", recording)
+    system.run(trace)
+    assert len(sizes) > len(trace.arrival_times) // 7
+    assert all(held <= 14 and survivors == untaken for held, survivors, untaken in sizes)
+    assert any(survivors > 0 for _, survivors, _ in sizes)
 
 
 def test_held_outcomes_are_not_seeded(trained_discriminator, cascade1):
@@ -132,19 +202,23 @@ def test_held_outcomes_are_not_seeded(trained_discriminator, cascade1):
     generator.share(readers=2)
     generator.take_turn()
     held = [generator.generate(qid, 0.4, light) for qid in (0, 1, 2)]
-    trained_discriminator.observe(held[0])  # memoized: scoring it draws nothing
-    generator.seed_streams([0, 1, 2, 3, 4], [0.4] * 5, light, trained_discriminator)
-    assert len(generator.seed_table) == 2  # queries 3 and 4 only
-    assert len(trained_discriminator.seed_table) == 4  # 3, 4 and held 1, 2
+    memoized = trained_discriminator.observe(held[0])  # scoring it draws nothing
+    generator.seed_streams([0, 1, 2, 3, 4], [0.4] * 5, [(light, trained_discriminator)])
+    table = generator.seed_table
+    assert len(table) == 2  # images of queries 3 and 4 only
+    # One pass: images 3 and 4, observations of 3, 4 and of held 1 and 2.
+    assert (table.passes, table.vector_lanes + table.scalar_lanes) == (1, 6)
+    key = trained_discriminator.memo_key
+    assert held[0].observations[key] is memoized
+    assert all(key in image.observations for image in held)
     generator.end_turn()
-    trained_discriminator.end_turn()
-    assert len(generator.seed_table) == 0 and len(trained_discriminator.seed_table) == 0
+    assert len(table) == 0
 
 
 def test_seeded_draws_equal_fresh_draws(trained_discriminator, cascade1):
     light = cascade1.light
     fresh, seeded = ImageGenerator(seed=5), ImageGenerator(seed=5)
-    seeded.seed_streams(range(20), [0.3] * 20, light, trained_discriminator)
+    seeded.seed_streams(range(20), [0.3] * 20, [(light, trained_discriminator)])
     for qid in range(20):
         a, b = fresh.generate(qid, 0.3, light), seeded.generate(qid, 0.3, light)
         assert a.quality == b.quality and (a.features == b.features).all()
@@ -152,18 +226,66 @@ def test_seeded_draws_equal_fresh_draws(trained_discriminator, cascade1):
     assert (seeded.seeded_draws, fresh.fallback_draws) == (20, 20)
 
 
+def test_memoized_observation_is_the_scalar_draw_bit_for_bit(trained_discriminator, cascade1):
+    """Chunk-drawn observations of fresh and held images equal ``_draw_observation``."""
+    light, heavy = cascade1.light, cascade1.heavy
+    ids = list(range(2000))  # enough lanes that some leave the ziggurat's fast path
+    difficulties = [(q % 97) / 96 for q in ids]
+    generator = ImageGenerator(seed=11)
+    generator.share(readers=2)
+    generator.take_turn()
+    held = [generator.generate(q, d, light) for q, d in zip(ids[:500], difficulties)]
+    generator.seed_streams(ids, difficulties, [(light, trained_discriminator), (heavy, None)])
+    assert generator.seed_table.scalar_lanes > 0
+    images = held + [generator.generate(q, d, light) for q, d in zip(ids[500:], difficulties[500:])]
+    assert generator.fallback_draws == 500  # the held ones, drawn before the pass
+    key = trained_discriminator.memo_key
+    noise = trained_discriminator.architecture.observation_noise
+    for image in images:
+        memoized = image.observations[key]
+        assert not memoized.flags.writeable
+        assert memoized.tobytes() == trained_discriminator._draw_observation(image, noise).tobytes()
+
+
+def test_another_discriminator_scoring_a_seeded_image_draws_afresh(
+    trained_discriminator, cascade1, observation_draws
+):
+    light = cascade1.light
+    generator = ImageGenerator(seed=2)
+    generator.seed_streams(range(8), [0.5] * 8, [(light, trained_discriminator)])
+    image = generator.generate(3, 0.5, light)
+    trained_discriminator.observe(image)
+    assert observation_draws == []  # its own observation came with the image
+    other = TrainedDiscriminator(
+        trained_discriminator.architecture,
+        trained_discriminator.classifier,
+        seed=trained_discriminator.seed + 1,
+    )
+    observed = other.observe(image)
+    assert observation_draws == [(3, light.name)]
+    noise = other.architecture.observation_noise
+    assert observed.tobytes() == other._draw_observation(image, noise).tobytes()
+    assert set(image.observations) == {trained_discriminator.memo_key, other.memo_key}
+    assert not np.array_equal(observed, image.observations[trained_discriminator.memo_key])
+
+
 def test_tables_and_counters_never_cross_a_pickle(trained_discriminator, cascade1):
     generator = ImageGenerator(seed=1)
-    generator.seed_streams(range(10), [0.5] * 10, cascade1.light, trained_discriminator)
+    generator.seed_streams(range(10), [0.5] * 10, [(cascade1.light, trained_discriminator)])
     generator.generate(0, 0.5, cascade1.light)
-    for original in (generator, trained_discriminator):
-        assert len(original.seed_table) > 0
-        clone = pickle.loads(pickle.dumps(original))
-        assert len(clone.seed_table) == 0
-        assert (clone.seeded_draws, clone.fallback_draws) == (0, 0)
-    # A discriminator pickled before it had a seed table unpickles with one.
-    state = dict(trained_discriminator.__getstate__())
-    legacy = object.__new__(type(trained_discriminator))
-    legacy.__setstate__(state)
-    assert len(legacy.seed_table) == 0
-
+    assert len(generator.seed_table) > 0 and generator.seed_table.passes == 1
+    clone = pickle.loads(pickle.dumps(generator))
+    assert len(clone.seed_table) == 0 and clone.seed_table.passes == 0
+    assert (clone.seeded_draws, clone.fallback_draws) == (0, 0)
+    # The discriminator holds no seeding state: its pickle is its trained state.
+    assert set(vars(trained_discriminator)) == {
+        "architecture",
+        "classifier",
+        "training_data",
+        "seed",
+        "latency_s",
+        "name",
+        "_calibration",
+    }
+    clone = pickle.loads(pickle.dumps(trained_discriminator))
+    assert set(vars(clone)) == set(vars(trained_discriminator))
