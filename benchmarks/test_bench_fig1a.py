@@ -7,7 +7,7 @@ no better than random routing.
 
 import pytest
 
-from repro.experiments.fig1_motivation import run_fig1a
+from repro.experiments.offline import run_fig1a
 
 
 @pytest.mark.parametrize("cascade_name", ["sdturbo", "sdxs"])

@@ -9,7 +9,7 @@ difference.
 import numpy as np
 import pytest
 
-from repro.experiments.fig1_motivation import run_fig1b
+from repro.experiments.offline import run_fig1b
 
 
 @pytest.mark.parametrize("cascade_name", ["sdturbo", "sdxs"])

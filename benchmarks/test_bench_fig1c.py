@@ -8,7 +8,7 @@ frontier point has a (weakly) worse FID than the lowest-throughput one.
 
 import numpy as np
 
-from repro.experiments.fig1_pareto import run_fig1c
+from repro.experiments.offline import run_fig1c
 
 
 def test_bench_fig1c(benchmark, bench_scale):

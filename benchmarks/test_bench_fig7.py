@@ -5,7 +5,7 @@ achieves the lowest FID of the four discriminator configurations on both
 cascades (it is the configuration DiffServe ships with).
 """
 
-from repro.experiments.fig7_discriminator import run_fig7
+from repro.experiments.offline import run_fig7
 
 
 def test_bench_fig7(benchmark, bench_scale):

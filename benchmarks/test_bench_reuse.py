@@ -5,7 +5,7 @@ essentially unchanged, while reusing SDXS outputs degrades FID noticeably
 (paper: 18.55 -> 19.75 on MS-COCO).
 """
 
-from repro.experiments.reuse_study import run_reuse_study
+from repro.experiments.offline import run_reuse_study
 
 
 def test_bench_reuse(benchmark, bench_scale):

@@ -10,8 +10,8 @@ Run with:  python examples/motivation_study.py [--fast]
 
 import argparse
 
-from repro.experiments.fig1_motivation import run_fig1a, run_fig1b
 from repro.experiments.harness import ExperimentScale, format_table
+from repro.experiments.offline import run_fig1a, run_fig1b
 
 
 def main() -> None:

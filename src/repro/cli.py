@@ -9,11 +9,12 @@ Usage::
     python -m repro.cli run --workload mmpp,flash-crowd --workload-params "burst_factor=6"
 
 Each experiment prints the table its ``repro.experiments`` module's
-``main()`` (or, for a ``STUDIES`` record, ``studies.main(name)``) renders;
-``all`` runs the full suite in order.  ``run`` executes an
-arbitrary experiment grid through the parallel runner with artifact caching
-(see :mod:`repro.runner`): repeated invocations are served from the cache
-without firing a single simulation event.
+``main()`` renders; an ``offline.OFFLINE`` or ``studies.STUDIES`` record is
+printed by its module's ``main(name)``.  ``all`` runs the full suite in
+order.  ``run`` executes an arbitrary experiment grid through the parallel
+runner with artifact caching (see :mod:`repro.runner`): repeated
+invocations are served from the cache without firing a single simulation
+event.
 """
 
 from __future__ import annotations
@@ -25,28 +26,19 @@ from dataclasses import replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.experiments import (
-    drift_adaptation,
-    fig1_motivation,
-    fig1_pareto,
-    fig5_real_trace,
-    fig7_discriminator,
-    milp_overhead,
-    reuse_study,
-    studies,
-)
+from repro.experiments import drift_adaptation, fig5_real_trace, milp_overhead, offline, studies
 from repro.experiments.harness import BENCH_SCALE, ExperimentScale
 from repro.runner.dimensions import DIMENSIONS, decode_json_object
 
 #: Experiment name -> (description, runner main function).
 EXPERIMENTS: Dict[str, tuple] = {
-    "fig1": ("Figure 1a/1b motivation study", fig1_motivation.main),
-    "fig1c": ("Figure 1c FID/throughput Pareto frontier", fig1_pareto.main),
     "fig5": ("Figure 5 Azure-like trace comparison (Cascade 1)", fig5_real_trace.main),
-    "fig7": ("Figure 7 discriminator ablation", fig7_discriminator.main),
     "milp": ("Section 4.5 MILP solver overhead", milp_overhead.main),
-    "reuse": ("Section 5 reuse study", reuse_study.main),
     "drift": ("Drift adaptation: static vs. online re-planned plans", drift_adaptation.main),
+    **{
+        name: (description, partial(offline.main, name))
+        for name, (description, _) in offline.OFFLINE.items()
+    },
     **{
         name: (study.description, partial(studies.main, name))
         for name, study in studies.STUDIES.items()

@@ -10,11 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from repro.baselines.registry import SYSTEMS, build_system
+from repro.baselines.registry import SYSTEMS, build_system, get_system
 from repro.core.config import FleetSpec
 from repro.core.results import SimulationResult
 from repro.core.system import ServingSimulation
 from repro.discriminators.base import Discriminator
+from repro.discriminators.deferral import DeferralProfile
 from repro.models.dataset import QueryDataset
 from repro.models.generation import ImageGenerator
 from repro.models.zoo import get_cascade
@@ -138,8 +139,9 @@ def build_comparison_systems(
     fixed-provisioning comparison arms).  ``fleet`` replaces the homogeneous
     ``scale.num_workers`` cluster, and ``resources``, ``faults`` and
     ``prices`` apply to every system, so all systems compete on identical
-    hardware under the same scenario.  Each cascade system profiles its own
-    deferral function, because the controller updates it in place.
+    hardware under the same scenario.  The deferral function is profiled once
+    per call, and each cascade system gets a copy of its own, because the
+    controller updates it in place.
 
     Every system shares one :class:`~repro.models.generation.ImageGenerator`
     opened for as many turns as there are systems, so a query outcome is
@@ -164,7 +166,20 @@ def build_comparison_systems(
         "autoscale": autoscale,
         "prices": prices,
     }
-    built = {name: build_system(cascade_name, name, **options) for name in systems}
+    profile = None
+    if any(get_system(name).query_aware for name in systems):
+        profile = DeferralProfile.profile(
+            discriminator, dataset, get_cascade(cascade_name).light, seed=scale.seed
+        )
+    built = {
+        name: build_system(
+            cascade_name,
+            name,
+            deferral_profile=None if profile is None else DeferralProfile(profile.confidences),
+            **options,
+        )
+        for name in systems
+    }
     generator = ImageGenerator(seed=scale.seed)
     generator.share(len(built))
     for system in built.values():

@@ -196,9 +196,11 @@ FIG_CELL_FALLBACKS = {
     ("diffserve", "sd-v1.5"): 237,
     ("diffserve-static", "sd-v1.5"): 240,
 }
-#: fig-cell: (phase, variant) -> image draws read from the seed table.
+#: fig-cell: (phase, variant) -> image draws read from the seed table.  The
+#: build phase profiles the deferral function once for both cascade systems
+#: (300 calibration images); each system used to profile its own (600).
 FIG_CELL_SEEDED = {
-    ("build", "sd-turbo"): 600,
+    ("build", "sd-turbo"): 300,
     ("clipper-heavy", "sd-v1.5"): 1442,
     ("clipper-light", "sd-turbo"): 2896,
     ("proteus", "sd-v1.5-25step"): 2403,
@@ -212,15 +214,16 @@ def test_fig_cell_draw_work_is_pinned(ledger, tmp_path):
     assert (fallbacks, seeded) == (FIG_CELL_FALLBACKS, FIG_CELL_SEEDED)
     observations = {k: n for k, n in ledger.observations.items() if k[0] != "train"}
     assert observations == {
-        ("build", "made"): 600,
+        ("build", "made"): 300,
         ("diffserve-static", "made"): 2882,
         ("diffserve", "made"): 2915,
     }
-    # Passes: 2 profiling, one per chunk (a chunk per system: the trace
-    # fits one) for the four systems whose first stage needs a draw.  The
-    # last system's light images and observations are all held already.
+    # Passes: 1 profiling (2 when each cascade system profiled its own), one
+    # per chunk (a chunk per system: the trace fits one) for the four systems
+    # whose first stage needs a draw.  The last system's light images and
+    # observations are all held already.
     assert {k: n for k, n in ledger.passes.items() if k != "train"} == {
-        "build": 2,
+        "build": 1,
         "clipper-light": 1,
         "clipper-heavy": 1,
         "proteus": 1,

@@ -8,14 +8,7 @@ headline qualitative findings at reduced scale.
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    drift_adaptation,
-    fig1_motivation,
-    fig1_pareto,
-    milp_overhead,
-    reuse_study,
-)
-from repro.experiments.cascade_eval import CascadeEvaluator
+from repro.experiments import drift_adaptation, milp_overhead, offline
 from repro.experiments.harness import (
     DEFAULT_QPS_RANGE,
     ExperimentScale,
@@ -23,6 +16,7 @@ from repro.experiments.harness import (
     format_table,
     shared_components,
 )
+from repro.experiments.offline import CascadeEvaluator
 
 SMALL = ExperimentScale(dataset_size=200, trace_duration=90.0, num_workers=16)
 
@@ -73,7 +67,7 @@ def test_cascade_sweep_monotone_deferral(coco_dataset, cascade1, trained_discrim
 
 # --------------------------------------------------------------------- fig 1a
 def test_fig1a_discriminator_beats_metric_thresholds():
-    result = fig1_motivation.run_fig1a("sdturbo", SMALL, n_thresholds=7)
+    result = offline.run_fig1a("sdturbo", SMALL, n_thresholds=7)
     disc = result.curves["discriminator"].best_fid()
     assert disc < result.curves["pickscore"].best_fid() + 0.2
     assert disc < result.curves["clipscore"].best_fid() + 0.2
@@ -85,7 +79,7 @@ def test_fig1a_discriminator_beats_metric_thresholds():
 
 # --------------------------------------------------------------------- fig 1b
 def test_fig1b_easy_fraction_in_paper_band():
-    result = fig1_motivation.run_fig1b("sdturbo", SMALL)
+    result = offline.run_fig1b("sdturbo", SMALL)
     assert 0.1 <= result.easy_fraction_confidence <= 0.6
     assert 0.1 <= result.easy_fraction_pickscore <= 0.6
     xs, ys = result.cdf("confidence")
@@ -95,7 +89,7 @@ def test_fig1b_easy_fraction_in_paper_band():
 
 # --------------------------------------------------------------------- fig 1c
 def test_fig1c_pareto_frontier_properties():
-    result = fig1_pareto.run_fig1c(scale=SMALL, n_thresholds=5, num_workers=10)
+    result = offline.run_fig1c(scale=SMALL, n_thresholds=5, num_workers=10)
     assert result.num_configurations > 100
     xs, ys = result.frontier_arrays()
     assert len(xs) >= 2
@@ -129,7 +123,7 @@ def test_drift_table_reproduces_byte_for_byte():
 
 # ----------------------------------------------------------------- reuse study
 def test_reuse_study_matches_paper_direction():
-    result = reuse_study.run_reuse_study(("sdturbo", "sdxs"), SMALL)
+    result = offline.run_reuse_study(("sdturbo", "sdxs"), SMALL)
     # SD-Turbo latents are compatible: no significant FID change.
     assert abs(result.fid_change("sdturbo")) < 0.3
     # SDXS latents are not: FID increases noticeably (paper: 18.55 -> 19.75).

@@ -48,9 +48,9 @@ ALLOWED = {
     "design, covered by the discriminator tests",
     "repro.discriminators.heuristics.OracleDiscriminator": "test oracle for DeferralProfile "
     "and a known-confidence discriminator for worker/load-balancer tests",
-    "repro.experiments.cascade_eval.CascadeCurve.fid_at_latency": "curve reader used by "
+    "repro.experiments.offline.CascadeCurve.fid_at_latency": "curve reader used by "
     "examples/motivation_study.py",
-    "repro.experiments.fig1_motivation.Fig1bResult.cdf": "Figure 1b's CDF, read by its "
+    "repro.experiments.offline.Fig1bResult.cdf": "Figure 1b's CDF, read by its "
     "benchmark and examples/motivation_study.py",
     "repro.experiments.fig5_real_trace.Fig5Result.timeseries": "Figure 5's series, read by "
     "examples/serve_azure_trace.py",

@@ -629,7 +629,7 @@ _POOL_SCRIPT = """
     from repro.runner.spec import ExperimentGrid
 
     def hang_in_cell(spec, cache):
-        print(os.getpid(), flush=True)
+        os.write(1, f"{os.getpid()}\\n".encode())
         time.sleep(600)
 
     executor.run_cell = hang_in_cell
