@@ -5,10 +5,10 @@ Two gates:
 * Mixed fleets stay cheap to plan for: both arms build the same
   class-indexed MILP (the homogeneous fleet is its single-class case), and
   cold-solving it over a demand ramp on a mixed 16-worker fleet costs at
-  most 2x the homogeneous 16-worker solve in LP relaxations solved (the
-  deterministic cost model).  In practice the class-eligibility pruning
-  makes the mixed sweep *cheaper*, so the 2x bound guards against more
-  device classes blowing up branch-and-bound.  Wall time is reported to
+  most 2x the homogeneous 16-worker solve in HiGHS solves (the
+  deterministic cost model: one per batch pair solved).  In practice the
+  class-eligibility pruning makes the mixed sweep *cheaper*, so the 2x bound
+  guards against more device classes multiplying the pairs solved.  Wall time is reported to
   ``benchmarks/compare.py``, not asserted.
 * Heterogeneity pays at equal cost: in the ``repro fleet`` study at least
   one mixed fleet matches or Pareto-dominates the homogeneous all-A100
@@ -48,7 +48,7 @@ def _fresh_allocator(bench_scale):
 
 
 def _cold_sweep(allocator, fleet, slo):
-    """LP solves for a cold re-solve ramp on one fleet."""
+    """HiGHS solves for a cold re-solve ramp on one fleet."""
     lp_before = allocator.solver.total_lp_solves + allocator.exhaustive_solver.total_lp_solves
     for demand in DEMAND_RAMP:
         ctx = ControlContext(

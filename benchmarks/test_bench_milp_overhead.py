@@ -2,8 +2,8 @@
 
 Paper shape asserted: one allocation solve is cheap enough to run every
 control period (Gurobi: ~10 ms), stays off the data path, and matches the
-exhaustive optimum.  The cost is asserted as a deterministic count of LP
-relaxations per plan; the wall-clock solve times are reported as extra info
+exhaustive optimum.  The cost is asserted as a deterministic count of HiGHS
+solves per plan; the wall-clock solve times are reported as extra info
 only, so a busy host cannot fail the check.
 """
 
@@ -22,10 +22,10 @@ def test_bench_milp_overhead(benchmark, bench_scale):
     benchmark.extra_info["lp_solves"] = result.lp_solves
 
     # Solves are cheap enough to run every control period: every plan costs
-    # at least one LP relaxation and at most a bounded handful.
+    # at least one HiGHS solve and at most one per light batch size.
     assert len(result.lp_solves) == len(result.demands)
     assert all(1 <= n <= MAX_LPS_PER_PLAN for n in result.lp_solves)
-    # Branch-and-bound finds the exhaustive optimum on every instance.
+    # HiGHS finds the exhaustive optimum on every instance.
     assert result.always_agrees
     # The optimal threshold falls as demand rises (model scaling).
     assert result.thresholds[0] >= result.thresholds[-1]

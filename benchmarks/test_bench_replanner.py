@@ -3,8 +3,8 @@
 Two gates:
 
 * Warm-started re-planning is cheap: re-solving a drifting allocation
-  problem with the previous epoch's plan as a warm start solves at least 3x
-  fewer LP relaxations than cold solves (the deterministic cost model).
+  problem with the previous epoch's plan as a warm start runs at least 3x
+  fewer HiGHS solves than cold solves (the deterministic cost model).
   Both sweeps skip batch pairs whose pair bound cannot reach the best
   plan's key; the warm path also seeds the MILP incumbent, takes an
   incumbent that meets its pair bound without a solve, and prunes pairs
@@ -43,7 +43,7 @@ def _fresh_allocator(bench_scale):
 
 
 def _resolve_sequence(allocator, demands, slo, *, warm):
-    """(LP solves, plans) for one re-solve sequence."""
+    """(HiGHS solves, plans) for one re-solve sequence."""
     lp_before = allocator.solver.total_lp_solves + allocator.exhaustive_solver.total_lp_solves
     plans = []
     plan = None
@@ -79,7 +79,7 @@ def test_bench_warm_start_resolve_speedup(benchmark, bench_scale):
     assert warm_alloc.warm_start_hits > 0
     assert warm_alloc.pairs_pruned_by_bound > 0
     # The headline gate: warm-started re-solves are >= 3x cheaper than cold
-    # in LP relaxations solved (deterministic).
+    # in HiGHS solves (deterministic).
     assert warm_lps * 3 <= cold_lps, f"warm {warm_lps} LPs vs cold {cold_lps}"
     # Warm re-solves never sacrifice plan quality: the chosen threshold
     # matches the cold optimum on every instance.

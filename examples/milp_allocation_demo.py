@@ -3,8 +3,8 @@
 Sweeps the estimated demand from trough to peak and prints the plan DiffServe
 would deploy at each level: worker split, batch sizes, confidence threshold
 and the fraction of queries deferred to the heavyweight model.  Also reports
-the solver runtime (Section 4.5 measures ~10ms with Gurobi; our
-branch-and-bound solver is in the same ballpark).
+the solver runtime (Section 4.5 measures ~10ms with Gurobi; HiGHS, which
+ships with scipy, is in the same ballpark).
 
 Run with:  python examples/milp_allocation_demo.py
 """

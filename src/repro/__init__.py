@@ -8,7 +8,7 @@ The package is organised as:
 * :mod:`repro.metrics` — FID, SLO and Pareto utilities.
 * :mod:`repro.discriminators` — trainable discriminators and the baselines
   they are compared against.
-* :mod:`repro.milp` — from-scratch MILP solver (branch-and-bound + exhaustive).
+* :mod:`repro.milp` — MILP toolkit (HiGHS branch-and-cut + exhaustive oracle).
 * :mod:`repro.core` — the DiffServe serving system (workers, load balancer,
   controller, MILP resource allocator).
 * :mod:`repro.baselines` — the five compared systems (Table 1) as records

@@ -20,8 +20,9 @@ variant.  The paper's two-variable problem is the single-class case
 ``f(t)`` — the fraction of queries deferred at threshold ``t`` — is an
 empirical, piecewise-constant function, so the threshold is discretised onto
 a grid and selected with binary variables inside a MILP solved per candidate
-``(b1, b2)`` pair.  The MILP is solved with the branch-and-bound solver from
-:mod:`repro.milp` (the paper uses Gurobi).
+``(b1, b2)`` pair.  Like the paper, which hands it to Gurobi, the allocator
+hands each MILP to an off-the-shelf solver: HiGHS's branch-and-cut, through
+:class:`~repro.milp.highs.HighsMILPSolver`.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from repro.core.config import DeviceClass, FleetSpec, ResourceConfig
 from repro.core.pricing import PriceTrace
 from repro.core.queueing import LittlesLawModel, QueueingModel
 from repro.discriminators.deferral import DeferralProfile
-from repro.milp.branch_and_bound import BranchAndBoundSolver
 from repro.milp.exhaustive import ExhaustiveSolver
+from repro.milp.highs import HighsMILPSolver
 from repro.milp.problem import ACCEPT_TOL, MILPProblem
 from repro.milp.solution import MILPSolution, SolveStatus
 from repro.models.variants import ModelVariant
@@ -216,10 +217,10 @@ class DiffServeAllocator:
         self.queueing_model = queueing_model or LittlesLawModel()
         self.batch_candidates = tuple(sorted(set(int(b) for b in batch_candidates)))
         self.over_provision = over_provision
-        self.solver = BranchAndBoundSolver()
+        self.solver = HighsMILPSolver()
         self.min_light_workers = min_light_workers
         #: Below this integral-search-space size the per-pair MILP is handed
-        #: to the LP-free exhaustive solver instead of branch-and-bound
+        #: to the LP-free exhaustive solver instead of HiGHS
         #: (0 disables the fallback).  The online ``fraction`` formulation has
         #: one continuous variable, which the exhaustive solver optimises in
         #: closed form, so small clusters re-plan with pure arithmetic.
@@ -582,10 +583,10 @@ class DiffServeAllocator:
         pool leaves, at no penalty, so it is returned as the solution without
         a solve.  Either solver would return it too: the exhaustive solver
         keeps its seed unless an assignment strictly beats it, and
-        branch-and-bound explores only nodes whose relaxation beats it by
-        more than its MIP gap.  The incumbent must also hold every row to
-        within ``1e-9``, well inside HiGHS's feasibility tolerance, so that
-        branch-and-bound would not have found the root relaxation infeasible.
+        :class:`~repro.milp.highs.HighsMILPSolver` keeps it unless HiGHS's
+        optimum beats it by more than its warm margin.  The shortcut is taken
+        only for an incumbent that holds every row to within ``1e-9``; one
+        that needs the solvers' wider ``ACCEPT_TOL`` slack goes to a solver.
         """
         if light_classes is None or heavy_classes is None:
             light_classes, heavy_classes = self._hostable_classes(ctx.fleet, ctx.resources)
@@ -912,7 +913,7 @@ class DiffServeAllocator:
         whose closed-form relaxation bound cannot strictly beat the best
         objective so far is skipped as well.  An incumbent whose objective
         already meets the pair bound is the pair's solution without a solve.
-        Warm re-solves therefore often cost no LP at all, and objective ties
+        Warm re-solves therefore often cost no solve at all, and objective ties
         resolve towards the previous plan (fewer worker reconfigurations).
         """
         demand = max(ctx.demand, 1e-3) * self.over_provision

@@ -107,8 +107,9 @@ class EpochSnapshot:
     #: it (the repaired incumbent was feasible for the drifted problem) — not
     #: merely when a previous plan was offered.
     warm_started: bool
-    #: LP relaxations the epoch's re-solve ran (0 when the epoch skipped the
-    #: solve, or when the policy has no MILP allocator).
+    #: HiGHS solves the epoch's re-solve ran, one per MIP or exhaustive LP (0
+    #: when the epoch skipped the solve, or when the policy has no MILP
+    #: allocator).
     lp_solves: int
     #: Canonical token of the fleet the epoch planned against (changes when
     #: the Controller's active fleet is shrunk mid-run, e.g. a device-class
@@ -211,7 +212,7 @@ class ReplanController(Actor):
         return bool(allocator.last_warm_start_used)
 
     def _lp_solves(self) -> int:
-        """LP relaxations the policy's MILP solvers have run so far."""
+        """HiGHS solves the policy's MILP solvers have run so far."""
         allocator = getattr(self.controller.policy, "allocator", None)
         if allocator is None:
             return 0

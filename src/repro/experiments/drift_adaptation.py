@@ -11,11 +11,11 @@ run with three re-plan policies (see :mod:`repro.core.replanner`):
 * ``adaptive`` — re-solve only on demand drift or SLO pressure.
 
 Reported per arm: SLO violation ratio, FID, p99 latency, how many epochs
-re-planned, the warm-start hit rate, and the mean LP relaxations per
-re-solve — i.e. both the *benefit* of adaptation (violation/FID deltas vs.
-static) and its *cost* (solves actually run, each cheapened by MILP warm
-starts).  Every column is a function of the spec, so the table reproduces
-byte for byte.
+re-planned, the warm-start hit rate, and the mean solves per re-solve —
+i.e. both the *benefit* of adaptation (violation/FID deltas vs. static) and
+its *cost* (solves actually run, each cheapened by MILP warm starts).
+Every column is a function of the spec, so the table reproduces byte for
+byte.
 
 Every arm shares the dataset, discriminator, deferral profile, and the exact
 same sampled arrival trace, so the deltas isolate the control plane.
@@ -53,7 +53,8 @@ class DriftArm:
     epochs: int
     replans: int
     warm_hit_rate: float
-    #: Mean LP relaxations per epoch that re-solved.
+    #: Mean MILP solves (HiGHS MIPs and exhaustive LPs) per epoch that
+    #: re-solved.
     lps_per_replan: float
 
     @property
@@ -177,7 +178,7 @@ def main(scale: ExperimentScale = BENCH_SCALE) -> str:
                     "p99 (s)",
                     "replans",
                     "warm",
-                    "LPs/replan",
+                    "solves/replan",
                 ],
                 rows,
             ),

@@ -2,8 +2,8 @@
 
 The paper measures the average runtime of the Gurobi MILP solve at ~10 ms and
 notes that it never sits on the critical path of query serving.  This module
-measures the runtime of our branch-and-bound solver across demand levels, and
-cross-checks its solutions against the exhaustive solver.
+measures the runtime of the allocator's HiGHS MIP solves across demand
+levels, and checks HiGHS against the exhaustive optimum.
 """
 
 from __future__ import annotations
@@ -18,15 +18,15 @@ from repro.core.allocator import ControlContext, DiffServeAllocator
 from repro.core.config import FleetSpec
 from repro.discriminators.deferral import DeferralProfile
 from repro.experiments.harness import BENCH_SCALE, ExperimentScale, format_table
-from repro.milp.branch_and_bound import BranchAndBoundSolver
 from repro.milp.exhaustive import ExhaustiveSolver
+from repro.milp.highs import HighsMILPSolver
 from repro.models.zoo import get_cascade
 from repro.runner.artifacts import cached_dataset, cached_default_discriminator
 
-#: LP relaxations one allocation solve may cost.  Today's plans take 1-19;
-#: at well under a millisecond per relaxation this keeps a solve within the
-#: paper's tens of milliseconds.
-MAX_LPS_PER_PLAN = 40
+#: HiGHS solves one allocation plan may cost: the sweep solves at most one
+#: batch pair per light batch size, of which the allocator has five.  Today's
+#: plans take 1-2.
+MAX_LPS_PER_PLAN = 5
 
 
 @dataclass
@@ -35,8 +35,8 @@ class MILPOverheadResult:
 
     demands: List[float] = field(default_factory=list)
     plan_times_s: List[float] = field(default_factory=list)
-    #: LP relaxations each allocation solve cost (deterministic, unlike
-    #: ``plan_times_s``).
+    #: HiGHS solves each allocation solve cost, one per batch pair solved
+    #: (deterministic, unlike ``plan_times_s``).
     lp_solves: List[int] = field(default_factory=list)
     thresholds: List[float] = field(default_factory=list)
     agreement_with_exhaustive: List[bool] = field(default_factory=list)
@@ -53,7 +53,7 @@ class MILPOverheadResult:
 
     @property
     def always_agrees(self) -> bool:
-        """Whether branch-and-bound matched the exhaustive optimum everywhere."""
+        """Whether HiGHS matched the exhaustive optimum everywhere."""
         return all(self.agreement_with_exhaustive) if self.agreement_with_exhaustive else True
 
 
@@ -64,9 +64,9 @@ def run_milp_overhead(
     demands: Optional[Sequence[float]] = None,
     num_workers: int = 16,
     slo: Optional[float] = None,
-    check_exhaustive: bool = True,
 ) -> MILPOverheadResult:
-    """Measure allocation solve times across demand levels."""
+    """Measure allocation solve times across demand levels and check each
+    chosen pair's HiGHS optimum against the exhaustive one."""
     cascade = get_cascade(cascade_name)
     slo = slo if slo is not None else cascade.slo
     dataset = cached_dataset(cascade.dataset, scale.dataset_size, scale.seed)
@@ -101,16 +101,16 @@ def run_milp_overhead(
         result.lp_solves.append(allocator.solver.total_lp_solves - lp_before)
         result.thresholds.append(plan.threshold)
 
-        if check_exhaustive and plan.feasible:
+        if plan.feasible:
             problem = allocator.build_problem(
                 ctx, plan.light_batch, plan.heavy_batch, float(demand) * allocator.over_provision
             )
-            bnb = BranchAndBoundSolver().solve(problem)
+            mip = HighsMILPSolver().solve(problem)
             exh = exhaustive.solve(problem)
             same = (
-                bnb.is_optimal
+                mip.is_optimal
                 and exh.is_optimal
-                and abs((bnb.objective or 0.0) - (exh.objective or 0.0)) < 1e-6
+                and abs((mip.objective or 0.0) - (exh.objective or 0.0)) < 1e-6
             )
             result.agreement_with_exhaustive.append(bool(same))
     return result

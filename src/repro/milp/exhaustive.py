@@ -1,6 +1,6 @@
 """Exhaustive MILP solver for small, fully bounded integer problems.
 
-Used to cross-check the branch-and-bound solver in tests and as a fallback
+Used to cross-check the HiGHS MIP solver in tests and as a fallback
 when every variable is integral with small bounded domains (the DiffServe
 allocation problem has at most a few thousand candidate assignments).
 
@@ -36,7 +36,8 @@ class ExhaustiveSolver:
         if max_combinations < 1:
             raise ValueError("max_combinations must be >= 1")
         self.max_combinations = max_combinations
-        #: Cumulative LPs solved (stays 0 on the closed-form path).
+        #: Cumulative HiGHS solves, one per continuous LP (stays 0 on the
+        #: closed-form path).
         self.total_lp_solves = 0
 
     def _integer_domains(self, problem: MILPProblem) -> Dict[str, List[int]]:
@@ -95,9 +96,7 @@ class ExhaustiveSolver:
             best_obj = problem.objective_value(seeded)
             best_values = seeded
 
-        checked = 0
         for combo in itertools.product(*(domains[name] for name in int_names)):
-            checked += 1
             assignment = {name: float(v) for name, v in zip(int_names, combo)}
             if len(cont_names) == 1:
                 full = self._optimise_single_continuous(problem, assignment, cont_names[0])
@@ -123,7 +122,6 @@ class ExhaustiveSolver:
             status=SolveStatus.OPTIMAL,
             objective=best_obj,
             values=best_values,
-            nodes_explored=checked,
             lp_solves=lp_solves,
             warm_start_used=warm_used,
         )

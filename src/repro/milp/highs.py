@@ -1,15 +1,18 @@
-"""The LP entry point of :mod:`repro.milp`: relaxations handed straight to HiGHS.
+"""The HiGHS entry point of :mod:`repro.milp`: LPs and MILPs handed straight to HiGHS.
 
-Every LP the solvers need goes through :class:`LinearProgram`, which talks to
-the HiGHS bindings that :func:`scipy.optimize.linprog` itself calls
-(``scipy.optimize._highspy._core``).  ``linprog`` spends most of a small
-solve outside HiGHS: it re-cleans the inputs, re-validates every option
-(building a fresh options manager per option) and packages a full result on
-each call.  Branch-and-bound re-solves one LP hundreds of times with only the
-column bounds changing, so that wrapper cost dominated the allocator's solve
-time.
+Every solve goes through the HiGHS bindings that :func:`scipy.optimize.linprog`
+and :func:`scipy.optimize.milp` themselves call
+(``scipy.optimize._highspy._core``), skipping their wrappers, which
+re-clean the inputs, re-validate every option and package a full result on
+each call.  Two entry points share one lowering to HiGHS's column-wise form:
 
-The direct path keeps ``linprog(method="highs")``'s answers exactly:
+* :class:`LinearProgram` solves an LP (the exhaustive solver's continuous
+  completions);
+* :class:`HighsMILPSolver` solves a :class:`~repro.milp.problem.MILPProblem`
+  with one call to HiGHS's own branch-and-cut (the allocator's per-pair
+  MILP).
+
+The LP path keeps ``linprog(method="highs")``'s answers exactly:
 
 * the handle's options are the ones ``linprog`` sets (presolve on, dual
   simplex, no debug checks, no output);
@@ -20,8 +23,9 @@ The direct path keeps ``linprog(method="highs")``'s answers exactly:
   HiGHS returns the same vertex ``linprog`` would;
 * HiGHS model statuses map to outcomes as ``linprog`` maps them.
 
-The handle is process-local and created on first use.  It never lives on a
-solver object, because solvers are pickled into shard and pool processes.
+Each path has its own handle, process-local and created on first use.  A
+handle never lives on a solver object, because solvers are pickled into
+shard and pool processes.
 
 ``_core`` is loaded straight from its file rather than imported through the
 ``scipy.optimize`` package.  The extension is self-contained, but the
@@ -43,9 +47,12 @@ import os
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from types import ModuleType
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.milp.problem import ACCEPT_TOL, MILPProblem
+from repro.milp.solution import MILPSolution, SolveStatus
 
 _CORE = "scipy.optimize._highspy._core"
 
@@ -84,24 +91,46 @@ _OUTCOMES = {
     _h.HighsModelStatus.kUnbounded: "unbounded",
 }
 
-_handle: Optional["_h._Highs"] = None
+#: The MIP is solved to proven optimality: no relative or absolute gap.
+MIP_GAP = 0.0
+#: A warm incumbent is returned unless HiGHS's optimum beats it by more than
+#: this, so ties resolve toward the previous plan.
+WARM_MARGIN = 1e-6
+
+#: Options of each path's handle, beside silence.  The LP path's are the ones
+#: ``linprog`` sets.  The MIP path accepts a row, bound or integrality within
+#: ``ACCEPT_TOL``: the slack every solver here accepts and the allocator's
+#: pair bound assumes.
+_OPTIONS = {
+    "lp": {
+        "presolve": "on",
+        "simplex_strategy": _simplex.SimplexStrategy.kSimplexStrategyDual,
+        "highs_debug_level": _h.HighsDebugLevel.kHighsDebugLevelNone,
+    },
+    "mip": {
+        "mip_rel_gap": MIP_GAP,
+        "mip_abs_gap": MIP_GAP,
+        "mip_feasibility_tolerance": ACCEPT_TOL,
+    },
+}
+
+_handles: Dict[str, "_h._Highs"] = {}
 
 
-def _highs() -> "_h._Highs":
-    """The process-local HiGHS handle, configured as ``linprog`` configures it."""
-    global _handle
-    if _handle is None:
+def _highs(path: str) -> "_h._Highs":
+    """The process-local HiGHS handle of ``path`` (``lp`` or ``mip``)."""
+    highs = _handles.get(path)
+    if highs is None:
         options = _h.HighsOptions()
-        options.presolve = "on"
-        options.simplex_strategy = _simplex.SimplexStrategy.kSimplexStrategyDual
-        options.highs_debug_level = _h.HighsDebugLevel.kHighsDebugLevelNone
         options.output_flag = False
         options.log_to_console = False
+        for name, value in _OPTIONS[path].items():
+            setattr(options, name, value)
         highs = _h._Highs()
         if highs.passOptions(options) == _h.HighsStatus.kError:
-            raise RuntimeError("HiGHS rejected the linprog option set")
-        _handle = highs
-    return _handle
+            raise RuntimeError(f"HiGHS rejected the {path} option set")
+        _handles[path] = highs
+    return highs
 
 
 def csc_lowering(dense: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,8 +165,7 @@ class LinearProgram:
     """``min c @ x`` s.t. ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``, lowered
     once to HiGHS's column-wise form.
 
-    Only the column bounds are given per :meth:`solve`, so a branch-and-bound
-    search lowers its problem once and re-solves it node by node.
+    The column bounds are given per :meth:`solve`.
     """
 
     def __init__(
@@ -172,11 +200,15 @@ class LinearProgram:
     def solve(self, bounds: Sequence[Tuple[float, Optional[float]]]) -> LPResult:
         """Solve under per-column ``(lower, upper)`` bounds (``None`` upper is
         +infinity), from a cleared solver."""
+        return self._run(_highs("lp"), bounds)
+
+    def _run(
+        self, highs: "_h._Highs", bounds: Sequence[Tuple[float, Optional[float]]]
+    ) -> LPResult:
         lower = np.array([lo for lo, _ in bounds], dtype=float)
         upper = np.array([np.inf if hi is None else hi for _, hi in bounds], dtype=float)
         self._lp.col_lower_ = _finite(lower)
         self._lp.col_upper_ = _finite(upper)
-        highs = _highs()
         highs.clearSolver()
         if highs.passModel(self._lp) == _h.HighsStatus.kError:
             return LPResult("infeasible")  # linprog reports kModelError
@@ -188,3 +220,65 @@ class LinearProgram:
             return LPResult("error")
         x = np.array(highs.getSolution().col_value)
         return LPResult("optimal", x, highs.getInfo().objective_function_value)
+
+
+_STATUSES = {"infeasible": SolveStatus.INFEASIBLE, "unbounded": SolveStatus.UNBOUNDED}
+
+
+class HighsMILPSolver:
+    """Solves a :class:`~repro.milp.problem.MILPProblem` with one call to
+    HiGHS's branch-and-cut, proven optimal to a zero gap.
+
+    HiGHS's integral values are rounded exactly, and the rounded assignment
+    must hold every bound, row and integrality within
+    :data:`~repro.milp.problem.ACCEPT_TOL` to be accepted.
+
+    A caller that re-solves a slowly drifting problem (the online re-planner)
+    can pass ``warm_start``, an assignment from the previous solve.  If it is
+    feasible for the *current* problem it is returned unless HiGHS's optimum
+    beats it by more than :data:`WARM_MARGIN`, so a re-plan keeps the previous
+    split on ties.
+    """
+
+    def __init__(self) -> None:
+        #: HiGHS solves run over the solver's lifetime, one per :meth:`solve`
+        #: (a deterministic, wall-clock-independent cost model; the name is
+        #: shared with :class:`~repro.milp.exhaustive.ExhaustiveSolver`).
+        self.total_lp_solves = 0
+
+    def solve(
+        self, problem: MILPProblem, *, warm_start: Optional[Mapping[str, float]] = None
+    ) -> MILPSolution:
+        """Solve ``problem`` to optimality, keeping a feasible ``warm_start``
+        on ties (see the class docs)."""
+        incumbent = problem.validated_assignment(warm_start)
+        mats = problem.to_matrices()
+        lp = LinearProgram(mats["c"], mats["A_ub"], mats["b_ub"], mats["A_eq"], mats["b_eq"])
+        lp._lp.integrality_ = [
+            _h.HighsVarType.kInteger if var.is_integral else _h.HighsVarType.kContinuous
+            for var in problem.variables.values()
+        ]
+        self.total_lp_solves += 1
+        result = lp._run(_highs("mip"), problem.column_bounds())
+        optimum = None
+        if result.status == "optimal":
+            optimum = {
+                name: (round(value) if var.is_integral else float(value))
+                for (name, var), value in zip(problem.variables.items(), result.x)
+            }
+            if not problem.is_feasible(optimum, tol=ACCEPT_TOL):
+                optimum = None
+        if incumbent is not None:
+            floor = problem.objective_value(incumbent) + WARM_MARGIN
+            if optimum is None or problem.objective_value(optimum) <= floor:
+                optimum = incumbent
+        if optimum is None:
+            status = _STATUSES.get(result.status, SolveStatus.ERROR)
+            return MILPSolution(status=status, lp_solves=1)
+        return MILPSolution(
+            status=SolveStatus.OPTIMAL,
+            objective=problem.objective_value(optimum),
+            values=optimum,
+            lp_solves=1,
+            warm_start_used=incumbent is not None,
+        )

@@ -2,8 +2,7 @@
 
 A :class:`MILPProblem` holds variables (continuous or integer, bounded),
 linear constraints, and a linear objective, and can lower itself to the
-``A_ub``/``A_eq`` matrix form that :class:`repro.milp.highs.LinearProgram`
-hands to HiGHS.
+``A_ub``/``A_eq`` matrix form that :mod:`repro.milp.highs` hands to HiGHS.
 """
 
 from __future__ import annotations
@@ -15,9 +14,10 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 #: Constraint slack within which both solvers accept an assignment: a warm
-#: start (:meth:`MILPProblem.validated_assignment`), an integral
-#: branch-and-bound node and an exhaustive LP completion.  Callers that bound
-#: what a solve can return (the allocator's pair bound) widen their rows by it.
+#: start (:meth:`MILPProblem.validated_assignment`), HiGHS's MIP optimum (its
+#: ``mip_feasibility_tolerance`` too) and an exhaustive LP completion.
+#: Callers that bound what a solve can return (the allocator's pair bound)
+#: widen their rows by it.
 ACCEPT_TOL = 1e-5
 
 
@@ -167,7 +167,7 @@ class MILPProblem:
         """Lower to ``A_ub``/``A_eq`` matrix form.
 
         Column bounds are not part of the lowering: they come from
-        :meth:`column_bounds`, which branch-and-bound re-evaluates per node.
+        :meth:`column_bounds`.
 
         Returns
         -------
@@ -209,21 +209,10 @@ class MILPProblem:
             "order": order,
         }
 
-    def column_bounds(
-        self,
-        extra_bounds: Optional[Mapping[str, Tuple[float, Optional[float]]]] = None,
-    ) -> List[Tuple[float, Optional[float]]]:
-        """Per-variable ``(lower, upper)`` in :meth:`variable_order`, tightened
-        by ``extra_bounds`` (``None`` upper is +infinity)."""
-        bounds: List[Tuple[float, Optional[float]]] = []
-        for name, var in self.variables.items():
-            lo, hi = var.lower, var.upper
-            if extra_bounds and name in extra_bounds:
-                xlo, xhi = extra_bounds[name]
-                lo = max(lo, xlo)
-                hi = xhi if hi is None else (hi if xhi is None else min(hi, xhi))
-            bounds.append((lo, hi))
-        return bounds
+    def column_bounds(self) -> List[Tuple[float, Optional[float]]]:
+        """Per-variable ``(lower, upper)`` in :meth:`variable_order` (``None``
+        upper is +infinity)."""
+        return [(var.lower, var.upper) for var in self.variables.values()]
 
     # ------------------------------------------------------------ evaluation
     def validated_assignment(

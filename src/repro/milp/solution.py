@@ -13,7 +13,6 @@ class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-    NODE_LIMIT = "node_limit"
     ERROR = "error"
 
 
@@ -29,12 +28,10 @@ class MILPSolution:
         Objective value of the incumbent (``None`` when infeasible).
     values:
         Variable assignment of the incumbent.
-    nodes_explored:
-        Branch-and-bound nodes processed (assignments checked for the
-        exhaustive solver).
     lp_solves:
-        Number of LP relaxations solved (the dominant cost of a solve; used
-        by the warm-start benchmarks as a wall-clock-independent cost model).
+        HiGHS solves the solve ran: one per MIP, one per continuous LP of the
+        exhaustive solver (the dominant cost of a solve; the benchmarks read
+        it as a wall-clock-independent cost model).
     warm_start_used:
         Whether a caller-provided warm start was feasible and seeded the
         incumbent.
@@ -43,7 +40,6 @@ class MILPSolution:
     status: SolveStatus
     objective: Optional[float] = None
     values: Dict[str, float] = field(default_factory=dict)
-    nodes_explored: int = 0
     lp_solves: int = 0
     warm_start_used: bool = False
 

@@ -14,7 +14,7 @@ from repro.core.policies import (
     make_diffserve_policy,
 )
 from repro.core.queueing import TwoXExecutionModel
-from repro.milp.branch_and_bound import BranchAndBoundSolver
+from repro.milp.highs import HighsMILPSolver
 
 
 def ctx(demand, *, slo=5.0, workers=16, **kwargs):
@@ -107,7 +107,7 @@ def test_fraction_and_binary_formulations_agree(allocator):
     demand = 16.0 * allocator.over_provision
     frac_problem = allocator.build_problem(context, 1, 2, demand, formulation="fraction")
     bin_problem = allocator.build_problem(context, 1, 2, demand, formulation="binary")
-    solver = BranchAndBoundSolver()
+    solver = HighsMILPSolver()
     frac_solution = solver.solve(frac_problem)
     bin_solution = solver.solve(bin_problem)
     assert frac_solution.is_optimal and bin_solution.is_optimal

@@ -14,7 +14,15 @@ does not depend on the host:
   that fell back;
 * per phase, the observations made and those drawn on their own;
 * the vectorised passes, the lanes they finished and the lanes their
-  scalar path redrew (a lane with any ziggurat slow-path draw).
+  scalar path redrew (a lane with any ziggurat slow-path draw);
+* the worker batches that break the serving model of one batch at a time
+  with the model it started: batches dispatched while the same worker had
+  one in flight, and batches completed under a variant other than the one
+  the worker hosted at dispatch (dispatches and completions paired first in,
+  first out per worker, so approximate where batches overlap).  These pins
+  record a defect: a reload clears ``busy`` under a running batch, and a
+  completing batch reads the worker's current variant.  The fix pins both
+  at 0.
 
 The cells run inline, as ``benchmarks/e2e/suite.py`` runs them (the
 geo-sharded cell with ``shards=1``).  A change that raises a count edits
@@ -44,6 +52,7 @@ from collections import Counter
 import pytest
 
 from repro.core.system import ServingSimulation
+from repro.core.worker import Worker
 from repro.discriminators.architectures import TrainedDiscriminator
 from repro.experiments import harness
 from repro.models.generation import ImageGenerator
@@ -68,6 +77,12 @@ class _Ledger:
         self.passes = Counter()
         #: phase -> the last generator that drew an image in it.
         self.generators = {}
+        #: Batches dispatched while their worker had another in flight.
+        self.overlapping_dispatches = 0
+        #: Batches completed under a variant other than their dispatch one.
+        self.variant_mismatches = 0
+        #: worker -> variant names of its in-flight batches, oldest first.
+        self.dispatched = {}
 
     def lanes(self, phase: str) -> tuple:
         """(vector lanes, scalar lanes) of the table of the generator ``phase`` drew with."""
@@ -84,6 +99,7 @@ def ledger(monkeypatch):
     generate, observe = ImageGenerator.generate, TrainedDiscriminator.observe
     draw, normals = TrainedDiscriminator._draw_observation, SeedTable.normals
     build, run = harness.build_comparison_systems, ServingSimulation.run
+    start_batch, complete_batch = Worker._maybe_start_batch, Worker._complete_batch
 
     def counting_generate(self, query_id, difficulty, variant, **kwargs):
         book.generators[book.phase] = self
@@ -111,6 +127,19 @@ def ledger(monkeypatch):
             book.passes[book.phase] += 1
         return rows
 
+    def counting_start_batch(self):
+        before = len(self._inflight)
+        start_batch(self)
+        if len(self._inflight) > before:
+            book.overlapping_dispatches += before > 0
+            book.dispatched.setdefault(self, []).append(self.variant.name)
+
+    def counting_complete_batch(self, batch, latency):
+        variant = book.dispatched[self].pop(0)
+        if not self.failed:
+            book.variant_mismatches += variant != self.variant.name
+        complete_batch(self, batch, latency)
+
     def phased_build(*args, **kwargs):
         book.phase = "build"
         systems = build(*args, **kwargs)
@@ -128,6 +157,8 @@ def ledger(monkeypatch):
     monkeypatch.setattr(TrainedDiscriminator, "observe", counting_observe)
     monkeypatch.setattr(TrainedDiscriminator, "_draw_observation", counting_draw)
     monkeypatch.setattr(SeedTable, "normals", counting_normals)
+    monkeypatch.setattr(Worker, "_maybe_start_batch", counting_start_batch)
+    monkeypatch.setattr(Worker, "_complete_batch", counting_complete_batch)
     monkeypatch.setattr(harness, "build_comparison_systems", phased_build)
     monkeypatch.setattr(ServingSimulation, "run", phased_run)
     return book
@@ -162,6 +193,9 @@ STEADY_STREAM_DRAWS = {
 #: together an observation lane is drawn 17 normals wide, like an image's,
 #: so a miss in its unused 17th normal sends 159 more to the scalar path.
 STEADY_STREAM_LANES = ((22122, 6478), 4)
+#: (overlapping dispatches, variant mismatches): the plan is solved once, so
+#: no worker reloads and no batch breaks the serving model.
+STEADY_STREAM_OVERLAPS = (0, 0)
 
 
 def test_steady_stream_draw_work_is_pinned(ledger, tmp_path):
@@ -176,6 +210,8 @@ def test_steady_stream_draw_work_is_pinned(ledger, tmp_path):
     }
     assert draws == STEADY_STREAM_DRAWS
     assert (ledger.lanes(run), ledger.passes[run]) == STEADY_STREAM_LANES
+    overlaps = (ledger.overlapping_dispatches, ledger.variant_mismatches)
+    assert overlaps == STEADY_STREAM_OVERLAPS
     # Profiling the deferral curve: 300 calibration images and observations, all seeded.
     assert ledger.image_draws("seeded")[("build", "sd-turbo")] == 300
     assert observations[("build", "made")] == 300 and observations[("build", "fallback")] == 0
@@ -199,6 +235,9 @@ FIG_CELL_FALLBACKS = {
 #: fig-cell: (phase, variant) -> image draws read from the seed table.  The
 #: build phase profiles the deferral function once for both cascade systems
 #: (300 calibration images); each system used to profile its own (600).
+#: fig-cell, all five systems: (overlapping dispatches, variant mismatches).
+#: A defect, pinned (see the module docstring).
+FIG_CELL_OVERLAPS = (72, 15)
 FIG_CELL_SEEDED = {
     ("build", "sd-turbo"): 300,
     ("clipper-heavy", "sd-v1.5"): 1442,
@@ -212,6 +251,7 @@ def test_fig_cell_draw_work_is_pinned(ledger, tmp_path):
     fallbacks = {k: n for k, n in ledger.image_draws("fallback").items() if k[0] != "train"}
     seeded = {k: n for k, n in ledger.image_draws("seeded").items() if k[0] != "train"}
     assert (fallbacks, seeded) == (FIG_CELL_FALLBACKS, FIG_CELL_SEEDED)
+    assert (ledger.overlapping_dispatches, ledger.variant_mismatches) == FIG_CELL_OVERLAPS
     observations = {k: n for k, n in ledger.observations.items() if k[0] != "train"}
     assert observations == {
         ("build", "made"): 300,
@@ -243,6 +283,9 @@ GEO_SHARDED_DRAWS = {
 }
 GEO_SHARDED_OBSERVATIONS = {"made": 5727, "fallback": 28}
 GEO_SHARDED_PASSES = 40
+#: (overlapping dispatches, variant mismatches) over the regions' runs.  A
+#: defect, pinned (see the module docstring).
+GEO_SHARDED_OVERLAPS = (284, 41)
 
 
 def test_geo_sharded_inline_draw_work_is_pinned(ledger, tmp_path):
@@ -252,3 +295,4 @@ def test_geo_sharded_inline_draw_work_is_pinned(ledger, tmp_path):
     assert draws == GEO_SHARDED_DRAWS
     assert observations == GEO_SHARDED_OBSERVATIONS
     assert ledger.passes["run"] == GEO_SHARDED_PASSES
+    assert (ledger.overlapping_dispatches, ledger.variant_mismatches) == GEO_SHARDED_OVERLAPS

@@ -79,8 +79,8 @@ def _records(history):
 
 
 def test_repeat_replanned_cell_returns_identical_control_records(tmp_path):
-    # Eight workers put the re-solves on branch-and-bound, so epochs record
-    # non-zero LP counts (smaller fleets solve in closed form, with no LP).
+    # Eight workers put the re-solves on HiGHS, so epochs record non-zero
+    # solve counts (smaller fleets solve in closed form, with no LP).
     _, _, adaptive = _grid()
     adaptive = dataclasses.replace(adaptive, scale=dataclasses.replace(TINY, num_workers=8))
     _, first = run_cell_results(adaptive, cache=ArtifactCache(root=tmp_path / "first"))

@@ -111,11 +111,11 @@ def test_milp_overhead_fast_and_consistent():
 
 # ------------------------------------------------------------ drift adaptation
 def test_drift_table_reproduces_byte_for_byte():
-    # Eight workers keep the re-solves on branch-and-bound (non-zero LPs).
+    # Eight workers keep the re-solves on HiGHS (non-zero solve counts).
     scale = ExperimentScale(dataset_size=60, trace_duration=30.0, num_workers=8)
     first = drift_adaptation.main(scale)
     assert drift_adaptation.main(scale) == first
-    assert "LPs/replan" in first.splitlines()[1]
+    assert "solves/replan" in first.splitlines()[1]
     result = drift_adaptation.run_drift_adaptation(scale=scale, workloads=("flash-crowd",))
     assert result.arm("flash-crowd", "static").lps_per_replan == 0.0
     assert result.arm("flash-crowd", "periodic").lps_per_replan > 0.0

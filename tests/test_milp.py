@@ -1,11 +1,11 @@
-"""Tests for the MILP toolkit (problem construction and both solvers)."""
+"""Tests for the MILP toolkit (problem construction, HiGHS MIP and exhaustive solvers)."""
 
 import numpy as np
 import pytest
 
-from repro.milp.branch_and_bound import BranchAndBoundSolver
 from repro.milp.exhaustive import ExhaustiveSolver
-from repro.milp.problem import MILPProblem, Variable
+from repro.milp.highs import WARM_MARGIN, HighsMILPSolver
+from repro.milp.problem import ACCEPT_TOL, MILPProblem, Variable
 from repro.milp.solution import SolveStatus
 
 
@@ -50,7 +50,7 @@ def test_objective_value():
 
 
 def test_branch_and_bound_solves_knapsack():
-    solution = BranchAndBoundSolver().solve(knapsack_problem())
+    solution = HighsMILPSolver().solve(knapsack_problem())
     assert solution.is_optimal
     assert solution.objective == pytest.approx(14.0)
     assert solution.get_int("a") == 1 and solution.get_int("c") == 1
@@ -70,7 +70,7 @@ def test_mixed_integer_continuous_problem():
     p.set_objective({"x": 3, "y": 1})
     p.add_le({"x": 1, "y": 1}, 6.5)
     p.add_le({"x": 1}, 4.3)
-    for solver in (BranchAndBoundSolver(), ExhaustiveSolver()):
+    for solver in (HighsMILPSolver(), ExhaustiveSolver()):
         solution = solver.solve(p)
         assert solution.is_optimal
         assert solution.get_int("x") == 4
@@ -83,7 +83,7 @@ def test_infeasible_problem_detected():
     p.add_integer("x", lower=0, upper=5)
     p.set_objective({"x": 1})
     p.add_ge({"x": 1}, 10)
-    for solver in (BranchAndBoundSolver(), ExhaustiveSolver()):
+    for solver in (HighsMILPSolver(), ExhaustiveSolver()):
         assert solver.solve(p).status == SolveStatus.INFEASIBLE
 
 
@@ -93,7 +93,7 @@ def test_equality_constraints_respected():
     p.add_integer("y", lower=0, upper=10)
     p.set_objective({"x": 1, "y": 2})
     p.add_eq({"x": 1, "y": 1}, 7)
-    solution = BranchAndBoundSolver().solve(p)
+    solution = HighsMILPSolver().solve(p)
     assert solution.is_optimal
     assert solution.get_int("x") + solution.get_int("y") == 7
     assert solution.get_int("y") == 7  # maximising prefers all-y
@@ -111,10 +111,10 @@ def test_branch_and_bound_matches_exhaustive_on_random_problems():
         for c in range(2):
             coeffs = {f"x{i}": float(rng.uniform(0.5, 2)) for i in range(n)}
             p.add_le(coeffs, float(rng.uniform(4, 10)))
-        bnb = BranchAndBoundSolver().solve(p)
+        mip = HighsMILPSolver().solve(p)
         exh = ExhaustiveSolver().solve(p)
-        assert bnb.is_optimal and exh.is_optimal
-        assert bnb.objective == pytest.approx(exh.objective, abs=1e-6)
+        assert mip.is_optimal and exh.is_optimal
+        assert mip.objective == pytest.approx(exh.objective, abs=1e-6)
 
 
 def test_exhaustive_rejects_unbounded_integer():
@@ -146,9 +146,9 @@ def test_binary_formulation_to_matrices_roundtrip():
 
 
 def test_solution_solve_time_recorded():
-    solution = BranchAndBoundSolver().solve(knapsack_problem())
-    assert solution.nodes_explored >= 1
-    assert solution.lp_solves >= 1
+    # The deterministic cost of a MIP is its one HiGHS solve.
+    solution = HighsMILPSolver().solve(knapsack_problem())
+    assert solution.lp_solves == 1
 
 
 # ------------------------------------------------------------- warm starts
@@ -167,10 +167,10 @@ def fraction_problem(demand, *, t1=2.1, t2=1.3, S=16):
 
 def test_warm_start_seeds_incumbent_and_matches_cold_optimum():
     problem = fraction_problem(14.0)
-    cold = BranchAndBoundSolver().solve(problem)
+    cold = HighsMILPSolver().solve(problem)
     assert cold.is_optimal and not cold.warm_start_used
 
-    warm = BranchAndBoundSolver().solve(problem, warm_start=cold.values)
+    warm = HighsMILPSolver().solve(problem, warm_start=cold.values)
     assert warm.is_optimal
     assert warm.warm_start_used
     assert warm.objective == pytest.approx(cold.objective)
@@ -178,12 +178,12 @@ def test_warm_start_seeds_incumbent_and_matches_cold_optimum():
 
 
 def test_warm_start_prunes_root_when_relaxation_is_tight():
-    # Low demand: the LP relaxation already hits the f <= 1 cap, so a warm
-    # incumbent matching it lets the solve finish after the root LP alone.
+    # Low demand: the optimum hits the f <= 1 cap, so a warm incumbent
+    # matching it is returned after the one HiGHS solve.
     problem = fraction_problem(2.0)
-    cold = BranchAndBoundSolver().solve(problem)
+    cold = HighsMILPSolver().solve(problem)
     assert cold.objective == pytest.approx(1.0)
-    warm = BranchAndBoundSolver().solve(problem, warm_start=cold.values)
+    warm = HighsMILPSolver().solve(problem, warm_start=cold.values)
     assert warm.is_optimal and warm.warm_start_used
     assert warm.lp_solves == 1
 
@@ -192,29 +192,72 @@ def test_infeasible_warm_start_is_ignored():
     problem = fraction_problem(14.0)
     # x1 too small for the light-throughput constraint at this demand.
     bogus = {"x1": 1.0, "x2": 10.0, "f": 0.9}
-    solution = BranchAndBoundSolver().solve(problem, warm_start=bogus)
+    solution = HighsMILPSolver().solve(problem, warm_start=bogus)
     assert solution.is_optimal
     assert not solution.warm_start_used
-    assert solution.objective == pytest.approx(
-        BranchAndBoundSolver().solve(problem).objective
-    )
+    assert solution.objective == pytest.approx(HighsMILPSolver().solve(problem).objective)
 
 
 def test_warm_start_with_missing_variables_is_ignored():
     problem = fraction_problem(14.0)
-    solution = BranchAndBoundSolver().solve(problem, warm_start={"x1": 7.0})
+    solution = HighsMILPSolver().solve(problem, warm_start={"x1": 7.0})
     assert solution.is_optimal
     assert not solution.warm_start_used
 
 
 def test_solver_counts_lp_relaxations():
-    solver = BranchAndBoundSolver()
+    # The counter keeps its name but counts HiGHS solves: one per MIP.
+    solver = HighsMILPSolver()
     assert solver.total_lp_solves == 0
     first = solver.solve(fraction_problem(14.0))
-    assert first.lp_solves >= 1
+    assert first.lp_solves == 1
     assert solver.total_lp_solves == first.lp_solves
     second = solver.solve(fraction_problem(20.0))
     assert solver.total_lp_solves == first.lp_solves + second.lp_solves
+
+
+def test_row_holding_within_accept_tol_is_accepted():
+    """The acceptance contract is ``ACCEPT_TOL``: an assignment whose rows
+    hold within it is feasible, for HiGHS as for a warm start and the
+    allocator's pair bound.  At this demand seven light workers miss the
+    light-throughput row by 5e-7 of ``D``, so ``x1=7, x2=9`` is accepted and
+    beats ``x1=8, x2=8``."""
+    demand = 7 * 2.1 * (1 + 5e-7)
+    problem = fraction_problem(demand)
+    assert problem.is_feasible({"x1": 7, "x2": 9, "f": 9 * 1.3 / demand}, tol=ACCEPT_TOL)
+    solution = HighsMILPSolver().solve(problem)
+    assert solution.is_optimal
+    assert solution.get_int("x1") == 7 and solution.get_int("x2") == 9
+    assert solution.objective == pytest.approx(0.79592, abs=1e-5)
+
+
+def test_highs_warm_start_keeps_previous_solution_on_ties():
+    p = MILPProblem("ties")
+    p.add_integer("x", lower=0, upper=4)
+    p.add_integer("y", lower=0, upper=4)
+    p.set_objective({"x": 1.0, "y": 1.0})
+    p.add_le({"x": 1.0, "y": 1.0}, 4.0)
+    # Many assignments reach the optimum 4; a feasible warm start at the
+    # optimum must be returned verbatim (plan stability under ties), as the
+    # exhaustive solver returns it.
+    solution = HighsMILPSolver().solve(p, warm_start={"x": 1.0, "y": 3.0})
+    assert solution.is_optimal and solution.warm_start_used
+    assert solution.objective == pytest.approx(4.0)
+    assert solution.values == {"x": 1, "y": 3}
+
+
+def test_highs_replaces_a_warm_start_it_beats_by_more_than_the_margin():
+    p = MILPProblem("margin")
+    p.add_integer("x", lower=0, upper=4)
+    p.add_continuous("y", lower=0.0, upper=1.0)
+    p.set_objective({"x": 1.0, "y": 1.0})
+    p.add_le({"x": 1.0}, 3.0)
+    # Within the margin the incumbent stands; beyond it HiGHS's optimum wins.
+    kept = HighsMILPSolver().solve(p, warm_start={"x": 3.0, "y": 1.0 - WARM_MARGIN / 2})
+    assert kept.values == {"x": 3, "y": 1.0 - WARM_MARGIN / 2} and kept.warm_start_used
+    beaten = HighsMILPSolver().solve(p, warm_start={"x": 2.0, "y": 1.0})
+    assert beaten.warm_start_used
+    assert beaten.get_int("x") == 3 and beaten.objective == pytest.approx(4.0)
 
 
 # --------------------------------------------- exhaustive closed-form path
@@ -222,7 +265,7 @@ def test_exhaustive_single_continuous_runs_without_lps():
     solver = ExhaustiveSolver()
     problem = fraction_problem(8.0, S=6)
     solution = solver.solve(problem)
-    reference = BranchAndBoundSolver().solve(problem)
+    reference = HighsMILPSolver().solve(problem)
     assert solution.is_optimal
     assert solution.objective == pytest.approx(reference.objective)
     assert solution.lp_solves == 0

@@ -1,24 +1,23 @@
-"""The direct HiGHS path of ``repro.milp`` against ``scipy.optimize.linprog``.
+"""The direct HiGHS LP path of ``repro.milp`` against ``scipy.optimize.linprog``.
 
-:mod:`repro.milp.highs` calls scipy's private HiGHS bindings with the options
-and model layout ``linprog(method="highs")`` uses, and promises the same
-answers bit for bit.  ``linprog`` is the public oracle: on random LPs and on
-every node relaxation of real allocator solves, status, ``x`` and objective
-must match exactly.  A scipy release that changes the private bindings fails
-here rather than silently moving a golden.
+:class:`repro.milp.highs.LinearProgram` calls scipy's private HiGHS bindings
+with the options and model layout ``linprog(method="highs")`` uses, and
+promises the same answers bit for bit.  ``linprog`` is the public oracle: on
+random LPs, status, ``x`` and objective must match exactly.  A scipy release
+that changes the private bindings fails here rather than silently moving a
+golden.  The MIP path is checked against ``scipy.optimize.milp`` in
+``test_milp_oracle.py``.
 """
 
 import pickle
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from repro.core.allocator import ControlContext, DiffServeAllocator
-from repro.core.config import FleetSpec, ResourceConfig, fleet_from_counts
-from repro.milp.branch_and_bound import BranchAndBoundSolver
+from repro.core.config import FleetSpec, fleet_from_counts
 from repro.milp.highs import LinearProgram
 from repro.milp.problem import MILPProblem, Sense
 
@@ -26,7 +25,7 @@ _SETTINGS = dict(max_examples=200, deadline=None, suppress_health_check=list(Hea
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def _oracle(problem, extra_bounds=None):
+def _oracle(problem):
     mats = problem.to_matrices()
     result = linprog(
         c=mats["c"],
@@ -34,7 +33,7 @@ def _oracle(problem, extra_bounds=None):
         b_ub=mats["b_ub"],
         A_eq=mats["A_eq"],
         b_eq=mats["b_eq"],
-        bounds=problem.column_bounds(extra_bounds),
+        bounds=problem.column_bounds(),
         method="highs",
     )
     return _STATUS.get(result.status, "error"), result.x, result.fun
@@ -110,7 +109,7 @@ def test_infeasible_and_unbounded_match_linprog():
     assert _assert_same(boxed) == "optimal"
 
 
-# ------------------------------------------- branch-and-bound node replays
+# ------------------------------------------------------------ allocators
 def _allocator(cascade, profile, discriminator):
     return DiffServeAllocator(
         cascade.light, cascade.heavy, profile, discriminator_latency=discriminator.latency_s
@@ -127,44 +126,6 @@ def _cold_ramp():
 def _mixed_fleet():
     fleet = fleet_from_counts({"a100": 4, "l4": 8})
     return [ControlContext(demand=d, slo=5.0, fleet=fleet) for d in (1.0, 5.0, 12.0)]
-
-
-@pytest.mark.parametrize("case", ["a100x16-cold-ramp", "a100+l4", "reload-aware"])
-def test_branch_and_bound_relaxations_match_linprog(
-    case, monkeypatch, cascade1, deferral_profile, trained_discriminator
-):
-    replayed = []
-    solve_relaxation = BranchAndBoundSolver._solve_relaxation
-
-    def checked(problem, lp, bounds):
-        values, objective, status = solve_relaxation(problem, lp, bounds)
-        oracle_status, x, fun = _oracle(problem, bounds)
-        assert status == oracle_status
-        if status == "optimal":
-            assert values == dict(zip(problem.variable_order(), map(float, x)))
-            assert objective == -float(fun)
-        replayed.append(status)
-        return values, objective, status
-
-    monkeypatch.setattr(BranchAndBoundSolver, "_solve_relaxation", staticmethod(checked))
-    allocator = _allocator(cascade1, deferral_profile, trained_discriminator)
-    if case == "reload-aware":
-        resources = ResourceConfig.from_weights({"sd-turbo": 30.0, "sd-v1.5": 60.0})
-        plan = None
-        for demand in (0.5, 3.0, 8.0, 14.0, 6.0, 1.0):
-            ctx = ControlContext(
-                demand=demand,
-                slo=cascade1.slo,
-                fleet=FleetSpec.homogeneous(8),
-                resources=resources,
-                current_plan=plan,
-            )
-            plan = allocator.plan(ctx, warm_start=plan)
-    else:
-        for ctx in _cold_ramp() if case == "a100x16-cold-ramp" else _mixed_fleet():
-            allocator.plan(ctx)
-    assert len(replayed) == allocator.solver.total_lp_solves > 0
-    assert "optimal" in replayed
 
 
 # ------------------------------------------------------------------ pickle

@@ -1,7 +1,7 @@
-"""Both custom MILP solvers against HiGHS's own MIP solver (``scipy.optimize.milp``).
+"""Both MILP solvers against HiGHS's MIP solver behind ``scipy.optimize.milp``.
 
-``test_milp_highs.py`` checks the LP relaxations bitwise against ``linprog``;
-this is the integral check.  Problems come from
+``test_milp_highs.py`` checks the LPs bitwise against ``linprog``; this is
+the integral check.  Problems come from
 :meth:`DiffServeAllocator.build_problem` in four shapes:
 
 * ``homogeneous`` — one A100 class, the paper's problem;
@@ -11,7 +11,8 @@ this is the integral check.  Problems come from
 * ``price`` — a spot price trace on a mixed fleet, which adds the per-class
   placement tie-break.
 
-``BranchAndBoundSolver`` and ``ExhaustiveSolver`` must agree with HiGHS
+``HighsMILPSolver`` (the direct path, with the package's acceptance
+tolerance) and ``ExhaustiveSolver`` must agree with ``milp``
 (``mip_rel_gap=0``) on feasibility and on the optimal objective within 1e-6
 relative, and return an assignment that is feasible and scores its own
 objective.  Fleets the allocator cannot host (no class fits the light
@@ -33,8 +34,8 @@ from repro.core.allocator import (
 from repro.core.config import FleetSpec, ResourceConfig, fleet_from_counts
 from repro.core.pricing import PRICE_TRACES
 from repro.discriminators.deferral import DeferralProfile
-from repro.milp.branch_and_bound import BranchAndBoundSolver
 from repro.milp.exhaustive import ExhaustiveSolver
+from repro.milp.highs import HighsMILPSolver
 from repro.milp.solution import SolveStatus
 from repro.models.zoo import get_cascade
 
@@ -140,7 +141,7 @@ def _agrees(problem, solution, status, objective):
 @settings(**_SETTINGS)
 def test_custom_solvers_match_highs_mip(problem):
     status, objective = _oracle(problem)
-    _agrees(problem, BranchAndBoundSolver().solve(problem), status, objective)
+    _agrees(problem, HighsMILPSolver().solve(problem), status, objective)
     size = ExhaustiveSolver().search_space(problem)
     if size is not None and size <= _EXHAUSTIVE_LIMIT:
         _agrees(problem, ExhaustiveSolver().solve(problem), status, objective)

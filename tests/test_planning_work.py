@@ -2,8 +2,9 @@
 
 The end-to-end benchmark times a ``fig-cell`` pass; this test counts the
 planning work inside it, which does not depend on the host: how many plans
-each DiffServe allocator made, how many batch pairs it solved, how many LP
-relaxations those solves ran and how many pairs the sweep's bounds pruned.
+each DiffServe allocator made, how many batch pairs it solved, how many HiGHS
+solves those ran (one MIP per pair solved here; the counter keeps its
+``total_lp_solves`` name) and how many pairs the sweep's bounds pruned.
 The allocators are the receivers of ``DiffServeAllocator.plan``, recorded as
 ``benchmarks/e2e/layers.py`` records them.
 
@@ -22,10 +23,10 @@ from repro.runner.cache import ArtifactCache
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from benchmarks.e2e.suite import WORKLOADS  # noqa: E402
 
-#: system -> (plans, batch pairs solved, LP relaxations, pairs pruned).
+#: system -> (plans, batch pairs solved, HiGHS solves, pairs pruned).
 FIG_CELL_PLANNING = {
-    "diffserve": (40, 50, 134, 81),
-    "diffserve-static": (1, 2, 8, 3),
+    "diffserve": (40, 50, 50, 81),
+    "diffserve-static": (1, 2, 2, 3),
 }
 
 

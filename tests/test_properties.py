@@ -13,7 +13,7 @@ from repro.metrics.accumulators import P2Quantile
 from repro.metrics.fid import fid_score, frechet_distance
 from repro.metrics.pareto import ParetoPoint, is_pareto_dominated, pareto_frontier
 from repro.metrics.slo import SLOReport
-from repro.milp.branch_and_bound import BranchAndBoundSolver
+from repro.milp.highs import HighsMILPSolver
 from repro.milp.exhaustive import ExhaustiveSolver
 from repro.milp.problem import MILPProblem
 from repro.models.profiles import LatencyProfile
@@ -328,29 +328,6 @@ def test_milp_lowering_preserves_constraint_senses_and_rows(seed):
     assert ub_cursor == len(ub_rows) and eq_cursor == len(eq_rows)
 
 
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    lo=st.floats(min_value=-2.0, max_value=2.0),
-    width=st.floats(min_value=0.0, max_value=4.0),
-)
-@settings(**_SETTINGS)
-def test_milp_lowering_extra_bounds_only_tighten(seed, lo, width):
-    """Branch-and-bound bound overrides can only shrink a variable's box."""
-    rng = np.random.default_rng(seed)
-    problem = _random_problem(rng)
-    name = next(iter(problem.variables))
-    bounds = problem.column_bounds({name: (lo, lo + width)})
-    i = problem.variable_order().index(name)
-    tight_lo, tight_hi = bounds[i]
-    var = problem.variables[name]
-    assert tight_lo >= var.lower
-    assert tight_lo >= lo
-    if var.upper is not None:
-        assert tight_hi is not None and tight_hi <= var.upper
-    if tight_hi is not None:
-        assert tight_hi <= lo + width + 1e-12
-
-
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=15, deadline=None)
 def test_branch_and_bound_matches_exhaustive_on_random_milps(seed):
@@ -363,11 +340,11 @@ def test_branch_and_bound_matches_exhaustive_on_random_milps(seed):
     problem.add_le(
         {f"x{i}": float(rng.uniform(0.2, 1.5)) for i in range(n)}, float(rng.uniform(2, 8))
     )
-    bnb = BranchAndBoundSolver().solve(problem)
+    mip = HighsMILPSolver().solve(problem)
     exh = ExhaustiveSolver().solve(problem)
-    assert bnb.is_optimal == exh.is_optimal
-    if bnb.is_optimal:
-        assert bnb.objective == pytest.approx(exh.objective, abs=1e-6)
+    assert mip.is_optimal == exh.is_optimal
+    if mip.is_optimal:
+        assert mip.objective == pytest.approx(exh.objective, abs=1e-6)
 
 
 # --------------------------------------------- event queue lazy compaction

@@ -102,7 +102,7 @@ def test_warm_started_resolves_match_cold_thresholds(
     assert warm_alloc.warm_solves == len(demands) - 1
     assert warm_alloc.cold_solves == 1
     assert cold_alloc.cold_solves == len(demands)
-    # The pruning is the point: warm re-solves pay for fewer LP relaxations.
+    # The pruning is the point: warm re-solves pay for fewer HiGHS solves.
     assert warm_alloc.solver.total_lp_solves < cold_alloc.solver.total_lp_solves
 
 
@@ -150,8 +150,8 @@ def test_exhaustive_fallback_solves_small_clusters_without_lps(
         reference = without.plan(_ctx(demand, cascade1.slo, workers=4))
         assert small.threshold == reference.threshold
         assert small.feasible == reference.feasible
-    # Every pair solve fit under the cutoff: branch-and-bound never ran and
-    # the closed-form exhaustive path solved zero LPs.
+    # Every pair solve fit under the cutoff: HiGHS never ran and the
+    # closed-form exhaustive path solved zero LPs.
     assert with_fallback.solver.total_lp_solves == 0
     assert with_fallback.exhaustive_solver.total_lp_solves == 0
     assert without.solver.total_lp_solves > 0

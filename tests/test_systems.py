@@ -19,12 +19,17 @@ Every build fingerprint was re-pinned once more when constructor options that
 no caller set became module constants and three unread ``SystemConfig``
 fields went.  The old ``_describe``, with exactly the deleted attributes
 (``DiffServeAllocator.reload_penalty``/``price_penalty``,
-``BranchAndBoundSolver.max_nodes``/``mip_gap``, ``LittlesLawModel.min_rate``,
+the then solver's ``max_nodes``/``mip_gap``, ``LittlesLawModel.min_rate``,
 ``DeferralProfile.ewma_alpha``, ``AIMDBatchState.increase``/``decrease_factor``,
 ``ProteusPolicy.queueing_multiplier``, ``ClipperPolicy.headroom``) and
 fields (``drop_late_queries``, ``worker_reload_latency``,
 ``monitoring_window``) filtered out, dumps every build fingerprint to JSON
-that hashes identically to the new code's unfiltered dump.
+that hashes identically to the new code's unfiltered dump.  The two DiffServe
+systems' build fingerprints were re-pinned a third time when the allocator's
+MILP solver became :class:`~repro.milp.highs.HighsMILPSolver`: each old
+fingerprint, with ``BranchAndBoundSolver(tol=1e-06,total_lp_solves=0)``
+replaced by ``HighsMILPSolver(total_lp_solves=0)``, equals the new one, and
+no summary pin moved.
 
 The pinned cells and builds go through ``executor.run_cell_results`` and
 ``harness.build_comparison_systems``, the two entry points the runner uses.
@@ -111,64 +116,64 @@ BUILD_SHA256 = {
         "clipper-light": "a68565aeb5f99fb146a4e6527a240be8e86b587163bda3bb675d8e83d4112f32",
         "clipper-heavy": "aa72b424683d8d789e209263b579f01985b323a6b74f003c86ddccfa32288b87",
         "proteus": "55c76c6be948cd09b9db3a224cddf2a12249057babc91a14fbf1ce8f1821ce2c",
-        "diffserve-static": "b7dab942a5ad6e629cd910b0a61df851fd45bf64f317d8d078754cac15cbcd54",
-        "diffserve": "076674db8e738c21d0a81f972aa288b309ebedeb1f58ec9b42f5c3d6c576f6a6",
+        "diffserve-static": "d74abcf6523c4a78f621989cd01e48297202ecd8556ef750104dfae57697be03",
+        "diffserve": "ea2b152a315e8909687cf2dbb1eb8c6722f6421e269b5edbb94942707150d824",
     },
     "fleet": {
         "clipper-light": "e6a4978f0da96cd027b5f82b82d7616a6c91da52fa22936b79c5392a3c2c911c",
         "clipper-heavy": "9e6f7ed1220ebb3d6c1806687e7da145eb0648b4ca46bce7e41238c088624181",
         "proteus": "0a8d90d36b87f4511f0e57a0c22a08ec9cdb8aae4e7ae2eadfd8862682aaa54f",
-        "diffserve-static": "80ecc11e930f47a3e22746d38850bdcc7ea85a27593af0e5b56ac8f0a5bd6768",
-        "diffserve": "2aff638324e39096a43bd70a07b9c874e8fcc14ea69867e81f2f3876f847689c",
+        "diffserve-static": "27a153b2eaa676db9c6107c498c6bcd72d0cffb71b663823fb85aef1ea149fc1",
+        "diffserve": "f19a8c83a0db801d509542c4a9bcdbb277779c797889145d520ad9cd77d9858a",
     },
     "resources": {
         "clipper-light": "3b4373f1d312bc71b568593e793d67bb37df867eac59585b6d8cea4fc3b244f6",
         "clipper-heavy": "688b9e1db7d8af55cd82d216290936f94a1e522086624639104ed3f7f0ffe664",
         "proteus": "9f09c29d7e0578ac159d59dd842bb5a4c2ef7ca594b97d92405fe94775d5dce4",
-        "diffserve-static": "7b4d409ace6afc977494f5d6169981955d876c016fb2d407d3207b561b632147",
-        "diffserve": "8839951c5ab235355adc667fefbcad8c93e8a73dcf236d7d43a97abd0f5efb15",
+        "diffserve-static": "024f588a87b61d41240eb3c787e7f69a4eb2138979998e99592cfab9f7bfd868",
+        "diffserve": "15b159eefec28a0bbda00a54436da325efc95994c11681ef5e15671c80295dd7",
     },
     "faults": {
         "clipper-light": "9280cf9bc9f15e220b241f2ec6a7f20861f3da15d7a06a26254431e75eb16900",
         "clipper-heavy": "5c976039edf611cf4672b847f0b48988c5320966ddcb7c1b2ac8e6fede331876",
         "proteus": "49927f4281c5733258f61f04710f1959f1caede84c8d585906f507a097a0feb8",
-        "diffserve-static": "ea54119037bbc3e2c6b72b0c5dce6e281d09d8574c871a9acac844c61b63cf91",
-        "diffserve": "bcc90d7ee61c20f3a89f3857df00f3ce2dd0f50861bd0b5956b41027f43335e0",
+        "diffserve-static": "7e9fd74263095a8543a03a3af73d43e5ebe2ccebfca5a4e5d917e8dd03522ae8",
+        "diffserve": "8ff1f3573092287d21099a19c75c1cdd52e039a5a4ea638fc7492a30379db32d",
     },
     "autoscale": {
         "clipper-light": "d0bb548700e78bdda30ea9350bcc3239783a8f90fe75c81c8e25d4d5d60dafea",
         "clipper-heavy": "a30ee87537e7d441846bef689d76455fe1936fa07eaf1e01c5b8a24f0f62189d",
         "proteus": "97aa7a38186fe27a344cf68703cb1d65276bf26296d303e7c1f17fd484af6aab",
-        "diffserve-static": "848124e509ed1d54207e6ded4f485ee0ffb717724ae80c0ac51366fe3e7f4b60",
-        "diffserve": "a95f4fc67f236264398a2d498ec064606bc5ca0298f1b0cfc2cce8f0da7f12fc",
+        "diffserve-static": "41b8b67828a53c0f43151f4d3c1450cdbb247089412bcb31df4c842da04d329a",
+        "diffserve": "f86ec72a3be44bd6d906db73f75473f968cede520dee6cce97779ad6fa9bbd51",
     },
     "overrides": {
         "clipper-light": "9b8495ae5d545950d638a029e1edbc7033c3a4c33018f0aeea705d7d35e3438e",
         "clipper-heavy": "1227f03fe2d5560d3abe5a318546c3c19ba08d8d66a2bb87f328486f43978582",
         "proteus": "c36c1c35a6c7f7142383cfea76829f0a4bfa23d2b025cd4cba63a54c2eb87fd4",
-        "diffserve-static": "b3a1a924a6e56f10e0c9b29e131d8d60ce9a4041d78cc698868b3512d3acac1b",
-        "diffserve": "0343080c34eddac24df1c0859cd0ed1d3b2c78d3af88ba55cf8977db56092493",
+        "diffserve-static": "49c63da32b25cd302eaea4ff9c5a206a6466dec108b3d11544c210b6fda685c3",
+        "diffserve": "ccbbeea7207b8f42d8e3cb524af8491d0aaa8b950d864c9c3ebb5e016137777f",
     },
     "static-threshold": {
         "clipper-light": "a68565aeb5f99fb146a4e6527a240be8e86b587163bda3bb675d8e83d4112f32",
         "clipper-heavy": "aa72b424683d8d789e209263b579f01985b323a6b74f003c86ddccfa32288b87",
         "proteus": "55c76c6be948cd09b9db3a224cddf2a12249057babc91a14fbf1ce8f1821ce2c",
-        "diffserve-static": "b7dab942a5ad6e629cd910b0a61df851fd45bf64f317d8d078754cac15cbcd54",
-        "diffserve": "b73d41cf4edbf15a0068249eab021ec95093a9d0707f8d1698ec2ac7778547b1",
+        "diffserve-static": "d74abcf6523c4a78f621989cd01e48297202ecd8556ef750104dfae57697be03",
+        "diffserve": "e1aa182dd213f608f0ae492020e9709a7ba3e1e39dce55da168d83013bd706ad",
     },
     "aimd": {
         "clipper-light": "a68565aeb5f99fb146a4e6527a240be8e86b587163bda3bb675d8e83d4112f32",
         "clipper-heavy": "aa72b424683d8d789e209263b579f01985b323a6b74f003c86ddccfa32288b87",
         "proteus": "55c76c6be948cd09b9db3a224cddf2a12249057babc91a14fbf1ce8f1821ce2c",
-        "diffserve-static": "b7dab942a5ad6e629cd910b0a61df851fd45bf64f317d8d078754cac15cbcd54",
-        "diffserve": "3482d00fedd9def1f486fc17aa209ae81a1a9264b5be2ef589518c7a27c6a5e9",
+        "diffserve-static": "d74abcf6523c4a78f621989cd01e48297202ecd8556ef750104dfae57697be03",
+        "diffserve": "b83a4d2cda00e9deb950481123b8be9d638c491c6cb2495d37e7317a81dba64c",
     },
     "no-queueing": {
         "clipper-light": "a68565aeb5f99fb146a4e6527a240be8e86b587163bda3bb675d8e83d4112f32",
         "clipper-heavy": "aa72b424683d8d789e209263b579f01985b323a6b74f003c86ddccfa32288b87",
         "proteus": "55c76c6be948cd09b9db3a224cddf2a12249057babc91a14fbf1ce8f1821ce2c",
-        "diffserve-static": "b7dab942a5ad6e629cd910b0a61df851fd45bf64f317d8d078754cac15cbcd54",
-        "diffserve": "6fd49562b37f042194f44681e41d71d56482a872931f540f798c1055649409d1",
+        "diffserve-static": "d74abcf6523c4a78f621989cd01e48297202ecd8556ef750104dfae57697be03",
+        "diffserve": "55d7af976e3aeec16e7d7b57c5423db987c6ae41eaca494c4ce3c4b55d7806bd",
     },
 }
 
