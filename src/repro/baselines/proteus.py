@@ -7,7 +7,7 @@ also estimates queueing delays with the "twice the execution latency"
 heuristic (Section 4.5 of the DiffServe paper), which rules out hosting very
 slow variants under tight SLOs.
 
-Our implementation follows that description: every control period it chooses
+Our implementation follows that description: every control epoch it chooses
 the highest-quality *feasible* variant, allocates as many workers to it as
 possible while the remaining workers (hosting the lightweight variant) can
 still absorb the residual demand, and then splits queries randomly across the

@@ -44,7 +44,7 @@ class SystemRecord:
     description: str
     routing: RoutingMode
     #: Table 1's "Allocation" column: whether the policy re-plans every
-    #: control period (the built policy's ``dynamic`` flag).
+    #: epoch (the built policy's ``dynamic`` flag).
     dynamic: bool
     #: ``make_policy(cascade, **inputs)``: the inputs are
     #: ``anticipated_peak_qps``, ``over_provision`` and the remaining keywords
@@ -139,7 +139,6 @@ def build_system(
     discriminator: Optional[Discriminator] = None,
     deferral_profile: Optional[DeferralProfile] = None,
     over_provision: Optional[float] = None,
-    control_period: float = 5.0,
     seed: int = 0,
     dataset_size: int = 1000,
     anticipated_peak_qps: Optional[float] = None,
@@ -171,12 +170,15 @@ def build_system(
     * ``policy_variant`` selects a Section 4.5 ablation
       (``"static-threshold"``, ``"aimd"``, ``"no-queueing"``), with
       ``static_threshold`` for the first;
-    * ``replan_epoch`` / ``replan_policy`` enable the online re-planning
-      control plane: the epoch defaults to ``control_period`` and the policy
-      to ``"periodic"`` when only one of the two is given (see
+    * ``replan_epoch`` / ``replan_policy`` ask for warm-started re-planning:
+      the epoch defaults to 5 s and the policy to ``"periodic"`` when only
+      one of the two is given (see
       :class:`~repro.core.replanner.ReplanConfig`);
     * ``autoscale`` attaches a :class:`~repro.core.autoscaler.ScalePolicy`
       evaluated at replan epochs (requires re-planning).
+
+    Without re-planning options a system's control loop re-solves cold every
+    5 s when its policy is dynamic, and never when it is not.
 
     ``resources`` attaches the multi-resource worker model
     (:class:`~repro.core.config.ResourceConfig`): residency-gated reloads over
@@ -205,12 +207,19 @@ def build_system(
             )
     if not record.adaptive:
         policy_variant, replan_epoch, replan_policy, autoscale = "full", None, None, None
-    replan = None
     if replan_epoch is not None or replan_policy is not None:
         replan = ReplanConfig(
-            epoch=control_period if replan_epoch is None else float(replan_epoch),
+            epoch=ReplanConfig.epoch if replan_epoch is None else float(replan_epoch),
             policy=replan_policy or "periodic",
         )
+    elif autoscale is not None:
+        raise ValueError(
+            "autoscale requires the re-planning control plane "
+            "(set replan_epoch/replan_policy): scale decisions are "
+            "evaluated at replan epochs"
+        )
+    else:
+        replan = ReplanConfig(policy="periodic" if record.dynamic else "static", warm_start=False)
     policy = record.make_policy(
         cascade,
         anticipated_peak_qps=anticipated_peak_qps,
@@ -221,14 +230,13 @@ def build_system(
         static_threshold=static_threshold,
         # Re-planning systems also enable the exhaustive fallback for small
         # clusters.
-        exhaustive_cutoff=DEFAULT_EXHAUSTIVE_CUTOFF if replan is not None else 0,
+        exhaustive_cutoff=DEFAULT_EXHAUSTIVE_CUTOFF if replan.warm_start else 0,
     )
     config = SystemConfig(
         cascade=cascade,
         fleet=fleet,
         slo=slo,
         routing=record.routing,
-        control_period=control_period,
         seed=seed,
         resources=resources,
     )

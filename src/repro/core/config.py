@@ -451,8 +451,6 @@ class SystemConfig:
         Latency SLO in seconds (defaults to the cascade's paper SLO).
     routing:
         Routing mode of the Load Balancer.
-    control_period:
-        Controller re-allocation period (seconds).
     seed:
         Root random seed for the simulation.
     fleet:
@@ -466,7 +464,6 @@ class SystemConfig:
     cascade: CascadeSpec
     slo: Optional[float] = None
     routing: RoutingMode = RoutingMode.CASCADE
-    control_period: float = 5.0
     seed: int = 0
     fleet: FleetSpec = FleetSpec.homogeneous(16)
     resources: Optional[ResourceConfig] = field(default=None)
@@ -481,5 +478,3 @@ class SystemConfig:
             self.slo = self.cascade.slo
         if self.slo <= 0:
             raise ValueError("slo must be positive")
-        if self.control_period <= 0:
-            raise ValueError("control_period must be positive")

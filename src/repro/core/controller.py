@@ -1,10 +1,12 @@
 """Controller: the control path of the serving system.
 
-The Controller periodically collects runtime statistics from the workers and
-the Load Balancer (queue lengths, demands, deferral rates, SLO violations),
-estimates demand with an EWMA, asks its allocation policy for a new plan, and
-applies the plan by re-assigning model variants to workers, setting batch
-sizes and updating the cascade's confidence threshold (Sections 3.1/3.3).
+At every epoch of the :class:`~repro.core.replanner.ReplanController` loop,
+the Controller collects runtime statistics from the workers and the Load
+Balancer (queue lengths, demands, deferral rates, SLO violations), asks its
+allocation policy for a new plan, and applies the plan by re-assigning model
+variants to workers, setting batch sizes and updating the cascade's
+confidence threshold (Sections 3.1/3.3).  Demand is estimated with an EWMA
+the re-planner feeds.
 """
 
 from __future__ import annotations
@@ -65,11 +67,6 @@ class Controller(Actor):
         self._workers_by_class: dict = {}
         for worker in workers:
             self._workers_by_class.setdefault(worker.device_name, []).append(worker)
-        #: Attached by :class:`~repro.core.replanner.ReplanController`; when
-        #: present, the epoch loop of the re-planner replaces the fixed-period
-        #: control loop below (the Controller still applies plan zero and
-        #: keeps its plan-application machinery).
-        self.replanner: Optional[object] = None
         #: Attached by the fault injector when recovery is enabled: a
         #: :class:`~repro.faults.plan_store.PlanStore` that records every
         #: feasible plan and supplies a fleet-clamped last-known-good plan
@@ -117,26 +114,12 @@ class Controller(Actor):
 
     # ---------------------------------------------------------------- start
     def start(self) -> None:
-        """Apply the initial plan and begin the control loop."""
+        """Apply the initial plan (the re-planner runs every later epoch)."""
         ctx = self._build_context()
         plan = self._resolve_plan(self.policy.plan(ctx))
         self._apply_plan(plan)
-        if self.policy.dynamic and self.replanner is None:
-            self.sim.schedule(self.config.control_period, self._control_tick, name="control-tick")
 
     # ----------------------------------------------------------- control loop
-    def _control_tick(self) -> None:
-        arrivals = self.load_balancer.arrivals_in_window(self.config.control_period)
-        self.demand_estimator.observe(arrivals, self.config.control_period)
-
-        lb_stats = self.load_balancer.collect_stats()
-        observed_deferral = lb_stats.observed_deferral_rate
-        if observed_deferral is not None and self.current_plan is not None:
-            self.policy_deferral_update(self.current_plan.threshold, observed_deferral)
-
-        self.replan(observed_deferral=observed_deferral)
-        self.sim.schedule(self.config.control_period, self._control_tick, name="control-tick")
-
     def replan(
         self,
         *,

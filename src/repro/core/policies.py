@@ -27,8 +27,8 @@ AIMD_DECREASE_FACTOR = 0.5
 class AllocationPolicy(abc.ABC):
     """Interface between the Controller and an allocation algorithm."""
 
-    #: Whether the Controller should re-plan every control period (dynamic)
-    #: or only apply the initial plan (static baselines).
+    #: Whether the control loop should re-plan every epoch (dynamic) or only
+    #: apply the initial plan (static baselines).
     dynamic: bool = True
 
     @abc.abstractmethod
@@ -95,7 +95,7 @@ class AIMDBatchState:
     max_batch: int = 16
 
     def update(self, had_violation: bool) -> int:
-        """Advance the AIMD state after one control period."""
+        """Advance the AIMD state after one control epoch."""
         if had_violation:
             self.batch = max(1, int(self.batch * AIMD_DECREASE_FACTOR))
         else:

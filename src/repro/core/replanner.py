@@ -1,11 +1,11 @@
-"""Online re-planning control plane.
+"""The control loop of every serving system.
 
-The :class:`ReplanController` closes the feedback loop the static pipeline
-lacks: it runs inside the simulation, samples the
-:class:`~repro.core.results.ResultCollector`'s O(1) running views and the
-Load Balancer's windowed arrival rate on a configurable epoch, and re-solves
-the allocation problem through the Controller — seeding the MILP's incumbent
-from the previous epoch's plan (see
+The :class:`ReplanController` is the one control loop (Sections 3.1/3.3): it
+runs inside the simulation, samples the
+:class:`~repro.core.results.ResultCollector`'s O(1) counters and the Load
+Balancer's windowed arrival rate on a configurable epoch, and re-solves the
+allocation problem through the Controller.  With ``warm_start`` it seeds the
+MILP's incumbent from the previous epoch's plan (see
 :meth:`~repro.core.allocator.DiffServeAllocator.plan`), so steady-state
 epochs re-plan at a fraction of a cold solve's cost.
 
@@ -13,9 +13,11 @@ Three re-plan policies are supported:
 
 ``static``
     Solve once at start-up and never again (the provision-for-the-mean
-    baseline the drift-adaptation experiment compares against).
+    baseline the drift-adaptation experiment compares against, and every
+    system whose policy is not dynamic).
 ``periodic``
-    Re-solve every epoch, warm-started from the previous solution.
+    Re-solve every epoch.  A system built without re-planning options runs
+    this cold (``warm_start=False``) at the default 5 s epoch.
 ``adaptive``
     Sample every epoch but only re-solve when the demand estimate has
     drifted beyond ``drift_threshold`` relative to the last solved demand,
@@ -60,7 +62,8 @@ class ReplanConfig:
     ----------
     epoch:
         Seconds between control-plane samples (and, for ``periodic``,
-        re-solves).
+        re-solves).  The load balancer keeps this much arrival history and
+        a sharded run places its barriers this far apart.
     policy:
         One of :data:`REPLAN_POLICIES`.
     warm_start:
@@ -100,8 +103,6 @@ class EpochSnapshot:
     arrival_rate: float
     demand_estimate: float
     epoch_violation_ratio: float
-    running_fid: float
-    running_p99_latency: float
     replanned: bool
     #: True only when the solve ran with a warm start AND the solver accepted
     #: it (the repaired incumbent was feasible for the drifted problem) — not
@@ -127,12 +128,11 @@ class EpochSnapshot:
 
 
 class ReplanController(Actor):
-    """Epoch-driven re-planning loop over an existing :class:`Controller`.
+    """Epoch-driven control loop over an existing :class:`Controller`.
 
-    The Controller keeps its roles of building control contexts and applying
-    plans; this actor owns *when* to re-solve and *what to seed the solver
-    with*.  Attaching it disables the Controller's fixed-period control loop
-    (see :meth:`Controller.start`).
+    The Controller applies plan zero and keeps its roles of building control
+    contexts and applying plans; this actor owns *when* to re-solve and
+    *what to seed the solver with*.
     """
 
     def __init__(
@@ -165,7 +165,6 @@ class ReplanController(Actor):
         #: event and the plan that fits it land in the same epoch.  The
         #: ``static`` policy never proposes a change.
         self.autoscaler = autoscaler
-        controller.replanner = self
 
     # ------------------------------------------------------------------ start
     def start(self) -> None:
@@ -230,7 +229,6 @@ class ReplanController(Actor):
         if observed_deferral is not None and controller.current_plan is not None:
             controller.policy_deferral_update(controller.current_plan.threshold, observed_deferral)
 
-        live = self.collector.running_summary()
         violation_ratio = self._epoch_violation_ratio()
         demand_estimate = controller.demand_estimator.estimate
 
@@ -269,8 +267,6 @@ class ReplanController(Actor):
                 arrival_rate=arrival_rate,
                 demand_estimate=demand_estimate,
                 epoch_violation_ratio=violation_ratio,
-                running_fid=live["fid"],
-                running_p99_latency=live["p99_latency"],
                 replanned=replanned,
                 warm_started=warm_started,
                 lp_solves=lp_solves,

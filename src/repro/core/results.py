@@ -1,8 +1,8 @@
 """Result collection and post-run analysis.
 
 A result's rows exist only as columns: :class:`ResultCollector` writes each
-finished query straight into column buffers and keeps live accumulators that
-fold only when read, and :class:`SimulationResult` reads every metric —
+finished query straight into column buffers and keeps O(1) counters for the
+control plane, and :class:`SimulationResult` reads every metric —
 summary scalars, latency percentiles, the violation/demand/FID time series —
 from the drained :class:`ColumnStore` of NumPy arrays.  No per-query object
 outlives the collector's call.
@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.query import Query, QueryStage
-from repro.metrics.accumulators import GaussianStats, P2Quantile, StreamingMoments
+from repro.metrics.accumulators import GaussianStats
 from repro.metrics.fid import frechet_from_moments, windowed_fid
 from repro.metrics.latency import LatencyStats
 from repro.metrics.slo import SLOReport
@@ -140,41 +140,26 @@ class ColumnStore:
 
 
 class ResultCollector:
-    """Sink of the data path: a column writer with live views folded on read.
+    """Sink of the data path: a column writer with O(1) control counters.
 
     ``complete``/``drop`` append each query's values to per-column buffers
     and bump O(1) counters; no per-query object is built or kept.
     :meth:`drain` hands the buffered rows over as a :class:`ColumnStore`.
-
-    The live accumulators (:class:`~repro.metrics.accumulators.GaussianStats`
-    over response features, :class:`~repro.metrics.accumulators.StreamingMoments`
-    and :class:`~repro.metrics.accumulators.P2Quantile` over latency) are
-    folded only when a live view is read, or when :meth:`drain` takes rows
-    they have not seen.  The fold feeds the completions in completion order
-    and gives the same bits as one ``add`` per completion, so a run that
-    never reads them never pays for them.
+    The counters are all the control plane reads while a run is in flight;
+    every metric is computed from the drained columns afterwards.
     """
 
     def __init__(self, dataset: QueryDataset) -> None:
-        self.dataset = dataset
         self._feature_dim = dataset.real_features.shape[1]
         self._violations_window = 0
         self._completions_window = 0
         self._completed = 0
         self._dropped = 0
         self._violated = 0
-        self._heavy = 0
         #: query_id -> requeue count for queries currently being retried;
         #: popped into the query's row at completion/drop time.
         self._retries: Dict[int, int] = {}
         self._reset_buffers()
-        self._feature_stats = GaussianStats(self._feature_dim)
-        self._latency_moments = StreamingMoments()
-        self._latency_p99 = P2Quantile(0.99)
-        #: The last ``_unfolded`` completions in the buffers are not yet in
-        #: the live accumulators.
-        self._unfolded = 0
-        self._closed = False
 
     # ------------------------------------------------------------- data path
     def complete(
@@ -199,12 +184,9 @@ class ResultCollector:
         )
         self._completions_window += 1
         self._completed += 1
-        if stage == QueryStage.HEAVY:
-            self._heavy += 1
         if completion_time > query.deadline:
             self._violations_window += 1
             self._violated += 1
-        self._unfolded += 1
 
     def drop(self, query: Query) -> None:
         """Record a dropped query."""
@@ -247,24 +229,9 @@ class ResultCollector:
     def drain(self) -> ColumnStore:
         """Hand over the rows written since the last drain, and forget them.
 
-        Completions no live view has read yet are folded first, so the live
-        views keep covering every row.
+        One ``np.array`` call per column (``deadline`` adds the ``slo``
+        column to ``arrival``, as :attr:`Query.deadline` does).
         """
-        self._fold()
-        return self._take()
-
-    def close(self) -> ColumnStore:
-        """The final :meth:`drain`, without the fold: the completions no
-        live view has read are never folded.  Reading a live view afterwards
-        raises."""
-        self._closed = True
-        self._unfolded = 0
-        return self._take()
-
-    def _take(self) -> ColumnStore:
-        """The buffered rows as a :class:`ColumnStore`, one ``np.array`` call
-        per column (``deadline`` adds the ``slo`` column to ``arrival``, as
-        :attr:`Query.deadline` does)."""
         arrival = np.array(self._arrival, dtype=float)
         cols = ColumnStore(
             arrival=arrival,
@@ -299,23 +266,18 @@ class ResultCollector:
     # ----------------------------------------------------------- control path
     @property
     def completed_count(self) -> int:
-        """Cumulative completed queries (live view, O(1))."""
+        """Cumulative completed queries (O(1) counter)."""
         return self._completed
 
     @property
     def dropped_count(self) -> int:
-        """Cumulative dropped queries (live view, O(1))."""
+        """Cumulative dropped queries (O(1) counter)."""
         return self._dropped
 
     @property
     def violated_count(self) -> int:
-        """Cumulative completed-but-late queries (live view, O(1))."""
+        """Cumulative completed-but-late queries (O(1) counter)."""
         return self._violated
-
-    @property
-    def heavy_count(self) -> int:
-        """Cumulative heavy-model completions (live view, O(1))."""
-        return self._heavy
 
     def window_stats(self) -> Tuple[int, int]:
         """(violations, completions) since the last call; resets the counters."""
@@ -323,68 +285,6 @@ class ResultCollector:
         self._violations_window = 0
         self._completions_window = 0
         return stats
-
-    # ------------------------------------------------------------ live views
-    @property
-    def pending_rows(self) -> int:
-        """Completions not yet folded into the live accumulators."""
-        return self._unfolded
-
-    def _fold(self) -> None:
-        if self._closed:
-            raise RuntimeError("the collector is closed: its live views are gone")
-        if not self._unfolded:
-            return
-        for row in self._feature_index[-self._unfolded :]:
-            latency = self._completion[row] - self._arrival[row]
-            self._latency_moments.add(latency)
-            self._latency_p99.add(latency)
-        self._feature_stats.add_rows(self._features[-self._unfolded :])
-        self._unfolded = 0
-
-    @property
-    def feature_stats(self) -> GaussianStats:
-        """Response-feature statistics of every completion so far."""
-        self._fold()
-        return self._feature_stats
-
-    @property
-    def latency_moments(self) -> StreamingMoments:
-        """Latency moments of every completion so far."""
-        self._fold()
-        return self._latency_moments
-
-    @property
-    def latency_p99(self) -> P2Quantile:
-        """P² p99 latency estimate over every completion so far."""
-        self._fold()
-        return self._latency_p99
-
-    def running_fid(self) -> float:
-        """FID of all responses so far, from the streaming sufficient stats.
-
-        O(d^2) plus the fold of the completions since the last read: the
-        generated moments come from the online :class:`GaussianStats` and the
-        reference moments are cached on the dataset.
-        """
-        stats = self.feature_stats
-        if stats.count < 2:
-            return float("nan")
-        return frechet_from_moments(stats.mean, stats.cov(), self.dataset.real_moments)
-
-    def running_summary(self) -> Dict[str, float]:
-        """Live headline metrics (usable while the run is in flight)."""
-        total = self._completed + self._dropped
-        return {
-            "total_queries": float(total),
-            "completed": float(self._completed),
-            "dropped": float(self._dropped),
-            "slo_violation_ratio": (self._violated + self._dropped) / total if total else 0.0,
-            "deferral_rate": self._heavy / self._completed if self._completed else 0.0,
-            "mean_latency": self.latency_moments.mean if self._completed else float("nan"),
-            "p99_latency": self.latency_p99.value,
-            "fid": self.running_fid(),
-        }
 
 
 @dataclass(eq=False)

@@ -22,11 +22,10 @@ count.  Three design rules carry the whole guarantee:
    arrivals using only statistics reported at the ``k-1`` barrier.  Regions
    never communicate directly, so nothing about their interleaving in wall
    time can leak into results.
-3. Merging is algebraic and ordered: live views merge the regions' exact
-   sufficient statistics (:func:`~repro.metrics.accumulators.merge_all`),
-   and the final result concatenates the regions' column chunks in
-   canonical region order (:meth:`~repro.core.results.ColumnStore.concat`
-   copies values, never recomputes them).
+3. Merging is ordered: the final result concatenates the regions' column
+   chunks in canonical region order
+   (:meth:`~repro.core.results.ColumnStore.concat` copies values, never
+   recomputes them).
 
 A single-region topology with zero network round-trip additionally degrades
 to the plain serial path bit-for-bit: :func:`region_seed` returns the root
@@ -52,8 +51,6 @@ from repro.core.pricing import CostLedger
 from repro.core.query import QueryBatch
 from repro.core.results import ColumnStore, ControlSnapshot, SimulationResult
 from repro.core.system import ServingSimulation, SystemRuntime, Workload
-from repro.metrics.accumulators import GaussianStats, StreamingMoments, merge_all
-from repro.metrics.fid import frechet_from_moments
 from repro.simulator.rng import RandomStreams, stable_hash
 from repro.traces.base import ArrivalTrace
 
@@ -113,25 +110,16 @@ def build_region_systems(
 class RegionStats:
     """One region's cumulative statistics at an epoch barrier.
 
-    Everything here is either a plain count or an exact mergeable sufficient
-    statistic, so the supervisor's merged live views equal what a serial run's
-    single collector would report.  ``p99`` is the region's P² estimate — the
-    one non-mergeable quantity — used only for the live view; final summaries
-    take exact percentiles from the merged columns.
+    The counts feed the geo router's backlog estimate for the next epoch;
+    final summaries come from the merged columns.
     """
 
     completed: int
     dropped: int
-    violated: int
-    heavy: int
-    feature_stats: GaussianStats
-    latency_moments: StreamingMoments
-    p99: float
     #: Event-loop telemetry: events this region's simulator has fired so far
     #: (deterministic) and wall-clock seconds its shard spent inside
     #: ``advance`` (timing only).  Neither ever enters merged or cached
-    #: summaries — ``_merged_live_summary`` ignores both, so byte-identity
-    #: across shard counts is untouched.
+    #: summaries, so byte-identity across shard counts is untouched.
     events_fired: int = 0
     advance_seconds: float = 0.0
     #: Cumulative event-loop profile (``{event name: (fires, callback
@@ -199,21 +187,11 @@ class RegionRuntime:
         return self.stats()
 
     def stats(self) -> RegionStats:
-        """Snapshot the collector's cumulative statistics (copies)."""
+        """Snapshot the collector's cumulative counts and the loop telemetry."""
         collector = self.runtime.collector
         return RegionStats(
             completed=collector.completed_count,
             dropped=collector.dropped_count,
-            violated=collector.violated_count,
-            heavy=collector.heavy_count,
-            feature_stats=GaussianStats(
-                collector.feature_stats.dim,
-                count=collector.feature_stats.count,
-                sum=collector.feature_stats.sum,
-                outer=collector.feature_stats.outer,
-            ),
-            latency_moments=StreamingMoments().merge(collector.latency_moments),
-            p99=collector.latency_p99.value,
             events_fired=self.runtime.sim.events_fired,
             advance_seconds=self.advance_seconds,
             profile=self.runtime.sim.profile_snapshot(),
@@ -226,11 +204,7 @@ class RegionRuntime:
         return RegionResult(
             cols=ColumnStore.concat(self._chunks, self._feature_dim),
             control_history=list(self.runtime.controller.history),
-            replan_history=(
-                list(self.runtime.replanner.history)
-                if self.runtime.replanner is not None
-                else []
-            ),
+            replan_history=list(self.runtime.replanner.history),
             stats=self.stats(),
             cost_ledger=self.runtime.controller.cost_ledger,
         )
@@ -462,18 +436,14 @@ class ShardSupervisor:
         canonical order).  ``1`` runs every region inline — no processes —
         and is the reference the byte-identity gate compares against.
 
-    Epoch barriers fall at the template's replan epoch (the natural
-    consistency point since online re-planning landed) or, without one, its
-    control period.  Routing uses :class:`~repro.core.geo.GeoRouter`'s
+    Epoch barriers fall at the template's replan epoch, the natural
+    consistency point of the control loop.  Routing uses :class:`~repro.core.geo.GeoRouter`'s
     default spill threshold and RTT penalty.
     """
 
     template: ServingSimulation
     topology: GeoTopology
     shards: int = 1
-    #: Merged live running summary at each barrier (one dict per epoch),
-    #: computed from the regions' exact merged sufficient statistics.
-    live_summaries: List[Dict[str, float]] = field(default_factory=list)
     #: Per-region results from the last run (canonical order).
     region_results: Dict[str, SimulationResult] = field(default_factory=dict)
     #: Queries routed away from their origin region in the last run.
@@ -506,10 +476,8 @@ class ShardSupervisor:
     # ----------------------------------------------------------------- pieces
     @property
     def epoch_length(self) -> float:
-        """Barrier spacing: the replan epoch when one is configured."""
-        if self.template.replan is not None:
-            return float(self.template.replan.epoch)
-        return float(self.template.config.control_period)
+        """Barrier spacing: the template's replan epoch."""
+        return float(self.template.replan.epoch)
 
     def _barriers(self, horizon: float) -> np.ndarray:
         edges = np.arange(self.epoch_length, horizon, self.epoch_length)
@@ -587,40 +555,6 @@ class ShardSupervisor:
             and fault.at <= when < fault.at + fault.duration
         )
 
-    def _merged_live_summary(self, stats: Sequence[RegionStats]) -> Dict[str, float]:
-        """Exactly what a serial collector's ``running_summary()`` reports.
-
-        Counts, latency moments and feature statistics merge exactly; the p99
-        entry is a completion-weighted blend of the regions' P² estimates
-        (P² is the one non-mergeable accumulator — final summaries use exact
-        percentiles from the merged columns instead).
-        """
-        completed = sum(s.completed for s in stats)
-        dropped = sum(s.dropped for s in stats)
-        violated = sum(s.violated for s in stats)
-        heavy = sum(s.heavy for s in stats)
-        total = completed + dropped
-        moments = merge_all([s.latency_moments for s in stats])
-        features = merge_all([s.feature_stats for s in stats])
-        fid = float("nan")
-        if features.count >= 2:
-            fid = frechet_from_moments(
-                features.mean, features.cov(), self.template.dataset.real_moments
-            )
-        p99 = float("nan")
-        if completed:
-            p99 = sum(s.p99 * s.completed for s in stats if s.completed) / completed
-        return {
-            "total_queries": float(total),
-            "completed": float(completed),
-            "dropped": float(dropped),
-            "slo_violation_ratio": (violated + dropped) / total if total else 0.0,
-            "deferral_rate": heavy / completed if completed else 0.0,
-            "mean_latency": moments.mean if completed else float("nan"),
-            "p99_latency": p99,
-            "fid": fid,
-        }
-
     # -------------------------------------------------------------------- run
     def run(self, workload: Workload, *, duration: Optional[float] = None) -> SimulationResult:
         """Run the workload sharded and return the merged result.
@@ -643,7 +577,6 @@ class ShardSupervisor:
         n_shards = min(self.shards, len(names))
         assignment = [names[i::n_shards] for i in range(n_shards)]
         router = GeoRouter(self.topology)
-        self.live_summaries = []
         self.shard_timing = {}
         self.shard_profiles = {}
         self.barrier_seconds = 0.0
@@ -685,9 +618,6 @@ class ShardSupervisor:
                 for name in names:
                     stats = barrier_stats[name]
                     router.observe(name, stats.completed, stats.dropped)
-                self.live_summaries.append(
-                    self._merged_live_summary([barrier_stats[name] for name in names])
-                )
             for shard in shards:
                 shard.begin_finish()
             collected: Dict[str, RegionResult] = {}

@@ -1,9 +1,9 @@
 """End-to-end serving simulation wiring.
 
 :class:`ServingSimulation` assembles the client source, Load Balancer,
-workers, Controller and result collector on top of the discrete-event
-simulator, runs a workload trace through the system, and returns a
-:class:`~repro.core.results.SimulationResult`.
+workers, Controller, re-planner and result collector on top of the
+discrete-event simulator, runs a workload trace through the system, and
+returns a :class:`~repro.core.results.SimulationResult`.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ class SystemRuntime:
     collector: ResultCollector
     load_balancer: LoadBalancer
     controller: Controller
-    replanner: Optional[ReplanController]
+    replanner: ReplanController
     config: SystemConfig
     dataset: QueryDataset
     name: str
@@ -253,19 +253,18 @@ class SystemRuntime:
     def result(self, duration: float) -> SimulationResult:
         """Package everything measured so far as a :class:`SimulationResult`.
 
-        Closes the collector: its rows move into the result, and the
-        completions its live views never folded are dropped.  So the rows
-        live exactly as long as the result does rather than as long as the
+        Drains the collector: its rows move into the result, so they live
+        exactly as long as the result does rather than as long as the
         runtime's reference cycles.
         """
         return SimulationResult.from_columns(
-            self.collector.close(),
+            self.collector.drain(),
             dataset=self.dataset,
             slo=self.config.slo,
             duration=duration,
             control_history=list(self.controller.history),
             system_name=self.name,
-            replan_history=list(self.replanner.history) if self.replanner is not None else [],
+            replan_history=list(self.replanner.history),
             fleet_cost=self.controller.cost_ledger.total_at(duration),
         )
 
@@ -300,11 +299,12 @@ class ServingSimulation:
         arrivals have been observed); static baselines pass their
         peak-provisioning demand here.
     replan:
-        Optional online re-planning configuration.  When set, a
-        :class:`~repro.core.replanner.ReplanController` replaces the
-        Controller's fixed-period loop: it samples the collector's running
-        views and the load balancer's arrival window every ``replan.epoch``
-        seconds and re-solves (warm-started) according to ``replan.policy``.
+        The control loop's configuration.  A
+        :class:`~repro.core.replanner.ReplanController` samples the
+        collector's counters and the load balancer's arrival window every
+        ``replan.epoch`` seconds and re-solves according to
+        ``replan.policy``.  The default re-solves cold every 5 s; a fixed
+        plan takes ``policy="static"``.
     name:
         Label attached to the result (used in figures/tables).
     faults:
@@ -319,8 +319,8 @@ class ServingSimulation:
         worker pool is pre-provisioned up to ``max_factor`` times the
         configured fleet (spares are built drained and fire zero events) and
         an :class:`~repro.core.autoscaler.Autoscaler` is attached to the
-        re-planner's epoch loop; requires ``replan``.  ``None`` means the
-        ``static`` policy, which builds no spares and never scales.
+        re-planner's epoch loop.  ``None`` means the ``static`` policy, which
+        builds no spares and never scales.
     prices:
         Optional :class:`~repro.core.pricing.PriceTrace` metering the cost
         ledger and pricing spot classes for the cost-aware policy/MILP
@@ -350,7 +350,7 @@ class ServingSimulation:
     policy: AllocationPolicy
     discriminator: Optional[Discriminator] = None
     initial_demand: float = 1.0
-    replan: Optional[ReplanConfig] = None
+    replan: ReplanConfig = ReplanConfig(warm_start=False)
     name: str = "diffserve"
     faults: Optional[FaultPlan] = None
     autoscale: Optional[ScalePolicy] = None
@@ -370,12 +370,6 @@ class ServingSimulation:
         :class:`ClientSource` and runs to the horizon, while the shard
         supervisor injects externally routed queries epoch by epoch.
         """
-        if self.autoscale is not None and self.replan is None:
-            raise ValueError(
-                "autoscale requires the re-planning control plane "
-                "(set replan_epoch/replan_policy): scale decisions are "
-                "evaluated at replan epochs"
-            )
         autoscale = self.autoscale if self.autoscale is not None else SCALE_POLICIES["static"]
         sim = Simulator(seed=self.config.seed, profile=self.profile)
         generator = self.generator
@@ -388,15 +382,10 @@ class ServingSimulation:
         load_balancer = LoadBalancer(
             sim,
             routing=self.config.routing,
-            # Arrival history must cover the longest window any control loop
-            # observes: the Controller's fixed period, or the re-planner's
-            # epoch when one is attached (an epoch longer than the retained
+            # Arrival history must cover the re-planner's epoch (a shorter
             # history would silently undercount arrivals and bias the demand
             # estimate low).
-            observation_window=max(
-                self.config.control_period,
-                self.replan.epoch if self.replan is not None else 0.0,
-            ),
+            observation_window=self.replan.epoch,
             on_response=lambda query, image, stage, conf, deferred: collector.complete(
                 query, image, stage, conf, deferred, sim.now
             ),
@@ -462,16 +451,14 @@ class ServingSimulation:
             prices=self.prices,
         )
 
-        replanner = None
-        if self.replan is not None:
-            replanner = ReplanController(
-                sim,
-                controller=controller,
-                collector=collector,
-                load_balancer=load_balancer,
-                config=self.replan,
-                autoscaler=Autoscaler(autoscale, controller, prices=self.prices),
-            )
+        replanner = ReplanController(
+            sim,
+            controller=controller,
+            collector=collector,
+            load_balancer=load_balancer,
+            config=self.replan,
+            autoscaler=Autoscaler(autoscale, controller, prices=self.prices),
+        )
 
         if self.faults is not None:
             from repro.faults.injector import FaultInjector

@@ -263,31 +263,27 @@ def run_fig1a(
     *,
     n_thresholds: int = 11,
 ) -> Fig1aResult:
-    """Reproduce one panel of Figure 1a."""
-    cascade = get_cascade(cascade_name)
-    dataset = cached_dataset("coco", scale.dataset_size, scale.seed)
-    evaluator = CascadeEvaluator(
-        dataset, cascade.light, cascade.heavy, n_queries=scale.dataset_size
-    )
+    """Reproduce one panel of Figure 1a.
+
+    The cascade, its evaluator and the trained discriminator are the ones
+    Figures 1b, 1c and 7 use (:func:`_trained_cascade`); the independent
+    variants are rendered by the same generator.
+    """
+    cascade, evaluator, discriminator = _trained_cascade(cascade_name, scale)
 
     result = Fig1aResult(cascade_name=cascade_name)
     for name in INDEPENDENT_VARIANTS:
         variant = get_variant(name)
         if variant.resolution != cascade.light.resolution:
             continue
-        solo = CascadeEvaluator(dataset, variant, cascade.heavy, n_queries=scale.dataset_size)
+        solo = CascadeEvaluator(
+            evaluator.dataset, variant, cascade.heavy, generator=evaluator.generator
+        )
         result.variant_points[name] = solo.single_model_point("light")
-
-    trained = cached_training_result(
-        dataset,
-        cascade.light,
-        cascade.heavy,
-        TrainingConfig(n_train=min(600, scale.dataset_size), seed=scale.seed),
-    )
 
     thresholds = np.linspace(0.0, 1.0, n_thresholds)
     routers = {
-        "discriminator": trained.discriminator,
+        "discriminator": discriminator,
         "pickscore": PickScoreDiscriminator(),
         "clipscore": ClipScoreDiscriminator(),
     }

@@ -1,6 +1,6 @@
 """Evaluation metrics: FID, SLO violation accounting, latency statistics, Pareto utilities."""
 
-from repro.metrics.accumulators import GaussianStats, P2Quantile, StreamingMoments
+from repro.metrics.accumulators import GaussianStats
 from repro.metrics.fid import (
     RealMoments,
     fid_score,
@@ -14,8 +14,6 @@ from repro.metrics.slo import SLOReport
 
 __all__ = [
     "GaussianStats",
-    "P2Quantile",
-    "StreamingMoments",
     "RealMoments",
     "frechet_distance",
     "frechet_from_moments",

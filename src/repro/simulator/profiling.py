@@ -3,7 +3,7 @@
 A *profile* is the mapping :meth:`~repro.simulator.simulation.Simulator.
 profile_snapshot` returns: ``{event name: (fires, cumulative callback
 seconds)}``.  Event names are per-actor by convention (``worker-3-batch``,
-``control-tick``, ``arrival``), so the table doubles as a per-actor
+``replan-epoch``, ``arrival``), so the table doubles as a per-actor
 breakdown.
 
 Everything here is display-side telemetry.  Wall-clock seconds live only on

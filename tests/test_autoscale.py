@@ -27,11 +27,13 @@ from repro.core.autoscaler import (
 from repro.core.config import DEVICE_CLASSES, fleet_from_counts
 from repro.core.pricing import (
     PRICE_TRACES,
+    SECONDS_PER_HOUR,
     CostLedger,
     PriceSurge,
     PriceTrace,
 )
 from repro.core.sharding import run_sharded
+from repro.core.system import ClientSource
 from repro.baselines.registry import build_system
 from repro.experiments.harness import ExperimentScale
 from repro.runner.dimensions import DIMENSIONS
@@ -209,8 +211,6 @@ def test_spec_token_includes_autoscale_and_prices():
 @settings(**_SETTINGS)
 def test_cost_ledger_conservation(times, counts):
     """Sum of interval charges equals the integral of the active fleet rate."""
-    from repro.core.pricing import SECONDS_PER_HOUR
-
     ledger = CostLedger()
     now = 0.0
     ledger.transition(fleet_from_counts({"a100": 1}), now)
@@ -247,6 +247,34 @@ def test_cost_ledger_observe_resamples_spot_prices():
     flat.observe(50.0)
     assert flat.intervals == []
     assert flat.total_at(3600.0) == pytest.approx(fleet.total_cost)
+
+
+def test_proteus_bill_is_re_rated_every_epoch():
+    """Proteus runs the shared control loop, so a spot-priced run bills each
+    5 s epoch at that epoch's price, not the t=0 price for the whole run."""
+    prices = PRICES.lookup("spot-diurnal")
+    fleet = fleet_from_counts({"a100": 1, "l4": 3})
+    system = build_system(
+        "sdturbo", "proteus", fleet=fleet, dataset_size=100, seed=3, prices=prices
+    )
+    workload = small_workload()
+    runtime = system.prepare()
+    ClientSource(runtime.sim, workload, system.dataset, runtime.load_balancer, system.config.slo)
+    horizon = system.horizon(workload)
+    runtime.sim.run(until=horizon)
+
+    ledger = runtime.controller.cost_ledger
+    epochs = int(horizon // 5.0)
+    assert epochs >= 6
+    assert [(start, end) for start, end, _, _ in ledger.intervals] == [
+        (5.0 * k, 5.0 * (k + 1)) for k in range(epochs)
+    ]
+    rates = [rate for _, _, rate, _ in ledger.intervals]
+    assert rates == [prices.rate_for(fleet, 5.0 * k) for k in range(epochs)]
+    assert len(set(rates)) > 1, "diurnal spot prices must move within the run"
+    billed = runtime.result(horizon).fleet_cost
+    assert billed == ledger.total_at(horizon)
+    assert billed != pytest.approx(prices.rate_for(fleet, 0.0) * horizon / SECONDS_PER_HOUR)
 
 
 # ------------------------------------------------------------- scale-to-zero

@@ -131,6 +131,4 @@ def test_system_config_defaults_and_validation():
     with pytest.raises(ValueError):
         SystemConfig(cascade=cascade, fleet=FleetSpec.homogeneous(0))
     with pytest.raises(ValueError):
-        SystemConfig(cascade=cascade, control_period=0.0)
-    with pytest.raises(ValueError):
         SystemConfig(cascade=cascade, slo=-1.0)

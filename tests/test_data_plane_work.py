@@ -167,7 +167,7 @@ def ledger(monkeypatch):
 def _run(workload: str, tmp_path, **changes):
     (spec,) = WORKLOADS[workload](0).specs
     spec = dataclasses.replace(spec, **changes)
-    executor.run_cell_results(spec, cache=ArtifactCache(root=tmp_path))
+    return executor.run_cell_results(spec, cache=ArtifactCache(root=tmp_path))[1]
 
 
 #: Draws of discriminator training, the same in every cell: 300 light and
@@ -286,13 +286,19 @@ GEO_SHARDED_PASSES = 40
 #: (overlapping dispatches, variant mismatches) over the regions' runs.  A
 #: defect, pinned (see the module docstring).
 GEO_SHARDED_OVERLAPS = (284, 41)
+#: Control epochs over the regions' runs: 8 regions, each re-solving cold
+#: every 5 s, 8 epochs apiece.
+GEO_SHARDED_EPOCHS = 64
 
 
 def test_geo_sharded_inline_draw_work_is_pinned(ledger, tmp_path):
-    _run("geo-sharded", tmp_path, shards=1)
+    results = _run("geo-sharded", tmp_path, shards=1)
     draws = {(v, k): n for (p, v, k), n in ledger.images.items() if p == "run"}
     observations = {k: n for (p, k), n in ledger.observations.items() if p == "run"}
     assert draws == GEO_SHARDED_DRAWS
     assert observations == GEO_SHARDED_OBSERVATIONS
     assert ledger.passes["run"] == GEO_SHARDED_PASSES
     assert (ledger.overlapping_dispatches, ledger.variant_mismatches) == GEO_SHARDED_OVERLAPS
+    history = results["diffserve"].replan_history
+    assert len(history) == GEO_SHARDED_EPOCHS
+    assert all(snap.replanned and not snap.warm_started for snap in history)

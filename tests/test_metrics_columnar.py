@@ -9,12 +9,10 @@ from the root ``conftest.py``'s ``row_recorder``.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.query import Query, QueryStage
 from repro.core.results import ColumnStore, ResultCollector, SimulationResult
-from repro.metrics.accumulators import GaussianStats, P2Quantile, StreamingMoments
+from repro.metrics.accumulators import GaussianStats
 from repro.metrics.fid import (
     RealMoments,
     fid_score,
@@ -217,20 +215,19 @@ def test_collector_driven_result_matches_brute_force(row_recorder):
 
 
 def test_collector_running_summary_tracks_final_summary(row_recorder):
+    """The O(1) counters the control loop reads while a run is in flight
+    agree with the summary computed from the drained columns."""
     dataset = make_coco_like(200, seed=4, feature_dim=DIM)
     collector = ResultCollector(dataset)
     _write_rows(collector, _random_rows(row_recorder.Row, 4))
-    live = collector.running_summary()
+    completed, dropped = collector.completed_count, collector.dropped_count
+    late = collector.violated_count
     final = SimulationResult(
         cols=collector.drain(), dataset=dataset, slo=SLO, duration=DURATION
     ).summary()
-    for key in ("total_queries", "completed", "dropped", "slo_violation_ratio", "deferral_rate"):
-        assert live[key] == pytest.approx(final[key], rel=1e-12), key
-    assert live["mean_latency"] == pytest.approx(final["mean_latency"], rel=1e-9)
-    # Streaming sufficient stats vs. one-shot fit: same value up to fp noise.
-    assert live["fid"] == pytest.approx(final["fid"], rel=1e-6, abs=1e-6)
-    # P-squared p99 is an estimate, not exact — just sanity-bound it.
-    assert live["p99_latency"] >= final["p50_latency"]
+    assert (completed, dropped) == (final["completed"], final["dropped"])
+    assert completed + dropped == final["total_queries"]
+    assert (late + dropped) / (completed + dropped) == final["slo_violation_ratio"]
 
 
 # --------------------------------------------------------------------------
@@ -335,105 +332,12 @@ def test_gaussian_stats_matches_numpy(seed):
     np.testing.assert_allclose(stats.cov(), np.cov(x, rowvar=False), rtol=1e-9, atol=1e-12)
 
 
-def test_gaussian_stats_add_matches_add_batch():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(40, DIM))
-    one_by_one = GaussianStats(DIM)
-    for row in x:
-        one_by_one.add(row)
-    batched = GaussianStats.from_features(x)
-    assert one_by_one.count == batched.count
-    np.testing.assert_allclose(one_by_one.sum, batched.sum, rtol=1e-12)
-    np.testing.assert_allclose(one_by_one.outer, batched.outer, rtol=1e-9)
-
-
-@given(
-    sizes=st.tuples(
-        st.integers(min_value=1, max_value=40),
-        st.integers(min_value=1, max_value=40),
-        st.integers(min_value=1, max_value=40),
-    ),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-@settings(max_examples=30, deadline=None)
-def test_gaussian_stats_merge_is_associative(sizes, seed):
-    rng = np.random.default_rng(seed)
-    a, b, c = (GaussianStats.from_features(rng.normal(size=(n, 4))) for n in sizes)
-    left = (a.merge(b)).merge(c)
-    right = a.merge(b.merge(c))
-    assert left.count == right.count == sum(sizes)
-    np.testing.assert_allclose(left.sum, right.sum, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(left.outer, right.outer, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(left.cov(), right.cov(), rtol=1e-9, atol=1e-12)
-
-
-def test_gaussian_stats_merge_equals_concatenation():
-    rng = np.random.default_rng(1)
-    x, y = rng.normal(size=(30, DIM)), rng.normal(size=(50, DIM))
-    merged = GaussianStats.from_features(x).merge(GaussianStats.from_features(y))
-    whole = GaussianStats.from_features(np.vstack([x, y]))
-    np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12)
-    np.testing.assert_allclose(merged.cov(), whole.cov(), rtol=1e-9, atol=1e-12)
-
-
 def test_gaussian_stats_validation():
     with pytest.raises(ValueError):
         GaussianStats(0)
-    with pytest.raises(ValueError):
-        GaussianStats(2).merge(GaussianStats(3))
+    with pytest.raises(ValueError, match="dimensionality"):
+        GaussianStats(2).add_batch(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         GaussianStats(2).cov()  # not enough samples
 
 
-@given(st.lists(st.floats(-1e6, 1e6), min_size=0, max_size=200))
-@settings(max_examples=50, deadline=None)
-def test_streaming_moments_match_numpy(values):
-    moments = StreamingMoments()
-    for v in values:
-        moments.add(v)
-    assert moments.count == len(values)
-    if values:
-        assert moments.mean == pytest.approx(np.mean(values), rel=1e-9, abs=1e-6)
-        assert moments.minimum == min(values)
-        assert moments.maximum == max(values)
-    if len(values) >= 2:
-        assert moments.variance == pytest.approx(np.var(values, ddof=1), rel=1e-6, abs=1e-5)
-
-
-@given(
-    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
-    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
-)
-@settings(max_examples=50, deadline=None)
-def test_streaming_moments_merge_is_exact(xs, ys):
-    left, right = StreamingMoments(), StreamingMoments()
-    left.add_batch(xs)
-    right.add_batch(ys)
-    merged = left.merge(right)
-    whole = StreamingMoments()
-    whole.add_batch(xs + ys)
-    assert merged.count == whole.count
-    assert merged.mean == pytest.approx(whole.mean, rel=1e-9, abs=1e-9)
-    if merged.count >= 2:
-        assert merged.variance == pytest.approx(whole.variance, rel=1e-6, abs=1e-9)
-
-
-def test_p2_quantile_approximates_true_percentile():
-    rng = np.random.default_rng(0)
-    values = rng.exponential(1.0, size=20_000)
-    p50, p99 = P2Quantile(0.5), P2Quantile(0.99)
-    for v in values:
-        p50.add(v)
-        p99.add(v)
-    assert p50.value == pytest.approx(np.percentile(values, 50), rel=0.05)
-    assert p99.value == pytest.approx(np.percentile(values, 99), rel=0.10)
-
-
-def test_p2_quantile_exact_for_few_samples():
-    q = P2Quantile(0.5)
-    assert np.isnan(q.value)
-    for v in (5.0, 1.0, 3.0):
-        q.add(v)
-    assert q.value == 3.0
-    with pytest.raises(ValueError):
-        P2Quantile(0.0)

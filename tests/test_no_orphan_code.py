@@ -33,8 +33,6 @@ ALLOWED = {
     "repro.core.resources.BandwidthChannel.total_rate_gbps": "channel state the "
     "resource-conservation tests inspect",
     "repro.core.resources.ResidencySet.resident_names": "LRU order the residency tests inspect",
-    "repro.core.results.ResultCollector.pending_rows": "lets the tests check that the live "
-    "accumulators fold lazily",
     "repro.core.results.SimulationResult.total_queries": "result accessor read by the "
     "serial == sharded tests",
     "repro.core.system.ClientSource.total_queries": "arrival count the fault tests check "

@@ -6,7 +6,10 @@ each DiffServe allocator made, how many batch pairs it solved, how many HiGHS
 solves those ran (one MIP per pair solved here; the counter keeps its
 ``total_lp_solves`` name) and how many pairs the sweep's bounds pruned.
 The allocators are the receivers of ``DiffServeAllocator.plan``, recorded as
-``benchmarks/e2e/layers.py`` records them.
+``benchmarks/e2e/layers.py`` records them.  Every system's control epochs
+are pinned too, from its ``replan_history``: each system runs the one
+re-planner loop, cold and every 5 s when its policy is dynamic, never when
+it is static.
 
 A change that raises a count edits its pin here and says why; a change that
 lowers one can claim the saving without wall-clock noise.
@@ -27,6 +30,15 @@ from benchmarks.e2e.suite import WORKLOADS  # noqa: E402
 FIG_CELL_PLANNING = {
     "diffserve": (40, 50, 50, 81),
     "diffserve-static": (1, 2, 2, 3),
+}
+
+#: system -> (control epochs, epochs that re-solved, epochs warm-started).
+FIG_CELL_EPOCHS = {
+    "clipper-light": (0, 0, 0),
+    "clipper-heavy": (0, 0, 0),
+    "proteus": (39, 39, 0),
+    "diffserve-static": (0, 0, 0),
+    "diffserve": (39, 39, 0),
 }
 
 
@@ -53,7 +65,7 @@ def test_fig_cell_planning_work_is_pinned(monkeypatch, tmp_path):
     monkeypatch.setattr(DiffServeAllocator, "_solve_pair", counting_solve_pair)
     monkeypatch.setattr(harness, "build_comparison_systems", recording_build)
     (spec,) = WORKLOADS["fig-cell"](0).specs
-    executor.run_cell_results(spec, cache=ArtifactCache(root=tmp_path))
+    _, results = executor.run_cell_results(spec, cache=ArtifactCache(root=tmp_path))
 
     names = {
         system.policy.allocator: name
@@ -71,3 +83,12 @@ def test_fig_cell_planning_work_is_pinned(monkeypatch, tmp_path):
         for allocator in receivers
     }
     assert work == FIG_CELL_PLANNING
+    epochs = {
+        name: (
+            len(result.replan_history),
+            sum(snap.replanned for snap in result.replan_history),
+            sum(snap.warm_started for snap in result.replan_history),
+        )
+        for name, result in results.items()
+    }
+    assert epochs == FIG_CELL_EPOCHS

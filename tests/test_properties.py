@@ -9,7 +9,6 @@ from repro.core.allocator import THRESHOLD_LEVELS, DiffServeAllocator
 from repro.core.demand import DemandEstimator
 from repro.core.queueing import LittlesLawModel
 from repro.discriminators.deferral import DeferralProfile
-from repro.metrics.accumulators import P2Quantile
 from repro.metrics.fid import fid_score, frechet_distance
 from repro.metrics.pareto import ParetoPoint, is_pareto_dominated, pareto_frontier
 from repro.metrics.slo import SLOReport
@@ -408,135 +407,6 @@ def test_event_queue_compaction_preserves_live_events_under_interleaving(ops):
             q.pop()
     finally:
         events_mod._COMPACT_MIN_SIZE = original
-
-
-# ------------------------------------------------------- P2 running quantile
-@given(
-    values=st.lists(
-        st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=300
-    ),
-    q=st.sampled_from([0.5, 0.9, 0.99]),
-)
-@settings(**_SETTINGS)
-def test_p2_quantile_universal_invariants(values, q):
-    acc = P2Quantile(q)
-    for v in values:
-        acc.add(v)
-    est = acc.value
-    assert acc.count == len(values)
-    # The estimate interpolates observed marker heights: it can never leave
-    # the observed range.
-    assert min(values) - 1e-9 <= est <= max(values) + 1e-9
-    # With five or fewer samples the estimate is the exact linear-interpolated
-    # empirical quantile.
-    if len(values) <= 5:
-        assert est == pytest.approx(
-            float(np.percentile(np.asarray(values), q * 100)), rel=1e-9, abs=1e-9
-        )
-
-
-#: Half-width, in percentile points, of the brute-force band the P² estimate
-#: must land in.  Calibrated by exhaustive sampling over the distributions
-#: below at n >= 200 (observed worst case: 8 points); doubled for margin.
-_P2_BAND = 15.0
-
-
-@given(
-    n=st.integers(min_value=200, max_value=500),
-    seed=st.integers(min_value=0, max_value=10_000),
-    scale=st.floats(min_value=0.1, max_value=50.0),
-    dist=st.sampled_from(["uniform", "exponential", "lognormal"]),
-    q=st.sampled_from([0.5, 0.9, 0.99]),
-)
-@settings(**_SETTINGS)
-def test_p2_quantile_within_bruteforce_percentile_band(n, seed, scale, dist, q):
-    """On i.i.d. latency-like streams the estimate stays within a brute-force
-    percentile band around the target quantile.
-
-    P² is a heuristic without worst-case guarantees (adversarially ordered or
-    extreme bimodal streams can push it far off), so the property is stated
-    over the stream family the accumulator is deployed on: independent draws
-    from continuous unimodal distributions, at the stream lengths where the
-    estimator has converged past its five-marker start-up noise.
-    """
-    rng = np.random.default_rng(seed)
-    if dist == "uniform":
-        values = rng.uniform(0.0, scale, n)
-    elif dist == "exponential":
-        values = rng.exponential(scale, n)
-    else:
-        values = rng.lognormal(0.0, 1.0, n) * scale
-    acc = P2Quantile(q)
-    for v in values:
-        acc.add(float(v))
-    est = acc.value
-    lo = float(np.percentile(values, max(0.0, 100.0 * q - _P2_BAND)))
-    hi = float(np.percentile(values, min(100.0, 100.0 * q + _P2_BAND)))
-    assert lo - 1e-9 <= est <= hi + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Shard-merge partition invariance (PR 6): merging per-chunk accumulators over
-# ANY partition of a stream must equal accumulating the whole stream at once.
-# This is the algebraic property the sharded-equals-serial live views rest on.
-# ---------------------------------------------------------------------------
-from repro.metrics.accumulators import GaussianStats, StreamingMoments, merge_all  # noqa: E402
-
-
-def _partition(values, cut_fracs):
-    """Split ``values`` at the (sorted, deduplicated) fractional cut points."""
-    cuts = sorted({int(round(f * len(values))) for f in cut_fracs})
-    edges = [0] + [c for c in cuts if 0 < c < len(values)] + [len(values)]
-    return [values[lo:hi] for lo, hi in zip(edges, edges[1:])]
-
-
-@given(
-    values=st.lists(
-        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1, max_size=80
-    ),
-    cut_fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
-)
-@settings(**_SETTINGS)
-def test_streaming_moments_merge_is_partition_invariant(values, cut_fracs):
-    whole = StreamingMoments()
-    whole.add_batch(values)
-    parts = []
-    for chunk in _partition(values, cut_fracs):
-        acc = StreamingMoments()
-        acc.add_batch(chunk)
-        parts.append(acc)
-    merged = merge_all(parts)
-    assert merged.count == whole.count
-    assert merged.minimum == whole.minimum
-    assert merged.maximum == whole.maximum
-    assert np.isclose(merged.mean, whole.mean, atol=1e-9)
-    if whole.count >= 2:
-        assert np.isclose(merged.variance, whole.variance, rtol=1e-9, atol=1e-9)
-
-
-@given(
-    n=st.integers(min_value=1, max_value=60),
-    dim=st.integers(min_value=1, max_value=6),
-    seed=st.integers(min_value=0, max_value=10_000),
-    cut_fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
-)
-@settings(**_SETTINGS)
-def test_gaussian_stats_merge_is_partition_invariant(n, dim, seed, cut_fracs):
-    rng = np.random.default_rng(seed)
-    features = rng.normal(scale=10.0, size=(n, dim))
-    whole = GaussianStats.from_features(features)
-    chunks = [chunk for chunk in _partition(features, cut_fracs) if len(chunk)]
-    merged = merge_all([GaussianStats.from_features(chunk) for chunk in chunks])
-    assert merged.count == whole.count
-    assert np.allclose(merged.sum, whole.sum, atol=1e-9)
-    assert np.allclose(merged.outer, whole.outer, rtol=1e-9, atol=1e-9)
-    if n >= 2:
-        assert np.allclose(merged.cov(), whole.cov(), rtol=1e-8, atol=1e-9)
-
-
-def test_merge_all_rejects_empty_iterable():
-    with pytest.raises(ValueError):
-        merge_all([])
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,9 @@ def test_build_diffserve_system_replan_wiring(
         dataset=coco_dataset,
         discriminator=trained_discriminator,
         deferral_profile=deferral_profile,
-        control_period=4.0,
         replan_policy="periodic",
     )
-    assert system.replan == ReplanConfig(epoch=4.0, policy="periodic")
+    assert system.replan == ReplanConfig(epoch=5.0, policy="periodic")
 
     plain = build_system(
         "sdturbo",
@@ -68,7 +67,9 @@ def test_build_diffserve_system_replan_wiring(
         discriminator=trained_discriminator,
         deferral_profile=deferral_profile,
     )
-    assert plain.replan is None
+    # Without re-planning options the loop re-solves cold every 5 s, and the
+    # exhaustive fallback stays off.
+    assert plain.replan == ReplanConfig(epoch=5.0, policy="periodic", warm_start=False)
     assert plain.policy.allocator.exhaustive_cutoff == 0
 
 
@@ -227,7 +228,7 @@ def test_adaptive_policy_skips_steady_state_epochs(
     assert replans >= 1  # the flash crowd forces at least one re-solve
     assert skipped >= 1  # steady stretches are skipped
     assert replans < sum(1 for snap in periodic.replan_history if snap.replanned)
-    # Skipped epochs still sample the running views.
+    # Skipped epochs still sample the arrival window and the demand estimate.
     for snap in adaptive.replan_history:
         assert np.isfinite(snap.arrival_rate)
         assert np.isfinite(snap.demand_estimate)
@@ -247,8 +248,8 @@ def test_replanned_run_is_deterministic(coco_dataset, trained_discriminator, def
 def test_observation_window_covers_replan_epochs_longer_than_control_period(
     coco_dataset, trained_discriminator, deferral_profile
 ):
-    # An epoch longer than the controller's period must not truncate the
-    # balancer's arrival history (that would bias the demand estimate low).
+    # An epoch longer than the default 5 s must not truncate the balancer's
+    # arrival history (that would bias the demand estimate low).
     # The running controller updates its profile online, so it gets a copy:
     # the session fixture must reach later tests unchanged.
     system = build_system(
@@ -257,12 +258,11 @@ def test_observation_window_covers_replan_epochs_longer_than_control_period(
         dataset=coco_dataset,
         discriminator=trained_discriminator,
         deferral_profile=copy.deepcopy(deferral_profile),
-        control_period=5.0,
         replan_epoch=12.0,
     )
     workload = make_workload("static", duration=15.0, qps=4.0, qps_range=(2.0, 8.0), seed=0)
     result = system.run(workload.sample(RandomStreams(0)))
     snapshot = result.replan_history[0]
     # The first epoch sees the full 12 s of arrivals: at 4 qps the observed
-    # rate must be in the right ballpark, not cut to control_period/epoch of it.
+    # rate must be in the right ballpark, not cut to 5 s/epoch of it.
     assert snapshot.arrival_rate > 2.0

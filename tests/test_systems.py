@@ -31,6 +31,17 @@ fingerprint, with ``BranchAndBoundSolver(tol=1e-06,total_lp_solves=0)``
 replaced by ``HighsMILPSolver(total_lp_solves=0)``, equals the new one, and
 no summary pin moved.
 
+Every build fingerprint was re-pinned a fourth time when the Controller's
+fixed-period loop folded into the re-planner: ``SystemConfig.control_period``
+went, and a system built without re-planning options now carries the
+``ReplanConfig`` its loop runs (cold ``periodic`` at 5 s for a dynamic
+policy, ``static`` otherwise) instead of ``None``.  Each old fingerprint with
+``control_period=5.0`` dropped and ``replan=None`` replaced by that config
+equals the new one.  With that fold one summary pin moved, Proteus in the
+``autoscale`` cell, and only its ``fleet_cost`` (0.027079318015174797 ->
+0.02646392775071957): its loop now re-rates the spot-priced cost meter every
+epoch instead of billing the t=0 price for the whole run.
+
 The pinned cells and builds go through ``executor.run_cell_results`` and
 ``harness.build_comparison_systems``, the two entry points the runner uses.
 """
@@ -46,6 +57,7 @@ from repro import cli
 from repro.baselines import registry
 from repro.baselines.registry import SYSTEMS, build_system, render_baseline_table
 from repro.core.config import SystemConfig
+from repro.core.replanner import ReplanConfig
 from repro.discriminators.base import Discriminator
 from repro.experiments.harness import ExperimentScale, build_comparison_systems, shared_components
 from repro.models.dataset import QueryDataset
@@ -104,7 +116,7 @@ SUMMARY_SHA256 = {
     "autoscale": {
         "clipper-light": "e39137dbfed1582a0c1ff697b9edcedfa7276ce74b069b7a4021b72b6c8594ff",
         "clipper-heavy": "7e2a35d6fa854f029b43bcf90de39d2b6ed0bfca84203b88e8fd3dd906ed8d97",
-        "proteus": "040a99bd777bc98d3767c4f380e08672d40860257620ed84ffa5d41f150dc326",
+        "proteus": "e9ab5d4fd56ce25e2f1156c7280da4f9c8b8053b1066f508159e131b2b47e40f",
         "diffserve-static": "87c6e98a8595e83d6528d5e9cd85a26bf7c9ed41e6b017f63763b2a7ad14ded7",
         "diffserve": "9fbb6084e5c9f1b880dfe20e84abcf76416ef5ec7c57c0f53dbd09ecc684eb62",
     },
@@ -113,67 +125,67 @@ SUMMARY_SHA256 = {
 #: build -> system -> sha256 of the system's build fingerprint.
 BUILD_SHA256 = {
     "plain": {
-        "clipper-light": "a68565aeb5f99fb146a4e6527a240be8e86b587163bda3bb675d8e83d4112f32",
-        "clipper-heavy": "aa72b424683d8d789e209263b579f01985b323a6b74f003c86ddccfa32288b87",
-        "proteus": "55c76c6be948cd09b9db3a224cddf2a12249057babc91a14fbf1ce8f1821ce2c",
-        "diffserve-static": "d74abcf6523c4a78f621989cd01e48297202ecd8556ef750104dfae57697be03",
-        "diffserve": "ea2b152a315e8909687cf2dbb1eb8c6722f6421e269b5edbb94942707150d824",
+        "clipper-light": "bd5952e2d9a998296e6b27422d66f5294c82489957f168374a45ff5563ed64ec",
+        "clipper-heavy": "c37e5d5a864b99bea6246564624dd577335434097af41f2bc32ec8fe813fb8d4",
+        "proteus": "3fe820ddb5e57e86db39e4021b69bba184f672ff0d87307088e64a3e43089cea",
+        "diffserve-static": "a95feb31356cc93fa480fbeffd122285348ffabef18f2c3fa62f37ce69caeac9",
+        "diffserve": "f94f51f3e470f8949565d4a0f2739d764998a07214be305e352cdc0c455574e4",
     },
     "fleet": {
-        "clipper-light": "e6a4978f0da96cd027b5f82b82d7616a6c91da52fa22936b79c5392a3c2c911c",
-        "clipper-heavy": "9e6f7ed1220ebb3d6c1806687e7da145eb0648b4ca46bce7e41238c088624181",
-        "proteus": "0a8d90d36b87f4511f0e57a0c22a08ec9cdb8aae4e7ae2eadfd8862682aaa54f",
-        "diffserve-static": "27a153b2eaa676db9c6107c498c6bcd72d0cffb71b663823fb85aef1ea149fc1",
-        "diffserve": "f19a8c83a0db801d509542c4a9bcdbb277779c797889145d520ad9cd77d9858a",
+        "clipper-light": "7f850d7e36d9bed2049be03e8cf67bc3130688e8a6436d07e998030a69f95b4a",
+        "clipper-heavy": "9cd721902bda90638191749da1d80be9ad4771f62a36afd26072abb96ba5dc8c",
+        "proteus": "2b36b3910c9991ace9dd13fba806bc170606827df75455b04c7cfb18b9f03d21",
+        "diffserve-static": "80b85dbb521c5f9c863ee47457f129487291e825548d558977767d53fccc10c8",
+        "diffserve": "c64ecece611372c6800251bae56efb6aa156a2ea4430e950fa6b5a9d6ad82c65",
     },
     "resources": {
-        "clipper-light": "3b4373f1d312bc71b568593e793d67bb37df867eac59585b6d8cea4fc3b244f6",
-        "clipper-heavy": "688b9e1db7d8af55cd82d216290936f94a1e522086624639104ed3f7f0ffe664",
-        "proteus": "9f09c29d7e0578ac159d59dd842bb5a4c2ef7ca594b97d92405fe94775d5dce4",
-        "diffserve-static": "024f588a87b61d41240eb3c787e7f69a4eb2138979998e99592cfab9f7bfd868",
-        "diffserve": "15b159eefec28a0bbda00a54436da325efc95994c11681ef5e15671c80295dd7",
+        "clipper-light": "65675debd1089ffd10a5d3b9fe23d99331bd8bf93b20d6cf08e38b3636a423eb",
+        "clipper-heavy": "40ceb2abe0a1c5b7485c2518a58ae4372541352547ff610136c94223028e62ce",
+        "proteus": "5c46129cc0b1c25b66caa0dd63fb7b8eb8017e571c9389333d55a846c761f761",
+        "diffserve-static": "8e5d486324b7a7cb5c22d8376620431eb55a3226015e7793326d02c776b176eb",
+        "diffserve": "47c7b914326f37a36159ba61d2f51446cbb3c414e1192406ff7b0e7c9ad6db92",
     },
     "faults": {
-        "clipper-light": "9280cf9bc9f15e220b241f2ec6a7f20861f3da15d7a06a26254431e75eb16900",
-        "clipper-heavy": "5c976039edf611cf4672b847f0b48988c5320966ddcb7c1b2ac8e6fede331876",
-        "proteus": "49927f4281c5733258f61f04710f1959f1caede84c8d585906f507a097a0feb8",
-        "diffserve-static": "7e9fd74263095a8543a03a3af73d43e5ebe2ccebfca5a4e5d917e8dd03522ae8",
-        "diffserve": "8ff1f3573092287d21099a19c75c1cdd52e039a5a4ea638fc7492a30379db32d",
+        "clipper-light": "ef0e9699cc9328fdf83df24972c0d87a10bf27c920294a165e0e9f99e440e978",
+        "clipper-heavy": "e2b9e9f9f1e1b731fd3932df8409e7c6f6e7f6fbd4a6a3b408347a42d2d72724",
+        "proteus": "23758160e12971651e2cd5c13101502e5da9aa4af4d55944ce4a4df633871580",
+        "diffserve-static": "731aae98cc3ad4b4fd1a1af1bbfa4089e626deae2d907bc50530d88c651df0c9",
+        "diffserve": "ac019eb0e2c00bd995c0376248c8b9561fa8ebb702534338ad22a641f4b1caae",
     },
     "autoscale": {
-        "clipper-light": "d0bb548700e78bdda30ea9350bcc3239783a8f90fe75c81c8e25d4d5d60dafea",
-        "clipper-heavy": "a30ee87537e7d441846bef689d76455fe1936fa07eaf1e01c5b8a24f0f62189d",
-        "proteus": "97aa7a38186fe27a344cf68703cb1d65276bf26296d303e7c1f17fd484af6aab",
-        "diffserve-static": "41b8b67828a53c0f43151f4d3c1450cdbb247089412bcb31df4c842da04d329a",
-        "diffserve": "f86ec72a3be44bd6d906db73f75473f968cede520dee6cce97779ad6fa9bbd51",
+        "clipper-light": "e97feea138cc6476485d0617c4525da041fe3530932d63f9dc49a4cc53b12a02",
+        "clipper-heavy": "4451249f7d4cfa345a6615ee60edaa1a7a503a663c438d0d368fce53ef610daa",
+        "proteus": "d2906fd537a8e15dfb3d98691c2ba188f7579f4ade07d07438dc3f04d75714fe",
+        "diffserve-static": "b4dc0a899e7910ff7eb428401af07d51566eface3e8daaad38cc41005d859fad",
+        "diffserve": "8cf5357ce0a50bd287076a8589f31b9b590f38864b3094e2a6418c0b9e3639a7",
     },
     "overrides": {
-        "clipper-light": "9b8495ae5d545950d638a029e1edbc7033c3a4c33018f0aeea705d7d35e3438e",
-        "clipper-heavy": "1227f03fe2d5560d3abe5a318546c3c19ba08d8d66a2bb87f328486f43978582",
-        "proteus": "c36c1c35a6c7f7142383cfea76829f0a4bfa23d2b025cd4cba63a54c2eb87fd4",
-        "diffserve-static": "49c63da32b25cd302eaea4ff9c5a206a6466dec108b3d11544c210b6fda685c3",
-        "diffserve": "ccbbeea7207b8f42d8e3cb524af8491d0aaa8b950d864c9c3ebb5e016137777f",
+        "clipper-light": "3d2eca80c86a031e822269ef21020611829d1dcce7e0738392c626994c1a3f85",
+        "clipper-heavy": "4bdf3de0dabfce8c4808615002867fad3ced2c0727dbc3bd9701fadb610fd145",
+        "proteus": "26bd428c1726911fb3077ce6724007f1ba49d4728df6ee3b1788c525805b8379",
+        "diffserve-static": "e48a2c2279c68acec7d6231c7a67dc2cc29da5935104dce86744c04d36401371",
+        "diffserve": "7beea12ea8d4511de71b930b86cbd55018bdc32cd011c4c6d2c4b9cea9d6a574",
     },
     "static-threshold": {
-        "clipper-light": "a68565aeb5f99fb146a4e6527a240be8e86b587163bda3bb675d8e83d4112f32",
-        "clipper-heavy": "aa72b424683d8d789e209263b579f01985b323a6b74f003c86ddccfa32288b87",
-        "proteus": "55c76c6be948cd09b9db3a224cddf2a12249057babc91a14fbf1ce8f1821ce2c",
-        "diffserve-static": "d74abcf6523c4a78f621989cd01e48297202ecd8556ef750104dfae57697be03",
-        "diffserve": "e1aa182dd213f608f0ae492020e9709a7ba3e1e39dce55da168d83013bd706ad",
+        "clipper-light": "bd5952e2d9a998296e6b27422d66f5294c82489957f168374a45ff5563ed64ec",
+        "clipper-heavy": "c37e5d5a864b99bea6246564624dd577335434097af41f2bc32ec8fe813fb8d4",
+        "proteus": "3fe820ddb5e57e86db39e4021b69bba184f672ff0d87307088e64a3e43089cea",
+        "diffserve-static": "a95feb31356cc93fa480fbeffd122285348ffabef18f2c3fa62f37ce69caeac9",
+        "diffserve": "ebd71db9db8273a12028a93eb21835cd29c2211d6e533dcf4c0a641f0e65a6bb",
     },
     "aimd": {
-        "clipper-light": "a68565aeb5f99fb146a4e6527a240be8e86b587163bda3bb675d8e83d4112f32",
-        "clipper-heavy": "aa72b424683d8d789e209263b579f01985b323a6b74f003c86ddccfa32288b87",
-        "proteus": "55c76c6be948cd09b9db3a224cddf2a12249057babc91a14fbf1ce8f1821ce2c",
-        "diffserve-static": "d74abcf6523c4a78f621989cd01e48297202ecd8556ef750104dfae57697be03",
-        "diffserve": "b83a4d2cda00e9deb950481123b8be9d638c491c6cb2495d37e7317a81dba64c",
+        "clipper-light": "bd5952e2d9a998296e6b27422d66f5294c82489957f168374a45ff5563ed64ec",
+        "clipper-heavy": "c37e5d5a864b99bea6246564624dd577335434097af41f2bc32ec8fe813fb8d4",
+        "proteus": "3fe820ddb5e57e86db39e4021b69bba184f672ff0d87307088e64a3e43089cea",
+        "diffserve-static": "a95feb31356cc93fa480fbeffd122285348ffabef18f2c3fa62f37ce69caeac9",
+        "diffserve": "5cd21c82c41da469858627cd57597636164227b5d3e584c6bbdf473bc57cb1b2",
     },
     "no-queueing": {
-        "clipper-light": "a68565aeb5f99fb146a4e6527a240be8e86b587163bda3bb675d8e83d4112f32",
-        "clipper-heavy": "aa72b424683d8d789e209263b579f01985b323a6b74f003c86ddccfa32288b87",
-        "proteus": "55c76c6be948cd09b9db3a224cddf2a12249057babc91a14fbf1ce8f1821ce2c",
-        "diffserve-static": "d74abcf6523c4a78f621989cd01e48297202ecd8556ef750104dfae57697be03",
-        "diffserve": "55d7af976e3aeec16e7d7b57c5423db987c6ae41eaca494c4ce3c4b55d7806bd",
+        "clipper-light": "bd5952e2d9a998296e6b27422d66f5294c82489957f168374a45ff5563ed64ec",
+        "clipper-heavy": "c37e5d5a864b99bea6246564624dd577335434097af41f2bc32ec8fe813fb8d4",
+        "proteus": "3fe820ddb5e57e86db39e4021b69bba184f672ff0d87307088e64a3e43089cea",
+        "diffserve-static": "a95feb31356cc93fa480fbeffd122285348ffabef18f2c3fa62f37ce69caeac9",
+        "diffserve": "136e9f57750f84a2d2f434261a4720624cefdad8b0ab347f345c99e87c6af2c4",
     },
 }
 
@@ -185,7 +197,6 @@ CONFIG_FIELDS = (
     "cascade",
     "slo",
     "routing",
-    "control_period",
     "seed",
     "fleet",
     "resources",
@@ -376,7 +387,9 @@ def test_diffserve_only_options_leave_the_other_systems_alone():
     for name in ("clipper-light", "proteus", "diffserve-static"):
         system = build_system("sdturbo", name, **options)
         assert system.name == name
-        assert system.replan is None and system.autoscale is None
+        policy = "periodic" if SYSTEMS[name].dynamic else "static"
+        assert system.replan == ReplanConfig(policy=policy, warm_start=False)
+        assert system.autoscale is None
     system = build_system("sdturbo", "diffserve", **options)
     assert system.name == "diffserve-aimd"
     assert system.replan.epoch == 2.5 and system.autoscale is not None
