@@ -426,7 +426,7 @@ def parse_grid(
         # fails the parse with a one-line error, not inside a grid cell.
         dim.parse(dims.get(name))
     if dims.get("autoscale") is not None and replan_epoch is None:
-        # The autoscaler is evaluated by the re-planner's epoch loop.
+        # The autoscaler is evaluated by the Controller's epoch loop.
         raise ValueError(
             "--autoscale requires --replan-epoch (scale decisions are evaluated at replan epochs)"
         )

@@ -166,8 +166,8 @@ class ControlContext:
     light_queue_length: float = 0.0
     heavy_queue_length: float = 0.0
     observed_deferral: Optional[float] = None
+    #: SLO misses (late completions plus drops) since the previous solve.
     slo_violations_in_window: int = 0
-    completions_in_window: int = 0
     current_plan: Optional[AllocationPlan] = None
     #: Multi-resource worker model (``None`` = legacy).  When set and
     #: ``reload_aware``, the allocator gates classes on footprints, penalises
@@ -227,7 +227,7 @@ class DiffServeAllocator:
         self.exhaustive_cutoff = exhaustive_cutoff
         self.exhaustive_solver = ExhaustiveSolver()
         self.threshold_grid = self._build_threshold_grid()
-        # Warm-start telemetry (read by the re-planner and the benchmarks).
+        # Warm-start telemetry (read by the Controller's epoch loop and the benchmarks).
         self.warm_solves = 0
         self.cold_solves = 0
         self.warm_start_hits = 0

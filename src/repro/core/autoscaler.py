@@ -3,7 +3,7 @@
 A :class:`ScalePolicy` is a *pure description* — hashable into runner cache
 keys like ``--faults``/``--prices`` specs — of how the control plane may
 resize the fleet at replan epochs.  :class:`Autoscaler` is the evaluation
-side: attached to the :class:`~repro.core.replanner.ReplanController`, it is
+side: owned by the :class:`~repro.core.controller.Controller`, it is
 called once per epoch with the epoch's arrival rate and SLO-violation ratio
 and proposes a new :class:`~repro.core.config.FleetSpec` (or ``None`` for no
 change).  Every input is a deterministic function of simulation state plus
@@ -208,8 +208,8 @@ class Autoscaler:
         """Light-variant throughput of one device (queries/sec), the capacity
         unit scaling decisions reason in.  MILP-backed policies expose the
         profiled rate; others fall back to the relative speed factor."""
-        allocator = getattr(self.controller.policy, "allocator", None)
-        if allocator is not None and hasattr(allocator, "_light_throughput"):
+        allocator = self.controller.policy.allocator
+        if allocator is not None:
             batch = max(allocator.batch_candidates)
             return float(allocator._light_throughput(batch, device))
         return 1.0 / device.speed_factor

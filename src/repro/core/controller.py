@@ -1,24 +1,33 @@
-"""Controller: the control path of the serving system.
+"""Controller: the control plane of the serving system.
 
-At every epoch of the :class:`~repro.core.replanner.ReplanController` loop,
-the Controller collects runtime statistics from the workers and the Load
-Balancer (queue lengths, demands, deferral rates, SLO violations), asks its
-allocation policy for a new plan, and applies the plan by re-assigning model
-variants to workers, setting batch sizes and updating the cascade's
-confidence threshold (Sections 3.1/3.3).  Demand is estimated with an EWMA
-the re-planner feeds.
+The Controller is the one control-plane actor (Sections 3.1/3.3).  It
+applies plan zero at start-up and then, every ``ReplanConfig.epoch`` seconds
+of simulated time, reads the epoch's arrivals, deferrals and SLO misses,
+feeds the arrivals to an EWMA demand estimate, lets the autoscaler resize the
+fleet, decides whether to re-solve (see :mod:`repro.core.replanner` for the
+``static``/``periodic``/``adaptive`` rules) and applies the new plan by
+re-assigning model variants to workers, setting batch sizes and updating the
+cascade's confidence threshold.
+
+Every window the loop reads is a difference of counters that only grow: the
+Load Balancer's and the result collector's cumulative counts, marked at the
+last epoch and at the last solve.  Every input is a deterministic function of
+simulation state, so runs stay byte-identical across processes.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.core.allocator import AllocationPlan, ControlContext
+from repro.core.autoscaler import SCALE_POLICIES, Autoscaler, ScalePolicy
 from repro.core.config import FleetSpec, RoutingMode, SystemConfig
 from repro.core.demand import DemandEstimator
-from repro.core.load_balancer import LoadBalancer
+from repro.core.load_balancer import LoadBalancer, LoadBalancerStats
 from repro.core.policies import AllocationPolicy
 from repro.core.pricing import CostLedger, PriceTrace
+from repro.core.replanner import EpochSnapshot, ReplanConfig
 from repro.core.results import ControlSnapshot, ResultCollector
 from repro.core.worker import Worker
 from repro.discriminators.base import Discriminator
@@ -27,7 +36,7 @@ from repro.simulator.simulation import Actor, Simulator
 
 
 class Controller(Actor):
-    """Applies allocation plans produced by an :class:`AllocationPolicy`."""
+    """Decides when to solve, solves through an :class:`AllocationPolicy`, applies the plan."""
 
     def __init__(
         self,
@@ -42,6 +51,8 @@ class Controller(Actor):
         *,
         initial_demand: float = 1.0,
         prices: Optional[PriceTrace] = None,
+        replan: ReplanConfig = ReplanConfig(warm_start=False),
+        autoscale: ScalePolicy = SCALE_POLICIES["static"],
     ) -> None:
         super().__init__(sim, name="controller")
         self.config = config
@@ -111,13 +122,28 @@ class Controller(Actor):
         #: (fraction of the class's built workers named by spot revocations);
         #: feeds the cost-aware autoscaler and the MILP's risk discount.
         self.revocation_risk: dict = {}
+        self.replan_config = replan
+        #: One sample per epoch, whether or not it re-solved.
+        self.epoch_history: List[EpochSnapshot] = []
+        #: Evaluated every epoch *before* the re-solve decision, so a scale
+        #: event and the plan that fits it land in the same epoch.  The
+        #: ``static`` policy never proposes a change.
+        self.autoscaler = Autoscaler(autoscale, self, prices=prices)
+        #: Demand estimate the last epoch solve (or plan zero) was solved for.
+        self._solved_demand = self.demand_estimator.estimate
+        # Cumulative counts at the last epoch boundary and at the last solve;
+        # each window is the difference from them.
+        self._epoch_lb = LoadBalancerStats()
+        self._epoch_finished = 0
+        self._epoch_missed = 0
+        self._solve_missed = 0
 
     # ---------------------------------------------------------------- start
     def start(self) -> None:
-        """Apply the initial plan (the re-planner runs every later epoch)."""
-        ctx = self._build_context()
-        plan = self._resolve_plan(self.policy.plan(ctx))
-        self._apply_plan(plan)
+        """Apply plan zero and, unless the policy is ``static``, start the epochs."""
+        self.replan()
+        if self.replan_config.policy != "static":
+            self.sim.schedule(self.replan_config.epoch, self._epoch_tick, name="replan-epoch")
 
     # ----------------------------------------------------------- control loop
     def replan(
@@ -130,7 +156,7 @@ class Controller(Actor):
 
         ``warm_start`` is forwarded to the policy so MILP-backed policies can
         seed their solver's incumbent with the previous epoch's solution (the
-        re-planner passes the currently applied plan).
+        epoch loop and fault repairs pass the currently applied plan).
         """
         ctx = self._build_context(observed_deferral)
         plan = self._resolve_plan(self.policy.plan(ctx, warm_start=warm_start))
@@ -155,8 +181,8 @@ class Controller(Actor):
         # deadline.  Routine best-effort plans under overload pass through
         # unchanged, so a healthy-but-saturated system behaves exactly as
         # it would without recovery armed.
-        allocator = getattr(self.policy, "allocator", None)
-        timed_out = bool(getattr(allocator, "last_solve_timed_out", False))
+        allocator = self.policy.allocator
+        timed_out = allocator is not None and allocator.last_solve_timed_out
         if not (timed_out or self.repairing):
             return plan
         fallback = self.plan_store.recall(self.active_fleet)
@@ -222,18 +248,16 @@ class Controller(Actor):
             for name, group in self._workers_by_class.items()
         }
 
-    def policy_deferral_update(self, threshold: float, observed_fraction: float) -> None:
-        """Blend the observed deferral rate into the policy's deferral profile."""
-        allocator = getattr(self.policy, "allocator", None)
-        if allocator is None:
-            return
-        allocator.deferral_profile.update_online(threshold, observed_fraction)
-        allocator.refresh_threshold_grid()
+    def _missed(self) -> int:
+        """Cumulative SLO misses: late completions plus drops."""
+        return self.collector.violated_count + self.collector.dropped_count
 
     def _build_context(self, observed_deferral: Optional[float] = None) -> ControlContext:
+        """The solve's inputs; its SLO-miss window runs since the last solve."""
         light_queue = sum(w.queue_length for w in self.load_balancer.light_pool)
         heavy_queue = sum(w.queue_length for w in self.load_balancer.heavy_pool)
-        violations, completions = self.collector.window_stats()
+        violations = self._missed() - self._solve_missed
+        self._solve_missed += violations
         return ControlContext(
             demand=self.demand_estimator.estimate,
             slo=self.config.slo,
@@ -242,12 +266,103 @@ class Controller(Actor):
             heavy_queue_length=heavy_queue,
             observed_deferral=observed_deferral,
             slo_violations_in_window=violations,
-            completions_in_window=completions,
             current_plan=self.current_plan,
             resources=self.config.resources,
             prices=self.prices,
             price_time=self.now,
             revocation_risk=self.revocation_risk,
+        )
+
+    # ------------------------------------------------------------ epoch loop
+    def _lp_solves(self) -> int:
+        """HiGHS solves the policy's MILP solvers have run so far."""
+        allocator = self.policy.allocator
+        if allocator is None:
+            return 0
+        return allocator.solver.total_lp_solves + allocator.exhaustive_solver.total_lp_solves
+
+    def _should_replan(self, demand_estimate: float, violation_ratio: float) -> bool:
+        config = self.replan_config
+        if config.policy == "periodic":
+            return True
+        # Adaptive: re-solve on demand drift or observed SLO pressure.
+        drift = abs(demand_estimate - self._solved_demand) / max(self._solved_demand, 1e-9)
+        return drift >= config.drift_threshold or violation_ratio > config.violation_trigger
+
+    def _epoch_tick(self) -> None:
+        config = self.replan_config
+        allocator = self.policy.allocator
+        lb_stats = replace(self.load_balancer.stats)
+        window = lb_stats.since(self._epoch_lb)
+        self._epoch_lb = lb_stats
+        arrival_rate = window.arrivals / config.epoch
+        self.demand_estimator.observe(window.arrivals, config.epoch)
+
+        observed_deferral = window.observed_deferral_rate
+        if observed_deferral is not None and allocator is not None:
+            # Blend the observed deferral rate into the deferral profile.
+            allocator.deferral_profile.update_online(self.current_plan.threshold, observed_deferral)
+            allocator.refresh_threshold_grid()
+
+        finished = self.collector.completed_count + self.collector.dropped_count
+        finished, self._epoch_finished = finished - self._epoch_finished, finished
+        missed = self._missed()
+        missed, self._epoch_missed = missed - self._epoch_missed, missed
+        violation_ratio = missed / finished if finished > 0 else 0.0
+        demand_estimate = self.demand_estimator.estimate
+
+        # Autoscaler hook: a pure function of this epoch's signals (and the
+        # price trace at `now`), so decisions are deterministic and identical
+        # under serial and sharded execution.  A scale event always forces a
+        # re-solve — the plan must fit the new fleet.
+        proposal = self.autoscaler.evaluate(self.now, arrival_rate, violation_ratio)
+        if proposal is not None:
+            self.set_fleet(proposal, reason=f"autoscale:{self.autoscaler.policy.kind}")
+            self.fleet_target = proposal
+        self.cost_ledger.observe(self.now)
+
+        replanned = proposal is not None or self._should_replan(demand_estimate, violation_ratio)
+        warm_started = False
+        lp_solves = 0
+        degraded = False
+        if replanned:
+            warm = self.current_plan if config.warm_start else None
+            lp_before = self._lp_solves()
+            self.replan(observed_deferral=observed_deferral, warm_start=warm)
+            lp_solves = self._lp_solves() - lp_before
+            # A policy without an allocator counts an offered warm start as
+            # accepted; an allocator reports whether its solver took it.
+            warm_started = warm is not None and (
+                allocator is None or allocator.last_warm_start_used
+            )
+            degraded = allocator is not None and allocator.last_solve_timed_out
+            self._solved_demand = demand_estimate
+
+        self.epoch_history.append(
+            EpochSnapshot(
+                time=self.now,
+                arrival_rate=arrival_rate,
+                demand_estimate=demand_estimate,
+                epoch_violation_ratio=violation_ratio,
+                replanned=replanned,
+                warm_started=warm_started,
+                lp_solves=lp_solves,
+                fleet=self.active_fleet.token(),
+                residency=self._residency_token(self.current_plan),
+                degraded=degraded,
+            )
+        )
+        self.sim.schedule(config.epoch, self._epoch_tick, name="replan-epoch")
+
+    @staticmethod
+    def _residency_token(plan) -> str:
+        """Canonical token of a plan's pinned residency (empty when none)."""
+        if plan is None or plan.residency is None:
+            return ""
+        return ";".join(
+            f"{cname}:{'+'.join(names)}"
+            for cname, names in sorted(plan.residency.items())
+            if names
         )
 
     # -------------------------------------------------------------- applying

@@ -8,7 +8,7 @@ exponentially weighted moving average over the demand history (Section 3.3,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 
 @dataclass
@@ -26,7 +26,6 @@ class DemandEstimator:
     alpha: float = 0.5
     initial: float = 0.0
     _estimate: Optional[float] = field(default=None, repr=False)
-    history: List[float] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha <= 1:
@@ -45,15 +44,9 @@ class DemandEstimator:
             self._estimate = rate
         else:
             self._estimate = self.alpha * rate + (1 - self.alpha) * self._estimate
-        self.history.append(rate)
         return self._estimate
 
     @property
     def estimate(self) -> float:
         """Current demand estimate (queries/second)."""
         return self.initial if self._estimate is None else self._estimate
-
-    def reset(self) -> None:
-        """Forget all history."""
-        self._estimate = None
-        self.history.clear()

@@ -10,10 +10,9 @@ the Clipper baselines and the content-agnostic random split used by Proteus.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from heapq import heapify, heappop, heappush
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 from repro.core.config import RoutingMode
@@ -25,7 +24,7 @@ from repro.simulator.simulation import Actor, Simulator
 
 @dataclass
 class LoadBalancerStats:
-    """Per-window statistics reported to the Controller."""
+    """Routing counters: cumulative on the balancer, or one window's difference."""
 
     arrivals: int = 0
     deferred: int = 0
@@ -33,13 +32,9 @@ class LoadBalancerStats:
     returned_heavy: int = 0
     dropped: int = 0
 
-    def reset(self) -> None:
-        """Clear the per-window counters."""
-        self.arrivals = 0
-        self.deferred = 0
-        self.returned_light = 0
-        self.returned_heavy = 0
-        self.dropped = 0
+    def since(self, mark: "LoadBalancerStats") -> "LoadBalancerStats":
+        """The counts accrued after ``mark``, an earlier copy of these counters."""
+        return LoadBalancerStats(*(new - old for new, old in zip(astuple(self), astuple(mark))))
 
     @property
     def observed_deferral_rate(self) -> Optional[float]:
@@ -106,22 +101,14 @@ class LoadBalancer(Actor):
         routing: RoutingMode,
         threshold: float = 0.5,
         heavy_fraction: float = 0.0,
-        observation_window: float = 60.0,
         on_response: Optional[
             Callable[[Query, GeneratedImage, QueryStage, Optional[float], bool], None]
         ] = None,
         on_drop: Optional[Callable[[Query], None]] = None,
     ) -> None:
         super().__init__(sim, name="load-balancer")
-        if observation_window <= 0:
-            raise ValueError("observation_window must be positive")
         self.routing = routing
         self.threshold = threshold
-        #: How far back arrival timestamps are retained for
-        #: :meth:`arrivals_in_window`.  Timestamps older than this are pruned
-        #: on every arrival, so memory stays bounded by the window's arrival
-        #: count instead of growing linearly over the whole run.
-        self.observation_window = float(observation_window)
         #: Fraction of queries sent directly to the heavy pool under
         #: RANDOM_SPLIT routing (set by the Proteus-style controller).
         self.heavy_fraction = heavy_fraction
@@ -149,9 +136,9 @@ class LoadBalancer(Actor):
         self._light_index = _PoolIndex([])
         self._heavy_index = _PoolIndex([])
         self._item_free: List[WorkItem] = []
+        #: Cumulative routing counters; the Controller differences them per epoch.
         self.stats = LoadBalancerStats()
         self._rng = sim.rng.stream("load-balancer")
-        self._arrival_times: Deque[float] = deque()
 
     # ----------------------------------------------------------- control path
     def set_threshold(self, threshold: float) -> None:
@@ -214,8 +201,6 @@ class LoadBalancer(Actor):
     def submit(self, query: Query) -> None:
         """Entry point for client queries."""
         self.stats.arrivals += 1
-        self._arrival_times.append(self.now)
-        self._prune_arrivals()
         go_heavy = (
             self.routing == RoutingMode.RANDOM_SPLIT
             and bool(self.heavy_pool)
@@ -369,38 +354,3 @@ class LoadBalancer(Actor):
         self.stats.dropped += 1
         if self.on_drop is not None:
             self.on_drop(query)
-
-    # ------------------------------------------------------------- statistics
-    def _prune_arrivals(self) -> None:
-        """Drop arrival timestamps older than the observation window."""
-        cutoff = self.now - self.observation_window
-        arrivals = self._arrival_times
-        while arrivals and arrivals[0] < cutoff:
-            arrivals.popleft()
-
-    def arrivals_in_window(self, window: float) -> int:
-        """Number of arrivals in the last ``window`` seconds.
-
-        Windows longer than :attr:`observation_window` see at most the
-        retained history (the controller's window is always within it).
-        """
-        self._prune_arrivals()
-        cutoff = self.now - window
-        count = 0
-        for t in reversed(self._arrival_times):
-            if t < cutoff:
-                break
-            count += 1
-        return count
-
-    def collect_stats(self) -> LoadBalancerStats:
-        """Return and reset per-window statistics."""
-        snapshot = LoadBalancerStats(
-            arrivals=self.stats.arrivals,
-            deferred=self.stats.deferred,
-            returned_light=self.stats.returned_light,
-            returned_heavy=self.stats.returned_heavy,
-            dropped=self.stats.dropped,
-        )
-        self.stats.reset()
-        return snapshot

@@ -30,6 +30,9 @@ class AllocationPolicy(abc.ABC):
     #: Whether the control loop should re-plan every epoch (dynamic) or only
     #: apply the initial plan (static baselines).
     dynamic: bool = True
+    #: The MILP allocator behind the policy, if any: the control plane reads
+    #: its solve counters and blends observed deferrals into its profile.
+    allocator: Optional[DiffServeAllocator] = None
 
     @abc.abstractmethod
     def plan(

@@ -151,8 +151,6 @@ class ResultCollector:
 
     def __init__(self, dataset: QueryDataset) -> None:
         self._feature_dim = dataset.real_features.shape[1]
-        self._violations_window = 0
-        self._completions_window = 0
         self._completed = 0
         self._dropped = 0
         self._violated = 0
@@ -182,16 +180,13 @@ class ResultCollector:
             np.nan if confidence is None else confidence,
             deferred,
         )
-        self._completions_window += 1
         self._completed += 1
         if completion_time > query.deadline:
-            self._violations_window += 1
             self._violated += 1
 
     def drop(self, query: Query) -> None:
         """Record a dropped query."""
         self._append_row(query, np.nan, STAGE_CODES[QueryStage.DROPPED], np.nan, np.nan, False)
-        self._violations_window += 1
         self._dropped += 1
 
     def _append_row(
@@ -279,13 +274,6 @@ class ResultCollector:
         """Cumulative completed-but-late queries (O(1) counter)."""
         return self._violated
 
-    def window_stats(self) -> Tuple[int, int]:
-        """(violations, completions) since the last call; resets the counters."""
-        stats = (self._violations_window, self._completions_window)
-        self._violations_window = 0
-        self._completions_window = 0
-        return stats
-
 
 @dataclass(eq=False)
 class SimulationResult:
@@ -302,9 +290,9 @@ class SimulationResult:
     duration: float
     control_history: List[ControlSnapshot] = field(default_factory=list)
     system_name: str = "system"
-    #: Epoch-by-epoch control-plane samples when an online re-planner was
-    #: attached (:class:`~repro.core.replanner.EpochSnapshot` items); empty
-    #: for runs without one.
+    #: The Controller's epoch-by-epoch samples
+    #: (:class:`~repro.core.replanner.EpochSnapshot` items); empty for a
+    #: ``static`` loop, which never ticks.
     replan_history: List[object] = field(default_factory=list)
     #: Time-integrated cost of the fleet the run *actually held* (A100-hours,
     #: from the controller's :class:`~repro.core.pricing.CostLedger`) — not

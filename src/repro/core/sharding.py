@@ -204,7 +204,7 @@ class RegionRuntime:
         return RegionResult(
             cols=ColumnStore.concat(self._chunks, self._feature_dim),
             control_history=list(self.runtime.controller.history),
-            replan_history=list(self.runtime.replanner.history),
+            replan_history=list(self.runtime.controller.epoch_history),
             stats=self.stats(),
             cost_ledger=self.runtime.controller.cost_ledger,
         )

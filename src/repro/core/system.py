@@ -1,7 +1,7 @@
 """End-to-end serving simulation wiring.
 
 :class:`ServingSimulation` assembles the client source, Load Balancer,
-workers, Controller, re-planner and result collector on top of the
+workers, Controller and result collector on top of the
 discrete-event simulator, runs a workload trace through the system, and
 returns a :class:`~repro.core.results.SimulationResult`.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 
-from repro.core.autoscaler import SCALE_POLICIES, Autoscaler, ScalePolicy
+from repro.core.autoscaler import SCALE_POLICIES, ScalePolicy
 from repro.core.config import (
     DEFAULT_DEVICE_CLASS,
     RoutingMode,
@@ -25,7 +25,7 @@ from repro.core.pricing import PriceTrace
 from repro.core.load_balancer import LoadBalancer
 from repro.core.policies import AllocationPolicy
 from repro.core.query import Query, QueryBatch
-from repro.core.replanner import ReplanConfig, ReplanController
+from repro.core.replanner import ReplanConfig
 from repro.core.resources import BandwidthChannel, ResidencySet, WorkerResources
 from repro.core.results import ResultCollector, SimulationResult
 from repro.core.worker import Worker
@@ -219,7 +219,6 @@ class SystemRuntime:
     collector: ResultCollector
     load_balancer: LoadBalancer
     controller: Controller
-    replanner: ReplanController
     config: SystemConfig
     dataset: QueryDataset
     name: str
@@ -264,7 +263,7 @@ class SystemRuntime:
             duration=duration,
             control_history=list(self.controller.history),
             system_name=self.name,
-            replan_history=list(self.replanner.history),
+            replan_history=list(self.controller.epoch_history),
             fleet_cost=self.controller.cost_ledger.total_at(duration),
         )
 
@@ -299,12 +298,11 @@ class ServingSimulation:
         arrivals have been observed); static baselines pass their
         peak-provisioning demand here.
     replan:
-        The control loop's configuration.  A
-        :class:`~repro.core.replanner.ReplanController` samples the
-        collector's counters and the load balancer's arrival window every
-        ``replan.epoch`` seconds and re-solves according to
-        ``replan.policy``.  The default re-solves cold every 5 s; a fixed
-        plan takes ``policy="static"``.
+        The control loop's configuration.  The
+        :class:`~repro.core.controller.Controller` reads the load balancer's
+        and the collector's counters every ``replan.epoch`` seconds and
+        re-solves according to ``replan.policy``.  The default re-solves
+        cold every 5 s; a fixed plan takes ``policy="static"``.
     name:
         Label attached to the result (used in figures/tables).
     faults:
@@ -319,7 +317,7 @@ class ServingSimulation:
         worker pool is pre-provisioned up to ``max_factor`` times the
         configured fleet (spares are built drained and fire zero events) and
         an :class:`~repro.core.autoscaler.Autoscaler` is attached to the
-        re-planner's epoch loop.  ``None`` means the ``static`` policy, which
+        Controller's epoch loop.  ``None`` means the ``static`` policy, which
         builds no spares and never scales.
     prices:
         Optional :class:`~repro.core.pricing.PriceTrace` metering the cost
@@ -382,10 +380,6 @@ class ServingSimulation:
         load_balancer = LoadBalancer(
             sim,
             routing=self.config.routing,
-            # Arrival history must cover the re-planner's epoch (a shorter
-            # history would silently undercount arrivals and bias the demand
-            # estimate low).
-            observation_window=self.replan.epoch,
             on_response=lambda query, image, stage, conf, deferred: collector.complete(
                 query, image, stage, conf, deferred, sim.now
             ),
@@ -449,15 +443,8 @@ class ServingSimulation:
             self.discriminator,
             initial_demand=self.initial_demand,
             prices=self.prices,
-        )
-
-        replanner = ReplanController(
-            sim,
-            controller=controller,
-            collector=collector,
-            load_balancer=load_balancer,
-            config=self.replan,
-            autoscaler=Autoscaler(autoscale, controller, prices=self.prices),
+            replan=self.replan,
+            autoscale=autoscale,
         )
 
         if self.faults is not None:
@@ -492,7 +479,6 @@ class ServingSimulation:
             collector=collector,
             load_balancer=load_balancer,
             controller=controller,
-            replanner=replanner,
             config=self.config,
             dataset=self.dataset,
             name=self.name,

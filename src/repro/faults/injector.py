@@ -71,7 +71,7 @@ class FaultInjector(Actor):
         self.load_balancer = load_balancer
         self.controller = controller
         self.collector = collector
-        self.allocator = getattr(controller.policy, "allocator", None)
+        self.allocator = controller.policy.allocator
 
         #: (time, description) log of everything injected/repaired.
         self.log: List[Tuple[float, str]] = []

@@ -233,7 +233,7 @@ class HighsMILPSolver:
     must hold every bound, row and integrality within
     :data:`~repro.milp.problem.ACCEPT_TOL` to be accepted.
 
-    A caller that re-solves a slowly drifting problem (the online re-planner)
+    A caller that re-solves a slowly drifting problem (the Controller's epoch loop)
     can pass ``warm_start``, an assignment from the previous solve.  If it is
     feasible for the *current* problem it is returned unless HiGHS's optimum
     beats it by more than :data:`WARM_MARGIN`, so a re-plan keeps the previous

@@ -352,7 +352,7 @@ def test_fenced_worker_cannot_be_reactivated_by_scale_out():
 def test_static_policy_never_scales():
     system = elastic_system(autoscale=AUTOSCALE.lookup("static"))
     runtime = system.prepare()
-    scaler = runtime.replanner.autoscaler
+    scaler = runtime.controller.autoscaler
     assert scaler.evaluate(now=3.0, arrival_rate=1e9, violation_ratio=1.0) is None
     assert scaler.decisions == []
 

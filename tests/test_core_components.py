@@ -58,8 +58,6 @@ def test_demand_estimator_ewma_behaviour():
     assert est.estimate == pytest.approx(10.0)
     est.observe(0, 10.0)
     assert est.estimate == pytest.approx(5.0)
-    est.reset()
-    assert est.estimate == 0.0
 
 
 def test_demand_estimator_converges_to_constant_rate():

@@ -76,6 +76,8 @@ ALLOWED = {
     "the determinism and runner tests",
     "repro.simulator.events.Event.fire": "fires a popped event; the event-queue tests and "
     "the simulator benchmark drive the queue by hand",
+    "repro.simulator.rng.RandomStreams.reset": "restarts every stream; the rng tests check "
+    "a restart replays the same draws (it was hidden by DemandEstimator.reset's name)",
     "repro.simulator.rng.standard_normal_rows": "the bit-exact draw SeedTable.normals "
     "counts; the rng tests check it against default_rng",
     "repro.simulator.simulation.Simulator.stop": "ends a run from inside a callback; the "

@@ -7,9 +7,9 @@ solves those ran (one MIP per pair solved here; the counter keeps its
 ``total_lp_solves`` name) and how many pairs the sweep's bounds pruned.
 The allocators are the receivers of ``DiffServeAllocator.plan``, recorded as
 ``benchmarks/e2e/layers.py`` records them.  Every system's control epochs
-are pinned too, from its ``replan_history``: each system runs the one
-re-planner loop, cold and every 5 s when its policy is dynamic, never when
-it is static.
+are pinned too, from its ``replan_history``: each system runs the
+Controller's one epoch loop, cold and every 5 s when its policy is dynamic,
+never when it is static.
 
 A change that raises a count edits its pin here and says why; a change that
 lowers one can claim the saving without wall-clock noise.

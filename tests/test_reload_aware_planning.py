@@ -185,15 +185,15 @@ def test_controller_applies_residency_to_workers(cascade1):
 
 
 def test_replanner_snapshots_record_residency_token():
-    from repro.core.replanner import ReplanController
+    from repro.core.controller import Controller
 
     plan = _plan({"a100": 3}, {"a100": 1}, threshold=0.5, heavy_fraction=0.2)
     plan.residency = {"a100": ("sd-turbo", "sd-v1.5"), "l4": ()}
-    token = ReplanController._residency_token(plan)
+    token = Controller._residency_token(plan)
     assert token == "a100:sd-turbo+sd-v1.5"
-    assert ReplanController._residency_token(None) == ""
+    assert Controller._residency_token(None) == ""
     bare = _plan({"a100": 3}, {"a100": 1}, threshold=0.5, heavy_fraction=0.2)
-    assert ReplanController._residency_token(bare) == ""
+    assert Controller._residency_token(bare) == ""
 
 
 # ------------------------------------------------------- contention verdicts

@@ -1,9 +1,10 @@
 """Tests for the online re-planning control plane.
 
-Covers the :class:`~repro.core.replanner.ReplanController` loop (static /
-periodic / adaptive policies), the allocator's warm-started solve path
-(incumbent seeding, relaxation-bound pruning, exhaustive fallback), and the
-wiring through :func:`~repro.baselines.registry.build_system`.
+Covers the :class:`~repro.core.controller.Controller`'s epoch loop (static /
+periodic / adaptive policies) and the windows it reads, the allocator's
+warm-started solve path (incumbent seeding, relaxation-bound pruning,
+exhaustive fallback), and the wiring through
+:func:`~repro.baselines.registry.build_system`.
 """
 
 import copy
@@ -14,8 +15,11 @@ import pytest
 
 from repro.core.allocator import ControlContext, DiffServeAllocator
 from repro.core.config import FleetSpec
+from repro.core.policies import DiffServePolicy
 from repro.core.replanner import REPLAN_POLICIES, ReplanConfig
+from repro.core.system import ClientSource
 from repro.baselines.registry import build_system
+from repro.runner.dimensions import DIMENSIONS
 from repro.simulator.rng import RandomStreams
 from repro.workloads import make_workload
 
@@ -245,11 +249,37 @@ def test_replanned_run_is_deterministic(coco_dataset, trained_discriminator, def
     assert first.replan_history == second.replan_history
 
 
-def test_observation_window_covers_replan_epochs_longer_than_control_period(
-    coco_dataset, trained_discriminator, deferral_profile
+def _run_to_epochs(system, trace, epoch):
+    """Run ``system`` on ``trace`` one epoch at a time.
+
+    Returns the run's epoch snapshots and, at every epoch boundary, the
+    collector's cumulative ``(finished, missed)`` counts, where a query is
+    missed when it completed late or was dropped.
+    """
+    runtime = system.prepare()
+    ClientSource(runtime.sim, trace, system.dataset, runtime.load_balancer, system.config.slo)
+    runtime.start()
+    collector = runtime.collector
+    marks = [(0, 0)]
+    horizon = system.horizon(trace)
+    k = 1
+    while k * epoch <= horizon:
+        runtime.advance(k * epoch)
+        dropped = collector.dropped_count
+        marks.append((collector.completed_count + dropped, collector.violated_count + dropped))
+        k += 1
+    runtime.advance(horizon)
+    runtime.finish()
+    return runtime.result(horizon).replan_history, marks
+
+
+@pytest.mark.parametrize("epoch", [3.0, 5.0, 12.0])
+def test_epoch_windows_partition_arrivals_and_violations(
+    coco_dataset, trained_discriminator, deferral_profile, epoch
 ):
-    # An epoch longer than the default 5 s must not truncate the balancer's
-    # arrival history (that would bias the demand estimate low).
+    # Every epoch reads exactly the arrivals and SLO misses since the previous
+    # epoch: per-epoch counts sum to the run's totals up to the last epoch,
+    # for epochs shorter and longer than the default 5 s.
     # The running controller updates its profile online, so it gets a copy:
     # the session fixture must reach later tests unchanged.
     system = build_system(
@@ -258,11 +288,88 @@ def test_observation_window_covers_replan_epochs_longer_than_control_period(
         dataset=coco_dataset,
         discriminator=trained_discriminator,
         deferral_profile=copy.deepcopy(deferral_profile),
-        replan_epoch=12.0,
+        replan_epoch=epoch,
+        replan_policy="periodic",
     )
-    workload = make_workload("static", duration=15.0, qps=4.0, qps_range=(2.0, 8.0), seed=0)
-    result = system.run(workload.sample(RandomStreams(0)))
-    snapshot = result.replan_history[0]
-    # The first epoch sees the full 12 s of arrivals: at 4 qps the observed
-    # rate must be in the right ballpark, not cut to 5 s/epoch of it.
-    assert snapshot.arrival_rate > 2.0
+    workload = make_workload("static", duration=40.0, qps=9.0, seed=0)
+    trace = workload.sample(RandomStreams(0))
+    history, marks = _run_to_epochs(system, trace, epoch)
+    assert len(history) == len(marks) - 1 >= 3
+    last = history[-1].time
+    assert last == pytest.approx(epoch * len(history))
+
+    arrivals = [round(snap.arrival_rate * epoch) for snap in history]
+    assert sum(arrivals) == int(np.sum(np.asarray(trace.arrival_times) <= last))
+    assert sum(arrivals) == len(trace.arrival_times)  # the last epoch follows the trace
+
+    violations = [
+        round(snap.epoch_violation_ratio * (finished - prev_finished))
+        for snap, (finished, _), (prev_finished, _) in zip(history, marks[1:], marks)
+    ]
+    assert violations == [missed - prev for (_, missed), (_, prev) in zip(marks[1:], marks)]
+    assert sum(violations) == marks[-1][1] > 0
+
+
+class _RecordingPolicy(DiffServePolicy):
+    """The DiffServe policy, noting each solve's SLO-miss window and the truth."""
+
+    def __init__(self, allocator):
+        super().__init__(allocator)
+        self.collector = None
+        #: ``(time, ctx.slo_violations_in_window, cumulative misses)`` per solve.
+        self.solves = []
+
+    def plan(self, ctx, *, warm_start=None):
+        missed = self.collector.violated_count + self.collector.dropped_count
+        self.solves.append((ctx.price_time, ctx.slo_violations_in_window, missed))
+        return super().plan(ctx, warm_start=warm_start)
+
+
+def test_solve_window_restarts_at_every_solve_including_repairs(
+    coco_dataset, trained_discriminator, deferral_profile
+):
+    # AIMD reads ``slo_violations_in_window``: the late completions and drops
+    # since the previous solve.  A fault-repair re-solve between two epochs
+    # is a solve too, so the next epoch's window starts at the repair.
+    faults = DIMENSIONS["faults"].parse(
+        '{"faults": [{"kind": "crash", "worker": 0, "at": 7.5},'
+        ' {"kind": "crash", "worker": 1, "at": 7.5}], "recovery": true}'
+    )
+    system = build_system(
+        "sdturbo",
+        fleet=FleetSpec.homogeneous(4),
+        dataset=coco_dataset,
+        discriminator=trained_discriminator,
+        deferral_profile=copy.deepcopy(deferral_profile),
+        replan_epoch=3.0,
+        replan_policy="periodic",
+        faults=faults,
+    )
+    policy = _RecordingPolicy(system.policy.allocator)
+    system.policy = policy
+    runtime = system.prepare()
+    policy.collector = runtime.collector
+    workload = make_workload("static", duration=30.0, qps=30.0, seed=0)
+    ClientSource(
+        runtime.sim,
+        workload.sample(RandomStreams(0)),
+        system.dataset,
+        runtime.load_balancer,
+        system.config.slo,
+    )
+    runtime.sim.run(until=40.0)
+
+    times = [t for t, _, _ in policy.solves]
+    repairs = [i for i, t in enumerate(times) if t % 3.0 != 0.0]
+    assert repairs, "the crash must trigger a repair re-solve between epochs"
+    # Each solve sees exactly the misses since the solve before it.
+    expected = [0] + [b - a for (_, _, a), (_, _, b) in zip(policy.solves, policy.solves[1:])]
+    assert [window for _, window, _ in policy.solves] == expected
+    # The epoch after a repair counts from the repair, not from the epoch
+    # before it: misses between that epoch and the repair are not recounted.
+    first = repairs[0]
+    _, window_after, missed_after = policy.solves[first + 1]
+    _, _, missed_at_repair = policy.solves[first]
+    _, _, missed_at_epoch = policy.solves[first - 1]
+    assert window_after == missed_after - missed_at_repair
+    assert missed_at_repair > missed_at_epoch
